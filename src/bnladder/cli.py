@@ -17,7 +17,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,14 +28,13 @@ from .decay import (
     truncation_suite_to_json,
 )
 from .errors import BNLadderError, ParameterError
-from .fractional import DEFAULT_QUAD, QuadratureConfig, eval_f, l2_norm
+from .fractional import _CLOSED_FORM_CAP, DEFAULT_QUAD, QuadratureConfig, eval_f, l2_norm
 from .gram import GramMatrix, build_gram, cross_validate, gram_to_csv, gram_to_json
 from .ladder import IndexWindow, check_injectivity, lambda_mu, shell, theta_of
 from .mellin import SmoothingParams, mellin_closed, mellin_closed_grid, mellin_direct, psi
 from .zeta import zeta_selfcheck
 
 __all__ = [
-    "RunConfig",
     "main",
     "cmd_profile",
     "cmd_ladder",
@@ -48,16 +46,6 @@ __all__ = [
 ]
 
 _FMT = "%.17g"
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated parameters of one CLI invocation."""
-
-    subcommand: str
-    out: str | None
-    format: str
-    params: dict = field(default_factory=dict)
 
 
 def _fmt(x: float) -> str:
@@ -394,8 +382,24 @@ def _add_window(p: argparse.ArgumentParser, j_default: int = 3, k_default: int =
 
 
 def _add_quad(p: argparse.ArgumentParser):
-    p.add_argument("--abs-tol", type=float, default=DEFAULT_QUAD.abs_tol)
-    p.add_argument("--x-min", type=float, default=None)
+    cutoff_use = (
+        "; used only by the eps^2 share of smoothed builds and by raw windows "
+        f"with a denominator above {_CLOSED_FORM_CAP}, since raw entries come "
+        "from an exact closed form"
+    )
+    p.add_argument(
+        "--abs-tol",
+        type=float,
+        default=DEFAULT_QUAD.abs_tol,
+        help="absolute error target that sets the default cutoff x_min = abs_tol/8"
+        + cutoff_use,
+    )
+    p.add_argument(
+        "--x-min",
+        type=float,
+        default=None,
+        help="small-x cutoff (default abs_tol/8)" + cutoff_use,
+    )
     p.add_argument("--tmax-raw", type=float, default=DEFAULT_QUAD.t_max_raw)
 
 

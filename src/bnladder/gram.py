@@ -2,7 +2,10 @@
 
 Two independent routes produce the same raw Gram matrix:
 
-* direct: exact piecewise integration in x (see :mod:`.fractional`);
+* direct: Vasyunin's closed form for unit-fraction inner products (see
+  :mod:`.fractional`), exact with a roundoff estimate as its budget; a
+  window with a denominator above the closed form's cap falls back to
+  the cutoff lattice pass and reports its tail bound;
 * spectral: the Parseval identity <f_a, f_b> = (1/pi) *
   integral_0^inf Re[M_a(1/2+it) conj(M_b(1/2+it))] dt, truncated at
   ``t_max_raw`` and integrated with fixed Gauss-Legendre panels.
@@ -17,11 +20,13 @@ deficit is what the comparison budget in cross-validation accounts for.
 
 Smoothed Gram matrices weight the spectral integrand by
 psi_W(t)^2 = (epsilon + exp(-(t/W)^2))^2.  Expanding the square lets the
-epsilon^2 part reuse the exact direct integrator, while the two
-Gaussian-tapered parts are integrated on a short grid truncated where the
-taper pushes the tail below ``gaussian_tail_tol``.  That split is what the
-hybrid method means for smoothed matrices; for raw matrices hybrid falls
-back to direct, which is both faster and exact.
+epsilon^2 part reuse the direct lattice pass at a coarse cutoff (the
+closed form's cost grows with the denominators, which reach 6^24 on a
+24x24 window), while the two Gaussian-tapered parts are integrated on a
+short grid truncated where the taper pushes the tail below
+``gaussian_tail_tol``.  That split is what the hybrid method means for
+smoothed matrices; for raw matrices hybrid falls back to direct, which is
+both faster and exact.
 
 Grids are cached per (t_max, panel_width), and panel widths are quantized
 to 0.25 / 2^m so windows of different sizes share zeta evaluations.
@@ -36,7 +41,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, ParameterError
-from .fractional import DEFAULT_QUAD, QuadratureConfig, pair_inner_matrix
+from .fractional import (
+    DEFAULT_QUAD,
+    QuadratureConfig,
+    _unit_inner_matrix,
+    pair_inner_matrix,
+)
 from .ladder import IndexWindow, LadderIndex, LadderPoint, theta_of
 from .mellin import SmoothingParams
 from .zeta import zeta_half_grid
@@ -238,9 +248,11 @@ class GramMatrix:
 
     Rows and columns follow the window's row-major order (j outer, k
     inner); ``points[i]`` is the ladder point behind row i.
-    ``err_estimate`` holds per-entry absolute error budgets: cutoff tails
-    for direct builds, quadrature-difference plus truncation tail for
-    spectral ones.
+    ``err_estimate`` holds per-entry absolute error budgets: the roundoff
+    estimate of the closed form for direct builds (the cutoff tail above
+    the closed form's cap), quadrature-difference plus truncation tail
+    for spectral ones, and for smoothed builds the Gaussian tail plus the
+    epsilon^2 share's cutoff tail.
     """
 
     window: IndexWindow
@@ -284,9 +296,8 @@ def _validate_build(kind: str, method: str | None, smoothing: SmoothingParams | 
 
 
 def _direct_raw(points, quad):
-    denoms = [p.denominator for p in points]
-    x_min = quad.resolved_x_min()
-    return pair_inner_matrix(denoms, x_min, quad.max_subdivisions)
+    gram, err, _ = _unit_inner_matrix([p.denominator for p in points], quad)
+    return gram, err
 
 
 def _spectral_raw(points, quad):
@@ -324,13 +335,14 @@ def build_gram(
 ) -> GramMatrix:
     """Build the Gram matrix of a window.
 
-    Raw matrices default to the direct route; ``method='spectral'``
-    switches to truncated Parseval integration (useful as a consistency
-    probe, see :func:`cross_validate`).  Smoothed matrices default to
-    ``hybrid``: the epsilon^2 share of psi^2 goes through the exact
-    direct integrator and only the Gaussian-tapered share is integrated
-    spectrally.  ``method='spectral'`` on a smoothed build is accepted as
-    an alias; the decomposition is the only evaluation the taper admits.
+    Raw matrices default to the direct route, the exact closed form;
+    ``method='spectral'`` switches to truncated Parseval integration
+    (useful as a consistency probe, see :func:`cross_validate`).
+    Smoothed matrices default to ``hybrid``: the epsilon^2 share of psi^2
+    goes through the direct lattice pass at a coarse cutoff and only the
+    Gaussian-tapered share is integrated spectrally.  ``method='spectral'``
+    on a smoothed build is accepted as an alias; the decomposition is the
+    only evaluation the taper admits.
     """
     quad = quad if quad is not None else DEFAULT_QUAD
     method = _validate_build(kind, method, smoothing)
@@ -411,9 +423,10 @@ def cross_validate(
 ) -> CrossValidationReport:
     """Build the raw Gram both ways and report the discrepancy.
 
-    The direct route is exact up to its cutoff tail, so the discrepancy
-    is dominated by the spectral truncation at ``t_max_raw``; expect the
-    maximum on the diagonal, where the truncated integrand is largest.
+    The direct route is exact up to roundoff, so the discrepancy is the
+    spectral route's error, dominated by its truncation at ``t_max_raw``;
+    expect the maximum on the diagonal, where the truncated integrand is
+    largest.
     """
     quad = quad if quad is not None else DEFAULT_QUAD
     direct = build_gram(window, kind="raw", method="direct", quad=quad)

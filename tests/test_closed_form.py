@@ -1,0 +1,113 @@
+"""The closed form for unit-fraction inner products against independent
+references.
+
+Frozen constants were computed offline with mpmath at 30 significant
+digits (mpmath is not a dependency):
+
+- COT_SUMS: V(h, k) = sum_{m=1}^{k-1} {mh/k} cot(pi m/k), summed term by
+  term over the whole range 1..k-1 with ``mpmath.cot(m * mpmath.pi / k)``
+  and the exact rational {mh/k} = (m h mod k)/k; no folding.
+- CORNER_ENTRIES: <f_(1/a), f_(1/b)> from Vasyunin's formula with every
+  constant, logarithm and cotangent sum above in 30-digit arithmetic.
+  At (2, 3) it agrees with the 50-digit digamma value in
+  test_fractional.py to all 30 digits.
+
+They are kept as decimal strings and compared exactly (Fraction), so the
+only slack is the route's own err_estimate.  The cutoff lattice pass
+``pair_inner_matrix`` is a second, independent reference.
+"""
+
+import math
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from bnladder import IndexWindow, QuadratureConfig, build_gram, inner_direct, pair_inner_matrix
+from bnladder import fractional
+from bnladder.fractional import DEFAULT_QUAD, _cot_sum
+
+COT_SUMS = {
+    (1, 6561): "-15722.522885856646864573253752",
+    (256, 6561): "-4234.03669657042372851455744343",
+    (6561, 256): "11.2890313463238249068417280733",
+    (1, 209952): "-734725.291931979009504489788534",
+    (6561, 262144): "-208516.40943914133634803547244",
+    (1, 1679616): "-6989549.3598413437250670198114",
+}
+
+# (a, b) -> <f_(1/a), f_(1/b)>; 256 = 2^8, 6561 = 3^8, 1679616 = 6^8.
+# (2, 6^8) and (3, 6^8) have the largest relative budget of the window:
+# F(1, 6^8/2) cancels terms of size log(6^8) down to about 1e-5.
+CORNER_ENTRIES = {
+    (2, 3): "0.106308922802654589708360331229",
+    (2, 1679616): "0.00000217920778662208072088238916491",
+    (3, 1679616): "0.00000287416297700430677023884958359",
+    (256, 256): "0.00482457077670256371370718897925",
+    (256, 6561): "0.000414406202273439637029196420268",
+    (6561, 1679616): "0.000002322876366142332159719221712",
+    (1679616, 1679616): "0.000000750559813668675292001217985799",
+}
+
+
+def _ladder_index(n: int) -> tuple[int, int]:
+    j = (n & -n).bit_length() - 1
+    k = round(math.log(n >> j, 3))
+    assert 2**j * 3**k == n
+    return j, k
+
+
+@pytest.mark.parametrize("h,k", sorted(COT_SUMS))
+def test_cot_sum_against_frozen_mpmath(h, k):
+    value, err, terms = _cot_sum(h, k)
+    assert terms == (k - 1) // 2
+    assert abs(Fraction(value) - Fraction(COT_SUMS[h, k])) <= Fraction(err)
+
+
+@pytest.mark.parametrize("a,b", sorted(CORNER_ENTRIES))
+def test_8x8_entries_against_frozen_mpmath(gram_8x8_raw_direct, a, b):
+    g = gram_8x8_raw_direct
+    i, j = g.index_of(_ladder_index(a)), g.index_of(_ladder_index(b))
+    diff = abs(Fraction(g.entries[i, j]) - Fraction(CORNER_ENTRIES[a, b]))
+    assert diff <= Fraction(g.err_estimate[i, j])
+    assert 0.0 < g.err_estimate[i, j] < 1e-13
+
+
+def test_8x8_within_lattice_tail_and_zero_row_exact(gram_8x8_raw_direct):
+    g = gram_8x8_raw_direct
+    dens = [p.denominator for p in g.points]
+    lattice, tail = pair_inner_matrix(dens, DEFAULT_QUAD.resolved_x_min())
+    assert np.all(np.abs(g.entries - lattice) <= tail)
+    zero = g.index_of((0, 0))
+    for m in (g.entries, g.err_estimate):
+        assert np.all(m[zero, :] == 0.0)
+        assert np.all(m[:, zero] == 0.0)
+
+
+def test_fallback_above_cap_is_the_lattice_build(monkeypatch):
+    quad = QuadratureConfig(x_min=1e-5)
+    window = IndexWindow(2, 2)  # largest denominator 36
+    dens = [p.denominator for p in window.points()]
+    lattice, tail = pair_inner_matrix(dens, quad.x_min)
+
+    monkeypatch.setattr(fractional, "_CLOSED_FORM_CAP", 36)
+    g = build_gram(window, kind="raw", method="direct", quad=quad)
+    assert not np.array_equal(g.entries, lattice)
+    assert np.all(g.err_estimate < 1e-14)
+
+    monkeypatch.setattr(fractional, "_CLOSED_FORM_CAP", 35)
+    g = build_gram(window, kind="raw", method="direct", quad=quad)
+    assert np.array_equal(g.entries, lattice)
+    assert np.array_equal(g.err_estimate, tail)
+    res = inner_direct(1.0 / 36.0, 0.5, quad=quad, full_output=True)
+    pair, pair_tail = pair_inner_matrix([36, 2], quad.x_min)
+    assert res.value == pair[0, 1]
+    assert res.tail_bound == pair_tail[0, 1]
+    assert res.pieces == math.floor(1.0 / quad.x_min)
+
+
+def test_cot_sum_reduces_h_before_int64_products():
+    # m * 3^39 would wrap in int64 for m >= 3; only h mod k may enter.
+    h, k = 3**39, 2**13
+    assert _cot_sum(h, k) == _cot_sum(h % k, k)
+    assert fractional._CLOSED_FORM_CAP**2 // 2 < 2**63

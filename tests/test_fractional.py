@@ -9,9 +9,13 @@ Reference values were computed before the implementation existed:
   digamma evaluation reproduces exactly.
 - MIDPOINT_*: 10^6-point midpoint-rule integrals using plain floor
   arithmetic, an entirely different discretization (error ~1e-5).
-- The truncated-integral check needs no stored constant: at the cutoff
-  2^-10 the integral is a finite rational sum evaluated here with
-  Fraction arithmetic.
+- The truncated-integral check of the lattice pass needs no stored
+  constant: at the cutoff 2^-10 the integral is a finite rational sum
+  evaluated here with Fraction arithmetic.
+
+Unit-fraction pairs go through the closed form; ``pair_inner_matrix``,
+the cutoff lattice pass, is its independent reference.  The closed
+form's own frozen high-precision oracle is in test_closed_form.py.
 """
 
 import math
@@ -31,6 +35,7 @@ from bnladder import (
     l2_norm,
     pair_inner_matrix,
 )
+from bnladder.fractional import _unit_inner_matrix
 
 EXACT_INNER = {
     (2, 2): 0.17328679513998632,  # = log(2)/4
@@ -132,8 +137,8 @@ def test_inner_cauchy_schwarz():
 @pytest.mark.parametrize("a,b", sorted(EXACT_INNER))
 def test_inner_against_exact_series(a, b):
     res = inner_direct(1.0 / a, 1.0 / b, full_output=True)
-    # truncation at x_min is the only gap to the exact value
-    assert abs(res.value - EXACT_INNER[a, b]) <= res.tail_bound + 1e-12
+    # the roundoff budget covers the gap; 2^-53 |v| is the constant's rounding
+    assert abs(res.value - EXACT_INNER[a, b]) <= res.tail_bound + 2.0**-53 * EXACT_INNER[a, b]
     assert res.value == pytest.approx(EXACT_INNER[a, b], abs=5e-6)
 
 
@@ -150,12 +155,12 @@ def test_truncated_inner_is_exact_rational(a, b):
     for n in range(1, 1024):
         c = Fraction((n % a) * (n % b), a * b)
         exact += c * (Fraction(1, n) - Fraction(1, n + 1))
-    got = inner_direct(1.0 / a, 1.0 / b, quad=QuadratureConfig(x_min=2.0**-10))
-    assert got == pytest.approx(float(exact), rel=5e-15)
+    gram, _ = pair_inner_matrix([a, b], 2.0**-10)
+    assert gram[0, 1] == pytest.approx(float(exact), rel=5e-15)
 
 
 def test_lattice_and_sweep_agree():
-    # theta = 0.3 forces the general sweep; 1/2 x 1/3 uses the lattice
+    # theta = 0.3 forces the general sweep; 1/2 x 1/3 uses the closed form
     q = QuadratureConfig(x_min=1e-5)
     direct = inner_direct(0.5, 1.0 / 3.0, quad=q)
     sweep = inner_direct(0.5, 0.3, quad=q)
@@ -166,12 +171,17 @@ def test_lattice_and_sweep_agree():
 
 def test_pair_inner_matrix_consistent_with_scalar():
     dens = [2, 3, 6]
+    closed, err, _ = _unit_inner_matrix(dens, DEFAULT_QUAD)
     mat, tail = pair_inner_matrix(dens, DEFAULT_QUAD.resolved_x_min())
     for i, a in enumerate(dens):
         for j, b in enumerate(dens):
-            assert mat[i, j] == pytest.approx(inner_direct(1.0 / a, 1.0 / b), rel=1e-10)
+            res = inner_direct(1.0 / a, 1.0 / b, full_output=True)
+            assert abs(closed[i, j] - res.value) <= err[i, j] + res.tail_bound
+            assert abs(mat[i, j] - res.value) <= tail[i, j] + res.tail_bound
+    assert np.array_equal(closed, closed.T)
     assert np.array_equal(mat, mat.T)
     assert np.all(tail > 0.0)
+    assert np.all((err > 0.0) & (err < 1e-13))
 
 
 def test_pair_inner_matrix_huge_denominator_row_is_zero():
@@ -181,9 +191,15 @@ def test_pair_inner_matrix_huge_denominator_row_is_zero():
 
 
 def test_full_output_reports_tail_and_pieces():
+    # Unit fractions: the budget is the closed form's roundoff estimate.
     res = inner_direct(0.5, 0.5, full_output=True)
+    assert 0.0 < res.tail_bound < 1e-14
+    assert abs(res.value - math.log(2.0) / 4.0) <= res.tail_bound
+    assert res.pieces == 0  # V(1, 1) and V(1, 2) have no folded terms
+    # Other parameters: the sweep's cutoff tail and piece count.
+    res = inner_direct(0.5, 0.3, full_output=True)
     xm = DEFAULT_QUAD.resolved_x_min()
-    assert res.tail_bound == pytest.approx((1.5) ** 2 * xm, rel=1e-12)
+    assert res.tail_bound == pytest.approx(1.5 * 1.3 * xm, rel=1e-12)
     assert res.pieces > 1000
 
 
@@ -194,10 +210,14 @@ def test_eval_f_pointwise_bound(theta):
 
 
 def test_inner_stable_under_cutoff_halving():
+    # theta = 0.3 takes the cutoff sweep; unit fractions have no cutoff.
     x_min = 1e-3
+    a = inner_direct(0.5, 0.3, quad=QuadratureConfig(x_min=x_min))
+    b = inner_direct(0.5, 0.3, quad=QuadratureConfig(x_min=x_min / 2))
+    assert abs(a - b) <= 4.0 * x_min + DEFAULT_QUAD.abs_tol
     a = inner_direct(0.5, 1.0 / 3.0, quad=QuadratureConfig(x_min=x_min))
     b = inner_direct(0.5, 1.0 / 3.0, quad=QuadratureConfig(x_min=x_min / 2))
-    assert abs(a - b) <= 4.0 * x_min + DEFAULT_QUAD.abs_tol
+    assert a == b
 
 
 def test_quadrature_config_validation():
