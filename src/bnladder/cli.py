@@ -1,10 +1,11 @@
 """Command-line front end: deterministic CSV/JSON emission of every report.
 
 Each subcommand validates its flags, computes everything in memory, and
-only then writes output files (atomically, tmp + rename), so a failure
-never leaves partial files behind.  Floats are printed with 17
-significant digits and LF line endings; identical flags give
-byte-identical files.
+only then writes its output files through :func:`bnladder.io.write_all`:
+every file goes to its own temp file first and all are renamed together,
+so a failure leaves none of them (and no temp file) behind.  All rows
+are formatted by :mod:`bnladder.io`: floats with ``%.17g``, LF line
+endings, sorted JSON keys; identical flags give byte-identical files.
 
 Exit codes: 0 success, 1 validation error, 2 computation failure,
 3 selfcheck failure.
@@ -13,8 +14,6 @@ Exit codes: 0 success, 1 validation error, 2 computation failure,
 from __future__ import annotations
 
 import argparse
-import json
-import math
 import os
 import sys
 
@@ -29,7 +28,15 @@ from .decay import (
 )
 from .errors import BNLadderError, ParameterError
 from .fractional import _CLOSED_FORM_CAP, DEFAULT_QUAD, QuadratureConfig, eval_f, l2_norm
-from .gram import GramMatrix, build_gram, cross_validate, gram_to_csv, gram_to_json
+from .gram import (
+    GramMatrix,
+    _pair_columns,
+    build_gram,
+    cross_validate,
+    gram_to_csv,
+    gram_to_json,
+)
+from .io import csv_text, json_rows, json_text, write_all
 from .ladder import IndexWindow, check_injectivity, lambda_mu, shell, theta_of
 from .mellin import SmoothingParams, mellin_closed, mellin_closed_grid, mellin_direct, psi
 from .zeta import zeta_selfcheck
@@ -45,35 +52,17 @@ __all__ = [
     "cmd_selfcheck",
 ]
 
-_FMT = "%.17g"
-
-
-def _fmt(x: float) -> str:
-    return _FMT % float(x)
-
-
-def _atomic_write(path: str, text: str) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w", newline="\n") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
-
-
 def _sibling(path: str, tag: str, ext: str | None = None) -> str:
     base, old_ext = os.path.splitext(path)
     return base + "." + tag + (old_ext if ext is None else ext)
 
 
-def _rows_json(schema: str, columns: list[str], rows: list[list]) -> str:
-    payload = {"schema": schema, "columns": columns, "rows": rows}
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
-
-def _rows_csv(columns: list[str], rows: list[list]) -> str:
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(c if isinstance(c, str) else _fmt(c) for c in row))
-    return "\n".join(lines) + "\n"
+def _write_rows(out: str, fmt: str, schema: str, header, kinds: str, columns) -> None:
+    """Write one table as CSV (see :func:`bnladder.io.csv_text`) or JSON rows."""
+    if fmt == "json":
+        write_all({out: json_rows(schema, header, columns)})
+    else:
+        write_all({out: csv_text(header, kinds, columns)})
 
 
 # -- flag parsing helpers -------------------------------------------------
@@ -138,51 +127,34 @@ def cmd_profile(thetas: list[float], n_points: int, out: str, fmt: str = "csv") 
     if n_points < 1:
         raise ParameterError(f"n_points must be positive, got {n_points}")
     xs = (np.arange(n_points) + 0.5) / n_points
-    rows: list[list] = []
-    for theta in thetas:
-        fs = eval_f(theta, xs)
-        for x, f in zip(xs, fs):
-            rows.append([float(x), float(theta), float(f)])
-    cols = ["x", "theta", "f"]
-    if fmt == "json":
-        _atomic_write(out, _rows_json("bnladder.profile/1", cols, rows))
-    else:
-        _atomic_write(out, _rows_csv(cols, rows))
+    columns = [
+        np.repeat(np.asarray(thetas, dtype=np.float64), n_points),
+        np.tile(xs, len(thetas)),
+        np.concatenate([eval_f(theta, xs) for theta in thetas]),
+    ]
+    _write_rows(out, fmt, "bnladder.profile/1", ("theta", "x", "f"), "ggg", columns)
     return 0
 
 
 def cmd_ladder(window: IndexWindow, out: str, fmt: str = "csv") -> int:
-    rows: list[list] = []
-    for p in window.points():
-        rows.append([str(p.index.j), str(p.index.k), p.theta, p.log_theta])
-    cols = ["j", "k", "theta", "log_theta"]
-    if fmt == "json":
-        json_rows = [[int(r[0]), int(r[1]), r[2], r[3]] for r in rows]
-        _atomic_write(out, _rows_json("bnladder.ladder/1", cols, json_rows))
-    else:
-        _atomic_write(out, _rows_csv(cols, rows))
+    rows = [(p.index.j, p.index.k, p.theta, p.log_theta) for p in window.points()]
+    header = ("j", "k", "theta", "log_theta")
+    _write_rows(out, fmt, "bnladder.ladder/1", header, "ddgg", list(zip(*rows)))
     return 0
 
 
-def _normalized_rows(g: GramMatrix) -> list[list]:
+def _normalized(g: GramMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """G_ij / sqrt(G_ii G_jj) and its validity mask (both diagonals > 0);
+    invalid entries are 0 and the valid diagonal is exactly 1, not
+    d / sqrt(d * d) roundoff."""
     diag = np.diag(g.entries)
-    rows: list[list] = []
-    n = len(g.points)
-    for i in range(n):
-        for j in range(n):
-            ok = diag[i] > 0.0 and diag[j] > 0.0
-            if not ok:
-                val = 0.0
-            elif i == j:
-                # exact unit diagonal rather than d/sqrt(d*d) roundoff
-                val = 1.0
-            else:
-                val = float(g.entries[i, j] / math.sqrt(diag[i] * diag[j]))
-            pi, pj = g.points[i].index, g.points[j].index
-            rows.append(
-                [str(pi.j), str(pi.k), str(pj.j), str(pj.k), val, "true" if ok else "false"]
-            )
-    return rows
+    pos = diag > 0.0
+    ok = pos[:, None] & pos[None, :]
+    safe = np.where(pos, diag, 1.0)
+    scale = np.sqrt(np.outer(safe, safe))
+    vals = np.where(ok, g.entries / scale, 0.0)
+    vals[np.diag_indices_from(vals)] = np.where(pos, 1.0, 0.0)
+    return vals, ok
 
 
 def cmd_gram(
@@ -196,19 +168,15 @@ def cmd_gram(
 ) -> int:
     """Write the Gram serialization plus its normalized variant."""
     g = build_gram(window, kind=kind, method=method, smoothing=smoothing, quad=quad)
-    norm_rows = _normalized_rows(g)
-    cols = ["j", "k", "j2", "k2", "value", "normalized"]
-    norm_out = _sibling(out, "normalized")
+    vals, ok = _normalized(g)
+    header = ("j", "k", "j2", "k2", "value", "normalized")
+    columns = _pair_columns(g) + [vals.ravel(), ok.ravel()]
     if fmt == "json":
-        json_rows = [
-            [int(r[0]), int(r[1]), int(r[2]), int(r[3]), r[4], r[5] == "true"]
-            for r in norm_rows
-        ]
-        _atomic_write(out, gram_to_json(g))
-        _atomic_write(norm_out, _rows_json("bnladder.gram_normalized/1", cols, json_rows))
+        texts = gram_to_json(g), json_rows("bnladder.gram_normalized/1", header, columns)
     else:
-        _atomic_write(out, gram_to_csv(g))
-        _atomic_write(norm_out, _rows_csv(cols, norm_rows))
+        columns[-1] = np.where(columns[-1], "true", "false")
+        texts = gram_to_csv(g), csv_text(header, "ddddgs", columns)
+    write_all(dict(zip((out, _sibling(out, "normalized")), texts)))
     return 0
 
 
@@ -225,12 +193,8 @@ def cmd_spectrum(
     m = mellin_closed_grid(theta, ts)
     abs_m = np.abs(m)
     abs_m_smoothed = psi(ts, smoothing) * abs_m
-    rows = [[float(t), float(a), float(b)] for t, a, b in zip(ts, abs_m, abs_m_smoothed)]
-    cols = ["t", "abs_M", "abs_M_smoothed"]
-    if fmt == "json":
-        _atomic_write(out, _rows_json("bnladder.spectrum/1", cols, rows))
-    else:
-        _atomic_write(out, _rows_csv(cols, rows))
+    header = ("t", "abs_M", "abs_M_smoothed")
+    _write_rows(out, fmt, "bnladder.spectrum/1", header, "ggg", [ts, abs_m, abs_m_smoothed])
     return 0
 
 
@@ -251,11 +215,9 @@ def cmd_decay(
     report_json = decay_report_to_json(rep)
     shells_csv = shells_to_csv(rep.shells)
     if fmt == "csv":
-        _atomic_write(out, shells_csv)
-        _atomic_write(_sibling(out, "report", ".json"), report_json)
+        write_all({out: shells_csv, _sibling(out, "report", ".json"): report_json})
     else:
-        _atomic_write(out, report_json)
-        _atomic_write(_sibling(out, "shells", ".csv"), shells_csv)
+        write_all({out: report_json, _sibling(out, "shells", ".csv"): shells_csv})
     return 0
 
 
@@ -272,13 +234,11 @@ def cmd_truncate(
     g = build_gram(window, kind=kind, method=method, smoothing=smoothing, quad=quad)
     suite = truncation_suite(g, b_list)
     if fmt == "csv":
-        cols = ["B", "schur_bound", "empirical_opnorm"]
-        rows = [
-            [str(r.B), r.schur_bound, r.empirical_opnorm] for r in suite.reports
-        ]
-        _atomic_write(out, _rows_csv(cols, rows))
+        header = ("B", "schur_bound", "empirical_opnorm")
+        rows = [(r.B, r.schur_bound, r.empirical_opnorm) for r in suite.reports]
+        write_all({out: csv_text(header, "dgg", list(zip(*rows)))})
     else:
-        _atomic_write(out, truncation_suite_to_json(suite))
+        write_all({out: truncation_suite_to_json(suite)})
     return 0
 
 
@@ -358,10 +318,10 @@ def cmd_selfcheck(out: str | None = None) -> int:
         ok, detail = fn()
         groups.append({"name": name, "passed": ok, "detail": detail})
     passed = all(g["passed"] for g in groups)
-    text = json.dumps({"passed": passed, "groups": groups}, sort_keys=True, indent=2) + "\n"
+    text = json_text({"passed": passed, "groups": groups})
     sys.stdout.write(text)
     if out is not None:
-        _atomic_write(out, text)
+        write_all({out: text})
     return 0 if passed else 3
 
 

@@ -13,6 +13,13 @@ T_B (the l1 mass at distance >= B), their maximum over rows (a rigorous
 Schur bound on the spectral norm of what truncation removes), and a
 deterministic power-iteration estimate of that norm for comparison.
 
+Everything is computed with numpy from one distance matrix per call,
+|j_a - j_b| + |k_a - k_b| broadcast over the window's index arrays.  Row
+tail sums accumulate left to right (a cumulative sum over the masked
+row), shell sums use numpy's reduction over the shell in row-major
+order, so the results are bit-for-bit those of the obvious per-pair
+loops.
+
 The row and column belonging to index (0, 0) are all zeros (f_1 == 0),
 which deflates shell means without telling us anything; statistics
 exclude such pairs by default and every report records the flag.
@@ -20,16 +27,16 @@ exclude such pairs by default and every report records the flag.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 
 import numpy as np
 
 from .errors import DegenerateFitError, ParameterError
 from .gram import GramMatrix
-from .ladder import LOG2, LadderIndex, distance
+from .io import csv_text, json_text
+from .ladder import LOG2, LadderIndex
 
 __all__ = [
     "ShellStats",
@@ -62,28 +69,19 @@ class ShellStats:
     sum_abs: float
 
 
-def _distance_matrix(g: GramMatrix) -> np.ndarray:
-    idx = [p.index for p in g.points]
-    n = len(idx)
-    d = np.empty((n, n), dtype=np.int64)
-    for i, a in enumerate(idx):
-        for j, b in enumerate(idx):
-            d[i, j] = distance(a, b)
-    return d
+def _distance_matrix(g: GramMatrix, rows: slice = slice(None)) -> np.ndarray:
+    """Ladder distances from the points in ``rows`` to every point."""
+    j = np.array([p.index.j for p in g.points], dtype=np.int64)
+    k = np.array([p.index.k for p in g.points], dtype=np.int64)
+    return np.abs(j[rows, None] - j[None, :]) + np.abs(k[rows, None] - k[None, :])
 
 
 def _pair_mask(g: GramMatrix, exclude_zero_row: bool) -> np.ndarray:
-    n = len(g.points)
-    mask = np.ones((n, n), dtype=bool)
-    if exclude_zero_row:
-        zero = np.array([p.denominator == 1 for p in g.points])
-        mask &= ~zero[:, None]
-        mask &= ~zero[None, :]
-    if not mask.any():
-        # Degenerate single-point window {(0,0)}: keep its diagonal shell
-        # rather than returning nothing.
-        mask = np.ones((n, n), dtype=bool)
-    return mask
+    keep = np.array([not exclude_zero_row or p.denominator != 1 for p in g.points])
+    mask = keep[:, None] & keep[None, :]
+    # Degenerate single-point window {(0,0)}: keep its diagonal shell
+    # rather than returning nothing.
+    return mask if mask.any() else np.ones_like(mask)
 
 
 def shell_stats(
@@ -97,28 +95,23 @@ def shell_stats(
     window; with one, over that row only.  Shells are returned in
     increasing r, one per distance that actually occurs.
     """
-    d = _distance_matrix(g)
-    mask = _pair_mask(g, exclude_zero_row)
-    a = np.abs(g.entries)
+    rows = slice(None)
     if center is not None:
         i = g.index_of(center)
-        d, mask, a = d[i : i + 1], mask[i : i + 1], a[i : i + 1]
+        rows = slice(i, i + 1)
+    mask = _pair_mask(g, exclude_zero_row)[rows]
+    return _shells(np.abs(g.entries[rows]), _distance_matrix(g, rows), mask)
+
+
+def _shells(a: np.ndarray, d: np.ndarray, mask: np.ndarray) -> list[ShellStats]:
+    # a[...] keeps row-major order, so each shell's numpy sum and mean
+    # are those of its values listed pair by pair
     out = []
     for r in range(int(d.max()) + 1):
-        sel = (d == r) & mask
-        cnt = int(sel.sum())
-        if cnt == 0:
-            continue
-        vals = a[sel]
-        out.append(
-            ShellStats(
-                r=r,
-                count=cnt,
-                mean_abs=float(vals.mean()),
-                max_abs=float(vals.max()),
-                sum_abs=float(vals.sum()),
-            )
-        )
+        vals = a[(d == r) & mask]
+        if vals.size:
+            mean, top, total = float(vals.mean()), float(vals.max()), float(vals.sum())
+            out.append(ShellStats(r, vals.size, mean, top, total))
     return out
 
 
@@ -130,14 +123,12 @@ def envelopes(g: GramMatrix) -> tuple[np.ndarray, np.ndarray]:
     nonincreasing identically.  The zero row participates (it only ever
     contributes zeros to a sup).
     """
-    d = _distance_matrix(g)
-    a = np.abs(g.entries)
-    diam = int(d.max())
-    env_shell = np.zeros(diam + 1)
-    for r in range(diam + 1):
-        sel = d == r
-        if sel.any():
-            env_shell[r] = a[sel].max()
+    return _envelopes(np.abs(g.entries), _distance_matrix(g))
+
+
+def _envelopes(a: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    env_shell = np.zeros(int(d.max()) + 1)
+    np.maximum.at(env_shell, d.ravel(), a.ravel())
     env_tail = np.maximum.accumulate(env_shell[::-1])[::-1]
     return env_shell, env_tail
 
@@ -167,12 +158,15 @@ def fit_exponent(
         raise DegenerateFitError(
             f"only {len(xs)} usable shells in [{lo}, {hi}]; need at least 3"
         )
-    x = np.array(xs)
-    if float(np.ptp(x)) <= 0.0:
+    if float(np.ptp(np.array(xs))) <= 0.0:
         raise DegenerateFitError("abscissa has zero variance")
-    design = np.vstack([x, np.ones_like(x)]).T
-    slope, _ = np.linalg.lstsq(design, np.array(ys), rcond=None)[0]
-    return float(-slope)
+    return _negated_slope(xs, ys)
+
+
+def _negated_slope(xs: list[float], ys: list[float]) -> float:
+    """-m of the least-squares line y = a + m x."""
+    design = np.vstack([xs, np.ones(len(xs))]).T
+    return float(-np.linalg.lstsq(design, np.array(ys), rcond=None)[0][0])
 
 
 def _check_b(b: int) -> int:
@@ -181,16 +175,18 @@ def _check_b(b: int) -> int:
     return int(b)
 
 
+def _row_tails(a: np.ndarray, d: np.ndarray, b: int) -> np.ndarray:
+    # A cumulative sum runs left to right, so each row total is the
+    # sequential sum of its masked |entries| (adding +0.0 changes nothing).
+    return np.cumsum(np.where(d >= b, a, 0.0), axis=1)[:, -1]
+
+
 def tail_sum(g: GramMatrix, center: LadderIndex | tuple[int, int], b: int) -> float:
     """l1 mass of one row at ladder distance >= B (within the window)."""
     b = _check_b(b)
     i = g.index_of(center)
-    ci = g.points[i].index
-    total = 0.0
-    for j, q in enumerate(g.points):
-        if distance(ci, q.index) >= b:
-            total += abs(float(g.entries[i, j]))
-    return total
+    row = slice(i, i + 1)
+    return float(_row_tails(np.abs(g.entries[row]), _distance_matrix(g, row), b)[0])
 
 
 def schur_truncation_bound(g: GramMatrix, b: int) -> float:
@@ -201,7 +197,7 @@ def schur_truncation_bound(g: GramMatrix, b: int) -> float:
     is exactly the worst tail_sum.
     """
     b = _check_b(b)
-    return max(tail_sum(g, p.index, b) for p in g.points)
+    return float(_row_tails(np.abs(g.entries), _distance_matrix(g), b).max())
 
 
 def opnorm_residual(g: GramMatrix, b: int, iters: int = 200) -> float:
@@ -215,10 +211,12 @@ def opnorm_residual(g: GramMatrix, b: int, iters: int = 200) -> float:
     checks the bound from below.
     """
     b = _check_b(b)
+    return _power_norm(np.where(_distance_matrix(g) >= b, g.entries, 0.0), iters)
+
+
+def _power_norm(resid: np.ndarray, iters: int) -> float:
     if iters < 1:
         raise ParameterError(f"iters must be positive, got {iters!r}")
-    d = _distance_matrix(g)
-    resid = np.where(d >= b, g.entries, 0.0)
     if not np.any(resid):
         return 0.0
     n = resid.shape[0]
@@ -259,19 +257,18 @@ class LambdaGapReport:
     c: float
 
 
-def _lambda_gap(g: GramMatrix) -> LambdaGapReport:
-    best = math.inf
-    best_pair = (g.points[0].index, g.points[0].index)
-    for i, p in enumerate(g.points):
-        for q in g.points[i + 1 :]:
-            d = distance(p.index, q.index)
-            lam = abs(p.log_theta - q.log_theta)
-            if lam / d < best:
-                best = lam / d
-                best_pair = (p.index, q.index)
-    if not math.isfinite(best):
-        best = 0.0
-    return LambdaGapReport(min_ratio=best, pair=best_pair, c=LOG2)
+def _lambda_gap(g: GramMatrix, d: np.ndarray) -> LambdaGapReport:
+    pts = g.points
+    if len(pts) < 2:
+        return LambdaGapReport(min_ratio=0.0, pair=(pts[0].index, pts[0].index), c=LOG2)
+    log_theta = np.array([p.log_theta for p in pts])
+    iu, ju = np.triu_indices(len(pts), 1)
+    ratio = np.abs(log_theta[iu] - log_theta[ju]) / d[iu, ju]
+    # argmin takes the first minimum in row-major order, the pair a scan
+    # with a strict "<" over i < j would keep
+    best = int(np.argmin(ratio))
+    pair = (pts[iu[best]].index, pts[ju[best]].index)
+    return LambdaGapReport(min_ratio=float(ratio[best]), pair=pair, c=LOG2)
 
 
 @dataclass(frozen=True)
@@ -303,8 +300,10 @@ def decay_report(
     if fit_range is None:
         diam = g.window.j_max + g.window.k_max
         fit_range = (1, max(1, diam // 2))
-    shells = shell_stats(g, exclude_zero_row=exclude_zero_row)
-    env_shell, env_tail = envelopes(g)
+    d = _distance_matrix(g)
+    a = np.abs(g.entries)
+    shells = _shells(a, d, _pair_mask(g, exclude_zero_row))
+    env_shell, env_tail = _envelopes(a, d)
     m_hat = fit_exponent(shells, fit_range, c)
     return DecayReport(
         shells=tuple(shells),
@@ -313,7 +312,7 @@ def decay_report(
         fitted_exponent=m_hat,
         c=c,
         fit_range=fit_range,
-        lambda_gap=_lambda_gap(g),
+        lambda_gap=_lambda_gap(g, d),
         exclude_zero_row=exclude_zero_row,
     )
 
@@ -344,83 +343,47 @@ class TruncationSuite:
 def truncation_suite(
     g: GramMatrix, bs: tuple[int, ...] = (1, 2, 3, 4), iters: int = 200
 ) -> TruncationSuite:
+    bs = tuple(_check_b(b) for b in bs)
+    d = _distance_matrix(g)
+    a = np.abs(g.entries)
     reports = []
     for b in bs:
-        b = _check_b(b)
-        tails = tuple((p.index, tail_sum(g, p.index, b)) for p in g.points)
+        tails = _row_tails(a, d, b)
         reports.append(
             TruncationReport(
                 B=b,
-                schur_bound=max(t for _, t in tails),
-                empirical_opnorm=opnorm_residual(g, b, iters=iters),
-                tail_sums=tails,
+                schur_bound=float(tails.max()),
+                empirical_opnorm=_power_norm(np.where(d >= b, g.entries, 0.0), iters),
+                tail_sums=tuple(zip((p.index for p in g.points), tails.tolist())),
             )
         )
     xs = [math.log1p(r.B) for r in reports if r.schur_bound > 0.0]
     ys = [math.log(r.schur_bound) for r in reports if r.schur_bound > 0.0]
-    fit: float | None = None
+    fit = None
     if len(xs) >= 3 and float(np.ptp(np.array(xs))) > 0.0:
-        design = np.vstack([xs, np.ones(len(xs))]).T
-        slope, _ = np.linalg.lstsq(design, np.array(ys), rcond=None)[0]
-        fit = float(-slope)
+        fit = _negated_slope(xs, ys)
     return TruncationSuite(reports=tuple(reports), fit_exponent_tail=fit)
 
 
-def _fmt(x: float) -> str:
-    return "%.17g" % x
-
-
 def shells_to_csv(shells: list[ShellStats] | tuple[ShellStats, ...]) -> str:
-    lines = ["r,count,mean_abs,max_abs,sum_abs"]
-    for s in shells:
-        lines.append(
-            f"{s.r},{s.count},{_fmt(s.mean_abs)},{_fmt(s.max_abs)},{_fmt(s.sum_abs)}"
-        )
-    return "\n".join(lines) + "\n"
+    columns = list(zip(*map(astuple, shells)))
+    return csv_text([f.name for f in fields(ShellStats)], "ddggg", columns)
 
 
 def decay_report_to_json(r: DecayReport) -> str:
-    payload = {
-        "schema": "bnladder.decay/1",
-        "shells": [
-            {
-                "r": s.r,
-                "count": s.count,
-                "mean_abs": s.mean_abs,
-                "max_abs": s.max_abs,
-                "sum_abs": s.sum_abs,
-            }
-            for s in r.shells
-        ],
-        "envelope_shell": list(r.envelope_shell),
-        "envelope_tail": list(r.envelope_tail),
-        "fitted_exponent": r.fitted_exponent,
-        "c": r.c,
-        "fit_range": list(r.fit_range),
-        "lambda_gap": {
-            "min_ratio": r.lambda_gap.min_ratio,
-            "pair": [list(r.lambda_gap.pair[0]), list(r.lambda_gap.pair[1])],
-            "c": r.lambda_gap.c,
-        },
-        "exclude_zero_row": r.exclude_zero_row,
-    }
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    # tuples (ladder indices included) serialize as JSON lists
+    return json_text({"schema": "bnladder.decay/1", **asdict(r)})
 
 
 def truncation_suite_to_json(s: TruncationSuite) -> str:
-    payload = {
-        "schema": "bnladder.truncation/1",
-        "reports": [
-            {
-                "B": r.B,
-                "schur_bound": r.schur_bound,
-                "empirical_opnorm": r.empirical_opnorm,
-                "tail_sums": [
-                    {"j": ix.j, "k": ix.k, "tail_sum": t} for ix, t in r.tail_sums
-                ],
-            }
-            for r in s.reports
-        ],
-        "fit_exponent_tail": s.fit_exponent_tail,
-    }
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    reports = [
+        {
+            "B": r.B,
+            "schur_bound": r.schur_bound,
+            "empirical_opnorm": r.empirical_opnorm,
+            "tail_sums": [{"j": ix.j, "k": ix.k, "tail_sum": t} for ix, t in r.tail_sums],
+        }
+        for r in s.reports
+    ]
+    payload = {"reports": reports, "fit_exponent_tail": s.fit_exponent_tail}
+    return json_text({"schema": "bnladder.truncation/1", **payload})

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -47,6 +47,7 @@ from .fractional import (
     _unit_inner_matrix,
     pair_inner_matrix,
 )
+from .io import csv_text, json_text
 from .ladder import IndexWindow, LadderIndex, LadderPoint, theta_of
 from .mellin import SmoothingParams
 from .zeta import zeta_half_grid
@@ -516,8 +517,13 @@ def compare_kernel_forms(
     )
 
 
-def _fmt(x: float) -> str:
-    return "%.17g" % x
+def _pair_columns(g: GramMatrix) -> list[np.ndarray]:
+    """Columns j, k, j2, k2 of the row-major pair layout: row i*n + m
+    belongs to the pair (points[i], points[m])."""
+    n = len(g.points)
+    j = np.array([p.index.j for p in g.points])
+    k = np.array([p.index.k for p in g.points])
+    return [np.repeat(j, n), np.repeat(k, n), np.tile(j, n), np.tile(k, n)]
 
 
 def gram_to_csv(g: GramMatrix) -> str:
@@ -526,41 +532,26 @@ def gram_to_csv(g: GramMatrix) -> str:
     The full square matrix is written (symmetry included) so downstream
     tools can reshape without knowing the triangle convention.
     """
-    lines = ["j,k,j2,k2,value,err_estimate"]
-    pts = g.points
-    for i, p in enumerate(pts):
-        for j, q in enumerate(pts):
-            lines.append(
-                f"{p.index.j},{p.index.k},{q.index.j},{q.index.k},"
-                f"{_fmt(g.entries[i, j])},{_fmt(g.err_estimate[i, j])}"
-            )
-    return "\n".join(lines) + "\n"
+    return csv_text(
+        ("j", "k", "j2", "k2", "value", "err_estimate"),
+        "ddddgg",
+        _pair_columns(g) + [g.entries.ravel(), g.err_estimate.ravel()],
+    )
 
 
 def gram_to_json(g: GramMatrix) -> str:
     """Serialize a Gram matrix to JSON; exact float round trip."""
     payload = {
         "schema": "bnladder.gram/1",
-        "window": {"j_max": g.window.j_max, "k_max": g.window.k_max},
+        "window": asdict(g.window),
         "kind": g.kind,
         "method": g.method,
-        "smoothing": (
-            None
-            if g.smoothing is None
-            else {"W": g.smoothing.W, "epsilon": g.smoothing.epsilon}
-        ),
-        "quad": {
-            "abs_tol": g.quad.abs_tol,
-            "rel_tol": g.quad.rel_tol,
-            "x_min": g.quad.x_min,
-            "max_subdivisions": g.quad.max_subdivisions,
-            "t_max_raw": g.quad.t_max_raw,
-            "gaussian_tail_tol": g.quad.gaussian_tail_tol,
-        },
+        "smoothing": None if g.smoothing is None else asdict(g.smoothing),
+        "quad": asdict(g.quad),
         "entries": g.entries.tolist(),
         "err_estimate": g.err_estimate.tolist(),
     }
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return json_text(payload)
 
 
 def gram_from_json(text: str) -> GramMatrix:

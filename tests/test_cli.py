@@ -21,7 +21,7 @@ def test_profile_row_count(tmp_path):
     assert main(["profile", "--out", out]) == 0
     rows = _rows(out)
     assert len(rows) == 3000
-    assert rows[0].split(",")[0] == "0.00050000000000000001"
+    assert rows[0].split(",")[1] == "0.00050000000000000001"
 
 
 def test_profile_unit_theta_all_zero(tmp_path):
@@ -35,7 +35,28 @@ def test_profile_unit_theta_all_zero(tmp_path):
 def test_profile_accepts_fraction_flags(tmp_path):
     out = str(tmp_path / "p.csv")
     assert main(["profile", "--theta", "1/12", "--points", "10", "--out", out]) == 0
-    assert all(r.split(",")[1].startswith("0.0833333") for r in _rows(out))
+    assert all(r.split(",")[0].startswith("0.0833333") for r in _rows(out))
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_profile_columns_follow_spec(tmp_path, fmt):
+    # PAPER.md and README: profile rows are theta,x,f, grouped by theta
+    out = str(tmp_path / ("p." + fmt))
+    argv = ["profile", "--theta", "1/3", "--theta", "0.5", "--points", "4"]
+    assert main(argv + ["--format", fmt, "--out", out]) == 0
+    if fmt == "csv":
+        lines = _read(out).splitlines()
+        header, first = lines[0], lines[1].split(",")
+        assert lines[5].split(",")[0] == "0.5"
+    else:
+        doc = json.loads(_read(out))
+        header, first = ",".join(doc["columns"]), doc["rows"][0]
+        assert doc["schema"] == "bnladder.profile/1"
+        assert doc["rows"][4][0] == 0.5
+    assert header == "theta,x,f"
+    theta, x, f = (float(v) for v in first)
+    assert (theta, x) == (1 / 3, 0.125)
+    assert f == pytest.approx(2.0 / 3.0, rel=1e-14)  # {8/3} - (1/3) {8}
 
 
 def test_profile_rejects_zero_points(tmp_path):
