@@ -36,7 +36,6 @@ from .fractional import (
     QuadratureConfig,
     breakpoints,
     eval_f,
-    frac,
     inner_direct,
     l2_norm,
     pair_inner_matrix,
@@ -52,7 +51,6 @@ from .gram import (
     gram_to_csv,
     gram_to_json,
     inner_spectral,
-    spectral_product,
 )
 from .ladder import (
     LOG2,
@@ -96,7 +94,6 @@ __all__ = [
     "QuadratureConfig",
     "DEFAULT_QUAD",
     "InnerProductResult",
-    "frac",
     "eval_f",
     "breakpoints",
     "inner_direct",
@@ -119,7 +116,6 @@ __all__ = [
     "GramMatrix",
     "build_gram",
     "inner_spectral",
-    "spectral_product",
     "cross_validate",
     "CrossValidationReport",
     "compare_kernel_forms",

@@ -1,6 +1,12 @@
 """Command-line front end: deterministic CSV/JSON emission of every report.
 
-Each subcommand validates its flags, computes everything in memory, and
+Each subparser is bound to its handler by ``set_defaults(run=...)``; a
+handler takes the parsed namespace and returns the exit code.  ``gram``,
+``decay`` and ``truncate`` declare their window, kind, method, quadrature
+and smoothing flags through one group (:func:`_add_gram`) and get their
+matrix from one call (:func:`_gram`).
+
+Each handler validates its flags, computes everything in memory, and
 only then writes its output files through :func:`bnladder.io.write_all`:
 every file goes to its own temp file first and all are renamed together,
 so a failure leaves none of them (and no temp file) behind.  All rows
@@ -41,16 +47,8 @@ from .ladder import IndexWindow, check_injectivity, lambda_mu, shell, theta_of
 from .mellin import SmoothingParams, mellin_closed, mellin_closed_grid, mellin_direct, psi
 from .zeta import zeta_selfcheck
 
-__all__ = [
-    "main",
-    "cmd_profile",
-    "cmd_ladder",
-    "cmd_gram",
-    "cmd_spectrum",
-    "cmd_decay",
-    "cmd_truncate",
-    "cmd_selfcheck",
-]
+__all__ = ["main"]
+
 
 def _sibling(path: str, tag: str, ext: str | None = None) -> str:
     base, old_ext = os.path.splitext(path)
@@ -105,42 +103,44 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
     return vals
 
 
-def _quad_from(args: argparse.Namespace) -> QuadratureConfig:
-    return QuadratureConfig(
-        abs_tol=args.abs_tol,
-        x_min=args.x_min,
-        t_max_raw=args.tmax_raw,
-    )
+# -- subcommand handlers ----------------------------------------------------
+
+_DEFAULT_PROFILE_THETAS = (0.5, 1.0 / 3.0, 1.0 / 6.0)
 
 
-def _smoothing_from(args: argparse.Namespace) -> SmoothingParams:
-    return SmoothingParams(W=args.W, epsilon=args.eps)
-
-
-# -- subcommand implementations -------------------------------------------
-
-
-def cmd_profile(thetas: list[float], n_points: int, out: str, fmt: str = "csv") -> int:
+def run_profile(args: argparse.Namespace) -> int:
     """Sample each profile on a half-offset equispaced grid."""
-    if not thetas:
-        raise ParameterError("profile needs at least one theta")
-    if n_points < 1:
-        raise ParameterError(f"n_points must be positive, got {n_points}")
-    xs = (np.arange(n_points) + 0.5) / n_points
+    thetas = args.theta or _DEFAULT_PROFILE_THETAS
+    if args.points < 1:
+        raise ParameterError(f"n_points must be positive, got {args.points}")
+    xs = (np.arange(args.points) + 0.5) / args.points
     columns = [
-        np.repeat(np.asarray(thetas, dtype=np.float64), n_points),
+        np.repeat(np.asarray(thetas, dtype=np.float64), args.points),
         np.tile(xs, len(thetas)),
         np.concatenate([eval_f(theta, xs) for theta in thetas]),
     ]
-    _write_rows(out, fmt, "bnladder.profile/1", ("theta", "x", "f"), "ggg", columns)
+    _write_rows(args.out, args.format, "bnladder.profile/1", ("theta", "x", "f"), "ggg", columns)
     return 0
 
 
-def cmd_ladder(window: IndexWindow, out: str, fmt: str = "csv") -> int:
+def run_ladder(args: argparse.Namespace) -> int:
+    window = IndexWindow(args.jmax, args.kmax)
     rows = [(p.index.j, p.index.k, p.theta, p.log_theta) for p in window.points()]
     header = ("j", "k", "theta", "log_theta")
-    _write_rows(out, fmt, "bnladder.ladder/1", header, "ddgg", list(zip(*rows)))
+    _write_rows(args.out, args.format, "bnladder.ladder/1", header, "ddgg", list(zip(*rows)))
     return 0
+
+
+def _gram(args: argparse.Namespace) -> GramMatrix:
+    """Build the Gram matrix the flags of :func:`_add_gram` describe."""
+    smoothing = SmoothingParams(W=args.W, epsilon=args.eps) if args.kind == "smoothed" else None
+    return build_gram(
+        IndexWindow(args.jmax, args.kmax),
+        kind=args.kind,
+        method=args.method,
+        smoothing=smoothing,
+        quad=QuadratureConfig(abs_tol=args.abs_tol, x_min=args.x_min, t_max_raw=args.tmax_raw),
+    )
 
 
 def _normalized(g: GramMatrix) -> tuple[np.ndarray, np.ndarray]:
@@ -157,88 +157,58 @@ def _normalized(g: GramMatrix) -> tuple[np.ndarray, np.ndarray]:
     return vals, ok
 
 
-def cmd_gram(
-    window: IndexWindow,
-    kind: str,
-    method: str,
-    quad: QuadratureConfig,
-    out: str,
-    fmt: str = "csv",
-    smoothing: SmoothingParams | None = None,
-) -> int:
+def run_gram(args: argparse.Namespace) -> int:
     """Write the Gram serialization plus its normalized variant."""
-    g = build_gram(window, kind=kind, method=method, smoothing=smoothing, quad=quad)
+    g = _gram(args)
     vals, ok = _normalized(g)
     header = ("j", "k", "j2", "k2", "value", "normalized")
     columns = _pair_columns(g) + [vals.ravel(), ok.ravel()]
-    if fmt == "json":
+    if args.format == "json":
         texts = gram_to_json(g), json_rows("bnladder.gram_normalized/1", header, columns)
     else:
         columns[-1] = np.where(columns[-1], "true", "false")
         texts = gram_to_csv(g), csv_text(header, "ddddgs", columns)
-    write_all(dict(zip((out, _sibling(out, "normalized")), texts)))
+    write_all(dict(zip((args.out, _sibling(args.out, "normalized")), texts)))
     return 0
 
 
-def cmd_spectrum(
-    theta: float,
-    t_grid: np.ndarray,
-    smoothing: SmoothingParams,
-    out: str,
-    fmt: str = "csv",
-) -> int:
-    ts = np.asarray(t_grid, dtype=np.float64)
-    if ts.size == 0 or np.any(ts <= 0.0) or np.any(np.diff(ts) <= 0.0):
+def run_spectrum(args: argparse.Namespace) -> int:
+    if not (0.0 < args.tmin < args.tmax) or args.points < 2:
+        raise ParameterError("spectrum needs 0 < tmin < tmax and at least two grid points")
+    ts = np.geomspace(args.tmin, args.tmax, args.points)
+    smoothing = SmoothingParams(W=args.W, epsilon=args.eps)
+    if np.any(ts <= 0.0) or np.any(np.diff(ts) <= 0.0):
         raise ParameterError("t_grid must be positive and strictly ascending")
-    m = mellin_closed_grid(theta, ts)
-    abs_m = np.abs(m)
-    abs_m_smoothed = psi(ts, smoothing) * abs_m
+    abs_m = np.abs(mellin_closed_grid(args.theta, ts))
     header = ("t", "abs_M", "abs_M_smoothed")
-    _write_rows(out, fmt, "bnladder.spectrum/1", header, "ggg", [ts, abs_m, abs_m_smoothed])
+    columns = [ts, abs_m, psi(ts, smoothing) * abs_m]
+    _write_rows(args.out, args.format, "bnladder.spectrum/1", header, "ggg", columns)
     return 0
 
 
-def cmd_decay(
-    window: IndexWindow,
-    kind: str,
-    method: str,
-    quad: QuadratureConfig,
-    fit_range: tuple[int, int] | None,
-    out: str,
-    fmt: str = "json",
-    smoothing: SmoothingParams | None = None,
-    exclude_zero_row: bool = True,
-) -> int:
+def run_decay(args: argparse.Namespace) -> int:
     """Write the decay report JSON and the shell-statistics CSV."""
-    g = build_gram(window, kind=kind, method=method, smoothing=smoothing, quad=quad)
-    rep = decay_report(g, fit_range=fit_range, exclude_zero_row=exclude_zero_row)
+    if (args.fit_lo is None) != (args.fit_hi is None):
+        raise ParameterError("--fit-lo and --fit-hi must be given together")
+    fit_range = None if args.fit_lo is None else (args.fit_lo, args.fit_hi)
+    rep = decay_report(_gram(args), fit_range=fit_range, exclude_zero_row=args.exclude_zero_row)
     report_json = decay_report_to_json(rep)
     shells_csv = shells_to_csv(rep.shells)
-    if fmt == "csv":
-        write_all({out: shells_csv, _sibling(out, "report", ".json"): report_json})
+    if args.format == "csv":
+        write_all({args.out: shells_csv, _sibling(args.out, "report", ".json"): report_json})
     else:
-        write_all({out: report_json, _sibling(out, "shells", ".csv"): shells_csv})
+        write_all({args.out: report_json, _sibling(args.out, "shells", ".csv"): shells_csv})
     return 0
 
 
-def cmd_truncate(
-    window: IndexWindow,
-    smoothing: SmoothingParams | None,
-    b_list: tuple[int, ...],
-    out: str,
-    fmt: str = "json",
-    kind: str = "smoothed",
-    method: str = "hybrid",
-    quad: QuadratureConfig | None = None,
-) -> int:
-    g = build_gram(window, kind=kind, method=method, smoothing=smoothing, quad=quad)
-    suite = truncation_suite(g, b_list)
-    if fmt == "csv":
+def run_truncate(args: argparse.Namespace) -> int:
+    suite = truncation_suite(_gram(args), args.bs)
+    if args.format == "csv":
         header = ("B", "schur_bound", "empirical_opnorm")
         rows = [(r.B, r.schur_bound, r.empirical_opnorm) for r in suite.reports]
-        write_all({out: csv_text(header, "dgg", list(zip(*rows)))})
+        write_all({args.out: csv_text(header, "dgg", list(zip(*rows)))})
     else:
-        write_all({out: truncation_suite_to_json(suite)})
+        write_all({args.out: truncation_suite_to_json(suite)})
     return 0
 
 
@@ -306,7 +276,7 @@ def _check_structural() -> tuple[bool, str]:
     return not failures, detail
 
 
-def cmd_selfcheck(out: str | None = None) -> int:
+def run_selfcheck(args: argparse.Namespace) -> int:
     """Run the four check groups; exit 3 on any failure."""
     groups = []
     for name, fn in (
@@ -320,8 +290,8 @@ def cmd_selfcheck(out: str | None = None) -> int:
     passed = all(g["passed"] for g in groups)
     text = json_text({"passed": passed, "groups": groups})
     sys.stdout.write(text)
-    if out is not None:
-        write_all({out: text})
+    if args.out is not None:
+        write_all({args.out: text})
     return 0 if passed else 3
 
 
@@ -336,12 +306,21 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _add_window(p: argparse.ArgumentParser, j_default: int = 3, k_default: int = 3):
-    p.add_argument("--jmax", type=int, default=j_default, help="window bound on j")
-    p.add_argument("--kmax", type=int, default=k_default, help="window bound on k")
+def _add_window(p: argparse.ArgumentParser):
+    p.add_argument("--jmax", type=int, default=3, help="window bound on j")
+    p.add_argument("--kmax", type=int, default=3, help="window bound on k")
 
 
-def _add_quad(p: argparse.ArgumentParser):
+def _add_smoothing(p: argparse.ArgumentParser):
+    p.add_argument("--W", type=float, default=5.0, help="Gaussian width")
+    p.add_argument("--eps", type=float, default=1.0e-6, help="smoothing floor")
+
+
+def _add_gram(p: argparse.ArgumentParser, kind_default: str):
+    """The flags :func:`_gram` reads: window, kind, method, quadrature, smoothing."""
+    _add_window(p)
+    p.add_argument("--kind", choices=("raw", "smoothed"), default=kind_default)
+    p.add_argument("--method", choices=("direct", "spectral", "hybrid"), default="hybrid")
     cutoff_use = (
         "; used only by the eps^2 share of smoothed builds and by raw windows "
         f"with a denominator above {_CLOSED_FORM_CAP}, since raw entries come "
@@ -361,11 +340,7 @@ def _add_quad(p: argparse.ArgumentParser):
         help="small-x cutoff (default abs_tol/8)" + cutoff_use,
     )
     p.add_argument("--tmax-raw", type=float, default=DEFAULT_QUAD.t_max_raw)
-
-
-def _add_smoothing(p: argparse.ArgumentParser):
-    p.add_argument("--W", type=float, default=5.0, help="Gaussian width")
-    p.add_argument("--eps", type=float, default=1.0e-6, help="smoothing floor")
+    _add_smoothing(p)
 
 
 def _add_out(p: argparse.ArgumentParser, default_fmt: str):
@@ -387,18 +362,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--points", type=int, default=1000)
     _add_out(p, "csv")
+    p.set_defaults(run=run_profile)
 
     p = sub.add_parser("ladder", help="enumerate the index window")
     _add_window(p)
     _add_out(p, "csv")
+    p.set_defaults(run=run_ladder)
 
     p = sub.add_parser("gram", help="build a Gram matrix")
-    _add_window(p)
-    p.add_argument("--kind", choices=("raw", "smoothed"), default="raw")
-    p.add_argument("--method", choices=("direct", "spectral", "hybrid"), default="hybrid")
-    _add_quad(p)
-    _add_smoothing(p)
+    _add_gram(p, "raw")
     _add_out(p, "csv")
+    p.set_defaults(run=run_gram)
 
     p = sub.add_parser("spectrum", help="critical-line transform moduli")
     p.add_argument("--theta", type=_parse_theta, default=0.5)
@@ -407,13 +381,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=int, default=200)
     _add_smoothing(p)
     _add_out(p, "csv")
+    p.set_defaults(run=run_spectrum)
 
     p = sub.add_parser("decay", help="shell statistics and decay fit")
-    _add_window(p)
-    p.add_argument("--kind", choices=("raw", "smoothed"), default="raw")
-    p.add_argument("--method", choices=("direct", "spectral", "hybrid"), default="hybrid")
-    _add_quad(p)
-    _add_smoothing(p)
+    _add_gram(p, "raw")
     p.add_argument("--fit-lo", type=int, default=None)
     p.add_argument("--fit-hi", type=int, default=None)
     p.add_argument(
@@ -424,81 +395,19 @@ def build_parser() -> argparse.ArgumentParser:
         help="drop pairs involving the identically-zero profile",
     )
     _add_out(p, "json")
+    p.set_defaults(run=run_decay)
 
     p = sub.add_parser("truncate", help="finite-section truncation bounds")
-    _add_window(p)
-    p.add_argument("--kind", choices=("raw", "smoothed"), default="smoothed")
-    p.add_argument("--method", choices=("direct", "spectral", "hybrid"), default="hybrid")
-    _add_quad(p)
-    _add_smoothing(p)
+    _add_gram(p, "smoothed")
     p.add_argument("--bs", type=_parse_int_list, default=(1, 2, 3, 4))
     _add_out(p, "json")
+    p.set_defaults(run=run_truncate)
 
     p = sub.add_parser("selfcheck", help="run the internal consistency suite")
     p.add_argument("--out", default=None, help="also write the JSON summary here")
+    p.set_defaults(run=run_selfcheck)
 
     return parser
-
-
-_DEFAULT_PROFILE_THETAS = [0.5, 1.0 / 3.0, 1.0 / 6.0]
-
-
-def _dispatch(args: argparse.Namespace) -> int:
-    sc = args.subcommand
-    if sc == "profile":
-        thetas = args.theta if args.theta else list(_DEFAULT_PROFILE_THETAS)
-        return cmd_profile(thetas, args.points, args.out, args.format)
-    if sc == "ladder":
-        return cmd_ladder(IndexWindow(args.jmax, args.kmax), args.out, args.format)
-    if sc == "gram":
-        smoothing = _smoothing_from(args) if args.kind == "smoothed" else None
-        return cmd_gram(
-            IndexWindow(args.jmax, args.kmax),
-            args.kind,
-            args.method,
-            _quad_from(args),
-            args.out,
-            args.format,
-            smoothing,
-        )
-    if sc == "spectrum":
-        if not (0.0 < args.tmin < args.tmax) or args.points < 2:
-            raise ParameterError(
-                "spectrum needs 0 < tmin < tmax and at least two grid points"
-            )
-        ts = np.geomspace(args.tmin, args.tmax, args.points)
-        return cmd_spectrum(args.theta, ts, _smoothing_from(args), args.out, args.format)
-    if sc == "decay":
-        if (args.fit_lo is None) != (args.fit_hi is None):
-            raise ParameterError("--fit-lo and --fit-hi must be given together")
-        fit_range = None if args.fit_lo is None else (args.fit_lo, args.fit_hi)
-        smoothing = _smoothing_from(args) if args.kind == "smoothed" else None
-        return cmd_decay(
-            IndexWindow(args.jmax, args.kmax),
-            args.kind,
-            args.method,
-            _quad_from(args),
-            fit_range,
-            args.out,
-            args.format,
-            smoothing,
-            args.exclude_zero_row,
-        )
-    if sc == "truncate":
-        smoothing = _smoothing_from(args) if args.kind == "smoothed" else None
-        return cmd_truncate(
-            IndexWindow(args.jmax, args.kmax),
-            smoothing,
-            args.bs,
-            args.out,
-            args.format,
-            kind=args.kind,
-            method=args.method,
-            quad=_quad_from(args),
-        )
-    if sc == "selfcheck":
-        return cmd_selfcheck(args.out)
-    raise AssertionError(f"unhandled subcommand {sc!r}")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -508,7 +417,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _dispatch(args)
+        return args.run(args)
     except ParameterError as exc:
         print(f"bnladder: error: {exc}", file=sys.stderr)
         return 1

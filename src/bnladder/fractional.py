@@ -59,7 +59,6 @@ from .errors import ConvergenceError, ParameterError
 __all__ = [
     "QuadratureConfig",
     "InnerProductResult",
-    "frac",
     "eval_f",
     "breakpoints",
     "l2_norm",
@@ -155,11 +154,6 @@ def _check_theta(theta: float, name: str = "theta") -> float:
     if not (0.0 < theta <= 1.0) or not math.isfinite(theta):
         raise ParameterError(f"{name} must lie in (0, 1], got {theta!r}")
     return theta
-
-
-def frac(x):
-    """Fractional part x - floor(x), elementwise on arrays."""
-    return np.asarray(x) - np.floor(x) if isinstance(x, np.ndarray) else x - math.floor(x)
 
 
 def eval_f(theta: float, x):

@@ -58,7 +58,6 @@ __all__ = [
     "KernelFormComparison",
     "build_gram",
     "inner_spectral",
-    "spectral_product",
     "cross_validate",
     "compare_kernel_forms",
     "gram_to_csv",
@@ -355,8 +354,6 @@ def build_gram(
             vals, errs = _spectral_raw(points, quad)
     else:
         vals, errs = _spectral_smoothed(points, smoothing, quad)
-    vals = 0.5 * (vals + vals.T)
-    errs = 0.5 * (errs + errs.T)
     return GramMatrix(
         window=window,
         kind=kind,
@@ -392,20 +389,6 @@ def inner_spectral(
     i, j = (0, 0) if len(points) == 1 else (0, 1)
     value, err = float(vals[i, j]), float(errs[i, j])
     return (value, err) if full_output else value
-
-
-def spectral_product(a, b, t: float, smoothing: SmoothingParams | None = None) -> complex:
-    """Pointwise spectral integrand M_a(1/2+it) conj(M_b(1/2+it)),
-    weighted by psi(t)^2 when smoothing is given."""
-    from .mellin import mellin_closed, psi
-
-    pa, pb = _as_point(a), _as_point(b)
-    ma = mellin_closed(pa.theta, t, log_theta=pa.log_theta)
-    mb = mellin_closed(pb.theta, t, log_theta=pb.log_theta)
-    out = ma * mb.conjugate()
-    if smoothing is not None:
-        out *= psi(t, smoothing) ** 2
-    return out
 
 
 @dataclass(frozen=True)
@@ -555,23 +538,34 @@ def gram_to_json(g: GramMatrix) -> str:
 
 
 def gram_from_json(text: str) -> GramMatrix:
-    """Rebuild a :class:`GramMatrix` from its JSON serialization."""
-    payload = json.loads(text)
-    if payload.get("schema") != "bnladder.gram/1":
-        raise ParameterError("not a bnladder Gram serialization")
-    window = IndexWindow(payload["window"]["j_max"], payload["window"]["k_max"])
-    sm = payload["smoothing"]
-    smoothing = None if sm is None else SmoothingParams(W=sm["W"], epsilon=sm["epsilon"])
-    quad = QuadratureConfig(**payload["quad"])
-    entries = np.array(payload["entries"], dtype=np.float64)
-    err = np.array(payload["err_estimate"], dtype=np.float64)
+    """Rebuild a :class:`GramMatrix` from its JSON serialization.
+
+    Any malformed document (bad JSON, a missing or misspelled field, a
+    ragged or non-numeric array, an invalid kind, method or smoothing)
+    raises :class:`ParameterError`.
+    """
+    try:
+        payload = json.loads(text)
+        if payload.get("schema") != "bnladder.gram/1":
+            raise ParameterError("not a bnladder Gram serialization")
+        window = IndexWindow(payload["window"]["j_max"], payload["window"]["k_max"])
+        sm = payload["smoothing"]
+        smoothing = None if sm is None else SmoothingParams(W=sm["W"], epsilon=sm["epsilon"])
+        quad = QuadratureConfig(**payload["quad"])
+        method = _validate_build(payload["kind"], payload["method"], smoothing)
+        entries = np.array(payload["entries"], dtype=np.float64)
+        err = np.array(payload["err_estimate"], dtype=np.float64)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ParameterError(f"malformed Gram serialization: {exc!r}") from exc
     n = window.size
     if entries.shape != (n, n) or err.shape != (n, n):
         raise ParameterError("entry arrays do not match the window size")
+    if not (np.all(np.isfinite(entries)) and np.all(np.isfinite(err))):
+        raise ParameterError("entry arrays must be finite")
     return GramMatrix(
         window=window,
         kind=payload["kind"],
-        method=payload["method"],
+        method=method,
         smoothing=smoothing,
         entries=entries,
         err_estimate=err,

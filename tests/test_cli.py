@@ -4,7 +4,8 @@ import os
 
 import pytest
 
-from bnladder.cli import main
+import bnladder.cli
+from bnladder.cli import build_parser, main
 
 
 def _read(path):
@@ -223,3 +224,32 @@ def test_bad_format_flag_exits_1(tmp_path):
     out = str(tmp_path / "x.csv")
     assert main(["profile", "--format", "yaml", "--out", out]) == 1
     assert not os.path.exists(out)
+
+
+GRAM_FIELDS = ("jmax", "kmax", "kind", "method", "abs_tol", "x_min", "tmax_raw", "W", "eps")
+GRAM_COMMANDS = ("gram", "decay", "truncate")
+
+
+def _gram_fields(argv):
+    ns = build_parser().parse_args(argv + ["--out", "unused"])
+    return {name: getattr(ns, name) for name in GRAM_FIELDS}
+
+
+def test_gram_flag_group_is_shared():
+    flags = [
+        "--jmax", "2", "--kmax", "1", "--kind", "smoothed", "--method", "spectral",
+        "--abs-tol", "1e-5", "--x-min", "1e-3", "--tmax-raw", "50", "--W", "2", "--eps", "0",
+    ]
+    parsed = [_gram_fields([cmd, *flags]) for cmd in GRAM_COMMANDS]
+    assert parsed[0] == parsed[1] == parsed[2]
+    assert parsed[0]["x_min"] == 1e-3 and parsed[0]["eps"] == 0.0
+
+    defaults = [_gram_fields([cmd]) for cmd in GRAM_COMMANDS]
+    assert [d.pop("kind") for d in defaults] == ["raw", "raw", "smoothed"]
+    assert defaults[0] == defaults[1] == defaults[2]
+    assert defaults[0]["method"] == "hybrid"
+    assert (defaults[0]["jmax"], defaults[0]["kmax"], defaults[0]["x_min"]) == (3, 3, None)
+
+
+def test_cli_exports_only_main():
+    assert bnladder.cli.__all__ == ["main"]

@@ -30,7 +30,6 @@ from bnladder import (
     QuadratureConfig,
     breakpoints,
     eval_f,
-    frac,
     inner_direct,
     l2_norm,
     pair_inner_matrix,
@@ -56,11 +55,6 @@ MIDPOINT_INNER = {
     (0.3, 0.3): 0.18103524999999976,
     (0.3, 0.5): 0.10890235000000015,
 }
-
-
-@pytest.mark.parametrize("x,expected", [(2.5, 0.5), (3.0, 0.0), (-0.25, 0.75)])
-def test_frac(x, expected):
-    assert frac(x) == expected
 
 
 @pytest.mark.parametrize(

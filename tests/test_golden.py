@@ -96,6 +96,43 @@ GOLDEN = {
         "s.json",
         {"s.json": "aadb0b504349b3ad27d79b4bb02f8c490ca7f3666da14469d1927d4f15f66ed0"},
     ),
+    # frozen from the per-subcommand cmd_* functions before the CLI handlers
+    # were rebound to argparse, to pin the flags no case above exercises
+    "gram_raw_1_spectral": (
+        ["gram", "--jmax", "1", "--kmax", "1", "--kind", "raw", "--method", "spectral",
+         "--tmax-raw", "50"],
+        "g.csv",
+        {
+            "g.csv": "90754301aa77172ac5909bb01cb205b48c63207a0711795fc272c5baa3c4af35",
+            "g.normalized.csv": "13d63f49233d167bb1bc9420bc15304a4c1fecfad2d67a9129c324906dc5b34b",
+        },
+    ),
+    "gram_smoothed_2_quad_json": (
+        # the JSON `quad` object records --abs-tol, --x-min and --tmax-raw
+        ["gram", "--jmax", "2", "--kmax", "2", "--kind", "smoothed", "--W", "2", "--eps", "1e-4",
+         "--abs-tol", "1e-5", "--x-min", "1e-3", "--tmax-raw", "500", "--format", "json"],
+        "g.json",
+        {
+            "g.json": "8de433dbc5e38253e71a36e3b1b63fc36aa99abc71b9e79ae8f17a6e66a94e9f",
+            "g.normalized.json": "a6b22a6c7f07f94077b50effc8489da498ffaf6b89610d6261f4846d0c6ef4b4",
+        },
+    ),
+    "truncate_raw_3_direct_csv": (
+        ["truncate", *RAW_3, "--method", "direct", "--bs", "1,2", "--format", "csv"],
+        "t.csv",
+        {"t.csv": "d987e2b8603b6afd966464a2a76dd3054d41aea0076cd4b74ab7427e8a3ca113"},
+    ),
+    "profile_two_thetas": (
+        ["profile", "--theta", "1/3", "--theta", "0.25", "--points", "8"],
+        "p.csv",
+        {"p.csv": "629df619770f8666babf70e79923dc64c9ff46a3a370f09e03b73a8fbcaf2db9"},
+    ),
+    "spectrum_quarter_unfloored": (
+        ["spectrum", "--theta", "1/4", "--W", "2", "--eps", "0", "--tmin", "1", "--tmax", "30",
+         "--points", "9"],
+        "s.csv",
+        {"s.csv": "8d6d447e7ec211dde21af02835111dc408b8d793341461671cabd3d5e4bfeffa"},
+    ),
 }
 
 

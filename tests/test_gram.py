@@ -17,11 +17,7 @@ from bnladder import (
     gram_to_json,
     inner_direct,
     inner_spectral,
-    mellin_closed,
-    spectral_product,
 )
-
-ZETA_AT_ZERO = -1.4603545088095868
 
 SM = SmoothingParams(W=5.0, epsilon=1e-6)
 SM_NOFLOOR = SmoothingParams(W=5.0, epsilon=0.0)
@@ -46,9 +42,12 @@ def test_direct_vs_spectral_2x2():
     assert np.all(diff <= 1e-4 + spectral.err_estimate)
 
 
-def test_smoothed_spectral_4x4_structure():
+def test_smoothed_spectral_4x4_structure(gram_3x3_raw_direct, gram_3x3_raw_spectral):
     g = build_gram(IndexWindow(4, 4), kind="smoothed", method="spectral", smoothing=SM)
-    assert np.array_equal(g.entries, g.entries.T)
+    # every route is exactly symmetric on its own; build_gram does not symmetrize
+    for built in (g, gram_3x3_raw_direct, gram_3x3_raw_spectral):
+        assert np.array_equal(built.entries, built.entries.T)
+        assert np.array_equal(built.err_estimate, built.err_estimate.T)
     zero = g.index_of((0, 0))
     assert np.all(g.entries[zero, :] == 0.0)
     assert np.all(g.entries[:, zero] == 0.0)
@@ -72,24 +71,6 @@ def test_smoothed_spectral_4x4_structure():
 def test_build_validation(kwargs):
     with pytest.raises(ParameterError):
         build_gram(IndexWindow(1, 1), **kwargs)
-
-
-def test_spectral_product_zero_row():
-    assert spectral_product((0, 0), (1, 0), 2.0) == 0
-
-
-def test_spectral_product_diagonal_is_modulus_squared():
-    v = spectral_product((0, 1), (0, 1), 0.0)
-    assert v.imag == pytest.approx(0.0, abs=1e-15)
-    assert v.real >= 0.0
-    assert v.real == pytest.approx(abs(mellin_closed(1.0 / 3.0, 0.0)) ** 2, rel=1e-12)
-
-
-def test_spectral_product_arithmetic_anchor():
-    # at t == 0 the Gaussian factor is exactly 1 when the floor is 0
-    expected = (2.0 * ZETA_AT_ZERO * (0.5 - math.sqrt(0.5))) ** 2
-    got = spectral_product((1, 0), (1, 0), 0.0, smoothing=SM_NOFLOOR)
-    assert got.real == pytest.approx(expected, rel=1e-9)
 
 
 def test_inner_spectral_zero_row():
@@ -136,6 +117,44 @@ def test_gram_json_rejects_mangled_shape(gram_3x3_raw_direct):
     doc["entries"] = doc["entries"][:-1]
     with pytest.raises(ParameterError):
         gram_from_json(json.dumps(doc))
+
+
+_DROP = object()
+
+
+@pytest.mark.parametrize(
+    "path,value",
+    [
+        pytest.param(("window",), _DROP, id="no_window"),
+        pytest.param(("quad", "bogus"), 1.0, id="unknown_quad_key"),
+        pytest.param(("entries", 1), [0.0], id="ragged_entries"),
+        pytest.param(("entries", 1, 1), "x", id="text_entry"),
+        pytest.param(("err_estimate", 2, 0), None, id="null_err_estimate"),
+        pytest.param(("kind",), "weird", id="unknown_kind"),
+        pytest.param(("method",), "bogus", id="unknown_method"),
+        pytest.param(("smoothing",), {"W": 5.0, "epsilon": 1e-6}, id="raw_with_smoothing"),
+        pytest.param(("window",), [3, 3], id="window_not_object"),
+        pytest.param(("quad",), {"abs_tol": "tight"}, id="text_abs_tol"),
+    ],
+)
+def test_gram_json_rejects_malformed_document(gram_3x3_raw_direct, path, value):
+    doc = json.loads(gram_to_json(gram_3x3_raw_direct))
+    *parents, last = path
+    node = doc
+    for key in parents:
+        node = node[key]
+    if value is _DROP:
+        del node[last]
+    else:
+        node[last] = value
+    with pytest.raises(ParameterError):
+        gram_from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("text", ["[]", '"bnladder.gram/1"', '{"schema": ', ""])
+def test_gram_json_rejects_non_document(text):
+    with pytest.raises(ParameterError):
+        gram_from_json(text)
 
 
 def test_gram_csv_shape_and_determinism(gram_3x3_raw_direct):
