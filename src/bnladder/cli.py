@@ -173,7 +173,7 @@ def run_gram(args: argparse.Namespace) -> int:
 
 
 def run_spectrum(args: argparse.Namespace) -> int:
-    if not (0.0 < args.tmin < args.tmax) or args.points < 2:
+    if not (0.0 < args.tmin < args.tmax < np.inf) or args.points < 2:
         raise ParameterError("spectrum needs 0 < tmin < tmax and at least two grid points")
     ts = np.geomspace(args.tmin, args.tmax, args.points)
     smoothing = SmoothingParams(W=args.W, epsilon=args.eps)

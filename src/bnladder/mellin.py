@@ -6,7 +6,8 @@ the closed form
     M_theta(s) = integral_0^1 f_theta(x) x^(s-1) dx = zeta(s) (theta - theta^s) / s,
 
 with theta^s = sqrt(theta) * exp(i t log theta).  The direct route
-integrates the step function piece by piece: each constant piece
+integrates over the pieces of the one step-function sweep,
+:func:`bnladder.fractional._sweep`, for every theta: each constant piece
 contributes f * (beta^s - alpha^s) / s exactly, and the part below the
 small-x cutoff is restored through the mean value of the profile near 0,
 
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, ParameterError
-from .fractional import DEFAULT_QUAD, QuadratureConfig, _check_theta, _unit_denominator
+from .fractional import DEFAULT_QUAD, QuadratureConfig, _check_theta, _sweep
 from .zeta import zeta_half, zeta_half_grid
 
 __all__ = [
@@ -128,73 +129,22 @@ def mellin_direct(theta: float, t: float, quad: QuadratureConfig | None = None) 
     """
     theta = _check_theta(theta)
     quad = quad if quad is not None else DEFAULT_QUAD
-    t = float(t)
-    s = 0.5 + 1j * t
+    s = 0.5 + 1j * float(t)
     if theta == 1.0:
         return 0.0 + 0.0j
     x_min = _mellin_cutoff(theta, quad)
-    n_unit = _unit_denominator(theta)
-    if n_unit is not None:
-        total = _mellin_lattice(n_unit, s, x_min, quad.max_subdivisions)
-    else:
-        total = _mellin_sweep(theta, s, x_min, quad.max_subdivisions)
-    # Mean-value restoration of the cut tail.
-    total += 0.5 * (1.0 - theta) * _power_s(x_min, s) / s
-    return complex(total)
-
-
-def _power_s(x: float, s: complex) -> complex:
-    # x^s for 0 < x <= 1 via exp(s log x); stable where float x^s is not.
-    return np.exp(s * math.log(x))
-
-
-def _mellin_lattice(n_unit: int, s: complex, x_min: float, cap: int) -> complex:
-    big_u = int(math.floor(1.0 / x_min))
-    if big_u > cap:
-        raise ConvergenceError(
-            f"transform needs {big_u} pieces, above the cap {cap}; raise x_min"
-        )
-    total = 0.0 + 0.0j
-    chunk = 1 << 18
-    prev_pow = 1.0 + 0.0j  # 1^{-s}, carried across chunks
-    for lo in range(1, big_u, chunk):
-        hi = min(lo + chunk, big_u)
-        n = np.arange(lo, hi, dtype=np.float64)
-        powers = np.exp(-s * np.log1p(n))  # (n+1)^{-s}
-        f_vals = (np.arange(lo, hi, dtype=np.int64) % n_unit) / float(n_unit)
-        # piece n spans x in (1/(n+1), 1/n]: integral (n^{-s} - (n+1)^{-s})/s
-        lower = np.concatenate(([prev_pow], powers[:-1]))
-        total += np.dot(f_vals, lower - powers) / s
-        prev_pow = powers[-1]
-    # Loop stops at n = big_u - 1, so prev_pow == big_u^{-s} and the
-    # fragment continues the same constant piece down to the cutoff.
-    frag_f = (big_u % n_unit) / float(n_unit)
-    frag = frag_f * (prev_pow - _power_s(x_min, s)) / s
-    return total + frag
-
-
-def _mellin_sweep(theta: float, s: complex, x_min: float, cap: int) -> complex:
-    big_u = 1.0 / x_min
-    est = (1.0 + 2.0 * theta) * big_u
+    cap = quad.max_subdivisions
+    est = (1.0 + 2.0 * theta) * (1.0 / x_min)
     if est > cap:
         raise ConvergenceError(
             f"transform needs ~{est:.3g} pieces, above the cap {cap}; raise x_min"
         )
     total = 0.0 + 0.0j
-    span = 65536.0
-    lo = 1.0
-    while lo < big_u:
-        hi = min(lo + span, big_u)
-        edges = [np.array([lo, hi]), np.arange(math.ceil(lo), hi, dtype=np.float64)]
-        m0, m1 = math.ceil(theta * lo), math.ceil(theta * hi)
-        if m1 > m0:
-            edges.append(np.arange(m0, m1, dtype=np.float64) / theta)
-        e = np.unique(np.concatenate(edges))
-        e = e[(e >= lo) & (e <= hi)]
-        um = 0.5 * (e[:-1] + e[1:])
-        f_vals = theta * np.floor(um) - np.floor(theta * um)
+    for e, f in _sweep((theta,), x_min):
         # x-interval of u-piece [e_i, e_{i+1}) is (1/e_{i+1}, 1/e_i]
         pow_edges = np.exp(-s * np.log(e))
-        total += np.dot(f_vals, pow_edges[:-1] - pow_edges[1:]) / s
-        lo = hi
-    return total
+        total += np.dot(f[0], pow_edges[:-1] - pow_edges[1:]) / s
+    # Mean-value restoration of the cut tail; x_min^s as exp(s log x_min),
+    # stable where float x^s is not.
+    total += 0.5 * (1.0 - theta) * np.exp(s * math.log(x_min)) / s
+    return complex(total)

@@ -151,9 +151,13 @@ def test_spectrum_unit_theta_zero(tmp_path):
         assert r.split(",")[1] == "0"
 
 
-def test_spectrum_rejects_bad_grid(tmp_path):
+@pytest.mark.filterwarnings("error")
+def test_spectrum_rejects_bad_grid(tmp_path, capsys):
     out = str(tmp_path / "s.csv")
-    assert main(["spectrum", "--tmin", "-1", "--tmax", "10", "--out", out]) == 1
+    for tmin, tmax in [("-1", "10"), ("nan", "10"), ("0.1", "inf")]:
+        assert main(["spectrum", "--tmin", tmin, "--tmax", tmax, "--out", out]) == 1
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        assert os.listdir(tmp_path) == []
 
 
 def test_decay_outputs(tmp_path):

@@ -1,14 +1,19 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import bnladder.gram
 from bnladder import (
+    ConvergenceError,
     IndexWindow,
     ParameterError,
     QuadratureConfig,
     SmoothingParams,
+    ZetaRangeError,
+    breakpoints,
     build_gram,
     compare_kernel_forms,
     cross_validate,
@@ -17,6 +22,8 @@ from bnladder import (
     gram_to_json,
     inner_direct,
     inner_spectral,
+    mellin_direct,
+    pair_inner_matrix,
 )
 
 SM = SmoothingParams(W=5.0, epsilon=1e-6)
@@ -190,3 +197,67 @@ def test_cross_validate_3x3_report(gram_3x3_raw_direct, gram_3x3_raw_spectral):
     assert rep.max_err_estimate > 0.0
     # full default-range discrepancy stays under the coarse ceiling
     assert diff.max() < 1e-3
+
+
+CAPPED = QuadratureConfig(max_subdivisions=1000)
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: breakpoints(0.5, 1e-3, max_count=1000), "breakpoint count"),
+        (lambda: pair_inner_matrix([2, 3], 1e-4, max_pieces=1000), "lattice pass needs"),
+        (lambda: inner_direct(0.5, 0.3, CAPPED), "sweep needs"),
+        (lambda: mellin_direct(0.5, 1.0, CAPPED), "transform needs"),
+        (lambda: mellin_direct(0.3, 1.0, CAPPED), "transform needs"),
+        (
+            lambda: build_gram(IndexWindow(1, 1), "smoothed", smoothing=SmoothingParams(W=1e6)),
+            "Gaussian taper",
+        ),
+    ],
+    ids=["breakpoints", "lattice", "sweep", "mellin-unit", "mellin-general", "gaussian-cutoff"],
+)
+def test_piece_caps_raise(call, message):
+    with pytest.raises(ConvergenceError, match=message):
+        call()
+
+
+@pytest.mark.parametrize(
+    "kind,kwargs",
+    [
+        ("raw", {"method": "spectral", "quad": QuadratureConfig(t_max_raw=2e4)}),
+        ("smoothed", {"smoothing": SmoothingParams(W=3e3)}),
+    ],
+)
+def test_grid_beyond_zeta_cap_rejected_before_allocation(kind, kwargs):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ZetaRangeError, match="beyond the accuracy-checked cap"):
+            build_gram(IndexWindow(1, 1), kind, **kwargs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("t_max,h", [(20.0, 1 / 16), (37.3, 0.25), (1000.0, 0.125)])
+def test_spectral_grid_matches_panel_loop(monkeypatch, t_max, h):
+    """The vectorized grid equals the per-panel loop it replaced, bit for
+    bit, and the cap check sees exactly the grid's largest node."""
+    seen = []
+    monkeypatch.setattr(bnladder.gram, "_check_grid_top", seen.append)
+    monkeypatch.setattr(bnladder.gram, "zeta_half_grid", lambda ts: np.zeros(ts.shape, complex))
+    monkeypatch.setattr(bnladder.gram, "_grid_cache", {})
+    grid = bnladder.gram._spectral_grid(t_max, h)
+    n_panels = int(math.ceil(t_max / h))
+    edges = np.minimum(np.arange(n_panels + 1) * h, t_max)
+    (x15, w15), (x7, w7) = np.polynomial.legendre.leggauss(15), np.polynomial.legendre.leggauss(7)
+    nodes, w_quad, w_diff = [], [], []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        nodes += [mid + half * x15, mid + half * x7]
+        w_quad += [half * w15, np.zeros(7)]
+        w_diff += [half * w15, -half * w7]
+    for got, want in zip((grid.nodes, grid.w_quad, grid.w_diff), (nodes, w_quad, w_diff)):
+        assert np.array_equal(got, np.concatenate(want))
+    assert seen == [grid.nodes.max()]

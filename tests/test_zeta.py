@@ -6,6 +6,27 @@ from bnladder import T_CAP, ZetaRangeError, zeta_half, zeta_half_grid, zeta_self
 from bnladder.oracle import ZETA_ORACLE
 
 
+# zeta(1/2 + i t) above the oracle table's reach, from mpmath at 40 digits
+# and rounded to 30, with about 4x the measured absolute error of each
+# route: the scalar call, and one grid over all six points, whose block
+# sums every point to the term count of t = 9999.
+HIGH_T = (
+    (150.0, complex(-0.0635050565486052305800892886459, -0.0651927599258052326532936766778), 1.3e-13, 2.6e-13),
+    (500.0, complex(-0.396256507275146617829576525567, -1.41812674134537081553125171514), 5.2e-13, 2.1e-12),
+    (1000.0, complex(0.356334367194396055074402476711, 0.931997831232993665115060432737), 6.4e-13, 1.7e-12),
+    (2500.0, complex(0.590883896839177563092591156037, 0.405404442479313334755408418409), 2.4e-12, 8.7e-12),
+    (5000.0, complex(0.406842713635432558981330918771, -0.693764159198085102454522258529), 5.3e-12, 7.5e-12),
+    (9999.0, complex(1.39985791048172059768481915305, 1.07187619213679093666341596683), 5.9e-11, 5.9e-11),
+)
+
+
+def test_high_ordinates_match_frozen_values():
+    grid = zeta_half_grid(np.array([t for t, _, _, _ in HIGH_T]))
+    for (t, ref, tol_scalar, tol_grid), g in zip(HIGH_T, grid):
+        assert abs(zeta_half(t) - ref) <= tol_scalar, t
+        assert abs(g - ref) <= tol_grid, t
+
+
 @pytest.mark.parametrize("t,ref,is_zero", ZETA_ORACLE)
 def test_matches_frozen_table(t, ref, is_zero):
     val = zeta_half(t)
