@@ -8,7 +8,10 @@ Two independent routes produce the same raw Gram matrix:
   the cutoff lattice pass and reports its tail bound;
 * spectral: the Parseval identity <f_a, f_b> = (1/pi) *
   integral_0^inf Re[M_a(1/2+it) conj(M_b(1/2+it))] dt, truncated at
-  ``t_max_raw`` and integrated with fixed Gauss-Legendre panels.
+  ``t_max_raw`` and integrated with fixed Gauss-Legendre panels.  The
+  integrand is |zeta/s|^2 times cosines whose frequencies are ladder
+  displacements, so each entry combines a few cosine moments of |zeta/s|^2,
+  one per distinct displacement (145 on 8x8; see :func:`_pair_matrices`).
 
 The raw spectral integrand decays only like (log t)/t^2, so truncation
 leaves a visible deficit; every spectral entry therefore carries an error
@@ -48,7 +51,7 @@ from .fractional import (
     pair_inner_matrix,
 )
 from .io import csv_text, json_text
-from .ladder import IndexWindow, LadderIndex, LadderPoint, theta_of
+from .ladder import LOG2, LOG3, IndexWindow, LadderIndex, LadderPoint, theta_of
 from .mellin import SmoothingParams
 from .zeta import _check_grid_top, zeta_half_grid
 
@@ -78,25 +81,24 @@ _grid_cache: dict[tuple[float, float], "_SpectralGrid"] = {}
 
 @dataclass(frozen=True)
 class _SpectralGrid:
-    """Panelized quadrature grid on [0, t_max] with its zeta kernel.
+    """Panelized quadrature grid on [0, t_max] with the zeta power spectrum.
 
     ``w_quad`` integrates with the 15-point rule; ``w_diff`` yields the
     difference between the 15- and 7-point results in a single dot
     product, which is the per-entry quadrature error proxy.
     """
 
-    t_max: float
-    panel_width: float
     nodes: np.ndarray
     w_quad: np.ndarray
     w_diff: np.ndarray
-    kernel: np.ndarray  # zeta(1/2 + it) / (1/2 + it) at the nodes
+    power: np.ndarray  # |zeta(s)/s|^2 at the nodes: all an entry needs of zeta
 
 
 def _panel_width(points: tuple[LadderPoint, ...]) -> float:
-    # Highest phase frequency present is |mu| <= 2 max |log theta|; add a
-    # few units for the zeta phase itself, then keep ~8 radians per panel
-    # (far inside the comfort zone of a 15-point rule).
+    # Gram phases are displacements, |l_a - l_b| <= max |log theta|; twice
+    # that is needed only by compare_kernel_forms' mu = l_a + l_b.  Add a few
+    # units for zeta's own oscillation, then keep ~8 radians per panel (far
+    # inside the comfort zone of a 15-point rule).
     omega = max((2.0 * abs(p.log_theta) for p in points), default=0.0) + 4.0
     h = 0.25
     while h > 8.0 / omega:
@@ -126,58 +128,54 @@ def _spectral_grid(t_max: float, h: float) -> _SpectralGrid:
     nodes = nodes.ravel()
     w_quad = (halves * np.concatenate((w15, np.zeros(7)))).ravel()
     w_diff = (halves * np.concatenate((w15, -w7))).ravel()
-    kernel = zeta_half_grid(nodes) / (0.5 + 1j * nodes)
-    grid = _SpectralGrid(
-        t_max=float(t_max),
-        panel_width=float(h),
-        nodes=nodes,
-        w_quad=w_quad,
-        w_diff=w_diff,
-        kernel=kernel,
-    )
+    power = np.abs(zeta_half_grid(nodes)) ** 2 / (0.25 + nodes**2)
+    grid = _SpectralGrid(nodes=nodes, w_quad=w_quad, w_diff=w_diff, power=power)
     _grid_cache[key] = grid
     return grid
 
 
-def _transform_amplitudes(points: tuple[LadderPoint, ...]):
+def _moments(grid: _SpectralGrid, weights, omegas: np.ndarray) -> np.ndarray:
+    """C_w(omega) = (1/pi) * sum_nodes w |zeta/s|^2 cos(omega t), one row per
+    omega and one column per weight vector, in one pass over the nodes that
+    is slabbed to a few million cosines at a time."""
+    wp = np.stack(weights, axis=1) * grid.power[:, None]
+    out = np.zeros((omegas.size, wp.shape[1]))
+    slab = max(1024, int(4.0e6 / max(omegas.size, 1)))
+    for lo in range(0, grid.nodes.size, slab):
+        out += np.cos(np.outer(omegas, grid.nodes[lo : lo + slab])) @ wp[lo : lo + slab]
+    return out / math.pi
+
+
+def _pair_matrices(points: tuple[LadderPoint, ...], grid: _SpectralGrid, weights):
+    """(1/pi) * sum_nodes w Re[M_a conj(M_b)] for all pairs, per weight vector.
+
+    With l = log theta, Re[M_a conj(M_b)] / |zeta/s|^2 = theta_a theta_b
+    + sqrt(theta_a theta_b) cos(t(l_a - l_b)) - theta_a sqrt(theta_b) cos(t l_b)
+    - theta_b sqrt(theta_a) cos(t l_a), so a matrix is (A + D) - (B + B^T):
+    exactly symmetric, and exactly 0 on the theta = 1 row, where A = B^T and
+    D = B bit for bit.
+    """
+    n = len(points)
+    # The origin appended last turns each l_a into the displacement a - 0.
+    ij = np.array([tuple(p.index) for p in points] + [(0, 0)], dtype=np.int64)
+    dj, dk = (ij[:, None, c] - ij[None, :, c] for c in (0, 1))
+    # With |dk| < span / 2, (dj, dk) -> dj * span + dk is one-to-one and
+    # odd; cos is even, so |key| names the moment of d and of -d.
+    key = np.abs(dj * (2 * int(ij[:, 1].max()) + 1) + dk)
+    _, first, inv = np.unique(key, return_index=True, return_inverse=True)
+    omegas = (dj * LOG2 + dk * LOG3).ravel()[first]
+    inv = inv.reshape(n + 1, n + 1)
     theta = np.array([p.theta for p in points])
     # sqrt(theta) via exp(log_theta / 2) so deep indices degrade to 0
     # instead of raising; log_theta == 0.0 keeps the theta = 1 row exact.
     sqrt_theta = np.array([math.exp(0.5 * p.log_theta) for p in points])
-    log_theta = np.array([p.log_theta for p in points])
-    return theta, sqrt_theta, log_theta
-
-
-def _pair_matrices(
-    points: tuple[LadderPoint, ...],
-    grid: _SpectralGrid,
-    weights: np.ndarray,
-    diffs: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Accumulate (1/pi) * sum_nodes w * M_a conj(M_b) for all pairs.
-
-    Returns the value matrix and the quadrature-difference matrix, both
-    symmetric and real.  Work is slabbed over nodes so an n-point window
-    never materializes more than a few million transform values.
-    """
-    n = len(points)
-    theta, sqrt_theta, log_theta = _transform_amplitudes(points)
-    acc = np.zeros((n, n), dtype=np.complex128)
-    dacc = np.zeros((n, n), dtype=np.complex128)
-    m = grid.nodes.size
-    slab = max(1024, int(4.0e6 / max(n, 1)))
-    for lo in range(0, m, slab):
-        hi = min(lo + slab, m)
-        t = grid.nodes[lo:hi]
-        rows = grid.kernel[lo:hi][None, :] * (
-            theta[:, None] - sqrt_theta[:, None] * np.exp(1j * np.outer(log_theta, t))
-        )
-        rows_h = rows.conj().T
-        acc += (rows * weights[lo:hi]) @ rows_h
-        dacc += (rows * diffs[lo:hi]) @ rows_h
-    vals = acc.real / math.pi
-    errs = np.abs(dacc.real) / math.pi
-    return 0.5 * (vals + vals.T), 0.5 * (errs + errs.T)
+    out = []
+    for c in _moments(grid, weights, omegas).T:
+        a = np.outer(theta, theta) * c[inv[n, n]]
+        d = np.outer(sqrt_theta, sqrt_theta) * c[inv[:n, :n]]
+        b = np.outer(theta, sqrt_theta * c[inv[:n, n]])
+        out.append((a + d) - (b + b.T))
+    return out
 
 
 def _mean_sq_tail(t_from: float) -> float:
@@ -301,11 +299,10 @@ def _direct_raw(points, quad):
 
 
 def _spectral_raw(points, quad):
-    h = _panel_width(points)
-    grid = _spectral_grid(quad.t_max_raw, h)
-    vals, qerr = _pair_matrices(points, grid, grid.w_quad, grid.w_diff)
+    grid = _spectral_grid(quad.t_max_raw, _panel_width(points))
+    vals, qdiff = _pair_matrices(points, grid, (grid.w_quad, grid.w_diff))
     tails = _raw_tail_estimates(points, quad.t_max_raw)
-    return vals, qerr + tails
+    return vals, np.abs(qdiff) + tails
 
 
 def _spectral_smoothed(points, smoothing, quad):
@@ -314,8 +311,8 @@ def _spectral_smoothed(points, smoothing, quad):
     grid = _spectral_grid(t_cut, h)
     g1 = np.exp(-((grid.nodes / smoothing.W) ** 2))
     taper = 2.0 * smoothing.epsilon * g1 + g1 * g1
-    vals, qerr = _pair_matrices(points, grid, grid.w_quad * taper, grid.w_diff * taper)
-    errs = qerr + quad.gaussian_tail_tol
+    vals, qdiff = _pair_matrices(points, grid, (grid.w_quad * taper, grid.w_diff * taper))
+    errs = np.abs(qdiff) + quad.gaussian_tail_tol
     eps = smoothing.epsilon
     if eps > 0.0:
         denoms = [p.denominator for p in points]
@@ -323,6 +320,9 @@ def _spectral_smoothed(points, smoothing, quad):
         base, tail = pair_inner_matrix(denoms, x_min_e, quad.max_subdivisions)
         vals = vals + (eps * eps) * base
         errs = errs + (eps * eps) * tail
+    # f_1 = 0, so the theta = 1 row is exactly 0 in every share: no budget.
+    unit = np.array([p.denominator == 1 for p in points])
+    errs[unit, :] = errs[:, unit] = 0.0
     return vals, errs
 
 
@@ -380,14 +380,12 @@ def inner_spectral(
     decomposition.  ``full_output=True`` returns ``(value, err_estimate)``.
     """
     quad = quad if quad is not None else DEFAULT_QUAD
-    pa, pb = _as_point(a), _as_point(b)
-    points = (pa,) if pa.index == pb.index else (pa, pb)
+    points = (_as_point(a), _as_point(b))
     if smoothing is None:
         vals, errs = _spectral_raw(points, quad)
     else:
         vals, errs = _spectral_smoothed(points, smoothing, quad)
-    i, j = (0, 0) if len(points) == 1 else (0, 1)
-    value, err = float(vals[i, j]), float(errs[i, j])
+    value, err = float(vals[0, 1]), float(errs[0, 1])
     return (value, err) if full_output else value
 
 
@@ -463,36 +461,33 @@ def compare_kernel_forms(
     """Integrate the full Parseval integrand and the two-phase display
     kernel over the same finite range and report both.
 
-    Both forms share the grid, the zeta kernel, and (optionally) the
-    psi^2 weight, so the difference isolates the kernel shape itself,
+    Both forms share the grid, the zeta power spectrum, and (optionally)
+    the psi^2 weight, so the difference isolates the kernel shape itself,
     not the truncation.
     """
     from .mellin import psi
 
     quad = quad if quad is not None else DEFAULT_QUAD
     pa, pb = _as_point(a), _as_point(b)
-    points = (pa,) if pa.index == pb.index else (pa, pb)
-    h = _panel_width(points)
-    grid = _spectral_grid(quad.t_max_raw, h)
+    grid = _spectral_grid(quad.t_max_raw, _panel_width((pa, pb)))
     w = grid.w_quad.copy()
     if smoothing is not None:
         w *= psi(grid.nodes, smoothing) ** 2
-    vals, _ = _pair_matrices(points, grid, w, grid.w_diff)
-    i, j = (0, 0) if len(points) == 1 else (0, 1)
-    full = float(vals[i, j])
+    (vals,) = _pair_matrices((pa, pb), grid, (w,))
+    full = float(vals[0, 1])
 
     lam = pa.log_theta - pb.log_theta
     mu = pa.log_theta + pb.log_theta
     amp = math.exp(0.5 * (pa.log_theta + pb.log_theta))  # sqrt(theta_a theta_b)
-    kr = np.abs(grid.kernel) ** 2
-    lam_part = amp * float(np.dot(w, kr * np.cos(lam * grid.nodes))) / math.pi
-    mu_part = -amp * float(np.dot(w, kr * np.cos(mu * grid.nodes))) / math.pi
+    c_lam, c_mu = _moments(grid, (w,), np.array([lam, mu]))[:, 0]
+    lam_part = amp * float(c_lam)
+    mu_part = -amp * float(c_mu)
     return KernelFormComparison(
         a=pa.index,
         b=pb.index,
         lam=lam,
         mu=mu,
-        t_max=grid.t_max,
+        t_max=float(quad.t_max_raw),
         value_parseval=full,
         value_two_term=lam_part + mu_part,
         lambda_part=lam_part,

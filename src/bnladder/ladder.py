@@ -15,6 +15,7 @@ every Gram matrix built downstream.  Distances on the ladder are L1
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
@@ -94,6 +95,10 @@ class IndexWindow:
     k_max: int
 
     def __post_init__(self) -> None:
+        # numbers.Integral admits numpy integers; bool is an int subclass.
+        for bound in (self.j_max, self.k_max):
+            if not isinstance(bound, numbers.Integral) or isinstance(bound, bool):
+                raise ParameterError(f"window bounds must be integers, got {bound!r}")
         if self.j_max < 0 or self.k_max < 0:
             raise ParameterError(
                 f"window bounds must be nonnegative, got ({self.j_max}, {self.k_max})"

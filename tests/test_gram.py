@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import bnladder.gram
 from bnladder import (
@@ -24,6 +26,9 @@ from bnladder import (
     inner_spectral,
     mellin_direct,
     pair_inner_matrix,
+    psi,
+    theta_of,
+    zeta_half_grid,
 )
 
 SM = SmoothingParams(W=5.0, epsilon=1e-6)
@@ -142,6 +147,11 @@ _DROP = object()
         pytest.param(("smoothing",), {"W": 5.0, "epsilon": 1e-6}, id="raw_with_smoothing"),
         pytest.param(("window",), [3, 3], id="window_not_object"),
         pytest.param(("quad",), {"abs_tol": "tight"}, id="text_abs_tol"),
+        # each keeps 16 points in coerced arithmetic, so the shape check
+        # cannot be what rejects it
+        pytest.param(("window",), {"j_max": 3.0, "k_max": 3}, id="float_j_max"),
+        pytest.param(("window",), {"j_max": True, "k_max": 7}, id="bool_j_max"),
+        pytest.param(("window",), {"j_max": 3, "k_max": "3"}, id="text_k_max"),
     ],
 )
 def test_gram_json_rejects_malformed_document(gram_3x3_raw_direct, path, value):
@@ -261,3 +271,82 @@ def test_spectral_grid_matches_panel_loop(monkeypatch, t_max, h):
     for got, want in zip((grid.nodes, grid.w_quad, grid.w_diff), (nodes, w_quad, w_diff)):
         assert np.array_equal(got, np.concatenate(want))
     assert seen == [grid.nodes.max()]
+
+
+def _complex_pair_matrices(points, grid, weights):
+    """The per-node accumulation the moment route replaced: form
+    M_a(1/2+it) = zeta/s * (theta - theta^s) at every node and return
+    (1/pi) * sum_nodes w * Re[M_a conj(M_b)] for each weight vector."""
+    kernel = zeta_half_grid(grid.nodes) / (0.5 + 1j * grid.nodes)
+    theta = np.array([p.theta for p in points])
+    sqrt_theta = np.array([math.exp(0.5 * p.log_theta) for p in points])
+    log_theta = np.array([p.log_theta for p in points])
+    rows = kernel[None, :] * (
+        theta[:, None] - sqrt_theta[:, None] * np.exp(1j * np.outer(log_theta, grid.nodes))
+    )
+    return [((rows * w) @ rows.conj().T).real / math.pi for w in weights]
+
+
+SHORT_T = 20.0
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    idx=st.lists(st.tuples(st.integers(0, 24), st.integers(0, 24)), min_size=1, max_size=8),
+    eps=st.sampled_from([None, 0.0, 1e-6, 1e-2]),
+)
+@example(idx=[(0, 0), (24, 24), (24, 24), (1, 0)], eps=None)
+@example(idx=[(0, 0), (0, 0)], eps=1e-2)
+@example(idx=[(3, 1), (0, 0), (3, 1), (24, 24), (0, 24)], eps=1e-6)
+@example(idx=[(5, 0)], eps=0.0)
+def test_moments_match_complex_accumulation(idx, eps):
+    """Gram entries from displacement moments equal the complex per-node
+    accumulation, raw (eps None) and with the smoothed build's taper."""
+    points = tuple(theta_of(ix) for ix in idx)
+    grid = bnladder.gram._spectral_grid(SHORT_T, bnladder.gram._panel_width(points))
+    weights = (grid.w_quad, grid.w_diff)
+    if eps is not None:
+        g1 = np.exp(-((grid.nodes / 5.0) ** 2))
+        weights = tuple(w * (2.0 * eps * g1 + g1 * g1) for w in weights)
+    got = bnladder.gram._pair_matrices(points, grid, weights)
+    want = _complex_pair_matrices(points, grid, weights)
+    # The difference matrix is a G15 - G7 cancellation, so its own entries
+    # are no roundoff scale; both sums carry the value entries' roundoff.
+    tol = 1e-14 * np.abs(want[0]).max()
+    for g, w in zip(got, want):
+        assert np.abs(g - w).max() <= tol
+        assert np.array_equal(g, g.T)
+        for i, ix in enumerate(idx):
+            if ix == (0, 0):
+                assert np.all(g[i, :] == 0.0) and np.all(g[:, i] == 0.0)
+            for m in range(i):
+                if idx[m] == ix:  # a duplicated point repeats its row bit for bit
+                    assert np.array_equal(g[i], g[m]) and g[i, m] == g[i, i]
+
+    a, b = idx[0], idx[-1]
+    quad = QuadratureConfig(t_max_raw=SHORT_T)
+    smoothing = None if eps is None else SmoothingParams(W=5.0, epsilon=eps)
+    cmp = compare_kernel_forms(a, b, smoothing=smoothing, quad=quad)
+    pair = (theta_of(a), theta_of(b))
+    grid = bnladder.gram._spectral_grid(SHORT_T, bnladder.gram._panel_width(pair))
+    w = grid.w_quad if smoothing is None else grid.w_quad * psi(grid.nodes, smoothing) ** 2
+    (full,) = _complex_pair_matrices(pair, grid, (w,))
+    assert abs(cmp.value_parseval - full[0, 1]) <= 1e-14 * np.abs(full).max()
+    power = np.abs(zeta_half_grid(grid.nodes) / (0.5 + 1j * grid.nodes)) ** 2
+    amp = math.exp(0.5 * (pair[0].log_theta + pair[1].log_theta))
+    scale = amp * float(np.dot(np.abs(w), power)) / math.pi
+    lam_part = amp * float(np.dot(w, power * np.cos(cmp.lam * grid.nodes))) / math.pi
+    mu_part = -amp * float(np.dot(w, power * np.cos(cmp.mu * grid.nodes))) / math.pi
+    assert abs(cmp.lambda_part - lam_part) <= 1e-14 * scale
+    assert abs(cmp.mu_part - mu_part) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-6, 1e-2])
+def test_smoothed_unit_row_has_zero_budget(eps):
+    g = build_gram(IndexWindow(3, 3), "smoothed", smoothing=SmoothingParams(W=2.0, epsilon=eps))
+    zero = g.index_of((0, 0))
+    for m in (g.entries, g.err_estimate):
+        assert np.all(m[zero, :] == 0.0) and np.all(m[:, zero] == 0.0)
+    off = np.ones(g.size, dtype=bool)
+    off[zero] = False
+    assert np.all(g.err_estimate[np.ix_(off, off)] >= g.quad.gaussian_tail_tol)

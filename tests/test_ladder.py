@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from bnladder import (
@@ -90,6 +91,20 @@ def test_window_basics():
 def test_window_rejects_negative_bounds():
     with pytest.raises(ParameterError):
         IndexWindow(-1, 0)
+
+
+@pytest.mark.parametrize("bound", [1.5, 1.0, "2", True, None])
+def test_window_rejects_non_integer_bounds(bound):
+    with pytest.raises(ParameterError, match="must be integers"):
+        IndexWindow(bound, 1)
+    with pytest.raises(ParameterError, match="must be integers"):
+        IndexWindow(1, bound)
+
+
+def test_window_accepts_numpy_integers():
+    w = IndexWindow(np.int64(2), np.int32(1))
+    assert w.size == 6
+    assert list(w) == list(IndexWindow(2, 1))
 
 
 def test_shell_corner():
