@@ -28,21 +28,18 @@ O(h + k) work per reduced pair (:func:`_unit_inner_matrix`).
 
 Everything else is integrated exactly piece by piece above a small-x
 cutoff x_min; the neglected mass obeys |tail| <= (1+theta_a)
-(1+theta_b) x_min <= 4 x_min because |f_theta| <= 1 + theta.  For
-theta = 1/N the pieces are the integer lattice, where the profile
-equals (n mod N)/N on u in [n, n+1):
+(1+theta_b) x_min <= 4 x_min because |f_theta| <= 1 + theta.  Every
+cutoff integral walks the pieces of one sweep, :func:`_sweep`, whose
+u-pieces [e_0, e_1) are where no u or theta*u crosses an integer.  Inner
+products sum f_a f_b (e_1 - e_0)/(e_0 e_1) over them for all pairs at
+once (:func:`_sweep_gram`), and :func:`bnladder.mellin.mellin_direct`
+sums f (e_0^-s - e_1^-s)/s over them for every theta.
 
-    <f_a, f_b> = sum_{n=1}^{U-1} f_a(n) f_b(n) / (n (n+1)) + fragment,
-
-with U = floor(1/x_min) and a final fragment covering (x_min, 1/U].
-That lattice pass (:func:`pair_inner_matrix`) is the closed form's
-independent test reference, its fallback above the denominator cap, and
-the route of the coarse epsilon^2 share of smoothed Gram matrices.
-
-Every other cutoff integral walks the pieces of one sweep, :func:`_sweep`:
-inner products of general theta sum f_a f_b (e_1 - e_0)/(e_0 e_1) over
-its u-pieces [e_0, e_1), and :func:`bnladder.mellin.mellin_direct` sums
-f (e_0^-s - e_1^-s)/s over them for every theta.
+For theta = 1/N that integral (:func:`pair_inner_matrix`) is the closed
+form's independent test reference, its fallback above the denominator
+cap, and the route of the coarse epsilon^2 share of smoothed Gram
+matrices.  Its own test oracle is the integer lattice, where the profile
+equals (n mod N)/N on u in [n, n+1).
 
 Pointwise evaluation divides by x, so for x below roughly 1e-12 the
 floats in theta/x stop resolving the steps; the integrators never
@@ -53,7 +50,8 @@ and spot checks should stay on moderate grids.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -75,17 +73,26 @@ __all__ = [
 _HUGE_DENOM = 2**62
 
 # Largest denominator the closed form takes; windows reaching above it
-# use the lattice pass.  Set where the O(N) cotangent sums of a window
-# cost about as much as its lattice pass at the default cutoff (2-core
-# x86 VM, numpy 2.4: 11x11 window, N <= 3.6e8, 3.8 s against 6.6 s;
-# 12x12, N <= 2.2e9, 14.7 s against 8.7 s).  It must stay below 3e9 so
-# that m * (h mod k) < k^2 / 2 fits in int64.
+# use the cutoff pass of pair_inner_matrix.  Set where the O(N) cotangent
+# sums of a window cost about as much as that pass, then an integer
+# lattice, at the default cutoff (2-core x86 VM, numpy 2.4: 11x11 window,
+# N <= 3.6e8, 3.8 s against 6.6 s; 12x12, N <= 2.2e9, 14.7 s against
+# 8.7 s).  It must stay below 3e9 so that m * (h mod k) < k^2 / 2 fits
+# in int64.
 _CLOSED_FORM_CAP = 2**30
 
 _LOG_2PI_MINUS_GAMMA = math.log(2.0 * math.pi) - float(np.euler_gamma)
 _COT_CHUNK = 1 << 16
 _U = 0.5 * float(np.finfo(np.float64).eps)  # unit roundoff
 _SUM_GROWTH = 16.0 + math.log2(_COT_CHUNK)  # numpy pairwise-sum error factor
+
+
+def _reject_bools(config) -> None:
+    """Refuse bools, which the range checks would take as 0 or 1."""
+    for field in fields(config):
+        value = getattr(config, field.name)
+        if isinstance(value, bool):
+            raise ParameterError(f"{field.name} must be a number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -95,7 +102,7 @@ class QuadratureConfig:
     abs_tol            target absolute error for cutoff-based inner
                        products (theta not a unit fraction, the
                        epsilon^2 share of smoothed Gram matrices, and the
-                       lattice fallback above the closed form's cap);
+                       cutoff fallback above the closed form's cap);
                        drives the small-x cutoff when x_min is unset.
     rel_tol            only recorded in ``quad`` (and in JSON output);
                        no computation reads it.
@@ -118,14 +125,16 @@ class QuadratureConfig:
     gaussian_tail_tol: float = 1.0e-10
 
     def __post_init__(self) -> None:
+        _reject_bools(self)
         if not (self.abs_tol > 0.0 and math.isfinite(self.abs_tol)):
             raise ParameterError(f"abs_tol must be positive, got {self.abs_tol!r}")
         if not (self.rel_tol > 0.0 and math.isfinite(self.rel_tol)):
             raise ParameterError(f"rel_tol must be positive, got {self.rel_tol!r}")
         if self.x_min is not None and not (0.0 < self.x_min < 1.0):
             raise ParameterError(f"x_min must lie in (0, 1), got {self.x_min!r}")
-        if self.max_subdivisions < 1:
-            raise ParameterError("max_subdivisions must be at least 1")
+        cap = self.max_subdivisions
+        if not isinstance(cap, numbers.Integral) or cap < 1:
+            raise ParameterError(f"max_subdivisions must be an integer >= 1, got {cap!r}")
         if not (self.t_max_raw > 0.0 and math.isfinite(self.t_max_raw)):
             raise ParameterError(f"t_max_raw must be positive, got {self.t_max_raw!r}")
         if not (0.0 < self.gaussian_tail_tol < 1.0):
@@ -278,7 +287,7 @@ def _unit_inner_matrix(
     terms summed.  Rows with N = 1 are exactly zero.
 
     Windows with a denominator above ``_CLOSED_FORM_CAP`` fall back to
-    the lattice pass of :func:`pair_inner_matrix` at ``quad``'s cutoff;
+    the cutoff pass of :func:`pair_inner_matrix` at ``quad``'s cutoff;
     ``err`` is then its tail bound and ``pieces`` its piece count.
     """
     dens = _check_denominators(denominators)
@@ -325,16 +334,17 @@ def _unit_inner_matrix(
 def pair_inner_matrix(
     denominators: Sequence[int], x_min: float, max_pieces: int | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """All pairwise inner products <f_(1/Na), f_(1/Nb)> in one lattice pass.
+    """All pairwise inner products <f_(1/Na), f_(1/Nb)> in one cutoff pass.
 
     Returns ``(gram, tail)`` where ``tail[a, b]`` bounds the mass dropped
-    below the cutoff.  One pass over u = 1..floor(1/x_min) evaluates every
-    profile as (u mod N)/N and accumulates the rank-one updates with a
-    matrix product per chunk.  It is independent of the closed form in
-    :func:`_unit_inner_matrix` and serves three uses: the epsilon^2 share
-    of smoothed Gram matrices (whose coarse cutoff keeps it cheap at any
-    window size), raw windows above the closed form's denominator cap,
-    and the reference the closed form is tested against.
+    below the cutoff.  The step-function sweep of :func:`_sweep_gram` at
+    theta = 1/N integrates every pair at once.  It is independent of the
+    closed form in :func:`_unit_inner_matrix` and serves three uses: the
+    epsilon^2 share of smoothed Gram matrices (whose coarse cutoff keeps
+    it cheap at any window size), raw windows above the closed form's
+    denominator cap, and the reference the closed form is tested against.
+    The cap counts the floor(1/x_min) cells of the integer lattice, on
+    which the profiles equal (u mod N)/N: this function's test oracle.
 
     Denominators above 2^62 produce exact-zero rows (their profiles are
     numerically indistinguishable from zero at any supported cutoff).
@@ -347,31 +357,9 @@ def pair_inner_matrix(
         raise ConvergenceError(
             f"lattice pass needs {big_u} pieces, above the cap {cap}; raise x_min"
         )
-    d = len(denominators)
-    _check_denominators(denominators)
-    usable = np.array([min(int(n), _HUGE_DENOM) for n in denominators], dtype=np.int64)
-    zero_row = np.array([int(n) > _HUGE_DENOM for n in denominators])
-    nf = usable.astype(np.float64)
-
-    gram = np.zeros((d, d))
-    chunk = 1 << 16
-    for lo in range(1, big_u, chunk):
-        hi = min(lo + chunk, big_u)
-        u = np.arange(lo, hi, dtype=np.int64)
-        vals = (u[None, :] % usable[:, None]).astype(np.float64) / nf[:, None]
-        vals[zero_row, :] = 0.0
-        uf = u.astype(np.float64)
-        lengths = 1.0 / (uf * (uf + 1.0))
-        gram += (vals * lengths) @ vals.T
-    # Fragment (x_min, 1/U]: constant piece cut short by the cutoff.
-    frag_len = 1.0 / big_u - x_min
-    if frag_len > 0.0:
-        fv = (np.int64(big_u) % usable).astype(np.float64) / nf
-        fv[zero_row] = 0.0
-        gram += np.outer(fv, fv) * frag_len
-    gram = 0.5 * (gram + gram.T)
-    theta = 1.0 / nf
-    theta[zero_row] = 0.0
+    dens = _check_denominators(denominators)
+    theta = np.array([1.0 / n if n <= _HUGE_DENOM else 0.0 for n in dens])
+    gram, _ = _sweep_gram(theta, x_min)
     tail = x_min * np.outer(1.0 + theta, 1.0 + theta)
     return gram, tail
 
@@ -402,22 +390,21 @@ def _sweep(thetas: Sequence[float], x_min: float):
         lo = hi
 
 
-def _pair_inner_general(
-    theta_a: float, theta_b: float, x_min: float, cap: int
-) -> tuple[float, int]:
-    """Step-function sweep for parameters that are not unit fractions."""
-    est = (1.0 + theta_a + theta_b) * (1.0 / x_min)
-    if est > cap:
-        raise ConvergenceError(
-            f"sweep needs ~{est:.3g} pieces, above the cap {cap}; raise x_min"
-        )
-    total = 0.0
+def _sweep_gram(thetas: Sequence[float], x_min: float) -> tuple[np.ndarray, int]:
+    """All pairwise integrals of the f_theta over (x_min, 1], exactly.
+
+    Returns ``(gram, pieces)``.  Each u-piece [e_0, e_1) of :func:`_sweep`
+    adds f f^T (e_1 - e_0)/(e_0 e_1), one matrix product per span, and
+    the sum is symmetrized once at the end.  theta = 0 gives an exact-zero
+    row.  This is the one integrator behind every cutoff inner product.
+    """
+    gram = np.zeros((len(thetas), len(thetas)))
     pieces = 0
-    for e, f in _sweep((theta_a, theta_b), x_min):
+    for e, f in _sweep(thetas, x_min):
         lengths = (e[1:] - e[:-1]) / (e[:-1] * e[1:])  # x-length of each u-piece
-        total += float(np.dot(f[0] * f[1], lengths))
+        gram += (f * lengths) @ f.T
         pieces += e.size - 1
-    return total, pieces
+    return 0.5 * (gram + gram.T), pieces
 
 
 def inner_direct(
@@ -430,8 +417,8 @@ def inner_direct(
 
     Unit fractions theta = 1/N go through the closed form of
     :func:`_unit_inner_matrix`: no cutoff, and ``tail_bound`` is its
-    roundoff estimate (above the denominator cap the lattice fallback
-    and its cutoff tail apply).  Other parameters are integrated piece by
+    roundoff estimate (above the denominator cap, the cutoff tail of
+    :func:`pair_inner_matrix`).  Other parameters are integrated piece by
     piece above the cutoff x_min resolved from ``quad``; the value omits
     at most (1+theta_a)(1+theta_b) x_min of tail mass, which is then
     ``tail_bound``.  With ``full_output=True`` an
@@ -455,11 +442,14 @@ def inner_direct(
         )
     else:
         x_min = quad.resolved_x_min()
-        value, pieces = _pair_inner_general(
-            theta_a, theta_b, x_min, quad.max_subdivisions
-        )
+        est, cap = (1.0 + theta_a + theta_b) * (1.0 / x_min), quad.max_subdivisions
+        if est > cap:
+            raise ConvergenceError(
+                f"sweep needs ~{est:.3g} pieces, above the cap {cap}; raise x_min"
+            )
+        gram, pieces = _sweep_gram((theta_a, theta_b), x_min)
         res = InnerProductResult(
-            value=value,
+            value=float(gram[0, 1]),
             tail_bound=(1.0 + theta_a) * (1.0 + theta_b) * x_min,
             pieces=pieces,
         )

@@ -5,7 +5,7 @@ Two independent routes produce the same raw Gram matrix:
 * direct: Vasyunin's closed form for unit-fraction inner products (see
   :mod:`.fractional`), exact with a roundoff estimate as its budget; a
   window with a denominator above the closed form's cap falls back to
-  the cutoff lattice pass and reports its tail bound;
+  the cutoff sweep of :mod:`.fractional` and reports its tail bound;
 * spectral: the Parseval identity <f_a, f_b> = (1/pi) *
   integral_0^inf Re[M_a(1/2+it) conj(M_b(1/2+it))] dt, truncated at
   ``t_max_raw`` and integrated with fixed Gauss-Legendre panels.  The
@@ -23,7 +23,7 @@ deficit is what the comparison budget in cross-validation accounts for.
 
 Smoothed Gram matrices weight the spectral integrand by
 psi_W(t)^2 = (epsilon + exp(-(t/W)^2))^2.  Expanding the square lets the
-epsilon^2 part reuse the direct lattice pass at a coarse cutoff (the
+epsilon^2 part reuse that cutoff sweep at a coarse cutoff (the
 closed form's cost grows with the denominators, which reach 6^24 on a
 24x24 window), while the two Gaussian-tapered parts are integrated on a
 short grid truncated where the taper pushes the tail below
@@ -227,7 +227,7 @@ def _gaussian_cutoff(smoothing: SmoothingParams, quad: QuadratureConfig) -> floa
 
 def _epsilon_cutoff(eps: float, quad: QuadratureConfig) -> float:
     # The epsilon^2 slice tolerates a cutoff larger by 1/eps^2; cap well
-    # inside (0, 1) so the lattice pass stays meaningful.
+    # inside (0, 1) so the cutoff sweep stays meaningful.
     base = quad.resolved_x_min()
     if eps <= 0.0:
         return base
@@ -339,7 +339,7 @@ def build_gram(
     ``method='spectral'`` switches to truncated Parseval integration
     (useful as a consistency probe, see :func:`cross_validate`).
     Smoothed matrices default to ``hybrid``: the epsilon^2 share of psi^2
-    goes through the direct lattice pass at a coarse cutoff and only the
+    goes through the direct cutoff sweep at a coarse cutoff and only the
     Gaussian-tapered share is integrated spectrally.  ``method='spectral'``
     on a smoothed build is accepted as an alias; the decomposition is the
     only evaluation the taper admits.

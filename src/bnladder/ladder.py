@@ -95,10 +95,13 @@ class IndexWindow:
     k_max: int
 
     def __post_init__(self) -> None:
-        # numbers.Integral admits numpy integers; bool is an int subclass.
-        for bound in (self.j_max, self.k_max):
+        # numbers.Integral admits numpy integers, stored as plain ints so
+        # they serialize like Python ones; bool is an int subclass.
+        for name in ("j_max", "k_max"):
+            bound = getattr(self, name)
             if not isinstance(bound, numbers.Integral) or isinstance(bound, bool):
                 raise ParameterError(f"window bounds must be integers, got {bound!r}")
+            object.__setattr__(self, name, int(bound))
         if self.j_max < 0 or self.k_max < 0:
             raise ParameterError(
                 f"window bounds must be nonnegative, got ({self.j_max}, {self.k_max})"

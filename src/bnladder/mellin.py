@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, ParameterError
-from .fractional import DEFAULT_QUAD, QuadratureConfig, _check_theta, _sweep
+from .fractional import DEFAULT_QUAD, QuadratureConfig, _check_theta, _reject_bools, _sweep
 from .zeta import zeta_half, zeta_half_grid
 
 __all__ = [
@@ -57,6 +57,7 @@ class SmoothingParams:
     epsilon: float = 0.0
 
     def __post_init__(self) -> None:
+        _reject_bools(self)
         if not (self.W > 0.0 and math.isfinite(self.W)):
             raise ParameterError(f"smoothing width W must be positive, got {self.W!r}")
         if not (self.epsilon >= 0.0 and math.isfinite(self.epsilon)):
@@ -72,41 +73,24 @@ def psi(t, smoothing: SmoothingParams):
     return float(out) if np.isscalar(t) or tt.ndim == 0 else out
 
 
-def mellin_closed(theta: float, t: float, log_theta: float | None = None) -> complex:
-    """Closed-form M_theta(1/2 + it) = zeta(s) (theta - theta^s) / s.
-
-    Pass ``log_theta`` when an exact logarithm is available (ladder
-    points); otherwise math.log(theta) is used.
-    """
+def mellin_closed(theta: float, t: float) -> complex:
+    """Closed-form M_theta(1/2 + it) = zeta(s) (theta - theta^s) / s."""
     theta = _check_theta(theta)
-    lt = log_theta if log_theta is not None else math.log(theta)
+    lt = math.log(theta)
     s = 0.5 + 1j * float(t)
-    # theta^s = sqrt(theta) e^{i t log theta}; exp(lt/2) survives theta
-    # underflow as long as lt is finite.
+    # theta^s = sqrt(theta) e^{i t log theta}
     theta_s = math.exp(0.5 * lt) * np.exp(1j * float(t) * lt)
     return complex(zeta_half(t) * (theta - theta_s) / s)
 
 
-def mellin_closed_grid(
-    theta: float,
-    ts: np.ndarray,
-    log_theta: float | None = None,
-    zeta_values: np.ndarray | None = None,
-) -> np.ndarray:
-    """Vectorized closed form over a grid of nonnegative ordinates.
-
-    ``zeta_values`` lets callers reuse a precomputed zeta grid; it must
-    match ``ts`` elementwise.
-    """
+def mellin_closed_grid(theta: float, ts: np.ndarray) -> np.ndarray:
+    """Vectorized closed form over a grid of nonnegative ordinates."""
     theta = _check_theta(theta)
-    lt = log_theta if log_theta is not None else math.log(theta)
+    lt = math.log(theta)
     ts = np.asarray(ts, dtype=np.float64)
-    z = zeta_values if zeta_values is not None else zeta_half_grid(ts)
-    if z.shape != ts.shape:
-        raise ParameterError("zeta_values must match the ordinate grid")
     s = 0.5 + 1j * ts
     theta_s = math.exp(0.5 * lt) * np.exp(1j * ts * lt)
-    return z * (theta - theta_s) / s
+    return zeta_half_grid(ts) * (theta - theta_s) / s
 
 
 def _mellin_cutoff(theta: float, quad: QuadratureConfig) -> float:

@@ -46,6 +46,10 @@ __all__ = [
 # the worst-case term count at ~13k.
 T_CAP = 1.0e4
 
+# Tolerances of zeta_selfcheck against the frozen oracle table.
+_SELFCHECK_REL_TOL = 1.0e-9
+_SELFCHECK_ZERO_ABS_TOL = 1.0e-8
+
 _LOG2 = math.log(2.0)
 
 _weight_cache: dict[int, np.ndarray] = {}
@@ -99,32 +103,32 @@ def _eval_block(ts: np.ndarray, n: int) -> np.ndarray:
     return out / eta_factor
 
 
-def zeta_half(t: float, t_cap: float = T_CAP) -> complex:
+def zeta_half(t: float) -> complex:
     """zeta(1/2 + i t) for a single real ordinate t.
 
     Negative t is handled by the reflection zeta(conj s) = conj zeta(s).
-    Raises :class:`ZetaRangeError` when |t| exceeds ``t_cap``.
+    Raises :class:`ZetaRangeError` when |t| exceeds ``T_CAP``.
     """
     t = float(t)
     if not math.isfinite(t):
         raise ZetaRangeError(f"ordinate must be finite, got {t!r}")
-    if abs(t) > t_cap:
+    if abs(t) > T_CAP:
         raise ZetaRangeError(
-            f"|t| = {abs(t):g} exceeds the accuracy-checked cap {t_cap:g}"
+            f"|t| = {abs(t):g} exceeds the accuracy-checked cap {T_CAP:g}"
         )
     val = _eval_block(np.array([abs(t)]), _term_count(abs(t)))[0]
     return complex(val) if t >= 0 else complex(val).conjugate()
 
 
-def _check_grid_top(t_top: float, t_cap: float = T_CAP) -> None:
-    """Reject a grid whose largest ordinate ``t_top`` exceeds ``t_cap``."""
-    if t_top > t_cap:
+def _check_grid_top(t_top: float) -> None:
+    """Reject a grid whose largest ordinate ``t_top`` exceeds ``T_CAP``."""
+    if t_top > T_CAP:
         raise ZetaRangeError(
-            f"grid reaches |t| = {t_top:g}, beyond the accuracy-checked cap {t_cap:g}"
+            f"grid reaches |t| = {t_top:g}, beyond the accuracy-checked cap {T_CAP:g}"
         )
 
 
-def zeta_half_grid(ts: np.ndarray, t_cap: float = T_CAP) -> np.ndarray:
+def zeta_half_grid(ts: np.ndarray) -> np.ndarray:
     """Vectorized zeta(1/2 + i t) over a grid of nonnegative ordinates.
 
     The grid is processed in ascending blocks of 512 points; each block
@@ -137,7 +141,7 @@ def zeta_half_grid(ts: np.ndarray, t_cap: float = T_CAP) -> np.ndarray:
         return np.empty(0, dtype=np.complex128)
     if not np.all(np.isfinite(ts)) or np.any(ts < 0.0):
         raise ZetaRangeError("ordinate grid must be finite and nonnegative")
-    _check_grid_top(float(ts.max()), t_cap)
+    _check_grid_top(float(ts.max()))
     order = np.argsort(ts, kind="stable")
     sorted_ts = ts[order]
     out_sorted = np.empty(ts.size, dtype=np.complex128)
@@ -169,14 +173,12 @@ class ZetaSelfCheck:
     passed: bool
 
 
-def zeta_selfcheck(
-    rel_tol: float = 1.0e-9, zero_abs_tol: float = 1.0e-8
-) -> ZetaSelfCheck:
+def zeta_selfcheck() -> ZetaSelfCheck:
     """Compare the evaluator against the frozen high-precision table.
 
-    Ordinary points must match to ``rel_tol`` in relative terms.  At an
-    ordinate where zeta vanishes the reference is the exact zero, so the
-    check is absolute with the looser ``zero_abs_tol``.
+    Ordinary points must match to 1e-9 in relative terms.  At an ordinate
+    where zeta vanishes the reference is the exact zero, so the check is
+    absolute with the looser 1e-8.
     """
     pts = []
     max_rel = 0.0
@@ -198,5 +200,5 @@ def zeta_selfcheck(
         points=tuple(pts),
         max_rel_dev=max_rel,
         max_zero_abs=max_zero,
-        passed=(max_rel <= rel_tol) and (max_zero <= zero_abs_tol),
+        passed=(max_rel <= _SELFCHECK_REL_TOL) and (max_zero <= _SELFCHECK_ZERO_ABS_TOL),
     )

@@ -9,13 +9,16 @@ Reference values were computed before the implementation existed:
   digamma evaluation reproduces exactly.
 - MIDPOINT_*: 10^6-point midpoint-rule integrals using plain floor
   arithmetic, an entirely different discretization (error ~1e-5).
-- The truncated-integral check of the lattice pass needs no stored
+- The truncated-integral check of the cutoff pass needs no stored
   constant: at the cutoff 2^-10 the integral is a finite rational sum
   evaluated here with Fraction arithmetic.
+- The integer lattice, where f_(1/N) equals (u mod N)/N on [u, u+1),
+  is the float oracle of ``pair_inner_matrix`` (:func:`_lattice_gram`):
+  it shares no code with the step-function sweep behind that function.
 
 Unit-fraction pairs go through the closed form; ``pair_inner_matrix``,
-the cutoff lattice pass, is its independent reference.  The closed
-form's own frozen high-precision oracle is in test_closed_form.py.
+the cutoff sweep at theta = 1/N, is its independent reference.  The
+closed form's own frozen high-precision oracle is in test_closed_form.py.
 """
 
 import math
@@ -23,6 +26,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bnladder import (
     DEFAULT_QUAD,
@@ -151,6 +156,57 @@ def test_truncated_inner_is_exact_rational(a, b):
         exact += c * (Fraction(1, n) - Fraction(1, n + 1))
     gram, _ = pair_inner_matrix([a, b], 2.0**-10)
     assert gram[0, 1] == pytest.approx(float(exact), rel=5e-15)
+
+
+def _lattice_gram(denominators, x_min):
+    """Cutoff Gram matrix on the integer lattice: on u in [n, n+1) each
+    profile is (n mod N)/N, plus a final fragment covering (x_min, 1/U]."""
+    big_u = int(math.floor(1.0 / x_min))
+    usable = np.array([min(int(n), 2**62) for n in denominators], dtype=np.int64)
+    zero_row = np.array([int(n) > 2**62 for n in denominators])
+    nf = usable.astype(np.float64)
+    gram = np.zeros((len(denominators), len(denominators)))
+    chunk = 1 << 16
+    for lo in range(1, big_u, chunk):
+        hi = min(lo + chunk, big_u)
+        u = np.arange(lo, hi, dtype=np.int64)
+        vals = (u[None, :] % usable[:, None]).astype(np.float64) / nf[:, None]
+        vals[zero_row, :] = 0.0
+        uf = u.astype(np.float64)
+        lengths = 1.0 / (uf * (uf + 1.0))
+        gram += (vals * lengths) @ vals.T
+    frag_len = 1.0 / big_u - x_min
+    if frag_len > 0.0:
+        fv = (np.int64(big_u) % usable).astype(np.float64) / nf
+        fv[zero_row] = 0.0
+        gram += np.outer(fv, fv) * frag_len
+    return 0.5 * (gram + gram.T)
+
+
+_LATTICE_DENOMS = [1, 2, 3, 5, 7, 12, 36, 97, 2**20, 3**13, 6**10, 2**63, 6**24]
+# Cutoffs on a lattice point (0.25, 2^-10) and between two, where a
+# fragment (x_min, 1/U] remains (0.3, 1/1000.5, 3.3e-5).
+_LATTICE_CUTOFFS = [0.25, 0.3, 1e-2, 2.0**-10, 1.0 / 1000.5, 1e-4, 3.3e-5]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    dens=st.lists(
+        st.one_of(st.sampled_from(_LATTICE_DENOMS), st.integers(1, 10**6)),
+        min_size=1,
+        max_size=8,
+    ),
+    x_min=st.sampled_from(_LATTICE_CUTOFFS),
+)
+def test_pair_inner_matrix_matches_integer_lattice(dens, x_min):
+    gram, tail = pair_inner_matrix(dens, x_min)
+    ref = _lattice_gram(dens, x_min)
+    assert np.all(np.abs(gram - ref) <= 1e-14 * np.abs(ref).max())
+    assert np.array_equal(gram, gram.T)
+    zero = np.array([n == 1 or n > 2**62 for n in dens])
+    assert np.all(gram[zero, :] == 0.0) and np.all(gram[:, zero] == 0.0)
+    theta = np.array([0.0 if n > 2**62 else 1.0 / n for n in dens])
+    assert np.array_equal(tail, x_min * np.outer(1.0 + theta, 1.0 + theta))
 
 
 def test_lattice_and_sweep_agree():

@@ -152,10 +152,18 @@ _DROP = object()
         pytest.param(("window",), {"j_max": 3.0, "k_max": 3}, id="float_j_max"),
         pytest.param(("window",), {"j_max": True, "k_max": 7}, id="bool_j_max"),
         pytest.param(("window",), {"j_max": 3, "k_max": "3"}, id="text_k_max"),
+        pytest.param(("quad", "abs_tol"), True, id="bool_abs_tol"),
+        pytest.param(("quad", "max_subdivisions"), 2.5, id="float_max_subdivisions"),
+        pytest.param(("smoothing", "W"), True, id="bool_W"),
     ],
 )
-def test_gram_json_rejects_malformed_document(gram_3x3_raw_direct, path, value):
-    doc = json.loads(gram_to_json(gram_3x3_raw_direct))
+def test_gram_json_rejects_malformed_document(
+    gram_3x3_raw_direct, gram_6x6_smoothed, path, value
+):
+    # a mutation inside the smoothing object needs a document that has one
+    inside_smoothing = len(path) > 1 and path[0] == "smoothing"
+    base = gram_6x6_smoothed if inside_smoothing else gram_3x3_raw_direct
+    doc = json.loads(gram_to_json(base))
     *parents, last = path
     node = doc
     for key in parents:
@@ -166,6 +174,12 @@ def test_gram_json_rejects_malformed_document(gram_3x3_raw_direct, path, value):
         node[last] = value
     with pytest.raises(ParameterError):
         gram_from_json(json.dumps(doc))
+
+
+def test_gram_json_numpy_window_bounds():
+    window = IndexWindow(np.int64(1), np.int64(1))
+    assert type(window.j_max) is int and type(window.k_max) is int
+    assert gram_to_json(build_gram(window)) == gram_to_json(build_gram(IndexWindow(1, 1)))
 
 
 @pytest.mark.parametrize("text", ["[]", '"bnladder.gram/1"', '{"schema": ', ""])

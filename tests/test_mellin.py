@@ -70,18 +70,6 @@ def test_grid_matches_scalar():
         assert v == pytest.approx(mellin_closed(1.0 / 3.0, float(t)), rel=1e-12)
 
 
-def test_grid_reuses_zeta_values():
-    ts = np.array([1.0, 2.0, 4.0])
-    from bnladder import zeta_half_grid
-
-    z = zeta_half_grid(ts)
-    a = mellin_closed_grid(0.5, ts, zeta_values=z)
-    b = mellin_closed_grid(0.5, ts)
-    assert np.allclose(a, b, rtol=1e-14)
-    with pytest.raises(ParameterError):
-        mellin_closed_grid(0.5, ts, zeta_values=z[:2])
-
-
 def test_direct_vanishes_at_unit_theta():
     assert abs(mellin_direct(1.0, 2.0)) <= 1e-6
 
