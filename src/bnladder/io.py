@@ -8,8 +8,10 @@ LF.  :func:`write_all` makes all of a command's files appear or none.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
 import os
+import re
 import tempfile
 from typing import Sequence
 
@@ -23,12 +25,12 @@ def _rows(columns: Sequence) -> zip:
     return zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns))
 
 
-def _float_strings(values) -> list[str]:
+def _float_strings(values, render=lambda vs: [FLOAT_FORMAT % v for v in vs]) -> list[str]:
     # Equal bit patterns print alike, so each distinct one is formatted
     # once: a symmetric matrix has about half as many as it has entries.
     values = np.asarray(values, dtype=np.float64)
     bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
-    text = [FLOAT_FORMAT % v for v in bits.view(np.float64).tolist()]
+    text = render(bits.view(np.float64).tolist())
     return [text[i] for i in inverse.tolist()]
 
 
@@ -45,9 +47,48 @@ def csv_text(header: Sequence[str], kinds: str, columns: Sequence) -> str:
     return "\n".join([",".join(header), *(template % r for r in _rows(columns))]) + "\n"
 
 
+_ARRAY_MARK = re.compile(r'"\\u0000(\d+)\\u0000"')
+
+
+def _json_numbers(values: list[float]) -> list[str]:
+    # the C encoder's spelling of each float, NaN and Infinity included
+    return json.dumps(values)[1:-1].split(", ")
+
+
 def json_text(payload) -> str:
-    """Deterministic JSON: sorted keys, two-space indent, trailing LF."""
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    """Deterministic JSON: sorted keys, two-space indent, trailing LF.
+
+    The bytes are those of ``json.dumps(payload, sort_keys=True, indent=2)``.
+    An indent forces the pure-Python encoder, so every nonempty flat list
+    of floats is first swapped for a marker string and the rest is dumped
+    with the indent.  The floats of all those lists are spelled at once,
+    each distinct bit pattern once, and every list is spliced back at its
+    marker's indent, one number per line as the indent lays it out.
+    """
+    arrays: list[list[float]] = []
+
+    def swap(node):
+        if isinstance(node, dict):
+            return {key: swap(value) for key, value in node.items()}
+        if isinstance(node, (list, tuple)):
+            if set(map(type, node)) == {float}:
+                arrays.append(node)
+                return "\0%d\0" % (len(arrays) - 1)
+            return [swap(v) for v in node]
+        return node
+
+    text = json.dumps(swap(payload), sort_keys=True, indent=2)
+    strings = _float_strings(list(itertools.chain.from_iterable(arrays)), _json_numbers)
+    ends = list(itertools.accumulate(len(a) for a in arrays))
+
+    def unswap(m: re.Match) -> str:
+        head = text[text.rfind("\n", 0, m.start()) + 1 : m.start()]
+        pad = " " * (len(head) - len(head.lstrip(" ")))
+        i = int(m.group(1))
+        items = strings[ends[i] - len(arrays[i]) : ends[i]]
+        return "[\n%s  %s\n%s]" % (pad, (",\n  " + pad).join(items), pad)
+
+    return _ARRAY_MARK.sub(unswap, text) + "\n"
 
 
 def json_rows(schema: str, header: Sequence[str], columns: Sequence) -> str:

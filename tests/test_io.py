@@ -5,8 +5,17 @@ import os
 import numpy as np
 import pytest
 
+import bnladder.decay
+import bnladder.gram
 from bnladder import io
 from bnladder.cli import main
+from bnladder.decay import (
+    decay_report,
+    decay_report_to_json,
+    truncation_suite,
+    truncation_suite_to_json,
+)
+from bnladder.gram import gram_to_json
 
 
 def _failing_on_call(monkeypatch, name, n):
@@ -41,6 +50,44 @@ def test_csv_text_empty_table():
 def test_json_rows_layout():
     doc = json.loads(io.json_rows("x/1", ("a", "b"), [np.array([1, 2]), [0.5, -0.0]]))
     assert doc == {"schema": "x/1", "columns": ["a", "b"], "rows": [[1, 0.5], [2, -0.0]]}
+
+
+EDGE_PAYLOAD = {
+    "floats": [-0.0, 0.0, 5e-324, 2.2250738585072009e-308, 1e300, -1e300, 0.1, 1 / 3],
+    "non_finite": [math.inf, -math.inf, math.nan],
+    "empty": [],
+    "nested": [[], [[1.5, -0.0], []], [0.5, 2], (0.25, 0.75)],
+    "mixed_row": (1, 0.5, "s", None, True),
+    "numpy_scalars": [np.float64(0.1), np.float64(-0.0)],
+    "ints": [1, -2, 10**30],
+    "text": "a \u00e9 \\ \"q\"",
+}
+SELFCHECK_PAYLOAD = {
+    "passed": False,
+    "groups": [
+        {"name": "zeta_oracle", "passed": True, "detail": "max_rel=1.000e-15"},
+        {"name": "gram_cross_validation", "passed": False, "detail": "budget=3.451e-03"},
+    ],
+}
+
+
+def test_json_text_matches_indenting_encoder(
+    monkeypatch, gram_3x3_raw_direct, gram_6x6_smoothed
+):
+    """Byte for byte what json.dumps(..., sort_keys=True, indent=2) writes,
+    on the payloads the gram, decay and truncation writers build and on
+    hand-made ones with signed zeros, subnormals, huge and non-finite
+    values and empty arrays."""
+    payloads = [EDGE_PAYLOAD, SELFCHECK_PAYLOAD, {}, [], [0.5], 1.5]
+    monkeypatch.setattr(bnladder.gram, "json_text", payloads.append)
+    monkeypatch.setattr(bnladder.decay, "json_text", payloads.append)
+    for g in (gram_3x3_raw_direct, gram_6x6_smoothed):
+        gram_to_json(g)
+        decay_report_to_json(decay_report(g))
+        truncation_suite_to_json(truncation_suite(g))
+    assert len(payloads) == 12
+    for payload in payloads:
+        assert io.json_text(payload) == json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 def test_write_all_writes_every_file(tmp_path):
