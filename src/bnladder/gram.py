@@ -8,18 +8,25 @@ Two independent routes produce the same raw Gram matrix:
   the cutoff sweep of :mod:`.fractional` and reports its tail bound;
 * spectral: the Parseval identity <f_a, f_b> = (1/pi) *
   integral_0^inf Re[M_a(1/2+it) conj(M_b(1/2+it))] dt, truncated at
-  ``t_max_raw`` and integrated with fixed Gauss-Legendre panels.  The
+  ``t_max_raw`` and integrated on equal Gauss-Kronrod K15 panels.  The
   integrand is |zeta/s|^2 times cosines whose frequencies are ladder
   displacements, so each entry combines a few cosine moments of |zeta/s|^2,
   one per distinct displacement (145 on 8x8; see :func:`_pair_matrices`).
 
 The raw spectral integrand decays only like (log t)/t^2, so truncation
 leaves a visible deficit; every spectral entry therefore carries an error
-estimate combining an embedded-rule quadrature difference with a tail
-estimate based on the mean-square growth of zeta,
-mean |zeta(1/2+it)|^2 ~ log(t/2pi) + 2 gamma.  The estimate is a
-plausibility budget, not a rigorous bound: on the diagonal the actual
-deficit is what the comparison budget in cross-validation accounts for.
+estimate combining the K15 - G7 difference of its panels (the Gauss rule
+embedded in K15) with a tail estimate based on the mean-square growth of
+zeta, mean |zeta(1/2+it)|^2 ~ log(t/2pi) + 2 gamma.  Both terms are
+estimates, not rigorous bounds: on the diagonal the actual deficit is
+what the comparison budget in cross-validation accounts for.
+
+The panel width is sized per build by that same difference: the widest
+width 0.25 * 2^m at or below a first candidate, taken from the highest
+frequency the build integrates, at which every entry off the theta = 1
+row has |K15 - G7|_ab <= 1e-3 * amp_a * amp_b * tau.  Here tau * amp_a *
+amp_b is the raw tail estimate, or for the tapered share of a smoothed
+build tau = gaussian_tail_tol / 4 (see :func:`_searched_grid`).
 
 Smoothed Gram matrices weight the spectral integrand by
 psi_W(t)^2 = (epsilon + exp(-(t/W)^2))^2.  Expanding the square lets the
@@ -31,8 +38,9 @@ short grid truncated where the taper pushes the tail below
 smoothed matrices; for raw matrices hybrid falls back to direct, which is
 both faster and exact.
 
-Grids are cached per (t_max, panel_width), and panel widths are quantized
-to 0.25 / 2^m so windows of different sizes share zeta evaluations.
+Grids a build accepts are cached per (t_max, panel_width); the widths are
+quantized to 0.25 * 2^m so windows of different sizes share zeta
+evaluations.
 """
 
 from __future__ import annotations
@@ -73,19 +81,59 @@ METHODS = ("direct", "spectral", "hybrid")
 
 _EULER_GAMMA = float(np.euler_gamma)
 
-_GL15 = np.polynomial.legendre.leggauss(15)
-_GL7 = np.polynomial.legendre.leggauss(7)
+# The 15-point Gauss-Kronrod rule on [-1, 1] (QUADPACK's qk15, Piessens et
+# al. 1983) at its nodes >= 0, from the top node down to 0, and the weights
+# of the 7-point Gauss rule it embeds on every other node.  Computed offline
+# by Laurie's algorithm ("Calculation of Gauss-Kronrod quadrature rules",
+# Math. Comp. 66, 1997) in 50-digit arithmetic and rounded to float64.
+_K15_TOP_NODES = (
+    0.9914553711208126, 0.9491079123427585, 0.8648644233597691, 0.7415311855993945,
+    0.5860872354676911, 0.4058451513773972, 0.20778495500789848, 0.0,
+)
+_K15_TOP_WEIGHTS = (
+    0.022935322010529224, 0.06309209262997856, 0.10479001032225019, 0.14065325971552592,
+    0.1690047266392679, 0.19035057806478542, 0.20443294007529889, 0.20948214108472782,
+)
+_G7_TOP_WEIGHTS = (0.1294849661688697, 0.27970539148927664, 0.3818300505051189, 0.4179591836734694)
+
+
+def _ascending(top_down, sign: float = 1.0) -> np.ndarray:
+    """A symmetric table over [-1, 1] from its values at nodes >= 0 listed
+    from the top down to 0; ``sign`` -1 mirrors the nodes themselves."""
+    half = np.array(top_down)
+    return np.concatenate((sign * half[:-1], half[::-1]))
+
+
+_K15_NODES = _ascending(_K15_TOP_NODES, -1.0)
+_K15_WEIGHTS = _ascending(_K15_TOP_WEIGHTS)
+_G7_ON_K15 = np.zeros(15)
+_G7_ON_K15[1::2] = _ascending(_G7_TOP_WEIGHTS)  # the Gauss nodes are the odd-indexed ones
+
+# The width rule: a grid is accepted when every entry off the theta = 1 row
+# has |K15 - G7|_ab <= _QUAD_SHARE * amp_a * amp_b * tau (see _searched_grid).
+_QUAD_SHARE = 1.0e-3
+# Radians a panel may span where _QUAD_SHARE * tau = 1e-6; G7's error on a
+# panel goes roughly like (omega h)^14, so the span scales like the 14th
+# root of the target.  Sized so that the raw windows IndexWindow(3, 3) and
+# (8, 8) at t_max_raw = 1000 and the smoothed (24, 24) at W = 5 accept
+# their first candidate.
+_PANEL_RADIANS = 12.0
+# A target below what roundoff allows is never met, so the halving stops
+# with ConvergenceError before a grid would exceed this many nodes.
+_MAX_GRID_NODES = 1 << 22
 
 _grid_cache: dict[tuple[float, float], "_SpectralGrid"] = {}
 
 
 @dataclass(frozen=True)
 class _SpectralGrid:
-    """Panelized quadrature grid on [0, t_max] with the zeta power spectrum.
+    """Gauss-Kronrod K15 panels on [0, t_max] with the zeta power spectrum.
 
-    ``w_quad`` integrates with the 15-point rule; ``w_diff`` yields the
-    difference between the 15- and 7-point results in a single dot
-    product, which is the per-entry quadrature error proxy.
+    ``w_quad`` holds the K15 weights; ``w_diff`` holds K15 minus the
+    embedded G7 weights, so one dot product gives each entry's K15 - G7
+    difference.  That difference is the error estimate of the cruder G7
+    rule, so as the quadrature term of a budget it is an estimate, not a
+    bound, and a generous one for the K15 value itself.
     """
 
     nodes: np.ndarray
@@ -94,44 +142,41 @@ class _SpectralGrid:
     power: np.ndarray  # |zeta(s)/s|^2 at the nodes: all an entry needs of zeta
 
 
-def _panel_width(points: tuple[LadderPoint, ...]) -> float:
-    # Gram phases are displacements, |l_a - l_b| <= max |log theta|; twice
-    # that is needed only by compare_kernel_forms' mu = l_a + l_b.  Add a few
-    # units for zeta's own oscillation, then keep ~8 radians per panel (far
-    # inside the comfort zone of a 15-point rule).
-    omega = max((2.0 * abs(p.log_theta) for p in points), default=0.0) + 4.0
-    h = 0.25
-    while h > 8.0 / omega:
-        h *= 0.5
-    return h
+def _first_width(omega: float, t_max: float, tau: float) -> float:
+    """Widest 0.25 * 2^m whose panels span at most the radians that the
+    target tau allows, at the frequency omega plus |zeta|^2's own band,
+    about log(t/2pi) at t_max."""
+    radians = _PANEL_RADIANS * (_QUAD_SHARE * tau / 1.0e-6) ** (1.0 / 14.0)
+    band = omega + max(1.0, math.log(t_max / (2.0 * math.pi)))
+    return 0.25 * 2.0 ** math.floor(math.log2(radians / (0.25 * band)))
 
 
 def _spectral_grid(t_max: float, h: float) -> _SpectralGrid:
+    """K15 panels of width h on [0, t_max]; a build caches the grids it accepts."""
     n_panels = int(math.ceil(t_max / h))
-    x15, w15 = _GL15
-    x7, w7 = _GL7
     # Reject a grid beyond the zeta cap before allocating it: its top node,
-    # by the same arithmetic as below, is the last panel's top G15 node.
+    # by the same arithmetic as below, is the last panel's top node.
     last_lo, last_hi = min((n_panels - 1) * h, t_max), min(n_panels * h, t_max)
-    _check_grid_top(0.5 * (last_lo + last_hi) + 0.5 * (last_hi - last_lo) * x15[-1])
-    key = (float(t_max), float(h))
-    got = _grid_cache.get(key)
+    _check_grid_top(0.5 * (last_lo + last_hi) + 0.5 * (last_hi - last_lo) * _K15_NODES[-1])
+    got = _grid_cache.get((float(t_max), float(h)))
     if got is not None:
         return got
+    if 15 * n_panels > _MAX_GRID_NODES:
+        raise ConvergenceError(
+            f"spectral grid on [0, {t_max:g}] at panel width {h:g} needs "
+            f"{15 * n_panels} nodes (cap {_MAX_GRID_NODES})"
+        )
     edges = np.minimum(np.arange(n_panels + 1) * h, t_max)
     mids = 0.5 * (edges[:-1] + edges[1:])[:, None]
     halves = 0.5 * (edges[1:] - edges[:-1])[:, None]
-    # Each panel's 15 Gauss nodes, then its 7 embedded-rule nodes; adding
-    # in place saves a node-sized temporary (2.6 MB of peak RSS on 8x8).
-    nodes = halves * np.concatenate((x15, x7))
+    # Adding in place saves a node-sized temporary.
+    nodes = halves * _K15_NODES
     nodes += mids
     nodes = nodes.ravel()
-    w_quad = (halves * np.concatenate((w15, np.zeros(7)))).ravel()
-    w_diff = (halves * np.concatenate((w15, -w7))).ravel()
+    w_quad = (halves * _K15_WEIGHTS).ravel()
+    w_diff = (halves * (_K15_WEIGHTS - _G7_ON_K15)).ravel()
     power = np.abs(zeta_half_grid(nodes)) ** 2 / (0.25 + nodes**2)
-    grid = _SpectralGrid(nodes=nodes, w_quad=w_quad, w_diff=w_diff, power=power)
-    _grid_cache[key] = grid
-    return grid
+    return _SpectralGrid(nodes=nodes, w_quad=w_quad, w_diff=w_diff, power=power)
 
 
 def _moments(grid: _SpectralGrid, weights, omegas: np.ndarray) -> np.ndarray:
@@ -178,6 +223,47 @@ def _pair_matrices(points: tuple[LadderPoint, ...], grid: _SpectralGrid, weights
     return out
 
 
+def _searched_grid(t_max: float, tau: float, omega: float, measure):
+    """``measure``'s result on the grid the width rule accepts.
+
+    ``measure(grid)`` returns ``(result, ratios)``: ratios holds each
+    checked K15 - G7 difference over its amplitude scale.  Starting from
+    :func:`_first_width` at frequency ``omega``, the width halves until
+    every ratio is at most _QUAD_SHARE * tau; only the accepted grid
+    enters the cache.
+    """
+    h = _first_width(omega, t_max, tau)
+    while True:
+        grid = _spectral_grid(t_max, h)
+        result, ratios = measure(grid)
+        if np.all(ratios <= _QUAD_SHARE * tau):
+            _grid_cache[(float(t_max), float(h))] = grid
+            return result
+        h *= 0.5
+
+
+def _pair_measure(points, taper=None):
+    """A measure for :func:`_searched_grid`: the pair matrices and their
+    K15 - G7 differences, checked off the theta = 1 row at the scale
+    amp_a * amp_b of :func:`_amp_bound`.  ``taper``, a function of the
+    nodes, multiplies both weight vectors."""
+    amps = np.array([_amp_bound(p) for p in points])
+    off = amps > 0.0
+
+    def measure(grid):
+        w = 1.0 if taper is None else taper(grid.nodes)
+        vals, qdiff = _pair_matrices(points, grid, (grid.w_quad * w, grid.w_diff * w))
+        return (vals, qdiff), np.abs(qdiff[np.ix_(off, off)]) / amps[off, None] / amps[None, off]
+
+    return measure
+
+
+def _displacement_span(points) -> float:
+    """The largest ladder displacement of the points and the origin."""
+    logs = [p.log_theta for p in points] + [0.0]
+    return max(logs) - min(logs)
+
+
 def _mean_sq_tail(t_from: float) -> float:
     """integral_T^inf (log(t/2pi) + 2 gamma) / (1/4 + t^2) dt.
 
@@ -198,11 +284,6 @@ def _amp_bound(p: LadderPoint) -> float:
     if p.denominator == 1:
         return 0.0
     return p.theta + math.exp(0.5 * p.log_theta)
-
-
-def _raw_tail_estimates(points: tuple[LadderPoint, ...], t_max: float) -> np.ndarray:
-    amps = np.array([_amp_bound(p) for p in points])
-    return np.outer(amps, amps) * (_mean_sq_tail(t_max) / math.pi)
 
 
 def _gaussian_cutoff(smoothing: SmoothingParams, quad: QuadratureConfig) -> float:
@@ -299,21 +380,29 @@ def _direct_raw(points, quad):
 
 
 def _spectral_raw(points, quad):
-    grid = _spectral_grid(quad.t_max_raw, _panel_width(points))
-    vals, qdiff = _pair_matrices(points, grid, (grid.w_quad, grid.w_diff))
-    tails = _raw_tail_estimates(points, quad.t_max_raw)
-    return vals, np.abs(qdiff) + tails
+    tau = _mean_sq_tail(quad.t_max_raw) / math.pi  # times amp_a * amp_b: the tail estimate
+    vals, qdiff = _searched_grid(
+        quad.t_max_raw, tau, _displacement_span(points), _pair_measure(points)
+    )
+    amps = np.array([_amp_bound(p) for p in points])
+    return vals, np.abs(qdiff) + np.outer(amps, amps) * tau
 
 
 def _spectral_smoothed(points, smoothing, quad):
-    h = _panel_width(points)
-    t_cut = _gaussian_cutoff(smoothing, quad)
-    grid = _spectral_grid(t_cut, h)
-    g1 = np.exp(-((grid.nodes / smoothing.W) ** 2))
-    taper = 2.0 * smoothing.epsilon * g1 + g1 * g1
-    vals, qdiff = _pair_matrices(points, grid, (grid.w_quad * taper, grid.w_diff * taper))
-    errs = np.abs(qdiff) + quad.gaussian_tail_tol
     eps = smoothing.epsilon
+
+    def taper(t):
+        g1 = np.exp(-((t / smoothing.W) ** 2))
+        return 2.0 * eps * g1 + g1 * g1
+
+    # amp_a * amp_b <= 4, so a target of gaussian_tail_tol / 4 keeps the
+    # quadrature share below _QUAD_SHARE of the Gaussian tail term.
+    t_cut = _gaussian_cutoff(smoothing, quad)
+    tau = quad.gaussian_tail_tol / 4.0
+    vals, qdiff = _searched_grid(
+        t_cut, tau, _displacement_span(points), _pair_measure(points, taper)
+    )
+    errs = np.abs(qdiff) + quad.gaussian_tail_tol
     if eps > 0.0:
         denoms = [p.denominator for p in points]
         x_min_e = _epsilon_cutoff(eps, quad)
@@ -469,17 +558,26 @@ def compare_kernel_forms(
 
     quad = quad if quad is not None else DEFAULT_QUAD
     pa, pb = _as_point(a), _as_point(b)
-    grid = _spectral_grid(quad.t_max_raw, _panel_width((pa, pb)))
-    w = grid.w_quad.copy()
-    if smoothing is not None:
-        w *= psi(grid.nodes, smoothing) ** 2
-    (vals,) = _pair_matrices((pa, pb), grid, (w,))
-    full = float(vals[0, 1])
-
     lam = pa.log_theta - pb.log_theta
     mu = pa.log_theta + pb.log_theta
+    taper = None if smoothing is None else (lambda t: psi(t, smoothing) ** 2)
+    pairs = _pair_measure((pa, pb), taper)
+
+    def measure(grid):
+        (vals, _), ratios = pairs(grid)
+        w = 1.0 if taper is None else taper(grid.nodes)
+        c = _moments(grid, (grid.w_quad * w, grid.w_diff * w), np.array([lam, mu]))
+        return (float(vals[0, 1]), c[:, 0]), np.append(ratios, np.abs(c[:, 1]))
+
+    # The two phase terms are single moments of |zeta/s|^2, which keep the
+    # double pole of |zeta|^2 at t = -i/2 that theta - theta^s cancels in
+    # an entry, so their moments are checked too, and against 1e-2 of a raw
+    # build's target on the same range, which holds the reported values to
+    # about 1e-12 relative of their converged values.
+    tau = 1.0e-2 * _mean_sq_tail(quad.t_max_raw) / math.pi
+    omega = max(abs(mu), _displacement_span((pa, pb)))
+    full, (c_lam, c_mu) = _searched_grid(quad.t_max_raw, tau, omega, measure)
     amp = math.exp(0.5 * (pa.log_theta + pb.log_theta))  # sqrt(theta_a theta_b)
-    c_lam, c_mu = _moments(grid, (w,), np.array([lam, mu]))[:, 0]
     lam_part = amp * float(c_lam)
     mu_part = -amp * float(c_mu)
     return KernelFormComparison(

@@ -6,7 +6,10 @@ per-cell serializers that preceded the numpy diagnostics and the
 The eight spectral and smoothed cases were re-frozen when spectral
 entries moved to displacement moments: a new summation order moved
 values by at most 1.4e-6 of their budgets, and smoothed budgets on the
-theta = 1 row became 0.  The values depend on float64 arithmetic only
+theta = 1 row became 0.  They were re-frozen again when the spectral
+grid moved to Gauss-Kronrod K15 panels sized by the width rule: values
+moved by at most 1.9e-10 (the 1x1 raw window at t_max_raw = 50), at most
+3.3e-6 of their budgets.  The values depend on float64 arithmetic only
 (no randomness), so a mismatch means a changed number or a changed
 format, not noise.
 """
@@ -26,43 +29,43 @@ GOLDEN = {
         ["gram", *SMOOTHED_4],
         "g.csv",
         {
-            "g.csv": "bef80c924a8d161c11f93ea7110fcc8e80e2e0c672ee3f75e9a26e3694b4cecb",
-            "g.normalized.csv": "f8f8271d1cdbc823346cdc7a2bd802010f575f6dae2213a829ec8847152e7bb4",
+            "g.csv": "0b8649900f82676f10159ee3c1addc8f36a5121f65184e39015f4a495071ffd5",
+            "g.normalized.csv": "6923f41a39c1e8a56cf4d82c51537c9ada256e1a772eb9155032387fa038e0d8",
         },
     ),
     "gram_smoothed_4_json": (
         ["gram", *SMOOTHED_4, "--format", "json"],
         "g.json",
         {
-            "g.json": "1a0b4936e150ed5ec6c96b1d6190002dba6334760401618136c3749c8a24043d",
-            "g.normalized.json": "30fa1bf3b086055f4770ac53581a9646f0143035e3ddf35075ecd9bd68ae6cc0",
+            "g.json": "7bd36ed3108591a8f1466146901b6fe5f9ba5f31836e9d2b83c0739621ff4dc4",
+            "g.normalized.json": "973084758d62ad3fbcdb8cb6e70bb91ec0fecdcaa3e770801145894579917d05",
         },
     ),
     "decay_smoothed_4": (
         ["decay", *SMOOTHED_4],
         "d.json",
         {
-            "d.json": "3c021bc9ebd967c803fa97e0719a59039aec811bcb393e9ce84be3ca7bf436d5",
-            "d.shells.csv": "56d111b0b1aeb6f8b06fdf7d9da1d544013ab3f82a541e3bd9a36d20148a7703",
+            "d.json": "51a81e4cf640f7479a751319146e6f059221c1ab5df84cef0c7539e9ed467e4b",
+            "d.shells.csv": "e8eba8d78d561e10e6e6a508a7d7ff4a52a69f13ba680978d84cc176d56efcd4",
         },
     ),
     "decay_smoothed_4_csv_with_zero_row": (
         ["decay", *SMOOTHED_4, "--format", "csv", "--exclude-zero-row", "false"],
         "d.csv",
         {
-            "d.csv": "bda8995798f6f4101e17547a918a51a74c02a3e7385a10fd4c519b7f6db7b017",
-            "d.report.json": "043142e150039ca1ba8e07ae2b78e145980dea1654a2ac82b5dc09cb1ed13ee4",
+            "d.csv": "d1c7601c11cc46869d5fe12ecd87f4da4cd5a40f0aea219e0b9bb02827b95847",
+            "d.report.json": "d3b08bbe6f4609915f0e96c03ef3bcaec771344a973213c87c3352e398812f19",
         },
     ),
     "truncate_smoothed_4": (
         ["truncate", "--jmax", "4", "--kmax", "4"],
         "t.json",
-        {"t.json": "ff5eb14e68788b650bdeb13260f005b93b44b9b26c443bde5a840a6b4c783deb"},
+        {"t.json": "65fb35952a7ce775c5cb079dba8ad1d8cdab551646b1c6573c6c3833c8b7cc93"},
     ),
     "truncate_smoothed_4_csv": (
         ["truncate", "--jmax", "4", "--kmax", "4", "--format", "csv"],
         "t.csv",
-        {"t.csv": "114df01e0cb932e6788018f4f0965c9450e9c60d19e4fa0b907aad29e1db5639"},
+        {"t.csv": "7efc03f4136b84e2140768418f00bd1bedfa9e95f978fd0b55bcad3f6d144895"},
     ),
     "gram_raw_3": (
         ["gram", *RAW_3],
@@ -107,8 +110,8 @@ GOLDEN = {
          "--tmax-raw", "50"],
         "g.csv",
         {
-            "g.csv": "a4aa32ebba6377a11672b9d22913073c51efb9df69786eafdffacb8c9f7766f1",
-            "g.normalized.csv": "153fec2430acffc9a518d81bf7e14061534cb4c5edc25f098b3b63c75f14b29a",
+            "g.csv": "b987a5f56b2bfc954a129e8bb1baf4896153653b2491088b2ded5bc770f2387a",
+            "g.normalized.csv": "171087d8db7f3165c24581fd877ee853cc78e24a1e161a280365e4a96640fb69",
         },
     ),
     "gram_smoothed_2_quad_json": (
@@ -117,8 +120,8 @@ GOLDEN = {
          "--abs-tol", "1e-5", "--x-min", "1e-3", "--tmax-raw", "500", "--format", "json"],
         "g.json",
         {
-            "g.json": "ab5eddfacf68c37e0fd7ab4884777b37aa52a356fb8e832bab6e9cb5285bbde4",
-            "g.normalized.json": "79f438bf750563e8fee77f4be7a5c27b612c9a0230e39c0b72f80953f53b11bb",
+            "g.json": "fe949177fe07cad8b8b2be5ae9120c8f5bb079a22e6c5b7561f399e9954a25f3",
+            "g.normalized.json": "4a173a72ab65afdca8095e86e73807294f80741bdd72db0f69be4fa51149b340",
         },
     ),
     "truncate_raw_3_direct_csv": (

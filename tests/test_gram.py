@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -264,9 +265,38 @@ def test_grid_beyond_zeta_cap_rejected_before_allocation(kind, kwargs):
     assert peak < 1 << 20
 
 
+K15_NODES, K15_WEIGHTS = bnladder.gram._K15_NODES, bnladder.gram._K15_WEIGHTS
+G7_ON_K15 = bnladder.gram._G7_ON_K15
+
+
+def _monomial_errors(weights, degrees):
+    exact = [(1.0 + (-1.0) ** d) / (d + 1) for d in degrees]
+    return [abs(float(weights @ K15_NODES**d) - e) for d, e in zip(degrees, exact)]
+
+
+def test_k15_is_exact_through_degree_22():
+    # QUADPACK qk15 xgk(1), correctly rounded
+    assert K15_NODES[-1] == 0.991455371120812639206854697526329 and K15_NODES[7] == 0.0
+    assert np.array_equal(K15_NODES, -K15_NODES[::-1])
+    assert np.array_equal(K15_WEIGHTS, K15_WEIGHTS[::-1])
+    assert max(_monomial_errors(K15_WEIGHTS, range(23))) <= 4e-16
+    # degree 24 is the first it misses, so 22 is its whole exactness
+    assert _monomial_errors(K15_WEIGHTS, [24])[0] > 1e-9
+
+
+def test_embedded_g7_nodes_and_exactness():
+    x7, w7 = np.polynomial.legendre.leggauss(7)
+    ulp = np.spacing(np.maximum(np.abs(x7), np.abs(K15_NODES[1::2])))
+    assert np.all(np.abs(K15_NODES[1::2] - x7) <= 2 * ulp + (x7 == 0.0) * 5e-324)
+    assert np.all(G7_ON_K15[::2] == 0.0)
+    assert np.abs(G7_ON_K15[1::2] - w7).max() <= 4e-16
+    assert max(_monomial_errors(G7_ON_K15, range(14))) <= 4e-16
+    assert _monomial_errors(G7_ON_K15, [14])[0] > 1e-6
+
+
 @pytest.mark.parametrize("t_max,h", [(20.0, 1 / 16), (37.3, 0.25), (1000.0, 0.125)])
 def test_spectral_grid_matches_panel_loop(monkeypatch, t_max, h):
-    """The vectorized grid equals the per-panel loop it replaced, bit for
+    """The vectorized grid equals a per-panel loop over K15 panels, bit for
     bit, and the cap check sees exactly the grid's largest node."""
     seen = []
     monkeypatch.setattr(bnladder.gram, "_check_grid_top", seen.append)
@@ -275,16 +305,118 @@ def test_spectral_grid_matches_panel_loop(monkeypatch, t_max, h):
     grid = bnladder.gram._spectral_grid(t_max, h)
     n_panels = int(math.ceil(t_max / h))
     edges = np.minimum(np.arange(n_panels + 1) * h, t_max)
-    (x15, w15), (x7, w7) = np.polynomial.legendre.leggauss(15), np.polynomial.legendre.leggauss(7)
     nodes, w_quad, w_diff = [], [], []
     for lo, hi in zip(edges[:-1], edges[1:]):
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        nodes += [mid + half * x15, mid + half * x7]
-        w_quad += [half * w15, np.zeros(7)]
-        w_diff += [half * w15, -half * w7]
+        nodes.append(mid + half * K15_NODES)
+        w_quad.append(half * K15_WEIGHTS)
+        w_diff.append(half * (K15_WEIGHTS - G7_ON_K15))
     for got, want in zip((grid.nodes, grid.w_quad, grid.w_diff), (nodes, w_quad, w_diff)):
         assert np.array_equal(got, np.concatenate(want))
     assert seen == [grid.nodes.max()]
+    assert bnladder.gram._grid_cache == {}  # only a build's accepted grid is cached
+
+
+def _rule_ratios(points, grid, taper):
+    """|K15 - G7|_ab / (amp_a amp_b) off the theta = 1 row, recomputed."""
+    w = 1.0 if taper is None else taper(grid.nodes)
+    (qdiff,) = bnladder.gram._pair_matrices(points, grid, (grid.w_diff * w,))
+    amps = np.array([bnladder.gram._amp_bound(p) for p in points])
+    off = amps > 0.0
+    return np.abs(qdiff[np.ix_(off, off)]) / np.outer(amps[off], amps[off])
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    j_max=st.integers(0, 5),
+    k_max=st.integers(0, 5),
+    t_max=st.sampled_from([20.0, 40.0, 60.0]),
+    smoothing=st.sampled_from([None, SmoothingParams(W=2.0, epsilon=0.0), SM]),
+    widen=st.sampled_from([1, 4, 16]),
+)
+@example(j_max=3, k_max=3, t_max=20.0, smoothing=None, widen=16)
+@example(j_max=4, k_max=4, t_max=20.0, smoothing=SM, widen=1)
+def test_width_rule_halves_until_every_entry_passes(j_max, k_max, t_max, smoothing, widen):
+    """The accepted grid meets |K15 - G7|_ab <= f amp_a amp_b tau for every
+    entry off the theta = 1 row; the search halves from its first
+    candidate, every rejected width breaks the rule, and only the accepted
+    grid is cached.  ``widen`` forces a first candidate that many times
+    wider, which must halve down to a width that passes."""
+    gram = bnladder.gram
+    quad = QuadratureConfig(t_max_raw=t_max)
+    window = IndexWindow(j_max, k_max)
+    points = tuple(window.points())
+    if smoothing is None:
+        tau, taper = gram._mean_sq_tail(t_max) / math.pi, None
+    else:
+        tau = quad.gaussian_tail_tol / 4.0
+        eps, w = smoothing.epsilon, smoothing.W
+        taper = lambda t: 2.0 * eps * np.exp(-((t / w) ** 2)) + np.exp(-2.0 * (t / w) ** 2)  # noqa: E731
+    real_first, real_grid = gram._first_width, gram._spectral_grid
+    tried = []
+
+    def spy_grid(t, h):
+        tried.append(h)
+        return real_grid(t, h)
+
+    with mock.patch.object(gram, "_grid_cache", {}), mock.patch.object(
+        gram, "_first_width", lambda *a: widen * real_first(*a)
+    ), mock.patch.object(gram, "_spectral_grid", spy_grid):
+        if smoothing is None:
+            g = build_gram(window, "raw", method="spectral", quad=quad)
+        else:
+            g = build_gram(window, "smoothed", smoothing=smoothing, quad=quad)
+        cache = dict(gram._grid_cache)
+    t_grid = t_max if smoothing is None else gram._gaussian_cutoff(smoothing, quad)
+    span = gram._displacement_span(points)
+    assert tried[0] == widen * real_first(span, t_grid, tau)
+    assert tried == [tried[0] / 2**i for i in range(len(tried))]
+    assert list(cache) == [(t_grid, tried[-1])]
+    accepted = cache[(t_grid, tried[-1])]
+    assert np.all(_rule_ratios(points, accepted, taper) <= gram._QUAD_SHARE * tau)
+    for h in tried[:-1]:
+        assert np.any(_rule_ratios(points, real_grid(t_grid, h), taper) > gram._QUAD_SHARE * tau)
+    if widen == 16 and window.size > 1:
+        assert len(tried) > 1
+    # the reported budget carries the accepted grid's K15 - G7 difference
+    assert np.all(g.err_estimate >= 0.0)
+
+
+def test_width_search_stops_at_the_node_cap(monkeypatch):
+    # a Gaussian tail target far below roundoff can never be met
+    monkeypatch.setattr(bnladder.gram, "_MAX_GRID_NODES", 20_000)
+    monkeypatch.setattr(bnladder.gram, "_grid_cache", {})
+    quad = QuadratureConfig(gaussian_tail_tol=1e-30)
+    with pytest.raises(ConvergenceError, match="spectral grid on"):
+        build_gram(IndexWindow(2, 2), "smoothed", smoothing=SM, quad=quad)
+
+
+# Values of compare_kernel_forms before the K15 width rule (G15 panels of
+# width 1/4): (a, b, smoothing, t_max_raw) -> (value_parseval, lambda_part,
+# mu_part).
+KERNEL_FORMS_BEFORE = [
+    ((1, 0), (0, 1), None, 1000.0,
+     (0.10630721000092236, 0.44081077797832613, -0.3412112756284592)),
+    ((1, 0), (0, 1), SmoothingParams(W=5.0, epsilon=1e-6), 1000.0,
+     (0.10157675946858435, 0.440410810288213, -0.33772321872454175)),
+    ((2, 1), (0, 3), None, 200.0,
+     (0.044612110913769654, 0.05667178593174566, -0.012409190744185105)),
+    ((3, 3), (3, 3), None, 1000.0,
+     (0.00568903381894004, 0.0058257271869266505, -0.00013943792154734021)),
+    ((0, 0), (1, 2), SmoothingParams(W=2.0, epsilon=1e-2), 50.0,
+     (0.0, 0.14930840167116266, -0.14930840167116266)),
+    ((4, 0), (0, 4), SmoothingParams(W=5.0, epsilon=0.0), 100.0,
+     (0.020262687034881148, 0.02394654504933997, -0.0036792188773191437)),
+    ((0, 0), (0, 1), None, 200.0, (0.0, 0.57260682833594, -0.57260682833594)),
+]
+
+
+@pytest.mark.parametrize("a,b,smoothing,t_max,want", KERNEL_FORMS_BEFORE)
+def test_kernel_forms_match_values_before_width_rule(a, b, smoothing, t_max, want):
+    cmp = compare_kernel_forms(a, b, smoothing=smoothing, quad=QuadratureConfig(t_max_raw=t_max))
+    got = (cmp.value_parseval, cmp.lambda_part, cmp.mu_part)
+    for g, w in zip(got, want):
+        assert abs(g - w) <= 1e-12 * abs(w)
 
 
 def _complex_pair_matrices(points, grid, weights):
@@ -317,7 +449,7 @@ def test_moments_match_complex_accumulation(idx, eps):
     """Gram entries from displacement moments equal the complex per-node
     accumulation, raw (eps None) and with the smoothed build's taper."""
     points = tuple(theta_of(ix) for ix in idx)
-    grid = bnladder.gram._spectral_grid(SHORT_T, bnladder.gram._panel_width(points))
+    grid = bnladder.gram._spectral_grid(SHORT_T, 1 / 8)
     weights = (grid.w_quad, grid.w_diff)
     if eps is not None:
         g1 = np.exp(-((grid.nodes / 5.0) ** 2))
@@ -340,9 +472,10 @@ def test_moments_match_complex_accumulation(idx, eps):
     a, b = idx[0], idx[-1]
     quad = QuadratureConfig(t_max_raw=SHORT_T)
     smoothing = None if eps is None else SmoothingParams(W=5.0, epsilon=eps)
-    cmp = compare_kernel_forms(a, b, smoothing=smoothing, quad=quad)
+    with mock.patch.object(bnladder.gram, "_grid_cache", {}):
+        cmp = compare_kernel_forms(a, b, smoothing=smoothing, quad=quad)
+        (grid,) = bnladder.gram._grid_cache.values()  # the grid it accepted
     pair = (theta_of(a), theta_of(b))
-    grid = bnladder.gram._spectral_grid(SHORT_T, bnladder.gram._panel_width(pair))
     w = grid.w_quad if smoothing is None else grid.w_quad * psi(grid.nodes, smoothing) ** 2
     (full,) = _complex_pair_matrices(pair, grid, (w,))
     assert abs(cmp.value_parseval - full[0, 1]) <= 1e-14 * np.abs(full).max()
