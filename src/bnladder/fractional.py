@@ -337,12 +337,13 @@ def pair_inner_matrix(
     """All pairwise inner products <f_(1/Na), f_(1/Nb)> in one cutoff pass.
 
     Returns ``(gram, tail)`` where ``tail[a, b]`` bounds the mass dropped
-    below the cutoff.  The step-function sweep of :func:`_sweep_gram` at
-    theta = 1/N integrates every pair at once.  It is independent of the
-    closed form in :func:`_unit_inner_matrix` and serves three uses: the
-    epsilon^2 share of smoothed Gram matrices (whose coarse cutoff keeps
-    it cheap at any window size), raw windows above the closed form's
-    denominator cap, and the reference the closed form is tested against.
+    below the cutoff, exactly 0 on the rows with N = 1, where f_1 = 0.  The
+    step-function sweep of :func:`_sweep_gram` at theta = 1/N integrates
+    every pair at once.  It is independent of the closed form in
+    :func:`_unit_inner_matrix` and serves three uses: the epsilon^2 share
+    of smoothed Gram matrices (whose coarse cutoff keeps it cheap at any
+    window size), raw windows above the closed form's denominator cap, and
+    the reference the closed form is tested against.
     The cap counts the floor(1/x_min) cells of the integer lattice, on
     which the profiles equal (u mod N)/N: this function's test oracle.
 
@@ -361,6 +362,8 @@ def pair_inner_matrix(
     theta = np.array([1.0 / n if n <= _HUGE_DENOM else 0.0 for n in dens])
     gram, _ = _sweep_gram(theta, x_min)
     tail = x_min * np.outer(1.0 + theta, 1.0 + theta)
+    unit = theta == 1.0
+    tail[unit, :] = tail[:, unit] = 0.0
     return gram, tail
 
 
@@ -372,17 +375,21 @@ def _sweep(thetas: Sequence[float], x_min: float):
     of f_(thetas[i]) on the piece [e_j, e_(j+1)), taken at its midpoint.
     """
     th = np.array(thetas, dtype=np.float64)[:, None]
+    # theta = 1/N crosses the integers m N, taken exactly: m / theta lands
+    # many of them an ulp off and leaves sliver pieces.
+    units = [_unit_denominator(theta) if theta > 0.0 else None for theta in thetas]
     big_u = 1.0 / x_min
     span = 65536.0
     lo = 1.0
     while lo < big_u:
         hi = min(lo + span, big_u)
         edges = [np.array([lo, hi]), np.arange(math.ceil(lo), hi, dtype=np.float64)]
-        for theta in thetas:
+        for theta, n in zip(thetas, units):
             m0 = math.ceil(theta * lo)
             m1 = math.ceil(theta * hi)
             if m1 > m0:
-                edges.append(np.arange(m0, m1, dtype=np.float64) / theta)
+                m = np.arange(m0, m1, dtype=np.float64)
+                edges.append(m / theta if n is None else m * n)
         e = np.unique(np.concatenate(edges))
         e = e[(e >= lo) & (e <= hi)]
         um = 0.5 * (e[:-1] + e[1:])

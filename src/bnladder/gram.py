@@ -26,7 +26,7 @@ width 0.25 * 2^m at or below a first candidate, taken from the highest
 frequency the build integrates, at which every entry off the theta = 1
 row has |K15 - G7|_ab <= 1e-3 * amp_a * amp_b * tau.  Here tau * amp_a *
 amp_b is the raw tail estimate, or for the tapered share of a smoothed
-build tau = gaussian_tail_tol / 4 (see :func:`_searched_grid`).
+build tau = gaussian_tail_tol / 4 (see :func:`_searched_pairs`).
 
 Smoothed Gram matrices weight the spectral integrand by
 psi_W(t)^2 = (epsilon + exp(-(t/W)^2))^2.  Expanding the square lets the
@@ -38,9 +38,9 @@ short grid truncated where the taper pushes the tail below
 smoothed matrices; for raw matrices hybrid falls back to direct, which is
 both faster and exact.
 
-Grids a build accepts are cached per (t_max, panel_width); the widths are
-quantized to 0.25 * 2^m so windows of different sizes share zeta
-evaluations.
+Every grid built is cached per (t_max, panel_width), rejected candidates
+included, so a repeated call evaluates no zeta; the widths are quantized
+to 0.25 * 2^m so windows of different sizes share zeta evaluations.
 """
 
 from __future__ import annotations
@@ -110,7 +110,7 @@ _G7_ON_K15 = np.zeros(15)
 _G7_ON_K15[1::2] = _ascending(_G7_TOP_WEIGHTS)  # the Gauss nodes are the odd-indexed ones
 
 # The width rule: a grid is accepted when every entry off the theta = 1 row
-# has |K15 - G7|_ab <= _QUAD_SHARE * amp_a * amp_b * tau (see _searched_grid).
+# has |K15 - G7|_ab <= _QUAD_SHARE * amp_a * amp_b * tau (see _searched_pairs).
 _QUAD_SHARE = 1.0e-3
 # Radians a panel may span where _QUAD_SHARE * tau = 1e-6; G7's error on a
 # panel goes roughly like (omega h)^14, so the span scales like the 14th
@@ -152,13 +152,16 @@ def _first_width(omega: float, t_max: float, tau: float) -> float:
 
 
 def _spectral_grid(t_max: float, h: float) -> _SpectralGrid:
-    """K15 panels of width h on [0, t_max]; a build caches the grids it accepts."""
+    """K15 panels of width h on [0, t_max], cached per (t_max, h): rejected
+    grids too, which are all coarser than the grid a search accepts, so a
+    repeated search evaluates zeta on none of its candidates again."""
+    key = (float(t_max), float(h))
     n_panels = int(math.ceil(t_max / h))
     # Reject a grid beyond the zeta cap before allocating it: its top node,
     # by the same arithmetic as below, is the last panel's top node.
     last_lo, last_hi = min((n_panels - 1) * h, t_max), min(n_panels * h, t_max)
     _check_grid_top(0.5 * (last_lo + last_hi) + 0.5 * (last_hi - last_lo) * _K15_NODES[-1])
-    got = _grid_cache.get((float(t_max), float(h)))
+    got = _grid_cache.get(key)
     if got is not None:
         return got
     if 15 * n_panels > _MAX_GRID_NODES:
@@ -176,7 +179,7 @@ def _spectral_grid(t_max: float, h: float) -> _SpectralGrid:
     w_quad = (halves * _K15_WEIGHTS).ravel()
     w_diff = (halves * (_K15_WEIGHTS - _G7_ON_K15)).ravel()
     power = np.abs(zeta_half_grid(nodes)) ** 2 / (0.25 + nodes**2)
-    return _SpectralGrid(nodes=nodes, w_quad=w_quad, w_diff=w_diff, power=power)
+    return _grid_cache.setdefault(key, _SpectralGrid(nodes, w_quad, w_diff, power))
 
 
 def _moments(grid: _SpectralGrid, weights, omegas: np.ndarray) -> np.ndarray:
@@ -223,39 +226,34 @@ def _pair_matrices(points: tuple[LadderPoint, ...], grid: _SpectralGrid, weights
     return out
 
 
-def _searched_grid(t_max: float, tau: float, omega: float, measure):
-    """``measure``'s result on the grid the width rule accepts.
+def _searched_pairs(points, t_max: float, tau: float, taper=None, phases=()):
+    """``(values, K15 - G7, phase values)`` on the grid the width rule accepts.
 
-    ``measure(grid)`` returns ``(result, ratios)``: ratios holds each
-    checked K15 - G7 difference over its amplitude scale.  Starting from
-    :func:`_first_width` at frequency ``omega``, the width halves until
-    every ratio is at most _QUAD_SHARE * tau; only the accepted grid
-    enters the cache.
+    The first two are the pair matrices of :func:`_pair_matrices`; the
+    third holds the value moments of :func:`_moments` at ``phases``.
+    ``taper``, a function of the nodes, multiplies both weight vectors.
+    Starting from :func:`_first_width` at the highest frequency integrated,
+    the width halves until every entry off the theta = 1 row has
+    |K15 - G7|_ab <= _QUAD_SHARE * amp_a * amp_b * tau, with amp from
+    :func:`_amp_bound`, and every phase moment |K15 - G7| <= _QUAD_SHARE * tau.
     """
+    amps = np.array([_amp_bound(p) for p in points])
+    off = amps > 0.0
+    phases = np.array(phases, dtype=np.float64)
+    omega = max([_displacement_span(points), *np.abs(phases)])
+    limit = _QUAD_SHARE * tau
     h = _first_width(omega, t_max, tau)
     while True:
         grid = _spectral_grid(t_max, h)
-        result, ratios = measure(grid)
-        if np.all(ratios <= _QUAD_SHARE * tau):
-            _grid_cache[(float(t_max), float(h))] = grid
-            return result
-        h *= 0.5
-
-
-def _pair_measure(points, taper=None):
-    """A measure for :func:`_searched_grid`: the pair matrices and their
-    K15 - G7 differences, checked off the theta = 1 row at the scale
-    amp_a * amp_b of :func:`_amp_bound`.  ``taper``, a function of the
-    nodes, multiplies both weight vectors."""
-    amps = np.array([_amp_bound(p) for p in points])
-    off = amps > 0.0
-
-    def measure(grid):
         w = 1.0 if taper is None else taper(grid.nodes)
-        vals, qdiff = _pair_matrices(points, grid, (grid.w_quad * w, grid.w_diff * w))
-        return (vals, qdiff), np.abs(qdiff[np.ix_(off, off)]) / amps[off, None] / amps[None, off]
-
-    return measure
+        weights = (grid.w_quad * w, grid.w_diff * w)
+        vals, qdiff = _pair_matrices(points, grid, weights)
+        ratios = np.abs(qdiff[np.ix_(off, off)]) / amps[off, None] / amps[None, off]
+        # A separate pass, so that adding phases moves no entry's bits.
+        c = _moments(grid, weights, phases)
+        if np.all(ratios <= limit) and np.all(np.abs(c[:, 1]) <= limit):
+            return vals, qdiff, c[:, 0]
+        h *= 0.5
 
 
 def _displacement_span(points) -> float:
@@ -381,9 +379,7 @@ def _direct_raw(points, quad):
 
 def _spectral_raw(points, quad):
     tau = _mean_sq_tail(quad.t_max_raw) / math.pi  # times amp_a * amp_b: the tail estimate
-    vals, qdiff = _searched_grid(
-        quad.t_max_raw, tau, _displacement_span(points), _pair_measure(points)
-    )
+    vals, qdiff, _ = _searched_pairs(points, quad.t_max_raw, tau)
     amps = np.array([_amp_bound(p) for p in points])
     return vals, np.abs(qdiff) + np.outer(amps, amps) * tau
 
@@ -399,9 +395,7 @@ def _spectral_smoothed(points, smoothing, quad):
     # quadrature share below _QUAD_SHARE of the Gaussian tail term.
     t_cut = _gaussian_cutoff(smoothing, quad)
     tau = quad.gaussian_tail_tol / 4.0
-    vals, qdiff = _searched_grid(
-        t_cut, tau, _displacement_span(points), _pair_measure(points, taper)
-    )
+    vals, qdiff, _ = _searched_pairs(points, t_cut, tau, taper)
     errs = np.abs(qdiff) + quad.gaussian_tail_tol
     if eps > 0.0:
         denoms = [p.denominator for p in points]
@@ -561,22 +555,13 @@ def compare_kernel_forms(
     lam = pa.log_theta - pb.log_theta
     mu = pa.log_theta + pb.log_theta
     taper = None if smoothing is None else (lambda t: psi(t, smoothing) ** 2)
-    pairs = _pair_measure((pa, pb), taper)
-
-    def measure(grid):
-        (vals, _), ratios = pairs(grid)
-        w = 1.0 if taper is None else taper(grid.nodes)
-        c = _moments(grid, (grid.w_quad * w, grid.w_diff * w), np.array([lam, mu]))
-        return (float(vals[0, 1]), c[:, 0]), np.append(ratios, np.abs(c[:, 1]))
-
     # The two phase terms are single moments of |zeta/s|^2, which keep the
     # double pole of |zeta|^2 at t = -i/2 that theta - theta^s cancels in
     # an entry, so their moments are checked too, and against 1e-2 of a raw
     # build's target on the same range, which holds the reported values to
     # about 1e-12 relative of their converged values.
     tau = 1.0e-2 * _mean_sq_tail(quad.t_max_raw) / math.pi
-    omega = max(abs(mu), _displacement_span((pa, pb)))
-    full, (c_lam, c_mu) = _searched_grid(quad.t_max_raw, tau, omega, measure)
+    vals, _, (c_lam, c_mu) = _searched_pairs((pa, pb), quad.t_max_raw, tau, taper, (lam, mu))
     amp = math.exp(0.5 * (pa.log_theta + pb.log_theta))  # sqrt(theta_a theta_b)
     lam_part = amp * float(c_lam)
     mu_part = -amp * float(c_mu)
@@ -586,7 +571,7 @@ def compare_kernel_forms(
         lam=lam,
         mu=mu,
         t_max=float(quad.t_max_raw),
-        value_parseval=full,
+        value_parseval=float(vals[0, 1]),
         value_two_term=lam_part + mu_part,
         lambda_part=lam_part,
         mu_part=mu_part,

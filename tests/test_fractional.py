@@ -31,6 +31,7 @@ from hypothesis import strategies as st
 
 from bnladder import (
     DEFAULT_QUAD,
+    IndexWindow,
     ParameterError,
     QuadratureConfig,
     breakpoints,
@@ -39,7 +40,7 @@ from bnladder import (
     l2_norm,
     pair_inner_matrix,
 )
-from bnladder.fractional import _unit_inner_matrix
+from bnladder.fractional import _sweep_gram, _unit_inner_matrix
 
 EXACT_INNER = {
     (2, 2): 0.17328679513998632,  # = log(2)/4
@@ -206,7 +207,22 @@ def test_pair_inner_matrix_matches_integer_lattice(dens, x_min):
     zero = np.array([n == 1 or n > 2**62 for n in dens])
     assert np.all(gram[zero, :] == 0.0) and np.all(gram[:, zero] == 0.0)
     theta = np.array([0.0 if n > 2**62 else 1.0 / n for n in dens])
-    assert np.array_equal(tail, x_min * np.outer(1.0 + theta, 1.0 + theta))
+    want = x_min * np.outer(1.0 + theta, 1.0 + theta)
+    unit = np.array([n == 1 for n in dens])
+    want[unit, :] = want[:, unit] = 0.0  # f_1 = 0 drops nothing below the cutoff
+    assert np.array_equal(tail, want)
+
+
+@pytest.mark.parametrize("x_min", _LATTICE_CUTOFFS)
+def test_unit_fraction_sweep_walks_the_lattice_cells(x_min):
+    """At theta = 1/N every edge is an integer, so the sweep's pieces are
+    the lattice's cells: [n, n+1) for n < U, plus the fragment (x_min, 1/U]
+    when the cutoff lies between two lattice points."""
+    big_u = int(math.floor(1.0 / x_min))
+    cells = big_u - 1 + (1.0 / big_u - x_min > 0.0)
+    dens = [p.denominator for p in IndexWindow(8, 8).points()] + list(range(5, 40))
+    _, pieces = _sweep_gram([1.0 / n for n in dens], x_min)
+    assert pieces == cells
 
 
 def test_lattice_and_sweep_agree():

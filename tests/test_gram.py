@@ -314,7 +314,8 @@ def test_spectral_grid_matches_panel_loop(monkeypatch, t_max, h):
     for got, want in zip((grid.nodes, grid.w_quad, grid.w_diff), (nodes, w_quad, w_diff)):
         assert np.array_equal(got, np.concatenate(want))
     assert seen == [grid.nodes.max()]
-    assert bnladder.gram._grid_cache == {}  # only a build's accepted grid is cached
+    cache = bnladder.gram._grid_cache
+    assert list(cache) == [(t_max, h)] and cache[(t_max, h)] is grid  # every built grid is cached
 
 
 def _rule_ratios(points, grid, taper):
@@ -339,8 +340,8 @@ def _rule_ratios(points, grid, taper):
 def test_width_rule_halves_until_every_entry_passes(j_max, k_max, t_max, smoothing, widen):
     """The accepted grid meets |K15 - G7|_ab <= f amp_a amp_b tau for every
     entry off the theta = 1 row; the search halves from its first
-    candidate, every rejected width breaks the rule, and only the accepted
-    grid is cached.  ``widen`` forces a first candidate that many times
+    candidate, every rejected width breaks the rule, and every tried grid
+    is cached.  ``widen`` forces a first candidate that many times
     wider, which must halve down to a width that passes."""
     gram = bnladder.gram
     quad = QuadratureConfig(t_max_raw=t_max)
@@ -371,15 +372,43 @@ def test_width_rule_halves_until_every_entry_passes(j_max, k_max, t_max, smoothi
     span = gram._displacement_span(points)
     assert tried[0] == widen * real_first(span, t_grid, tau)
     assert tried == [tried[0] / 2**i for i in range(len(tried))]
-    assert list(cache) == [(t_grid, tried[-1])]
+    assert list(cache) == [(t_grid, h) for h in tried]
     accepted = cache[(t_grid, tried[-1])]
     assert np.all(_rule_ratios(points, accepted, taper) <= gram._QUAD_SHARE * tau)
     for h in tried[:-1]:
-        assert np.any(_rule_ratios(points, real_grid(t_grid, h), taper) > gram._QUAD_SHARE * tau)
+        assert np.any(_rule_ratios(points, cache[(t_grid, h)], taper) > gram._QUAD_SHARE * tau)
     if widen == 16 and window.size > 1:
         assert len(tried) > 1
     # the reported budget carries the accepted grid's K15 - G7 difference
     assert np.all(g.err_estimate >= 0.0)
+
+
+def test_repeated_spectral_calls_evaluate_no_zeta(monkeypatch):
+    """A width search caches every grid it builds, rejected ones included,
+    so a second identical call evaluates zeta at no point.  Each first call
+    rejects a candidate: the smoothed 2x2 build at W = 2 tries h = 1/2 and
+    1/4 before it accepts 1/8."""
+    sizes = []
+    real_zeta = bnladder.gram.zeta_half_grid
+
+    def spy_zeta(ts):
+        sizes.append(ts.size)
+        return real_zeta(ts)
+
+    monkeypatch.setattr(bnladder.gram, "zeta_half_grid", spy_zeta)
+    monkeypatch.setattr(bnladder.gram, "_grid_cache", {})
+    sm = SmoothingParams(W=2.0, epsilon=1e-2)
+    calls = [
+        lambda: compare_kernel_forms((1, 0), (0, 1), sm, QuadratureConfig(t_max_raw=50.0)),
+        lambda: inner_spectral((1, 1), (2, 0), sm, full_output=True),
+        lambda: build_gram(IndexWindow(2, 2), "smoothed", smoothing=SmoothingParams(W=2.0)).entries,
+    ]
+    for call in calls:
+        sizes.clear()
+        first = call()
+        assert len(sizes) > 1
+        sizes.clear()
+        assert np.array_equal(call(), first) and sizes == []
 
 
 def test_width_search_stops_at_the_node_cap(monkeypatch):
@@ -472,9 +501,9 @@ def test_moments_match_complex_accumulation(idx, eps):
     a, b = idx[0], idx[-1]
     quad = QuadratureConfig(t_max_raw=SHORT_T)
     smoothing = None if eps is None else SmoothingParams(W=5.0, epsilon=eps)
-    with mock.patch.object(bnladder.gram, "_grid_cache", {}):
+    with mock.patch.object(bnladder.gram, "_grid_cache", {}) as cache:
         cmp = compare_kernel_forms(a, b, smoothing=smoothing, quad=quad)
-        (grid,) = bnladder.gram._grid_cache.values()  # the grid it accepted
+    grid = cache[min(cache)]  # the search ends at the finest grid, the one it accepted
     pair = (theta_of(a), theta_of(b))
     w = grid.w_quad if smoothing is None else grid.w_quad * psi(grid.nodes, smoothing) ** 2
     (full,) = _complex_pair_matrices(pair, grid, (w,))
