@@ -14,17 +14,23 @@ crosses an integer, and is constant in between.
 
 For ladder parameters theta = 1/N with integer N the inner products
 have a closed form (Vasyunin 1995; Baez-Duarte, Balazard, Landreau and
-Saias 2005).  With F(a, b) = integral_0^inf {t/a}{t/b} dt/t^2,
+Saias 2005).  With F(a, b) = integral_0^inf {t/a}{t/b} dt/t^2 = F(h, k)/d,
+d = gcd(a, b), h = a/d and k = b/d,
 
-    <f_(1/a), f_(1/b)> = I(a, b) - I(a, 1)/b - I(1, b)/a + I(1, 1)/(ab),
-    I(a, b) = F(a, b) - 1/(ab),   F(a, b) = F(h, k)/d,
     F(h, k) = (log 2pi - gamma)/2 (1/h + 1/k) + (k - h)/(2hk) log(h/k)
               - pi/(2hk) (V(h, k) + V(k, h)),
-    V(h, k) = sum_{m=1}^{k-1} {mh/k} cot(pi m/k),
+    V(h, k) = sum_{m=1}^{k-1} {mh/k} cot(pi m/k).
 
-where d = gcd(a, b), h = a/d, k = b/d.  That is the one route for unit
-fractions: exact, with a roundoff estimate as its error budget, at
-O(h + k) work per reduced pair (:func:`_unit_inner_matrix`).
+K_ab = sqrt(hk) F(h, k) depends only on a/b, and with 0 the origin N = 1,
+
+    <f_a, f_b> = sqrt(theta_a theta_b) K_ab - theta_b sqrt(theta_a) K_a0
+                 - theta_a sqrt(theta_b) K_b0 + theta_a theta_b K_00,
+
+which :func:`_assemble` forms from a table of K; the spectral route of
+:mod:`.gram` fills the same table with cosine moments of |zeta/s|^2.
+That is the one route for unit fractions: exact, with a roundoff
+estimate as its error budget, at O(h + k) work per reduced pair
+(:func:`_unit_inner_matrix`).
 
 Everything else is integrated exactly piece by piece above a small-x
 cutoff x_min; the neglected mass obeys |tail| <= (1+theta_a)
@@ -217,11 +223,12 @@ def _unit_denominator(theta: float) -> int | None:
 
 
 def _check_denominators(denominators: Sequence[int]) -> list[int]:
-    dens = [int(n) for n in denominators]
+    dens = list(denominators)
     for n in dens:
-        if n < 1:
+        # bool is an Integral, but True would be taken as N = 1.
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
             raise ParameterError(f"denominators must be positive integers, got {n!r}")
-    return dens
+    return [int(n) for n in dens]
 
 
 def _cot_sum(h: int, k: int) -> tuple[float, float, int]:
@@ -274,17 +281,31 @@ def _vasyunin_f(h: int, k: int) -> tuple[float, float, int]:
     return value, err, n1 + n2
 
 
+def _assemble(theta: np.ndarray, sqrt_theta: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """<f_a, f_b> for all pairs from a symmetric K table, the origin last.
+
+    The four terms are (A + D) - (B + B^T), B_ab = theta_a sqrt(theta_b)
+    K_b0.  Each piece is symmetric elementwise, so the result is exactly
+    symmetric.  On a theta = 1 row the table repeats the origin's row, so
+    A = B^T and D = B bit for bit and the row is exactly 0.
+    """
+    n = theta.size
+    a = np.outer(theta, theta) * table[n, n]
+    d = np.outer(sqrt_theta, sqrt_theta) * table[:n, :n]
+    b = np.outer(theta, sqrt_theta * table[:n, n])
+    return (a + d) - (b + b.T)
+
+
 def _unit_inner_matrix(
     denominators: Sequence[int], quad: QuadratureConfig
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """All pairwise <f_(1/Na), f_(1/Nb)>: the one exact route for unit fractions.
 
-    Returns ``(gram, err, pieces)``.  Each entry combines four values of
-    I(a, b) = F(a, b) - 1/(ab) as in the module docstring; F is computed
-    once per distinct reduced pair (a/d, b/d), of which a ladder window
-    of side s has only (2s+1)^2.  There is no cutoff: ``err`` is the
-    propagated roundoff estimate and ``pieces`` the number of cotangent
-    terms summed.  Rows with N = 1 are exactly zero.
+    Returns ``(gram, err, pieces)``.  K = sqrt(hk) F(h, k) is computed once
+    per distinct reduced pair (a/d, b/d), (2s+1)^2 on a ladder window of
+    side s, and :func:`_assemble` combines the table.  There is no cutoff:
+    ``err`` is the propagated roundoff estimate, ``pieces`` the number of
+    cotangent terms summed.  Rows with N = 1 are exactly zero.
 
     Windows with a denominator above ``_CLOSED_FORM_CAP`` fall back to
     the cutoff pass of :func:`pair_inner_matrix` at ``quad``'s cutoff;
@@ -295,39 +316,25 @@ def _unit_inner_matrix(
         x_min = quad.resolved_x_min()
         gram, tail = pair_inner_matrix(dens, x_min, quad.max_subdivisions)
         return gram, tail, int(math.floor(1.0 / x_min))
-    n = len(dens)
-    # Append N = 1 so row/column n carries I(a, 1) and the corner I(1, 1).
-    a = np.array(dens + [1], dtype=np.int64)
+    a = np.array(dens + [1], dtype=np.int64)  # the origin N = 1 last
     d = np.gcd.outer(a, a)
     h, k = a[:, None] // d, a[None, :] // d
     pairs = np.stack([np.minimum(h, k).ravel(), np.maximum(h, k).ravel()], axis=1)
     keys, where = np.unique(pairs, axis=0, return_inverse=True)
     reduced = [_vasyunin_f(int(p), int(q)) for p, q in keys]
     f_val, f_err, terms = (np.array(col) for col in zip(*reduced))
+    scale = np.sqrt(keys[:, 0] * keys[:, 1].astype(np.float64))  # sqrt(hk)
+    k_val = scale * f_val
+    # Per assembled term: sqrt(hk) rounds by 2.5u, the theta products by
+    # 5u, and _assemble's additions by 2u of the terms' absolute sum.
+    k_err = scale * f_err + 10.0 * _U * np.abs(k_val)
     where = where.reshape(d.shape)
-    f_val, f_err = f_val[where], f_err[where]
-    af = a.astype(np.float64)
-    inv_ab = 1.0 / np.outer(af, af)
-    df = d.astype(np.float64)
-    big_i = f_val / df - inv_ab
-    big_i_err = f_err / df + 2.0 * _U * (np.abs(f_val) / df + inv_ab)
-
-    # Every piece is symmetric elementwise (x + y == y + x in floats), so
-    # the matrix is exactly symmetric without averaging it with its transpose.
-    inv_n = 1.0 / af[:n]
-    cross = np.outer(big_i[:n, n], inv_n)
-    corner = big_i[n, n] * inv_ab[:n, :n]
-    gram = big_i[:n, :n] + corner - (cross + cross.T)
-    cross_err = np.outer(big_i_err[:n, n], inv_n) + 4.0 * _U * np.abs(cross)
-    err = (
-        big_i_err[:n, :n]
-        + big_i_err[n, n] * inv_ab[:n, :n]
-        + (cross_err + cross_err.T)
-        + 4.0 * _U * (np.abs(big_i[:n, :n]) + np.abs(corner))
-    )
-    unit = a[:n] == 1
-    gram[unit, :] = gram[:, unit] = 0.0
-    err[unit, :] = err[:, unit] = 0.0
+    theta = 1.0 / np.array(dens, dtype=np.float64)
+    sqrt_theta = np.sqrt(theta)
+    gram = _assemble(theta, sqrt_theta, k_val[where])
+    # Negating sqrt(theta) flips B and B^T: all four budgets add up.
+    err = _assemble(theta, -sqrt_theta, k_err[where])
+    err[theta == 1.0, :] = err[:, theta == 1.0] = 0.0
     return gram, err, int(terms.sum())
 
 

@@ -1,17 +1,19 @@
 """Gram matrices of ladder profiles, direct and spectral.
 
-Two independent routes produce the same raw Gram matrix:
+Two independent routes produce the same raw Gram matrix.  Both fill a
+table with one kernel value per distinct displacement between the points
+and the origin, and :func:`.fractional._assemble` turns it into entries:
 
-* direct: Vasyunin's closed form for unit-fraction inner products (see
+* direct: sqrt(hk) F(h, k) from Vasyunin's closed form (see
   :mod:`.fractional`), exact with a roundoff estimate as its budget; a
-  window with a denominator above the closed form's cap falls back to
-  the cutoff sweep of :mod:`.fractional` and reports its tail bound;
+  window above the closed form's cap falls back to the cutoff sweep of
+  :mod:`.fractional` and reports its tail bound;
 * spectral: the Parseval identity <f_a, f_b> = (1/pi) *
   integral_0^inf Re[M_a(1/2+it) conj(M_b(1/2+it))] dt, truncated at
   ``t_max_raw`` and integrated on equal Gauss-Kronrod K15 panels.  The
-  integrand is |zeta/s|^2 times cosines whose frequencies are ladder
-  displacements, so each entry combines a few cosine moments of |zeta/s|^2,
-  one per distinct displacement (145 on 8x8; see :func:`_pair_matrices`).
+  integrand is |zeta/s|^2 times cosines of ladder displacements, so the
+  table holds cosine moments of |zeta/s|^2 (145 on 8x8; see
+  :func:`_pair_matrices`).
 
 The raw spectral integrand decays only like (log t)/t^2, so truncation
 leaves a visible deficit; every spectral entry therefore carries an error
@@ -55,6 +57,7 @@ from .errors import ConvergenceError, ParameterError
 from .fractional import (
     DEFAULT_QUAD,
     QuadratureConfig,
+    _assemble,
     _unit_inner_matrix,
     pair_inner_matrix,
 )
@@ -199,11 +202,9 @@ def _pair_matrices(points: tuple[LadderPoint, ...], grid: _SpectralGrid, weights
 
     With l = log theta, Re[M_a conj(M_b)] / |zeta/s|^2 = theta_a theta_b
     + sqrt(theta_a theta_b) cos(t(l_a - l_b)) - theta_a sqrt(theta_b) cos(t l_b)
-    - theta_b sqrt(theta_a) cos(t l_a), so a matrix is (A + D) - (B + B^T):
-    exactly symmetric, and exactly 0 on the theta = 1 row, where A = B^T and
-    D = B bit for bit.
+    - theta_b sqrt(theta_a) cos(t l_a), so each weight vector's moments,
+    one per displacement, fill the table of :func:`.fractional._assemble`.
     """
-    n = len(points)
     # The origin appended last turns each l_a into the displacement a - 0.
     ij = np.array([tuple(p.index) for p in points] + [(0, 0)], dtype=np.int64)
     dj, dk = (ij[:, None, c] - ij[None, :, c] for c in (0, 1))
@@ -212,18 +213,12 @@ def _pair_matrices(points: tuple[LadderPoint, ...], grid: _SpectralGrid, weights
     key = np.abs(dj * (2 * int(ij[:, 1].max()) + 1) + dk)
     _, first, inv = np.unique(key, return_index=True, return_inverse=True)
     omegas = (dj * LOG2 + dk * LOG3).ravel()[first]
-    inv = inv.reshape(n + 1, n + 1)
+    inv = inv.reshape(key.shape)
     theta = np.array([p.theta for p in points])
     # sqrt(theta) via exp(log_theta / 2) so deep indices degrade to 0
     # instead of raising; log_theta == 0.0 keeps the theta = 1 row exact.
     sqrt_theta = np.array([math.exp(0.5 * p.log_theta) for p in points])
-    out = []
-    for c in _moments(grid, weights, omegas).T:
-        a = np.outer(theta, theta) * c[inv[n, n]]
-        d = np.outer(sqrt_theta, sqrt_theta) * c[inv[:n, :n]]
-        b = np.outer(theta, sqrt_theta * c[inv[:n, n]])
-        out.append((a + d) - (b + b.T))
-    return out
+    return [_assemble(theta, sqrt_theta, c[inv]) for c in _moments(grid, weights, omegas).T]
 
 
 def _searched_pairs(points, t_max: float, tau: float, taper=None, phases=()):
@@ -329,7 +324,9 @@ class GramMatrix:
     estimate of the closed form for direct builds (the cutoff tail above
     the closed form's cap), quadrature-difference plus truncation tail
     for spectral ones, and for smoothed builds the Gaussian tail plus the
-    epsilon^2 share's cutoff tail.
+    epsilon^2 share's cutoff tail.  Direct entries below the cap and every
+    spectral share come out of :func:`.fractional._assemble`, so they are
+    exactly symmetric with an exactly-zero theta = 1 row.
     """
 
     window: IndexWindow
@@ -370,11 +367,6 @@ def _validate_build(kind: str, method: str | None, smoothing: SmoothingParams | 
             "smoothed entries exist only spectrally; use method='hybrid' or 'spectral'"
         )
     return method
-
-
-def _direct_raw(points, quad):
-    gram, err, _ = _unit_inner_matrix([p.denominator for p in points], quad)
-    return gram, err
 
 
 def _spectral_raw(points, quad):
@@ -432,7 +424,7 @@ def build_gram(
     points = tuple(window.points())
     if kind == "raw":
         if method in ("direct", "hybrid"):
-            vals, errs = _direct_raw(points, quad)
+            vals, errs, _ = _unit_inner_matrix([p.denominator for p in points], quad)
         else:
             vals, errs = _spectral_raw(points, quad)
     else:

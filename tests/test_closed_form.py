@@ -14,7 +14,9 @@ digits (mpmath is not a dependency):
 
 They are kept as decimal strings and compared exactly (Fraction), so the
 only slack is the route's own err_estimate.  The cutoff lattice pass
-``pair_inner_matrix`` is a second, independent reference.
+``pair_inner_matrix`` is a second, independent reference, and
+:func:`_vasyunin_assembly`, the published four-term combination of
+I(a, b) = F(a, b) - 1/(ab), is the oracle for the assembly of the K table.
 """
 
 import math
@@ -22,10 +24,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bnladder import IndexWindow, QuadratureConfig, build_gram, inner_direct, pair_inner_matrix
 from bnladder import fractional
-from bnladder.fractional import DEFAULT_QUAD, _cot_sum
+from bnladder.fractional import DEFAULT_QUAD, _cot_sum, _unit_inner_matrix, _vasyunin_f
+
+_U = 2.0**-53
 
 COT_SUMS = {
     (1, 6561): "-15722.522885856646864573253752",
@@ -104,6 +110,66 @@ def test_fallback_above_cap_is_the_lattice_build(monkeypatch):
     assert res.value == pair[0, 1]
     assert res.tail_bound == pair_tail[0, 1]
     assert res.pieces == math.floor(1.0 / quad.x_min)
+
+
+def _vasyunin_assembly(dens):
+    """(gram, err) as I(a, b) - I(a, 1)/b - I(1, b)/a + I(1, 1)/(ab) with
+    I(a, b) = F(a/d, b/d)/d - 1/(ab), whose -1/(ab) terms cancel exactly,
+    and a roundoff estimate carried through each of those steps.
+
+    It shares F(h, k) with the library but none of the K-table assembly.
+    """
+    n = len(dens)
+    a = np.array(list(dens) + [1], dtype=np.int64)
+    d = np.gcd.outer(a, a)
+    h, k = a[:, None] // d, a[None, :] // d
+    f = np.array(
+        [_vasyunin_f(int(min(p, q)), int(max(p, q)))[:2] for p, q in zip(h.ravel(), k.ravel())]
+    ).reshape(n + 1, n + 1, 2)
+    f_val, f_err = f[..., 0], f[..., 1]
+    af = a.astype(np.float64)
+    inv_ab = 1.0 / np.outer(af, af)
+    df = d.astype(np.float64)
+    big_i = f_val / df - inv_ab
+    big_i_err = f_err / df + 2.0 * _U * (np.abs(f_val) / df + inv_ab)
+    inv_n = 1.0 / af[:n]
+    cross = np.outer(big_i[:n, n], inv_n)
+    corner = big_i[n, n] * inv_ab[:n, :n]
+    gram = big_i[:n, :n] + corner - (cross + cross.T)
+    cross_err = np.outer(big_i_err[:n, n], inv_n) + 4.0 * _U * np.abs(cross)
+    err = (
+        big_i_err[:n, :n]
+        + big_i_err[n, n] * inv_ab[:n, :n]
+        + (cross_err + cross_err.T)
+        + 4.0 * _U * (np.abs(big_i[:n, :n]) + np.abs(corner))
+    )
+    return gram, err
+
+
+# Ladder denominators of the 6x6 window, three that are not on the
+# ladder, and N = 1, the origin.
+_DENOMINATORS = sorted({2**j * 3**k for j in range(7) for k in range(7)} | {5, 7, 97})
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.sampled_from(_DENOMINATORS), min_size=1, max_size=8))
+def test_k_table_assembly_against_vasyunin_oracle(dens):
+    gram, err, _ = _unit_inner_matrix(dens, DEFAULT_QUAD)
+    want, want_err = _vasyunin_assembly(dens)
+    assert np.all(np.abs(gram - want) <= err)
+    assert np.all(np.abs(gram - want) <= want_err)
+    assert np.array_equal(gram, gram.T)
+    assert np.array_equal(err, err.T)
+    for i, n in enumerate(dens):
+        if n == 1:
+            for m in (gram, err):
+                assert np.all(m[i, :] == 0.0)
+                assert np.all(m[:, i] == 0.0)
+        else:
+            assert err[i, i] > 0.0
+        j = dens.index(n)  # the first row with the same denominator
+        assert np.array_equal(gram[i], gram[j])
+        assert np.array_equal(err[i], err[j])
 
 
 def test_cot_sum_reduces_h_before_int64_products():

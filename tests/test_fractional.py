@@ -256,6 +256,24 @@ def test_pair_inner_matrix_huge_denominator_row_is_zero():
     assert np.all(mat[:, 1] == 0.0)
 
 
+@pytest.mark.parametrize(
+    "dens",
+    [[2.5, 3], [True, 3], [2, np.float64(3.0)], ["6", 2], [2, 0], [np.int64(-3), 2]],
+    ids=["float", "bool", "numpy-float", "str", "zero", "negative"],
+)
+def test_pair_inner_matrix_rejects_non_integer_denominators(dens):
+    # int() would take 2.5 as 2 and True as N = 1 without a word.
+    with pytest.raises(ParameterError):
+        pair_inner_matrix(dens, 1e-3)
+
+
+def test_pair_inner_matrix_accepts_numpy_integers():
+    got = pair_inner_matrix(np.array([2, 3, 6], dtype=np.int64), 1e-3)
+    want = pair_inner_matrix([2, 3, 6], 1e-3)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+
+
 def test_full_output_reports_tail_and_pieces():
     # Unit fractions: the budget is the closed form's roundoff estimate.
     res = inner_direct(0.5, 0.5, full_output=True)

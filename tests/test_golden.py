@@ -9,9 +9,15 @@ values by at most 1.4e-6 of their budgets, and smoothed budgets on the
 theta = 1 row became 0.  They were re-frozen again when the spectral
 grid moved to Gauss-Kronrod K15 panels sized by the width rule: values
 moved by at most 1.9e-10 (the 1x1 raw window at t_max_raw = 50), at most
-3.3e-6 of their budgets.  The values depend on float64 arithmetic only
-(no randomness), so a mismatch means a changed number or a changed
-format, not noise.
+3.3e-6 of their budgets.  The three raw direct cases (``gram_raw_3``,
+``decay_raw_3``, ``truncate_raw_3_direct_csv``) were re-frozen when the
+closed form moved to the four-term assembly of its K table, which it
+shares with the spectral route.  Dropping the -1/(ab) terms, which cancel
+exactly, moved Gram entries by at most 5.6e-17, 2.4 % of their budgets;
+the re-derived roundoff budgets grew by at most 33 %, and every derived
+number moved by at most 8.9e-16.  The values depend on float64
+arithmetic only (no randomness), so a mismatch means a changed number
+or a changed format, not noise.
 """
 
 import hashlib
@@ -71,16 +77,16 @@ GOLDEN = {
         ["gram", *RAW_3],
         "g.csv",
         {
-            "g.csv": "c608c07df11ea6f305cfc72aa6d69e531f97bf3df361bc1c4733f833dbf7d499",
-            "g.normalized.csv": "f18d0fef75ed27ff693c7f19f65ca55b3a9badd7e8f519d175ea0d28d4254a45",
+            "g.csv": "022f38361407b7a30486d45937814707b93bac5f1be6830c9d89ccfb83a0c759",
+            "g.normalized.csv": "864de13ccf7dab6cc54d803b662aa79bf70bb335e27ed909c2df989b05055d04",
         },
     ),
     "decay_raw_3": (
         ["decay", *RAW_3],
         "d.json",
         {
-            "d.json": "63a4e72972888d8c3119a1b2866bfd40b4ff2798a6e63b003f3ae4821baa8636",
-            "d.shells.csv": "ca2e39a9e9362d745eacbceac11f9cb3dadb52ef575893b910f07667bbe84c67",
+            "d.json": "cab7203091407b7674295d951ecab6319651b1fd39eb482df9db7242e5e77f97",
+            "d.shells.csv": "09437c4e6ab3b6c6102e2fc81f4b711e2070f1494b31648f8ba0a03f4b8309be",
         },
     ),
     "ladder_csv": (
@@ -127,7 +133,7 @@ GOLDEN = {
     "truncate_raw_3_direct_csv": (
         ["truncate", *RAW_3, "--method", "direct", "--bs", "1,2", "--format", "csv"],
         "t.csv",
-        {"t.csv": "d987e2b8603b6afd966464a2a76dd3054d41aea0076cd4b74ab7427e8a3ca113"},
+        {"t.csv": "fd1ffb26e9fb14d6d1df8d32afb21e91ceda737ec553714aadda508a6e98bec8"},
     ),
     "profile_two_thetas": (
         ["profile", "--theta", "1/3", "--theta", "0.25", "--points", "8"],
