@@ -10,8 +10,8 @@ real windows and is reported, never asserted.
 
 Truncation diagnostics quantify finite-section error: per-row tail sums
 T_B (the l1 mass at distance >= B), their maximum over rows (a rigorous
-Schur bound on the spectral norm of what truncation removes), and a
-deterministic power-iteration estimate of that norm for comparison.
+Schur bound on the spectral norm of what truncation removes), and that
+norm itself, the largest |eigenvalue| of the symmetric residual.
 
 Everything is computed with numpy from one distance matrix per call,
 |j_a - j_b| + |k_a - k_b| broadcast over the window's index arrays.  Row
@@ -28,7 +28,6 @@ exclude such pairs by default and every report records the flag.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import asdict, astuple, dataclass, fields
 
 import numpy as np
@@ -170,7 +169,8 @@ def _negated_slope(xs: list[float], ys: list[float]) -> float:
 
 
 def _check_b(b: int) -> int:
-    if int(b) != b or b < 1:
+    # bool passes int(b) == b, but True would be taken as B = 1.
+    if isinstance(b, (bool, np.bool_)) or int(b) != b or b < 1:
         raise ParameterError(f"truncation radius B must be a positive integer, got {b!r}")
     return int(b)
 
@@ -200,47 +200,18 @@ def schur_truncation_bound(g: GramMatrix, b: int) -> float:
     return float(_row_tails(np.abs(g.entries), _distance_matrix(g), b).max())
 
 
-def opnorm_residual(g: GramMatrix, b: int, iters: int = 200) -> float:
-    """Power-iteration estimate of ||G - G^(B)||, deterministic start.
+def opnorm_residual(g: GramMatrix, b: int) -> float:
+    """||G - G^(B)||, exactly: the symmetric residual's largest |eigenvalue|.
 
-    The start vector is the normalized all-ones vector; if that lands in
-    the residual's kernel the first standard basis vector is used
-    instead.  A RuntimeWarning reports failure to converge to 1e-8
-    relative within ``iters`` steps.  The estimate never exceeds the
-    true norm, so comparing it against :func:`schur_truncation_bound`
-    checks the bound from below.
+    It never exceeds :func:`schur_truncation_bound`.  Reports carry it as
+    ``empirical_opnorm``, a name kept for schema stability.
     """
     b = _check_b(b)
-    return _power_norm(np.where(_distance_matrix(g) >= b, g.entries, 0.0), iters)
+    return _sym_norm(np.where(_distance_matrix(g) >= b, g.entries, 0.0))
 
 
-def _power_norm(resid: np.ndarray, iters: int) -> float:
-    if iters < 1:
-        raise ParameterError(f"iters must be positive, got {iters!r}")
-    if not np.any(resid):
-        return 0.0
-    n = resid.shape[0]
-    v = np.ones(n) / math.sqrt(n)
-    w = resid @ v
-    if float(np.linalg.norm(w)) < 1e-300:
-        v = np.zeros(n)
-        v[0] = 1.0
-        w = resid @ v
-    est_prev = 0.0
-    est = float(np.linalg.norm(w))
-    for _ in range(iters):
-        if est < 1e-300:
-            return 0.0
-        v = w / est
-        w = resid @ v
-        est_prev, est = est, float(np.linalg.norm(w))
-        if abs(est - est_prev) <= 1e-8 * max(est, 1e-300):
-            return est
-    warnings.warn(
-        f"power iteration did not reach 1e-8 relative agreement in {iters} steps",
-        RuntimeWarning,
-    )
-    return est
+def _sym_norm(resid: np.ndarray) -> float:
+    return float(np.abs(np.linalg.eigvalsh(resid)).max())
 
 
 @dataclass(frozen=True)
@@ -319,7 +290,10 @@ def decay_report(
 
 @dataclass(frozen=True)
 class TruncationReport:
-    """Finite-section diagnosis at one truncation radius."""
+    """Finite-section diagnosis at one truncation radius.
+
+    ``empirical_opnorm`` is the exact residual norm, named so for schema stability.
+    """
 
     B: int
     schur_bound: float
@@ -340,9 +314,7 @@ class TruncationSuite:
     fit_exponent_tail: float | None
 
 
-def truncation_suite(
-    g: GramMatrix, bs: tuple[int, ...] = (1, 2, 3, 4), iters: int = 200
-) -> TruncationSuite:
+def truncation_suite(g: GramMatrix, bs: tuple[int, ...] = (1, 2, 3, 4)) -> TruncationSuite:
     bs = tuple(_check_b(b) for b in bs)
     d = _distance_matrix(g)
     a = np.abs(g.entries)
@@ -353,7 +325,7 @@ def truncation_suite(
             TruncationReport(
                 B=b,
                 schur_bound=float(tails.max()),
-                empirical_opnorm=_power_norm(np.where(d >= b, g.entries, 0.0), iters),
+                empirical_opnorm=_sym_norm(np.where(d >= b, g.entries, 0.0)),
                 tail_sums=tuple(zip((p.index for p in g.points), tails.tolist())),
             )
         )

@@ -170,6 +170,9 @@ class InnerProductResult:
 
 
 def _check_theta(theta: float, name: str = "theta") -> float:
+    # float(True) == 1.0 would pass as theta = 1.
+    if isinstance(theta, (bool, np.bool_)):
+        raise ParameterError(f"{name} must be a number, got {theta!r}")
     theta = float(theta)
     if not (0.0 < theta <= 1.0) or not math.isfinite(theta):
         raise ParameterError(f"{name} must lie in (0, 1], got {theta!r}")

@@ -166,6 +166,22 @@ def test_tail_sum_validates_radius(gram_3x3_raw_direct):
         tail_sum(gram_3x3_raw_direct, (0, 0), 0)
 
 
+RADIUS_TAKERS = {
+    "tail_sum": lambda g, b: tail_sum(g, (1, 1), b),
+    "schur_truncation_bound": schur_truncation_bound,
+    "opnorm_residual": opnorm_residual,
+    "truncation_suite": lambda g, b: truncation_suite(g, (b,)),
+}
+
+
+@pytest.mark.parametrize("flag", [True, np.True_], ids=["bool", "numpy_bool"])
+@pytest.mark.parametrize("call", RADIUS_TAKERS.values(), ids=RADIUS_TAKERS.keys())
+def test_radius_rejects_bools(gram_3x3_raw_direct, call, flag):
+    # True == 1, which the integer check would accept as B = 1
+    with pytest.raises(ParameterError):
+        call(gram_3x3_raw_direct, flag)
+
+
 def test_opnorm_zero_residual():
     g = _synthetic_gram(IndexWindow(1, 1), lambda a, b: 1.0 if a == b else 0.0)
     assert opnorm_residual(g, 1) == 0.0
@@ -183,7 +199,7 @@ def test_opnorm_planted_spectrum():
         return 0.0
 
     g = _synthetic_gram(w, fill)
-    assert opnorm_residual(g, 2) == pytest.approx(3.0, rel=1e-6)
+    assert opnorm_residual(g, 2) == pytest.approx(3.0, rel=1e-12)
     assert schur_truncation_bound(g, 2) == pytest.approx(3.0, rel=1e-15)
     assert opnorm_residual(g, 3) == 0.0
 

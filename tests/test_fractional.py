@@ -38,6 +38,8 @@ from bnladder import (
     eval_f,
     inner_direct,
     l2_norm,
+    mellin_closed,
+    mellin_direct,
     pair_inner_matrix,
 )
 from bnladder.fractional import _sweep_gram, _unit_inner_matrix
@@ -80,6 +82,25 @@ def test_eval_f_identically_zero_at_one():
 def test_eval_f_rejects_bad_theta(theta):
     with pytest.raises(ParameterError):
         eval_f(theta, np.array([0.5]))
+
+
+THETA_TAKERS = {
+    "eval_f": lambda th: eval_f(th, 0.3),
+    "breakpoints": lambda th: breakpoints(th, 0.3),
+    "inner_direct_a": lambda th: inner_direct(th, 0.5),
+    "inner_direct_b": lambda th: inner_direct(0.5, th),
+    "l2_norm": l2_norm,
+    "mellin_closed": lambda th: mellin_closed(th, 1.0),
+    "mellin_direct": lambda th: mellin_direct(th, 1.0),
+}
+
+
+@pytest.mark.parametrize("flag", [True, np.True_], ids=["bool", "numpy_bool"])
+@pytest.mark.parametrize("call", THETA_TAKERS.values(), ids=THETA_TAKERS.keys())
+def test_theta_rejects_bools(call, flag):
+    # float(True) == 1.0, which every theta check would accept as theta = 1
+    with pytest.raises(ParameterError):
+        call(flag)
 
 
 def test_eval_f_rejects_bad_x():
