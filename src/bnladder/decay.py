@@ -32,7 +32,7 @@ from dataclasses import asdict, astuple, dataclass, fields
 
 import numpy as np
 
-from .errors import DegenerateFitError, ParameterError
+from .errors import DegenerateFitError, ParameterError, _integer, _real
 from .gram import GramMatrix
 from .io import csv_text, json_text
 from .ladder import LOG2, LadderIndex
@@ -143,11 +143,7 @@ def fit_exponent(
     ``fit_range`` and positive mean, returning m.  Requires at least
     three usable shells and a non-degenerate abscissa.
     """
-    lo, hi = fit_range
-    if lo > hi:
-        raise ParameterError(f"empty fit range [{lo}, {hi}]")
-    if not (c > 0.0 and math.isfinite(c)):
-        raise ParameterError(f"decay scale c must be positive, got {c!r}")
+    (lo, hi), c = _fit_args(fit_range, c)
     xs, ys = [], []
     for s in shells:
         if lo <= s.r <= hi and s.mean_abs > 0.0:
@@ -162,17 +158,20 @@ def fit_exponent(
     return _negated_slope(xs, ys)
 
 
+def _fit_args(fit_range: tuple[int, int], c: float) -> tuple[tuple[int, int], float]:
+    lo, hi = (_integer(r, "fit range bound") for r in fit_range)
+    if lo > hi:
+        raise ParameterError(f"empty fit range [{lo}, {hi}]")
+    c = _real(c, "decay scale c")
+    if not (c > 0.0 and math.isfinite(c)):
+        raise ParameterError(f"decay scale c must be positive, got {c!r}")
+    return (lo, hi), c
+
+
 def _negated_slope(xs: list[float], ys: list[float]) -> float:
     """-m of the least-squares line y = a + m x."""
     design = np.vstack([xs, np.ones(len(xs))]).T
     return float(-np.linalg.lstsq(design, np.array(ys), rcond=None)[0][0])
-
-
-def _check_b(b: int) -> int:
-    # bool passes int(b) == b, but True would be taken as B = 1.
-    if isinstance(b, (bool, np.bool_)) or int(b) != b or b < 1:
-        raise ParameterError(f"truncation radius B must be a positive integer, got {b!r}")
-    return int(b)
 
 
 def _row_tails(a: np.ndarray, d: np.ndarray, b: int) -> np.ndarray:
@@ -183,7 +182,7 @@ def _row_tails(a: np.ndarray, d: np.ndarray, b: int) -> np.ndarray:
 
 def tail_sum(g: GramMatrix, center: LadderIndex | tuple[int, int], b: int) -> float:
     """l1 mass of one row at ladder distance >= B (within the window)."""
-    b = _check_b(b)
+    b = _integer(b, "truncation radius B", minimum=1)
     i = g.index_of(center)
     row = slice(i, i + 1)
     return float(_row_tails(np.abs(g.entries[row]), _distance_matrix(g, row), b)[0])
@@ -196,7 +195,7 @@ def schur_truncation_bound(g: GramMatrix, b: int) -> float:
     so its spectral norm is at most the maximal absolute row sum, which
     is exactly the worst tail_sum.
     """
-    b = _check_b(b)
+    b = _integer(b, "truncation radius B", minimum=1)
     return float(_row_tails(np.abs(g.entries), _distance_matrix(g), b).max())
 
 
@@ -206,7 +205,7 @@ def opnorm_residual(g: GramMatrix, b: int) -> float:
     It never exceeds :func:`schur_truncation_bound`.  Reports carry it as
     ``empirical_opnorm``, a name kept for schema stability.
     """
-    b = _check_b(b)
+    b = _integer(b, "truncation radius B", minimum=1)
     return _sym_norm(np.where(_distance_matrix(g) >= b, g.entries, 0.0))
 
 
@@ -271,6 +270,7 @@ def decay_report(
     if fit_range is None:
         diam = g.window.j_max + g.window.k_max
         fit_range = (1, max(1, diam // 2))
+    fit_range, c = _fit_args(fit_range, c)
     d = _distance_matrix(g)
     a = np.abs(g.entries)
     shells = _shells(a, d, _pair_mask(g, exclude_zero_row))
@@ -315,7 +315,7 @@ class TruncationSuite:
 
 
 def truncation_suite(g: GramMatrix, bs: tuple[int, ...] = (1, 2, 3, 4)) -> TruncationSuite:
-    bs = tuple(_check_b(b) for b in bs)
+    bs = tuple(_integer(b, "truncation radius B", minimum=1) for b in bs)
     d = _distance_matrix(g)
     a = np.abs(g.entries)
     reports = []

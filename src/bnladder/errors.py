@@ -2,7 +2,10 @@
 
 Everything raised on purpose derives from :class:`BNLadderError` so callers
 (and the command line driver) can tell our failures apart from genuine bugs.
+Only :func:`_integer` and :func:`_real` decide what an integer or a real is.
 """
+
+import numbers
 
 __all__ = [
     "BNLadderError",
@@ -21,8 +24,27 @@ class ParameterError(BNLadderError):
     """Raised when an argument is outside its documented domain.
 
     Examples: a profile parameter outside (0, 1], a negative smoothing
-    width, a ladder index that does not fit in its window.
+    width, a ladder index that does not fit in its window, a bool, float
+    or string where an integer is expected, a bool or string where a real
+    number is expected.
     """
+
+
+def _integer(value, name: str, minimum: int = 0) -> int:
+    """``value`` as a plain int >= ``minimum``; Python and numpy integers
+    pass, bools, floats, strings and None raise :class:`ParameterError`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise ParameterError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
+
+
+def _real(value, name: str) -> float:
+    """``value`` as a plain float; Python and numpy reals pass, bools and
+    non-numbers raise :class:`ParameterError`.  Range checks stay with the
+    caller."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ParameterError(f"{name} must be a real number, got {value!r}")
+    return float(value)
 
 
 class ConvergenceError(BNLadderError):

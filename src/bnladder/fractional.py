@@ -56,13 +56,12 @@ and spot checks should stay on moderate grids.
 from __future__ import annotations
 
 import math
-import numbers
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import ConvergenceError, ParameterError
+from .errors import ConvergenceError, ParameterError, _integer, _real
 
 __all__ = [
     "QuadratureConfig",
@@ -93,12 +92,11 @@ _U = 0.5 * float(np.finfo(np.float64).eps)  # unit roundoff
 _SUM_GROWTH = 16.0 + math.log2(_COT_CHUNK)  # numpy pairwise-sum error factor
 
 
-def _reject_bools(config) -> None:
-    """Refuse bools, which the range checks would take as 0 or 1."""
-    for field in fields(config):
-        value = getattr(config, field.name)
-        if isinstance(value, bool):
-            raise ParameterError(f"{field.name} must be a number, got {value!r}")
+def _check_x_min(x_min: float) -> float:
+    x_min = _real(x_min, "x_min")
+    if not (0.0 < x_min < 1.0):
+        raise ParameterError(f"x_min must lie in (0, 1), got {x_min!r}")
+    return x_min
 
 
 @dataclass(frozen=True)
@@ -131,22 +129,20 @@ class QuadratureConfig:
     gaussian_tail_tol: float = 1.0e-10
 
     def __post_init__(self) -> None:
-        _reject_bools(self)
-        if not (self.abs_tol > 0.0 and math.isfinite(self.abs_tol)):
-            raise ParameterError(f"abs_tol must be positive, got {self.abs_tol!r}")
-        if not (self.rel_tol > 0.0 and math.isfinite(self.rel_tol)):
-            raise ParameterError(f"rel_tol must be positive, got {self.rel_tol!r}")
-        if self.x_min is not None and not (0.0 < self.x_min < 1.0):
-            raise ParameterError(f"x_min must lie in (0, 1), got {self.x_min!r}")
-        cap = self.max_subdivisions
-        if not isinstance(cap, numbers.Integral) or cap < 1:
-            raise ParameterError(f"max_subdivisions must be an integer >= 1, got {cap!r}")
-        if not (self.t_max_raw > 0.0 and math.isfinite(self.t_max_raw)):
-            raise ParameterError(f"t_max_raw must be positive, got {self.t_max_raw!r}")
-        if not (0.0 < self.gaussian_tail_tol < 1.0):
-            raise ParameterError(
-                f"gaussian_tail_tol must lie in (0, 1), got {self.gaussian_tail_tol!r}"
-            )
+        # plain values, so every config that passes here also serializes
+        for name in ("abs_tol", "rel_tol", "t_max_raw"):
+            value = _real(getattr(self, name), name)
+            if not (value > 0.0 and math.isfinite(value)):
+                raise ParameterError(f"{name} must be positive, got {value!r}")
+            object.__setattr__(self, name, value)
+        tail = _real(self.gaussian_tail_tol, "gaussian_tail_tol")
+        if not (0.0 < tail < 1.0):
+            raise ParameterError(f"gaussian_tail_tol must lie in (0, 1), got {tail!r}")
+        object.__setattr__(self, "gaussian_tail_tol", tail)
+        if self.x_min is not None:
+            object.__setattr__(self, "x_min", _check_x_min(self.x_min))
+        cap = _integer(self.max_subdivisions, "max_subdivisions", minimum=1)
+        object.__setattr__(self, "max_subdivisions", cap)
 
     def resolved_x_min(self) -> float:
         return self.x_min if self.x_min is not None else self.abs_tol / 8.0
@@ -170,11 +166,8 @@ class InnerProductResult:
 
 
 def _check_theta(theta: float, name: str = "theta") -> float:
-    # float(True) == 1.0 would pass as theta = 1.
-    if isinstance(theta, (bool, np.bool_)):
-        raise ParameterError(f"{name} must be a number, got {theta!r}")
-    theta = float(theta)
-    if not (0.0 < theta <= 1.0) or not math.isfinite(theta):
+    theta = _real(theta, name)
+    if not (0.0 < theta <= 1.0):
         raise ParameterError(f"{name} must lie in (0, 1], got {theta!r}")
     return theta
 
@@ -190,20 +183,20 @@ def eval_f(theta: float, x):
     return float(out) if np.isscalar(x) or arr.ndim == 0 else out
 
 
-def breakpoints(theta: float, x_min: float, max_count: int | None = None) -> np.ndarray:
+def breakpoints(theta: float, x_min: float) -> np.ndarray:
     """Jump locations of f_theta in (x_min, 1], sorted ascending.
 
     These are the points 1/n and theta/m that exceed x_min.  Coincident
-    values (theta rational) are reported once.
+    values (theta rational) are reported once.  More than
+    ``DEFAULT_QUAD.max_subdivisions`` of them raise :class:`ConvergenceError`.
 
     >>> breakpoints(0.5, 0.2)
     array([0.25      , 0.33333333, 0.5       , 1.        ])
     """
     theta = _check_theta(theta)
-    if not (0.0 < x_min < 1.0):
-        raise ParameterError(f"x_min must lie in (0, 1), got {x_min!r}")
+    x_min = _check_x_min(x_min)
     est = (1.0 + theta) / x_min
-    cap = max_count if max_count is not None else DEFAULT_QUAD.max_subdivisions
+    cap = DEFAULT_QUAD.max_subdivisions
     if est > cap:
         raise ConvergenceError(
             f"breakpoint count ~{est:.3g} exceeds the cap {cap:g}; raise x_min"
@@ -223,15 +216,6 @@ def _unit_denominator(theta: float) -> int | None:
     if n >= 1 and abs(theta * n - 1.0) <= 8.0 * np.finfo(float).eps * n:
         return n
     return None
-
-
-def _check_denominators(denominators: Sequence[int]) -> list[int]:
-    dens = list(denominators)
-    for n in dens:
-        # bool is an Integral, but True would be taken as N = 1.
-        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
-            raise ParameterError(f"denominators must be positive integers, got {n!r}")
-    return [int(n) for n in dens]
 
 
 def _cot_sum(h: int, k: int) -> tuple[float, float, int]:
@@ -314,7 +298,7 @@ def _unit_inner_matrix(
     the cutoff pass of :func:`pair_inner_matrix` at ``quad``'s cutoff;
     ``err`` is then its tail bound and ``pieces`` its piece count.
     """
-    dens = _check_denominators(denominators)
+    dens = [_integer(n, "denominator", minimum=1) for n in denominators]
     if max(dens, default=1) > _CLOSED_FORM_CAP:
         x_min = quad.resolved_x_min()
         gram, tail = pair_inner_matrix(dens, x_min, quad.max_subdivisions)
@@ -360,15 +344,16 @@ def pair_inner_matrix(
     Denominators above 2^62 produce exact-zero rows (their profiles are
     numerically indistinguishable from zero at any supported cutoff).
     """
-    if not (0.0 < x_min < 1.0):
-        raise ParameterError(f"x_min must lie in (0, 1), got {x_min!r}")
-    cap = max_pieces if max_pieces is not None else DEFAULT_QUAD.max_subdivisions
+    x_min = _check_x_min(x_min)
+    cap = DEFAULT_QUAD.max_subdivisions
+    if max_pieces is not None:
+        cap = _integer(max_pieces, "max_pieces", minimum=1)
     big_u = int(math.floor(1.0 / x_min))
     if big_u > cap:
         raise ConvergenceError(
             f"lattice pass needs {big_u} pieces, above the cap {cap}; raise x_min"
         )
-    dens = _check_denominators(denominators)
+    dens = [_integer(n, "denominator", minimum=1) for n in denominators]
     theta = np.array([1.0 / n if n <= _HUGE_DENOM else 0.0 for n in dens])
     gram, _ = _sweep_gram(theta, x_min)
     tail = x_min * np.outer(1.0 + theta, 1.0 + theta)

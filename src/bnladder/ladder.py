@@ -15,11 +15,10 @@ every Gram matrix built downstream.  Distances on the ladder are L1
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
-from .errors import ParameterError
+from .errors import ParameterError, _integer
 
 __all__ = [
     "LOG2",
@@ -64,12 +63,11 @@ class LadderPoint:
 
 
 def _check_index(ix: LadderIndex | tuple[int, int]) -> LadderIndex:
-    j, k = ix
-    if not (isinstance(j, int) and isinstance(k, int)):
-        raise ParameterError(f"ladder index must be a pair of ints, got {ix!r}")
-    if j < 0 or k < 0:
-        raise ParameterError(f"ladder index must be nonnegative, got {ix!r}")
-    return LadderIndex(j, k)
+    try:
+        j, k = ix
+    except (TypeError, ValueError):
+        raise ParameterError(f"ladder index must be a pair (j, k), got {ix!r}") from None
+    return LadderIndex(_integer(j, "ladder index j"), _integer(k, "ladder index k"))
 
 
 def theta_of(ix: LadderIndex | tuple[int, int]) -> LadderPoint:
@@ -95,17 +93,9 @@ class IndexWindow:
     k_max: int
 
     def __post_init__(self) -> None:
-        # numbers.Integral admits numpy integers, stored as plain ints so
-        # they serialize like Python ones; bool is an int subclass.
+        # plain ints, so numpy bounds serialize like Python ones
         for name in ("j_max", "k_max"):
-            bound = getattr(self, name)
-            if not isinstance(bound, numbers.Integral) or isinstance(bound, bool):
-                raise ParameterError(f"window bounds must be integers, got {bound!r}")
-            object.__setattr__(self, name, int(bound))
-        if self.j_max < 0 or self.k_max < 0:
-            raise ParameterError(
-                f"window bounds must be nonnegative, got ({self.j_max}, {self.k_max})"
-            )
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
 
     @property
     def size(self) -> int:
@@ -113,10 +103,10 @@ class IndexWindow:
 
     def __contains__(self, ix: object) -> bool:
         try:
-            j, k = ix  # type: ignore[misc]
-        except (TypeError, ValueError):
+            ix = _check_index(ix)  # type: ignore[arg-type]
+        except ParameterError:
             return False
-        return 0 <= j <= self.j_max and 0 <= k <= self.k_max
+        return ix.j <= self.j_max and ix.k <= self.k_max
 
     def __iter__(self) -> Iterator[LadderIndex]:
         # Row-major: j outer, k inner.  Gram layouts depend on this.
@@ -169,8 +159,7 @@ def shell(
     the singleton [center].
     """
     center = _check_index(center)
-    if r < 0:
-        raise ParameterError(f"shell radius must be nonnegative, got {r}")
+    r = _integer(r, "shell radius")
     out = set()
     for dj in range(-r, r + 1):
         dk = r - abs(dj)

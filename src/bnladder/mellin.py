@@ -31,8 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, ParameterError
-from .fractional import DEFAULT_QUAD, QuadratureConfig, _check_theta, _reject_bools, _sweep
+from .errors import ConvergenceError, ParameterError, _real
+from .fractional import DEFAULT_QUAD, QuadratureConfig, _check_theta, _sweep
 from .zeta import zeta_half, zeta_half_grid
 
 __all__ = [
@@ -57,7 +57,8 @@ class SmoothingParams:
     epsilon: float = 0.0
 
     def __post_init__(self) -> None:
-        _reject_bools(self)
+        for name in ("W", "epsilon"):
+            object.__setattr__(self, name, _real(getattr(self, name), name))
         if not (self.W > 0.0 and math.isfinite(self.W)):
             raise ParameterError(f"smoothing width W must be positive, got {self.W!r}")
         if not (self.epsilon >= 0.0 and math.isfinite(self.epsilon)):
@@ -76,10 +77,11 @@ def psi(t, smoothing: SmoothingParams):
 def mellin_closed(theta: float, t: float) -> complex:
     """Closed-form M_theta(1/2 + it) = zeta(s) (theta - theta^s) / s."""
     theta = _check_theta(theta)
+    t = _real(t, "t")
     lt = math.log(theta)
-    s = 0.5 + 1j * float(t)
+    s = 0.5 + 1j * t
     # theta^s = sqrt(theta) e^{i t log theta}
-    theta_s = math.exp(0.5 * lt) * np.exp(1j * float(t) * lt)
+    theta_s = math.exp(0.5 * lt) * np.exp(1j * t * lt)
     return complex(zeta_half(t) * (theta - theta_s) / s)
 
 
@@ -113,7 +115,7 @@ def mellin_direct(theta: float, t: float, quad: QuadratureConfig | None = None) 
     """
     theta = _check_theta(theta)
     quad = quad if quad is not None else DEFAULT_QUAD
-    s = 0.5 + 1j * float(t)
+    s = 0.5 + 1j * _real(t, "t")
     if theta == 1.0:
         return 0.0 + 0.0j
     x_min = _mellin_cutoff(theta, quad)

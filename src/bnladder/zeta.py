@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ZetaRangeError
+from .errors import ZetaRangeError, _real
 from .oracle import ZETA_ORACLE
 
 __all__ = [
@@ -109,7 +109,7 @@ def zeta_half(t: float) -> complex:
     Negative t is handled by the reflection zeta(conj s) = conj zeta(s).
     Raises :class:`ZetaRangeError` when |t| exceeds ``T_CAP``.
     """
-    t = float(t)
+    t = _real(t, "t")
     if not math.isfinite(t):
         raise ZetaRangeError(f"ordinate must be finite, got {t!r}")
     if abs(t) > T_CAP:

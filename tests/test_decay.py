@@ -18,6 +18,7 @@ from bnladder import (
     fit_exponent,
     opnorm_residual,
     schur_truncation_bound,
+    shell,
     shell_stats,
     shells_to_csv,
     tail_sum,
@@ -86,6 +87,33 @@ def test_fit_validates_range_and_scale():
         fit_exponent(_planted_shells(1), (5, 2))
     with pytest.raises(ParameterError):
         fit_exponent(_planted_shells(1), (1, 10), c=0.0)
+
+
+@pytest.mark.parametrize(
+    "fit_range,c",
+    [
+        ((1.5, 10), LOG2),
+        ((True, 10), LOG2),
+        ((1, None), LOG2),
+        (("1", 10), LOG2),
+        ((1, 10), True),
+        ((1, 10), "1"),
+        ((1, 10), None),
+    ],
+    ids=["float-range", "bool-range", "none-range", "str-range", "bool-c", "str-c", "none-c"],
+)
+def test_fit_rejects_non_integer_range_and_non_real_scale(gram_3x3_raw_direct, fit_range, c):
+    with pytest.raises(ParameterError):
+        fit_exponent(_planted_shells(1), fit_range, c)
+    with pytest.raises(ParameterError):
+        decay_report(gram_3x3_raw_direct, fit_range=fit_range, c=c)
+
+
+def test_decay_report_stores_plain_fit_values(gram_3x3_raw_direct):
+    g = gram_3x3_raw_direct
+    rep = decay_report(g, fit_range=(np.int64(1), 4), c=np.float64(LOG2))
+    assert [type(v) for v in (*rep.fit_range, rep.c)] == [int, int, float]
+    assert decay_report_to_json(rep) == decay_report_to_json(decay_report(g, fit_range=(1, 4)))
 
 
 def test_shell_stats_diagonal_shell(gram_3x3_raw_direct):
@@ -171,13 +199,16 @@ RADIUS_TAKERS = {
     "schur_truncation_bound": schur_truncation_bound,
     "opnorm_residual": opnorm_residual,
     "truncation_suite": lambda g, b: truncation_suite(g, (b,)),
+    "shell": lambda g, r: shell((1, 1), r),
 }
 
 
-@pytest.mark.parametrize("flag", [True, np.True_], ids=["bool", "numpy_bool"])
+@pytest.mark.parametrize(
+    "flag", [True, np.True_, 1.5, None], ids=["bool", "numpy_bool", "float", "none"]
+)
 @pytest.mark.parametrize("call", RADIUS_TAKERS.values(), ids=RADIUS_TAKERS.keys())
 def test_radius_rejects_bools(gram_3x3_raw_direct, call, flag):
-    # True == 1, which the integer check would accept as B = 1
+    # True == 1, which a range check alone would accept as radius 1
     with pytest.raises(ParameterError):
         call(gram_3x3_raw_direct, flag)
 

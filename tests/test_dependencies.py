@@ -1,5 +1,7 @@
 """bnladder is a numpy-only library: every module imports from the standard
-library, from numpy, or from bnladder itself (by relative import)."""
+library, from numpy, or from bnladder itself (by relative import).  What
+counts as a bool, an integer or a real argument is decided in errors.py only.
+"""
 
 import ast
 import pathlib
@@ -27,3 +29,34 @@ def test_library_imports_only_stdlib_and_numpy():
         if root not in allowed
     }
     assert foreign == set()
+
+
+def _type_rule_sites(tree: ast.AST):
+    """Imports of ``numbers``, ``isinstance(..., bool)`` and ``np.bool_``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) and any(a.name == "numbers" for a in node.names):
+            yield "import numbers"
+        elif isinstance(node, ast.ImportFrom) and node.module == "numbers":
+            yield "from numbers import"
+        elif isinstance(node, ast.Attribute) and node.attr == "bool_":
+            yield "bool_"
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id in ("isinstance", "issubclass")
+            and len(node.args) == 2
+            and any(isinstance(n, ast.Name) and n.id == "bool" for n in ast.walk(node.args[1]))
+        ):
+            yield f"{node.func.id}(..., bool)"
+
+
+def test_only_errors_decides_argument_types():
+    sites = {
+        (f.name, site)
+        for f in sorted(SRC.glob("*.py"))
+        if f.name != "errors.py"
+        for site in _type_rule_sites(ast.parse(f.read_text(), filename=str(f)))
+    }
+    assert sites == set()
+    errors = ast.parse((SRC / "errors.py").read_text())
+    assert set(_type_rule_sites(errors)) == {"import numbers", "isinstance(..., bool)"}

@@ -38,9 +38,11 @@ from bnladder import (
     eval_f,
     inner_direct,
     l2_norm,
+    SmoothingParams,
     mellin_closed,
     mellin_direct,
     pair_inner_matrix,
+    zeta_half,
 )
 from bnladder.fractional import _sweep_gram, _unit_inner_matrix
 
@@ -84,7 +86,7 @@ def test_eval_f_rejects_bad_theta(theta):
         eval_f(theta, np.array([0.5]))
 
 
-THETA_TAKERS = {
+REAL_TAKERS = {
     "eval_f": lambda th: eval_f(th, 0.3),
     "breakpoints": lambda th: breakpoints(th, 0.3),
     "inner_direct_a": lambda th: inner_direct(th, 0.5),
@@ -92,13 +94,23 @@ THETA_TAKERS = {
     "l2_norm": l2_norm,
     "mellin_closed": lambda th: mellin_closed(th, 1.0),
     "mellin_direct": lambda th: mellin_direct(th, 1.0),
+    "mellin_closed_t": lambda t: mellin_closed(0.5, t),
+    "mellin_direct_t": lambda t: mellin_direct(0.5, t),
+    "zeta_half": zeta_half,
+    "SmoothingParams_W": lambda w: SmoothingParams(W=w),
+    "SmoothingParams_epsilon": lambda eps: SmoothingParams(W=5.0, epsilon=eps),
+    "QuadratureConfig_abs_tol": lambda tol: QuadratureConfig(abs_tol=tol),
+    "breakpoints_x_min": lambda x: breakpoints(0.5, x),
 }
 
 
-@pytest.mark.parametrize("flag", [True, np.True_], ids=["bool", "numpy_bool"])
-@pytest.mark.parametrize("call", THETA_TAKERS.values(), ids=THETA_TAKERS.keys())
+@pytest.mark.parametrize(
+    "flag", [True, np.True_, "1", None], ids=["bool", "numpy_bool", "str", "none"]
+)
+@pytest.mark.parametrize("call", REAL_TAKERS.values(), ids=REAL_TAKERS.keys())
 def test_theta_rejects_bools(call, flag):
-    # float(True) == 1.0, which every theta check would accept as theta = 1
+    # float(True) == 1.0 and float("1") == 1.0, which every range check
+    # would accept as 1; only Python and numpy reals are real arguments.
     with pytest.raises(ParameterError):
         call(flag)
 
@@ -279,8 +291,17 @@ def test_pair_inner_matrix_huge_denominator_row_is_zero():
 
 @pytest.mark.parametrize(
     "dens",
-    [[2.5, 3], [True, 3], [2, np.float64(3.0)], ["6", 2], [2, 0], [np.int64(-3), 2]],
-    ids=["float", "bool", "numpy-float", "str", "zero", "negative"],
+    [
+        [2.5, 3],
+        [True, 3],
+        [2, np.float64(3.0)],
+        ["6", 2],
+        [2, 0],
+        [np.int64(-3), 2],
+        [np.True_, 3],
+        [2, None],
+    ],
+    ids=["float", "bool", "numpy-float", "str", "zero", "negative", "numpy-bool", "none"],
 )
 def test_pair_inner_matrix_rejects_non_integer_denominators(dens):
     # int() would take 2.5 as 2 and True as N = 1 without a word.

@@ -183,6 +183,22 @@ def test_gram_json_numpy_window_bounds():
     assert gram_to_json(build_gram(window)) == gram_to_json(build_gram(IndexWindow(1, 1)))
 
 
+def test_gram_json_numpy_config_values():
+    # Configs store plain values, so numpy scalars serialize like Python ones.
+    quad = QuadratureConfig(max_subdivisions=np.int64(10**8), abs_tol=np.float64(1e-6))
+    smoothing = SmoothingParams(W=np.float32(5), epsilon=np.float64(1e-6))
+    assert type(quad.max_subdivisions) is int and type(smoothing.W) is float
+    window = IndexWindow(1, 1)
+    plain = build_gram(window, "smoothed", smoothing=SmoothingParams(W=5.0, epsilon=1e-6))
+    numpy = build_gram(window, "smoothed", smoothing=smoothing, quad=quad)
+    assert gram_to_json(numpy) == gram_to_json(plain)
+
+
+def test_entry_accepts_numpy_indices(gram_3x3_raw_direct):
+    g = gram_3x3_raw_direct
+    assert g.entry((1, np.int64(1)), (np.int32(0), 1)) == g.entry((1, 1), (0, 1))
+
+
 @pytest.mark.parametrize("text", ["[]", '"bnladder.gram/1"', '{"schema": ', ""])
 def test_gram_json_rejects_non_document(text):
     with pytest.raises(ParameterError):
@@ -230,7 +246,7 @@ CAPPED = QuadratureConfig(max_subdivisions=1000)
 @pytest.mark.parametrize(
     "call,message",
     [
-        (lambda: breakpoints(0.5, 1e-3, max_count=1000), "breakpoint count"),
+        (lambda: breakpoints(0.5, 1e-9), "breakpoint count"),
         (lambda: pair_inner_matrix([2, 3], 1e-4, max_pieces=1000), "lattice pass needs"),
         (lambda: inner_direct(0.5, 0.3, CAPPED), "sweep needs"),
         (lambda: mellin_direct(0.5, 1.0, CAPPED), "transform needs"),

@@ -41,10 +41,27 @@ def test_theta_of_deep_index_underflows_cleanly():
     assert p.log_theta == pytest.approx(-2000 * LOG2, rel=1e-15)
 
 
-@pytest.mark.parametrize("bad", [(-1, 0), (0, -3), (0.5, 1), ("a", 0)])
+@pytest.mark.parametrize(
+    "bad",
+    [(-1, 0), (0, -3), (0.5, 1), ("a", 0), (True, False), (np.True_, 0), (0, None), 5, (1,)],
+)
 def test_theta_of_rejects_bad_indices(bad):
     with pytest.raises(ParameterError):
         theta_of(bad)
+
+
+def test_ladder_functions_accept_numpy_indices():
+    p = theta_of((np.int64(1), np.int32(0)))
+    assert p == theta_of((1, 0)) and type(p.index.j) is int
+    assert distance((np.int64(2), 0), (0, np.uint8(1))) == 3
+    assert IndexWindow(2, 2).position((np.int64(1), np.int64(2))) == 5
+
+
+def test_shell_accepts_numpy_radius():
+    got = shell((1, 1), np.int64(1))
+    assert got == shell((1, 1), 1)
+    assert theta_of(got[0]).index == (0, 1)
+    assert all(type(v) is int for ix in got for v in ix)
 
 
 @pytest.mark.parametrize(
@@ -93,12 +110,17 @@ def test_window_rejects_negative_bounds():
         IndexWindow(-1, 0)
 
 
-@pytest.mark.parametrize("bound", [1.5, 1.0, "2", True, None])
+@pytest.mark.parametrize("bound", [1.5, 1.0, "2", True, None, np.True_, np.float64(2.0)])
 def test_window_rejects_non_integer_bounds(bound):
-    with pytest.raises(ParameterError, match="must be integers"):
+    with pytest.raises(ParameterError, match="j_max must be an integer"):
         IndexWindow(bound, 1)
-    with pytest.raises(ParameterError, match="must be integers"):
+    with pytest.raises(ParameterError, match="k_max must be an integer"):
         IndexWindow(1, bound)
+
+
+@pytest.mark.parametrize("ix", [(0.5, 1), ("a", 1), (True, 0), (-1, 0), (3, 0), 5, None, (1,)])
+def test_window_contains_only_its_indices(ix):
+    assert ix not in IndexWindow(2, 2)
 
 
 def test_window_accepts_numpy_integers():
