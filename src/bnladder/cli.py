@@ -339,7 +339,8 @@ def _add_gram(p: argparse.ArgumentParser, kind_default: str):
         default=None,
         help="small-x cutoff (default abs_tol/8)" + cutoff_use,
     )
-    p.add_argument("--tmax-raw", type=float, default=DEFAULT_QUAD.t_max_raw)
+    tmax_help = "truncation height of raw spectral builds, at least 10"
+    p.add_argument("--tmax-raw", type=float, default=DEFAULT_QUAD.t_max_raw, help=tmax_help)
     _add_smoothing(p)
 
 

@@ -39,7 +39,8 @@ cutoff integral walks the pieces of one sweep, :func:`_sweep`, whose
 u-pieces [e_0, e_1) are where no u or theta*u crosses an integer.  Inner
 products sum f_a f_b (e_1 - e_0)/(e_0 e_1) over them for all pairs at
 once (:func:`_sweep_gram`), and :func:`bnladder.mellin.mellin_direct`
-sums f (e_0^-s - e_1^-s)/s over them for every theta.
+sums f (e_0^-s - e_1^-s)/s over them for every theta.  The sweep alone
+lists the jumps (:func:`breakpoints`) and caps the pieces walked.
 
 For theta = 1/N that integral (:func:`pair_inner_matrix`) is the closed
 form's independent test reference, its fallback above the denominator
@@ -114,9 +115,10 @@ class QuadratureConfig:
                        default abs_tol / 8 so the cutoff tail
                        (<= 4 x_min) spends at most half the absolute
                        budget.  Unit-fraction pairs have no cutoff.
-    max_subdivisions   cap on the number of exact pieces an integrator may
-                       walk; guards against accidentally tiny cutoffs.
-    t_max_raw          truncation height for raw spectral integrals.
+    max_subdivisions   cap on the number of exact pieces the cutoff sweep
+                       may walk; guards against accidentally tiny cutoffs.
+    t_max_raw          truncation height for raw spectral integrals, at
+                       least 10, where their tail estimate starts to hold.
     gaussian_tail_tol  absolute tail target when truncating Gaussian-
                        smoothed spectral integrals.
     """
@@ -186,34 +188,28 @@ def eval_f(theta: float, x):
 def breakpoints(theta: float, x_min: float) -> np.ndarray:
     """Jump locations of f_theta in (x_min, 1], sorted ascending.
 
-    These are the points 1/n and theta/m that exceed x_min.  Coincident
-    values (theta rational) are reported once.  More than
-    ``DEFAULT_QUAD.max_subdivisions`` of them raise :class:`ConvergenceError`.
+    These are the points 1/n and theta/m that exceed x_min, read off the
+    edges of :func:`_sweep` as 1/u, so coincident values (theta rational)
+    are reported once.  A sweep of more than
+    ``DEFAULT_QUAD.max_subdivisions`` pieces raises :class:`ConvergenceError`.
 
     >>> breakpoints(0.5, 0.2)
     array([0.25      , 0.33333333, 0.5       , 1.        ])
     """
     theta = _check_theta(theta)
     x_min = _check_x_min(x_min)
-    est = (1.0 + theta) / x_min
     cap = DEFAULT_QUAD.max_subdivisions
-    if est > cap:
-        raise ConvergenceError(
-            f"breakpoint count ~{est:.3g} exceeds the cap {cap:g}; raise x_min"
-        )
-    n_max = int(math.floor(1.0 / x_min))
-    pts = [1.0 / np.arange(1, n_max + 1, dtype=np.float64)]
-    m_max = int(math.floor(theta / x_min))
-    if m_max >= 1:
-        pts.append(theta / np.arange(1, m_max + 1, dtype=np.float64))
-    vals = np.unique(np.concatenate(pts))
-    return vals[vals > x_min]
+    # every span's last edge is the next span's first, or the cutoff
+    u = np.concatenate([e[:-1] for e, _ in _sweep((theta,), x_min, cap, "breakpoint list")])
+    x = 1.0 / u[::-1]
+    return x[x > x_min]
 
 
 def _unit_denominator(theta: float) -> int | None:
     """Integer N with theta == 1/N (to float accuracy), if one exists."""
     n = round(1.0 / theta)
-    if n >= 1 and abs(theta * n - 1.0) <= 8.0 * np.finfo(float).eps * n:
+    # theta * N rounds twice whatever N is; 1/(N + d) misses 1 by d/N
+    if n >= 1 and abs(theta * n - 1.0) <= 8.0 * np.finfo(float).eps:
         return n
     return None
 
@@ -338,8 +334,8 @@ def pair_inner_matrix(
     of smoothed Gram matrices (whose coarse cutoff keeps it cheap at any
     window size), raw windows above the closed form's denominator cap, and
     the reference the closed form is tested against.
-    The cap counts the floor(1/x_min) cells of the integer lattice, on
-    which the profiles equal (u mod N)/N: this function's test oracle.
+    Its pieces, at most ``max_pieces``, are the cells of the integer
+    lattice, where the profiles equal (u mod N)/N: this function's oracle.
 
     Denominators above 2^62 produce exact-zero rows (their profiles are
     numerically indistinguishable from zero at any supported cutoff).
@@ -348,32 +344,33 @@ def pair_inner_matrix(
     cap = DEFAULT_QUAD.max_subdivisions
     if max_pieces is not None:
         cap = _integer(max_pieces, "max_pieces", minimum=1)
-    big_u = int(math.floor(1.0 / x_min))
-    if big_u > cap:
-        raise ConvergenceError(
-            f"lattice pass needs {big_u} pieces, above the cap {cap}; raise x_min"
-        )
     dens = [_integer(n, "denominator", minimum=1) for n in denominators]
-    theta = np.array([1.0 / n if n <= _HUGE_DENOM else 0.0 for n in dens])
-    gram, _ = _sweep_gram(theta, x_min)
-    tail = x_min * np.outer(1.0 + theta, 1.0 + theta)
-    unit = theta == 1.0
-    tail[unit, :] = tail[:, unit] = 0.0
+    theta = [1.0 / n if n <= _HUGE_DENOM else 0.0 for n in dens]
+    gram, tail, _ = _sweep_gram(theta, x_min, cap, "lattice pass")
     return gram, tail
 
 
-def _sweep(thetas: Sequence[float], x_min: float):
+def _sweep(thetas: Sequence[float], x_min: float, cap: int, what: str):
     """Common pieces of the f_theta on u = 1/x in [1, 1/x_min].
 
     Yields ``(e, f)`` per 65,536-wide span of u: the sorted edges ``e``,
     where u or some theta*u crosses an integer, and ``f[i, j]``, the value
     of f_(thetas[i]) on the piece [e_j, e_(j+1)), taken at its midpoint.
+    Spans share their boundary edges; the last ends at u = 1/x_min.
+    Before building any piece it bounds them by floor(1/x_min) integer
+    cells plus ceil(theta/x_min) per theta not 1/N; a bound above ``cap``
+    raises :class:`ConvergenceError` naming the caller's ``what``.
     """
     th = np.array(thetas, dtype=np.float64)[:, None]
     # theta = 1/N crosses the integers m N, taken exactly: m / theta lands
-    # many of them an ulp off and leaves sliver pieces.
+    # many of them an ulp off and leaves sliver pieces.  A rounded p/q
+    # crosses the integers within 2 ulps; those edges are snapped too.
     units = [_unit_denominator(theta) if theta > 0.0 else None for theta in thetas]
     big_u = 1.0 / x_min
+    extra = (math.ceil(theta / x_min) for theta, n in zip(thetas, units) if n is None)
+    bound = math.floor(big_u) + sum(extra)
+    if bound > cap:
+        raise ConvergenceError(f"{what} needs ~{bound} pieces, above the cap {cap}; raise x_min")
     span = 65536.0
     lo = 1.0
     while lo < big_u:
@@ -384,7 +381,12 @@ def _sweep(thetas: Sequence[float], x_min: float):
             m1 = math.ceil(theta * hi)
             if m1 > m0:
                 m = np.arange(m0, m1, dtype=np.float64)
-                edges.append(m / theta if n is None else m * n)
+                if n is None:
+                    u = m / theta
+                    near = np.rint(u)
+                    edges.append(np.where(np.abs(u - near) <= 2.0 * np.spacing(near), near, u))
+                else:
+                    edges.append(m * n)
         e = np.unique(np.concatenate(edges))
         e = e[(e >= lo) & (e <= hi)]
         um = 0.5 * (e[:-1] + e[1:])
@@ -392,21 +394,27 @@ def _sweep(thetas: Sequence[float], x_min: float):
         lo = hi
 
 
-def _sweep_gram(thetas: Sequence[float], x_min: float) -> tuple[np.ndarray, int]:
+def _sweep_gram(thetas: Sequence[float], x_min: float, cap: int, what: str):
     """All pairwise integrals of the f_theta over (x_min, 1], exactly.
 
-    Returns ``(gram, pieces)``.  Each u-piece [e_0, e_1) of :func:`_sweep`
-    adds f f^T (e_1 - e_0)/(e_0 e_1), one matrix product per span, and
-    the sum is symmetrized once at the end.  theta = 0 gives an exact-zero
-    row.  This is the one integrator behind every cutoff inner product.
+    Returns ``(gram, tail, pieces)``.  Each u-piece [e_0, e_1) of
+    :func:`_sweep` adds f f^T (e_1 - e_0)/(e_0 e_1), one matrix product
+    per span, and the sum is symmetrized once at the end.  theta = 0
+    gives an exact-zero row.  ``tail`` = x_min (1+theta_a)(1+theta_b)
+    bounds the mass below the cutoff, 0 on theta = 1 rows (f_1 = 0).
+    This is the one integrator behind every cutoff inner product.
     """
-    gram = np.zeros((len(thetas), len(thetas)))
+    theta = np.array(thetas, dtype=np.float64)
+    gram = np.zeros((theta.size, theta.size))
     pieces = 0
-    for e, f in _sweep(thetas, x_min):
+    for e, f in _sweep(thetas, x_min, cap, what):
         lengths = (e[1:] - e[:-1]) / (e[:-1] * e[1:])  # x-length of each u-piece
         gram += (f * lengths) @ f.T
         pieces += e.size - 1
-    return 0.5 * (gram + gram.T), pieces
+    tail = x_min * np.outer(1.0 + theta, 1.0 + theta)
+    unit = theta == 1.0
+    tail[unit, :] = tail[:, unit] = 0.0
+    return 0.5 * (gram + gram.T), tail, pieces
 
 
 def inner_direct(
@@ -443,17 +451,10 @@ def inner_direct(
             value=float(gram[0, 1]), tail_bound=float(err[0, 1]), pieces=pieces
         )
     else:
-        x_min = quad.resolved_x_min()
-        est, cap = (1.0 + theta_a + theta_b) * (1.0 / x_min), quad.max_subdivisions
-        if est > cap:
-            raise ConvergenceError(
-                f"sweep needs ~{est:.3g} pieces, above the cap {cap}; raise x_min"
-            )
-        gram, pieces = _sweep_gram((theta_a, theta_b), x_min)
+        x_min, cap = quad.resolved_x_min(), quad.max_subdivisions
+        gram, tail, pieces = _sweep_gram((theta_a, theta_b), x_min, cap, "sweep")
         res = InnerProductResult(
-            value=float(gram[0, 1]),
-            tail_bound=(1.0 + theta_a) * (1.0 + theta_b) * x_min,
-            pieces=pieces,
+            value=float(gram[0, 1]), tail_bound=float(tail[0, 1]), pieces=pieces
         )
     return res if full_output else res.value
 

@@ -83,6 +83,7 @@ KINDS = ("raw", "smoothed")
 METHODS = ("direct", "spectral", "hybrid")
 
 _EULER_GAMMA = float(np.euler_gamma)
+_MEAN_SQ_FLOOR = 10.0  # the mean-square tail estimate is meaningless below ~2pi
 
 # The 15-point Gauss-Kronrod rule on [-1, 1] (QUADPACK's qk15, Piessens et
 # al. 1983) at its nodes >= 0, from the top node down to 0, and the weights
@@ -263,7 +264,7 @@ def _mean_sq_tail(t_from: float) -> float:
     Alternating series in T^-2; the integrand is the mean-square density
     of zeta on the critical line over the kernel 1/|s|^2.
     """
-    t_from = max(t_from, 10.0)  # asymptotic mean is meaningless below ~2pi
+    t_from = max(t_from, _MEAN_SQ_FLOOR)
     lead = math.log(t_from / (2.0 * math.pi)) + 2.0 * _EULER_GAMMA
     out = 0.0
     for k in range(12):
@@ -370,6 +371,8 @@ def _validate_build(kind: str, method: str | None, smoothing: SmoothingParams | 
 
 
 def _spectral_raw(points, quad):
+    if quad.t_max_raw < _MEAN_SQ_FLOOR:
+        raise ParameterError(f"raw spectral builds need t_max_raw >= 10, got {quad.t_max_raw!r}")
     tau = _mean_sq_tail(quad.t_max_raw) / math.pi  # times amp_a * amp_b: the tail estimate
     vals, qdiff, _ = _searched_pairs(points, quad.t_max_raw, tau)
     amps = np.array([_amp_bound(p) for p in points])

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, ParameterError, _real
+from .errors import ParameterError, _real
 from .fractional import DEFAULT_QUAD, QuadratureConfig, _check_theta, _sweep
 from .zeta import zeta_half, zeta_half_grid
 
@@ -119,14 +119,8 @@ def mellin_direct(theta: float, t: float, quad: QuadratureConfig | None = None) 
     if theta == 1.0:
         return 0.0 + 0.0j
     x_min = _mellin_cutoff(theta, quad)
-    cap = quad.max_subdivisions
-    est = (1.0 + 2.0 * theta) * (1.0 / x_min)
-    if est > cap:
-        raise ConvergenceError(
-            f"transform needs ~{est:.3g} pieces, above the cap {cap}; raise x_min"
-        )
     total = 0.0 + 0.0j
-    for e, f in _sweep((theta,), x_min):
+    for e, f in _sweep((theta,), x_min, quad.max_subdivisions, "transform"):
         # x-interval of u-piece [e_i, e_{i+1}) is (1/e_{i+1}, 1/e_i]
         pow_edges = np.exp(-s * np.log(e))
         total += np.dot(f[0], pow_edges[:-1] - pow_edges[1:]) / s

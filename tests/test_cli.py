@@ -129,6 +129,12 @@ def test_gram_rejects_smoothed_direct(tmp_path):
     assert not os.path.exists(out)
 
 
+def test_gram_rejects_raw_spectral_below_the_tail_floor(tmp_path):
+    out = str(tmp_path / "g.csv")
+    assert main(["gram", "--method", "spectral", "--tmax-raw", "1", "--out", out]) == 1
+    assert not os.path.exists(out)
+
+
 def test_spectrum_suppression_ratio(tmp_path):
     out = str(tmp_path / "s.csv")
     args = [

@@ -26,11 +26,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bnladder import (
     DEFAULT_QUAD,
+    ConvergenceError,
     IndexWindow,
     ParameterError,
     QuadratureConfig,
@@ -134,6 +135,56 @@ def test_breakpoints_merged():
 
 def test_breakpoints_coarse():
     assert breakpoints(0.5, 0.6) == pytest.approx([1.0])
+
+
+_U = 2.0**-53
+
+
+def _exact_jumps(p, q, cut):
+    """{1/n} and {(p/q)/m} above the cutoff, in exact arithmetic, ascending."""
+    theta = Fraction(p, q)
+    ones = {Fraction(1, n) for n in range(1, math.ceil(1 / cut))}
+    return sorted(ones | {theta / m for m in range(1, math.ceil(theta / cut))})
+
+
+def _check_breakpoints(p, q, x_min):
+    want = _exact_jumps(p, q, Fraction(x_min))
+    got = breakpoints(p / q, x_min)
+    assert len(got) == len(want)
+    assert np.all(np.diff(got) > 0.0)
+    for g, w in zip(got, want):
+        if w.numerator == 1:
+            # the jump sits on an integer u = n: 1/n correctly rounded
+            assert g == float(w)
+        else:
+            # theta = p/q, u = m/theta and x = 1/u each round once
+            assert abs(Fraction(float(g)) - w) <= 3 * _U * w
+
+
+@pytest.mark.parametrize("p,q", [(1, 3), (3, 10), (1, 7)])
+def test_breakpoints_reports_coincident_jumps_once(p, q):
+    # 999, 1,199 and 999 distinct jumps; float deduplication of 1/n
+    # against theta/m used to keep 1,096, 1,224 and 1,040 points.
+    _check_breakpoints(p, q, 1e-3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    pq=st.integers(1, 60).flatmap(lambda q: st.tuples(st.integers(1, q), st.just(q))),
+    x_min=st.floats(1e-3, 0.95),
+)
+@example(pq=(1, 1), x_min=9.7e-4)
+@example(pq=(1, 12), x_min=9.7e-4)
+@example(pq=(2, 3), x_min=3.7e-3)
+@example(pq=(7, 10), x_min=9.7e-4)  # some m/theta land an ulp off their integer
+def test_breakpoints_match_exact_jumps(pq, x_min):
+    p, q = pq
+    # Within a few roundings of the cutoff, which side a jump falls on is
+    # decided by rounding, not by the profile.
+    cut = Fraction(x_min)
+    near = _exact_jumps(p, q, cut * (1 - 8 * _U))
+    assume(all(abs(j - cut) > 8 * _U * cut for j in near))
+    _check_breakpoints(p, q, x_min)
 
 
 def test_l2_norm_unit_theta_is_zero():
@@ -254,7 +305,7 @@ def test_unit_fraction_sweep_walks_the_lattice_cells(x_min):
     big_u = int(math.floor(1.0 / x_min))
     cells = big_u - 1 + (1.0 / big_u - x_min > 0.0)
     dens = [p.denominator for p in IndexWindow(8, 8).points()] + list(range(5, 40))
-    _, pieces = _sweep_gram([1.0 / n for n in dens], x_min)
+    _, _, pieces = _sweep_gram([1.0 / n for n in dens], x_min, big_u, "lattice")
     assert pieces == cells
 
 
@@ -314,6 +365,37 @@ def test_pair_inner_matrix_accepts_numpy_integers():
     want = pair_inner_matrix([2, 3, 6], 1e-3)
     for g, w in zip(got, want):
         assert np.array_equal(g, w)
+
+
+def test_near_unit_theta_takes_the_cutoff_route():
+    # 1/(10^6 + 10^-3) is not 1/10^6: ||f_(1/N)||^2 falls by 1.26e-12 per
+    # unit of N there, so the closed form at N = 10^6 would miss by ~1e-15
+    # against a roundoff budget of ~1e-19.
+    theta = 1.0 / (1e6 + 1e-3)
+    x_min = 1e-4
+    res = inner_direct(theta, theta, QuadratureConfig(x_min=x_min), full_output=True)
+    assert res.tail_bound == x_min * ((1.0 + theta) * (1.0 + theta))
+
+
+_THETAS = st.one_of(
+    st.integers(1, 10**6).map(lambda n: 1.0 / n),
+    st.integers(1, 40).flatmap(lambda q: st.integers(1, q).map(lambda p: p / q)),
+    st.floats(1e-3, 1.0),
+    st.just(0.0),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    thetas=st.lists(_THETAS, min_size=1, max_size=6).map(lambda ts: ts + ts[:1]),
+    x_min=st.floats(1e-4, 0.9),
+)
+def test_sweep_piece_bound_never_undercounts(thetas, x_min):
+    # A cap one below the pieces walked is refused, so the bound the sweep
+    # takes before walking is at least the pieces it then walks.
+    _, _, pieces = _sweep_gram(thetas, x_min, 10**9, "test sweep")
+    with pytest.raises(ConvergenceError, match="test sweep needs"):
+        _sweep_gram(thetas, x_min, pieces - 1, "test sweep")
 
 
 def test_full_output_reports_tail_and_pieces():

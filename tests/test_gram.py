@@ -246,7 +246,7 @@ CAPPED = QuadratureConfig(max_subdivisions=1000)
 @pytest.mark.parametrize(
     "call,message",
     [
-        (lambda: breakpoints(0.5, 1e-9), "breakpoint count"),
+        (lambda: breakpoints(0.5, 1e-9), "breakpoint list needs"),
         (lambda: pair_inner_matrix([2, 3], 1e-4, max_pieces=1000), "lattice pass needs"),
         (lambda: inner_direct(0.5, 0.3, CAPPED), "sweep needs"),
         (lambda: mellin_direct(0.5, 1.0, CAPPED), "transform needs"),
@@ -261,6 +261,23 @@ CAPPED = QuadratureConfig(max_subdivisions=1000)
 def test_piece_caps_raise(call, message):
     with pytest.raises(ConvergenceError, match=message):
         call()
+
+
+@pytest.mark.parametrize("t_max", [1e-9, 1.0, 9.99])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda q: build_gram(IndexWindow(1, 1), "raw", method="spectral", quad=q),
+        lambda q: inner_spectral((1, 0), (0, 1), quad=q),
+        lambda q: cross_validate(IndexWindow(1, 1), quad=q),
+    ],
+    ids=["build_gram", "inner_spectral", "cross_validate"],
+)
+def test_raw_spectral_rejects_heights_below_the_tail_floor(call, t_max):
+    # The raw budget's mean-square tail holds from T = 10 up; below it,
+    # the budget would leave out integral_T^10 and miss by up to 4.8x.
+    with pytest.raises(ParameterError, match="t_max_raw >= 10"):
+        call(QuadratureConfig(t_max_raw=t_max))
 
 
 @pytest.mark.parametrize(
