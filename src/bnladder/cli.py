@@ -55,12 +55,12 @@ def _sibling(path: str, tag: str, ext: str | None = None) -> str:
     return base + "." + tag + (old_ext if ext is None else ext)
 
 
-def _write_rows(out: str, fmt: str, schema: str, header, kinds: str, columns) -> None:
+def _write_rows(out: str, fmt: str, schema: str, header, columns) -> None:
     """Write one table as CSV (see :func:`bnladder.io.csv_text`) or JSON rows."""
     if fmt == "json":
         write_all({out: json_rows(schema, header, columns)})
     else:
-        write_all({out: csv_text(header, kinds, columns)})
+        write_all({out: csv_text(header, columns)})
 
 
 # -- flag parsing helpers -------------------------------------------------
@@ -119,7 +119,7 @@ def run_profile(args: argparse.Namespace) -> int:
         np.tile(xs, len(thetas)),
         np.concatenate([eval_f(theta, xs) for theta in thetas]),
     ]
-    _write_rows(args.out, args.format, "bnladder.profile/1", ("theta", "x", "f"), "ggg", columns)
+    _write_rows(args.out, args.format, "bnladder.profile/1", ("theta", "x", "f"), columns)
     return 0
 
 
@@ -127,7 +127,7 @@ def run_ladder(args: argparse.Namespace) -> int:
     window = IndexWindow(args.jmax, args.kmax)
     rows = [(p.index.j, p.index.k, p.theta, p.log_theta) for p in window.points()]
     header = ("j", "k", "theta", "log_theta")
-    _write_rows(args.out, args.format, "bnladder.ladder/1", header, "ddgg", list(zip(*rows)))
+    _write_rows(args.out, args.format, "bnladder.ladder/1", header, list(zip(*rows)))
     return 0
 
 
@@ -166,8 +166,7 @@ def run_gram(args: argparse.Namespace) -> int:
     if args.format == "json":
         texts = gram_to_json(g), json_rows("bnladder.gram_normalized/1", header, columns)
     else:
-        columns[-1] = np.where(columns[-1], "true", "false")
-        texts = gram_to_csv(g), csv_text(header, "ddddgs", columns)
+        texts = gram_to_csv(g), csv_text(header, columns)
     write_all(dict(zip((args.out, _sibling(args.out, "normalized")), texts)))
     return 0
 
@@ -182,7 +181,7 @@ def run_spectrum(args: argparse.Namespace) -> int:
     abs_m = np.abs(mellin_closed_grid(args.theta, ts))
     header = ("t", "abs_M", "abs_M_smoothed")
     columns = [ts, abs_m, psi(ts, smoothing) * abs_m]
-    _write_rows(args.out, args.format, "bnladder.spectrum/1", header, "ggg", columns)
+    _write_rows(args.out, args.format, "bnladder.spectrum/1", header, columns)
     return 0
 
 
@@ -206,7 +205,7 @@ def run_truncate(args: argparse.Namespace) -> int:
     if args.format == "csv":
         header = ("B", "schur_bound", "empirical_opnorm")
         rows = [(r.B, r.schur_bound, r.empirical_opnorm) for r in suite.reports]
-        write_all({args.out: csv_text(header, "dgg", list(zip(*rows)))})
+        write_all({args.out: csv_text(header, list(zip(*rows)))})
     else:
         write_all({args.out: truncation_suite_to_json(suite)})
     return 0

@@ -339,7 +339,7 @@ def truncation_suite(g: GramMatrix, bs: tuple[int, ...] = (1, 2, 3, 4)) -> Trunc
 
 def shells_to_csv(shells: list[ShellStats] | tuple[ShellStats, ...]) -> str:
     columns = list(zip(*map(astuple, shells)))
-    return csv_text([f.name for f in fields(ShellStats)], "ddggg", columns)
+    return csv_text([f.name for f in fields(ShellStats)], columns)
 
 
 def decay_report_to_json(r: DecayReport) -> str:

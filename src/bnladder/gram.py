@@ -590,7 +590,6 @@ def gram_to_csv(g: GramMatrix) -> str:
     """
     return csv_text(
         ("j", "k", "j2", "k2", "value", "err_estimate"),
-        "ddddgg",
         _pair_columns(g) + [g.entries.ravel(), g.err_estimate.ravel()],
     )
 

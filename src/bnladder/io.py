@@ -21,30 +21,35 @@ __all__ = ["FLOAT_FORMAT", "csv_text", "json_text", "json_rows", "write_all"]
 
 FLOAT_FORMAT = "%.17g"
 
-def _rows(columns: Sequence) -> zip:
-    return zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns))
 
-
-def _float_strings(values, render=lambda vs: [FLOAT_FORMAT % v for v in vs]) -> list[str]:
-    # Equal bit patterns print alike, so each distinct one is formatted
-    # once: a symmetric matrix has about half as many as it has entries.
-    values = np.asarray(values, dtype=np.float64)
-    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
-    text = render(bits.view(np.float64).tolist())
+def _distinct_strings(values: np.ndarray, render) -> list[str]:
+    # Each distinct value is rendered once (a ladder index column has a few
+    # dozen); floats by bit pattern, so -0.0 and 0.0 print apart.
+    keys = values.view(np.int64) if values.dtype == np.float64 else values
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    text = render(distinct.view(values.dtype).tolist())
     return [text[i] for i in inverse.tolist()]
 
 
-def csv_text(header: Sequence[str], kinds: str, columns: Sequence) -> str:
+def _column_strings(column) -> list[str]:
+    column = np.asarray(column)
+    if column.dtype.kind == "b":
+        return np.where(column, "true", "false").tolist()
+    if column.dtype.kind == "f":
+        return _distinct_strings(column, lambda vs: [FLOAT_FORMAT % v for v in vs])
+    return _distinct_strings(column, lambda vs: list(map(str, vs)))
+
+
+def csv_text(header: Sequence[str], columns: Sequence) -> str:
     """CSV with a header line and one line per row.
 
     ``columns`` holds the data column by column (arrays or lists, all of
-    one length); ``kinds`` has one letter per column: ``d`` an integer,
-    ``g`` a float in :data:`FLOAT_FORMAT`, ``s`` a string.  Each row is
-    formatted with one ``%``-template.
+    one length), and each column's dtype picks its format: integers as
+    ``%d``, floats in :data:`FLOAT_FORMAT`, bools as ``true``/``false``
+    and strings as they are.
     """
-    template = ",".join("%d" if k == "d" else "%s" for k in kinds)
-    columns = [_float_strings(c) if k == "g" else c for k, c in zip(kinds, columns)]
-    return "\n".join([",".join(header), *(template % r for r in _rows(columns))]) + "\n"
+    rows = map(",".join, zip(*map(_column_strings, columns)))
+    return "\n".join([",".join(header), *rows]) + "\n"
 
 
 _ARRAY_MARK = re.compile(r'"\\u0000(\d+)\\u0000"')
@@ -78,7 +83,8 @@ def json_text(payload) -> str:
         return node
 
     text = json.dumps(swap(payload), sort_keys=True, indent=2)
-    strings = _float_strings(list(itertools.chain.from_iterable(arrays)), _json_numbers)
+    floats = np.array(list(itertools.chain.from_iterable(arrays)), dtype=np.float64)
+    strings = _distinct_strings(floats, _json_numbers)
     ends = list(itertools.accumulate(len(a) for a in arrays))
 
     def unswap(m: re.Match) -> str:
@@ -93,7 +99,7 @@ def json_text(payload) -> str:
 
 def json_rows(schema: str, header: Sequence[str], columns: Sequence) -> str:
     """JSON document ``{"schema", "columns", "rows"}`` with rows as lists."""
-    rows = list(_rows(columns))  # tuples serialize as JSON lists
+    rows = list(zip(*(np.asarray(c).tolist() for c in columns)))  # tuples: JSON lists
     return json_text({"schema": schema, "columns": list(header), "rows": rows})
 
 

@@ -36,15 +36,15 @@ def _failing_on_call(monkeypatch, name, n):
 def test_csv_text_matches_per_value_format():
     vals = [0.1, -0.0, 0.0, 1.0, -1e-300, 5e-324, math.inf, -math.inf, math.nan, 0.1, 1 / 3]
     columns = [list(range(len(vals))), np.array(vals), ["a"] * len(vals)]
-    text = io.csv_text(("i", "x", "s"), "dgs", columns)
+    text = io.csv_text(("i", "x", "s"), columns)
     want = ["i,x,s"] + ["%d,%.17g,a" % (i, v) for i, v in enumerate(vals)]
     assert text == "\n".join(want) + "\n"
     assert text.splitlines()[2] == "1,-0,a"
 
 
 def test_csv_text_empty_table():
-    assert io.csv_text(("a", "b"), "dg", []) == "a,b\n"
-    assert io.csv_text(("a", "b"), "dg", [[], []]) == "a,b\n"
+    assert io.csv_text(("a", "b"), []) == "a,b\n"
+    assert io.csv_text(("a", "b"), [[], []]) == "a,b\n"
 
 
 def test_json_rows_layout():
