@@ -206,12 +206,12 @@ def breakpoints(theta: float, x_min: float) -> np.ndarray:
 
 
 def _unit_denominator(theta: float) -> int | None:
-    """Integer N with theta == 1/N (to float accuracy), if one exists."""
-    n = round(1.0 / theta)
-    # theta * N rounds twice whatever N is; 1/(N + d) misses 1 by d/N
-    if n >= 1 and abs(theta * n - 1.0) <= 8.0 * np.finfo(float).eps:
-        return n
-    return None
+    """Integer N with theta == 1/N (to float accuracy), if exactly one fits."""
+    # theta * N rounds twice whatever N is; 1/(N + d) misses 1 by d/N, so
+    # the 8 eps test names one N only below 1/(16 eps) = 2^48
+    u, eps = 1.0 / theta, np.finfo(float).eps
+    n = round(u) if 16.0 * eps * u < 1.0 else 0
+    return n if n >= 1 and abs(theta * n - 1.0) <= 8.0 * eps else None
 
 
 def _cot_sum(h: int, k: int) -> tuple[float, float, int]:
@@ -443,19 +443,13 @@ def inner_direct(
         # f_1 is identically zero: {1/x} - {1/x}.
         res = InnerProductResult(value=0.0, tail_bound=0.0, pieces=0)
         return res if full_output else 0.0
-    na = _unit_denominator(theta_a)
-    nb = _unit_denominator(theta_b)
+    na, nb = _unit_denominator(theta_a), _unit_denominator(theta_b)
     if na is not None and nb is not None:
         gram, err, pieces = _unit_inner_matrix([na, nb], quad)
-        res = InnerProductResult(
-            value=float(gram[0, 1]), tail_bound=float(err[0, 1]), pieces=pieces
-        )
-    else:
+    else:  # err is the cutoff tail
         x_min, cap = quad.resolved_x_min(), quad.max_subdivisions
-        gram, tail, pieces = _sweep_gram((theta_a, theta_b), x_min, cap, "sweep")
-        res = InnerProductResult(
-            value=float(gram[0, 1]), tail_bound=float(tail[0, 1]), pieces=pieces
-        )
+        gram, err, pieces = _sweep_gram((theta_a, theta_b), x_min, cap, "sweep")
+    res = InnerProductResult(value=float(gram[0, 1]), tail_bound=float(err[0, 1]), pieces=pieces)
     return res if full_output else res.value
 
 

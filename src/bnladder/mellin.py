@@ -74,25 +74,26 @@ def psi(t, smoothing: SmoothingParams):
     return float(out) if np.isscalar(t) or tt.ndim == 0 else out
 
 
+def _closed(theta: float, t, zeta):
+    """zeta(s) (theta - theta^s) / s at s = 1/2 + it, elementwise in t, with
+    theta^s = sqrt(theta) e^{i t log theta}."""
+    lt = math.log(theta)
+    theta_s = math.exp(0.5 * lt) * np.exp(1j * t * lt)
+    return zeta * (theta - theta_s) / (0.5 + 1j * t)
+
+
 def mellin_closed(theta: float, t: float) -> complex:
     """Closed-form M_theta(1/2 + it) = zeta(s) (theta - theta^s) / s."""
     theta = _check_theta(theta)
     t = _real(t, "t")
-    lt = math.log(theta)
-    s = 0.5 + 1j * t
-    # theta^s = sqrt(theta) e^{i t log theta}
-    theta_s = math.exp(0.5 * lt) * np.exp(1j * t * lt)
-    return complex(zeta_half(t) * (theta - theta_s) / s)
+    return complex(_closed(theta, t, zeta_half(t)))
 
 
 def mellin_closed_grid(theta: float, ts: np.ndarray) -> np.ndarray:
     """Vectorized closed form over a grid of nonnegative ordinates."""
     theta = _check_theta(theta)
-    lt = math.log(theta)
     ts = np.asarray(ts, dtype=np.float64)
-    s = 0.5 + 1j * ts
-    theta_s = math.exp(0.5 * lt) * np.exp(1j * ts * lt)
-    return zeta_half_grid(ts) * (theta - theta_s) / s
+    return _closed(theta, ts, zeta_half_grid(ts))
 
 
 def _mellin_cutoff(theta: float, quad: QuadratureConfig) -> float:
@@ -102,7 +103,9 @@ def _mellin_cutoff(theta: float, quad: QuadratureConfig) -> float:
     if quad.x_min is not None:
         return quad.x_min
     coef = (1.0 / theta + theta) / 4.0
-    return min(1.0e-2, (quad.abs_tol / (8.0 * coef)) ** (2.0 / 3.0))
+    # a tiny theta makes coef overflow; the smallest normal cutoff then
+    # lets the sweep report the pieces it would need
+    return min(1.0e-2, max((quad.abs_tol / (8.0 * coef)) ** (2.0 / 3.0), np.finfo(float).tiny))
 
 
 def mellin_direct(theta: float, t: float, quad: QuadratureConfig | None = None) -> complex:

@@ -1,25 +1,23 @@
 """Riemann zeta on the critical line Re s = 1/2.
 
-Evaluation goes through the alternating (eta) series accelerated with
-Chebyshev-polynomial weights:
+Euler-Maclaurin summation (Edwards, *Riemann's Zeta Function*, 6.4) with
+N terms and M = 30 corrections,
 
-    zeta(s) = -1 / (1 - 2^(1-s)) * sum_{k=0}^{n-1} (-1)^k w_k (k+1)^(-s),
-    w_k = (d_k - d_n) / d_n,
-    d_k = n * sum_{i=0}^{k} (n+i-1)! 4^i / ((n-i)! (2i)!).
+    zeta(s) = sum_{n<N} n^-s + N^(1-s)/(s-1) + N^-s/2
+              + sum_{k=1}^{M} B_2k/(2k)! s(s+1)...(s+2k-2) N^(1-s-2k) + R_M,
 
-The d_k are integers and obey an exact ratio recurrence, so the weights
-are computed in arbitrary-precision integer arithmetic and rounded to
-float64 once, at the end.  With n ~ 1.3 |t| + 60 terms the series error
-is far below float64 resolution; the roundoff left grows with the term
-count: ~2e-13 absolute for |t| <= 1000, ~1e-12 at 5000 and ~1.5e-11 at
-the height cap, against the 30-digit values in tests/test_zeta.py.
-Evaluations above the cap raise rather than silently degrade.
+with Backlund's bound |R_M| <= |s+2M+1|/(sigma+2M+1) |T_(M+1)| by the
+first omitted term.  A block of 512 ascending ordinates with top t_top
+takes N = ceil(t_top/pi) + 10, so |s|/(2 pi N) < 1/2 on it, and the
+truncation error is proven: below 4e-19 on [0, T_CAP].
 
-Grid evaluation batches points into blocks and shares one phase-matrix
-product per block; the term count for a block is chosen from the block's
-largest |t| (rounded up to a multiple of 64 so the weight cache stays
-small).  Points low in a block carry the roundoff of its longer sum, so
-scalar and grid values may differ by up to ~6e-13 for |t| <= 1000.
+The roundoff is an estimate.  Float64 gets the phase t log n wrong by
+~t ulp(log n), so a block starting at t_a takes t_a ln n mod 2 pi from
+40-digit decimal logarithms and adds only (t - t_a) log n in float64; a
+scalar call is a block of one.  Against 30-digit mpmath (25 random t per
+band, four draws) a scalar call errs by at most 3.7e-15 up to T_CAP, one
+grid per band by at most 1.2e-12 on [100, 1000], 3.3e-12 on [1000, 3000]
+and 7.9e-12 on [6000, 10000].  Ordinates above the cap raise.
 """
 
 from __future__ import annotations
@@ -41,66 +39,86 @@ __all__ = [
     "zeta_selfcheck",
 ]
 
-# Height up to which the implementation is accuracy-checked.  The weight
-# build and the per-point cost both grow linearly with the cap; 1e4 keeps
-# the worst-case term count at ~13k.
+# Height up to which the implementation is accuracy-checked.  The term
+# count grows like t/pi, to 3,194 at the cap, where Backlund's bound is
+# 3.3e-19 and a scalar call measurably errs by 1.5e-15.
 T_CAP = 1.0e4
 
 # Tolerances of zeta_selfcheck against the frozen oracle table.
 _SELFCHECK_REL_TOL = 1.0e-9
 _SELFCHECK_ZERO_ABS_TOL = 1.0e-8
 
-_LOG2 = math.log(2.0)
+_BLOCK = 512
+_M = 30  # Euler-Maclaurin corrections
 
-_weight_cache: dict[int, np.ndarray] = {}
-
-
-def _term_count(t_abs: float) -> int:
-    n = int(math.ceil(1.3 * t_abs + 60.0))
-    # Round up to a multiple of 64 so grid blocks reuse cached weights.
-    return ((n + 63) // 64) * 64
-
-
-def _weights(n: int) -> np.ndarray:
-    """Chebyshev acceleration weights w_k = (d_k - d_n)/d_n, exact until
-    the final float rounding."""
-    w = _weight_cache.get(n)
-    if w is not None:
-        return w
-    # Integer recurrence: term_i = term_{i-1} * 4(n+i-1)(n-i+1) / ((2i)(2i-1)),
-    # with term_0 = 1.  Every division is exact because each d_k is an integer.
-    term = 1
-    d = [1]
-    acc = 1
-    for i in range(1, n + 1):
-        term = term * (4 * (n + i - 1) * (n - i + 1)) // ((2 * i) * (2 * i - 1))
-        acc += term
-        d.append(acc)
-    dn = d[-1]
-    # int/int division is correctly rounded, so each w_k carries one ulp
-    # of error regardless of how large the d's are.
-    w = np.array([(dk - dn) / dn for dk in d[:-1]], dtype=np.float64)
-    _weight_cache[n] = w
-    return w
+# B_2k/(2k)! for k = 1..M+1, each exact fraction rounded once to float64.
+_BERNOULLI = (
+    0.08333333333333333, -0.001388888888888889, 3.306878306878307e-05,
+    -8.267195767195768e-07, 2.08767569878681e-08, -5.284190138687493e-10,
+    1.3382536530684679e-11, -3.3896802963225827e-13, 8.586062056277845e-15,
+    -2.174868698558062e-16, 5.5090028283602295e-18, -1.3954464685812522e-19,
+    3.534707039629467e-21, -8.953517427037546e-23, 2.267952452337683e-24,
+    -5.744790668872202e-26, 1.455172475614865e-27, -3.6859949406653103e-29,
+    9.336734257095045e-31, -2.36502241570063e-32, 5.990671762482134e-34,
+    -1.5174548844682903e-35, 3.843758125454189e-37, -9.736353072646691e-39,
+    2.466247044200681e-40, -6.247076741820743e-42, 1.5824030244644914e-43,
+    -4.008273685948936e-45, 1.0153075855569557e-46, -2.5718041582418717e-48,
+    6.514456035233815e-50,
+)
 
 
-def _eval_block(ts: np.ndarray, n: int) -> np.ndarray:
-    """Evaluate zeta(1/2 + i ts) for a block sharing one term count."""
-    w = _weights(n)
-    k1 = np.arange(1, n + 1, dtype=np.float64)
-    logk = np.log(k1)
-    signs = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
-    coef = -signs * w / np.sqrt(k1)  # leading minus folded into the sum
-    # eta-type sum: rows of exp(-i t log k) weighted by k^(-1/2).
-    out = np.empty(ts.shape, dtype=np.complex128)
-    rows = max(1, int(4.0e6 / max(n, 1)))
-    for lo in range(0, ts.size, rows):
-        tt = ts[lo : lo + rows]
-        phase = np.exp(-1j * np.outer(tt, logk))
-        out[lo : lo + rows] = phase @ coef
-    s = 0.5 + 1j * ts
-    eta_factor = 1.0 - np.exp((1.0 - s) * _LOG2)
-    return out / eta_factor
+def _terms(t_top: float) -> int:
+    """Euler-Maclaurin term count N of a block whose top ordinate is t_top."""
+    return math.ceil(t_top / math.pi) + 10
+
+
+def _phase_reducer(n_max: int):
+    """A function (t_a, n) -> [t_a ln k mod 2 pi for k = 1..n], n <= n_max,
+    in 40-digit decimals rounded once to float64.  ln k costs one ``ln``
+    per prime and one addition per composite k = p (k/p)."""
+    import decimal  # imported on first use: only zeta needs it
+
+    ctx = decimal.Context(prec=40)
+    least = list(range(n_max + 1))
+    for p in range(math.isqrt(n_max), 1, -1):  # the smallest p is written last
+        least[p * p :: p] = [p] * len(range(p * p, n_max + 1, p))
+    logs = [ctx.create_decimal(0)] * (n_max + 1)
+    for k in range(2, n_max + 1):
+        p = least[k]
+        logs[k] = ctx.ln(k) if p == k else ctx.add(logs[p], logs[k // p])
+    two_pi = ctx.create_decimal("6.2831853071795864769252867665590057683943387988")
+
+    def reduce(t_a: float, n: int) -> np.ndarray:
+        t_exact, mul, rem = decimal.Decimal(t_a), ctx.multiply, ctx.remainder
+        return np.array([float(rem(mul(t_exact, lg), two_pi)) for lg in logs[1 : n + 1]])
+
+    return reduce
+
+
+def _tail(s, n):
+    """The Euler-Maclaurin terms after sum_{k<n} k^-s, divided by n^-s, and
+    Backlund's bound on the rest: ``(series, bound)``, elementwise in s, n."""
+    series = n / (s - 1.0) + 0.5
+    rising = s / n  # s(s+1)...(s+2k-2) n^(1-2k) at k = 1
+    for k, b in enumerate(_BERNOULLI[:-1], start=1):
+        series = series + b * rising
+        rising = rising * (s + (2 * k - 1)) * (s + 2 * k) / (n * n)
+    bound = np.abs(s + (2 * _M + 1)) / (s.real + (2 * _M + 1))
+    return series, bound * np.abs(_BERNOULLI[-1] * rising) / np.sqrt(n)
+
+
+def _block(ts: np.ndarray, reduce) -> np.ndarray:
+    """zeta(1/2 + i t) on an ascending block of ordinates; ``reduce`` is
+    a :func:`_phase_reducer` reaching the block's term count."""
+    n = _terms(float(ts[-1]))
+    k = np.arange(1.0, n + 1.0)
+    # k^(-it) = exp(-i [(t_a ln k mod 2 pi) + (t - t_a) ln k])
+    phase = reduce(float(ts[0]), n) + np.outer(ts - ts[0], np.log(k))
+    cos, sin = np.cos(phase), np.sin(phase)
+    weights = 1.0 / np.sqrt(k[:-1])
+    head = cos[:, :-1] @ weights - 1j * (sin[:, :-1] @ weights)  # sum_{k<n} k^-s
+    series, _ = _tail(0.5 + 1j * ts, float(n))
+    return head + (cos[:, -1] - 1j * sin[:, -1]) / math.sqrt(n) * series
 
 
 def zeta_half(t: float) -> complex:
@@ -113,11 +131,9 @@ def zeta_half(t: float) -> complex:
     if not math.isfinite(t):
         raise ZetaRangeError(f"ordinate must be finite, got {t!r}")
     if abs(t) > T_CAP:
-        raise ZetaRangeError(
-            f"|t| = {abs(t):g} exceeds the accuracy-checked cap {T_CAP:g}"
-        )
-    val = _eval_block(np.array([abs(t)]), _term_count(abs(t)))[0]
-    return complex(val) if t >= 0 else complex(val).conjugate()
+        raise ZetaRangeError(f"|t| = {abs(t):g} exceeds the accuracy-checked cap {T_CAP:g}")
+    val = complex(_block(np.array([abs(t)]), _phase_reducer(_terms(abs(t))))[0])
+    return val if t >= 0 else val.conjugate()
 
 
 def _check_grid_top(t_top: float) -> None:
@@ -129,11 +145,8 @@ def _check_grid_top(t_top: float) -> None:
 
 
 def zeta_half_grid(ts: np.ndarray) -> np.ndarray:
-    """Vectorized zeta(1/2 + i t) over a grid of nonnegative ordinates.
-
-    The grid is processed in ascending blocks of 512 points; each block
-    uses the term count of its largest ordinate.
-    """
+    """Vectorized zeta(1/2 + i t) over a grid of nonnegative ordinates,
+    taken in ascending blocks of 512 (see the module docstring)."""
     ts = np.asarray(ts, dtype=np.float64)
     if ts.ndim != 1:
         raise ZetaRangeError("ordinate grid must be one-dimensional")
@@ -144,13 +157,10 @@ def zeta_half_grid(ts: np.ndarray) -> np.ndarray:
     _check_grid_top(float(ts.max()))
     order = np.argsort(ts, kind="stable")
     sorted_ts = ts[order]
-    out_sorted = np.empty(ts.size, dtype=np.complex128)
-    block = 512
-    for lo in range(0, ts.size, block):
-        chunk = sorted_ts[lo : lo + block]
-        out_sorted[lo : lo + block] = _eval_block(chunk, _term_count(float(chunk[-1])))
+    reduce = _phase_reducer(_terms(float(sorted_ts[-1])))
     out = np.empty(ts.size, dtype=np.complex128)
-    out[order] = out_sorted
+    for lo in range(0, ts.size, _BLOCK):
+        out[order[lo : lo + _BLOCK]] = _block(sorted_ts[lo : lo + _BLOCK], reduce)
     return out
 
 
@@ -181,24 +191,11 @@ def zeta_selfcheck() -> ZetaSelfCheck:
     absolute with the looser 1e-8.
     """
     pts = []
-    max_rel = 0.0
-    max_zero = 0.0
     for t, ref, is_zero in ZETA_ORACLE:
         val = zeta_half(t)
-        if is_zero:
-            dev = abs(val - ref)
-            max_zero = max(max_zero, dev)
-        else:
-            dev = abs(val - ref) / abs(ref)
-            max_rel = max(max_rel, dev)
-        pts.append(
-            ZetaCheckPoint(
-                t=t, computed=val, reference=ref, deviation=dev, is_zero_ordinate=is_zero
-            )
-        )
-    return ZetaSelfCheck(
-        points=tuple(pts),
-        max_rel_dev=max_rel,
-        max_zero_abs=max_zero,
-        passed=(max_rel <= _SELFCHECK_REL_TOL) and (max_zero <= _SELFCHECK_ZERO_ABS_TOL),
-    )
+        dev = abs(val - ref) / (1.0 if is_zero else abs(ref))
+        pts.append(ZetaCheckPoint(t, val, ref, dev, is_zero))
+    max_rel = max((p.deviation for p in pts if not p.is_zero_ordinate), default=0.0)
+    max_zero = max((p.deviation for p in pts if p.is_zero_ordinate), default=0.0)
+    passed = max_rel <= _SELFCHECK_REL_TOL and max_zero <= _SELFCHECK_ZERO_ABS_TOL
+    return ZetaSelfCheck(tuple(pts), max_rel, max_zero, passed)

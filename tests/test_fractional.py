@@ -45,7 +45,8 @@ from bnladder import (
     pair_inner_matrix,
     zeta_half,
 )
-from bnladder.fractional import _sweep_gram, _unit_inner_matrix
+from bnladder.errors import BNLadderError
+from bnladder.fractional import _sweep_gram, _unit_denominator, _unit_inner_matrix
 
 EXACT_INNER = {
     (2, 2): 0.17328679513998632,  # = log(2)/4
@@ -375,6 +376,37 @@ def test_near_unit_theta_takes_the_cutoff_route():
     x_min = 1e-4
     res = inner_direct(theta, theta, QuadratureConfig(x_min=x_min), full_output=True)
     assert res.tail_bound == x_min * ((1.0 + theta) * (1.0 + theta))
+
+
+def test_unit_denominator_names_one_integer_or_none():
+    # Below 2^48 exactly one integer passes the 8 eps test; above it the
+    # neighbours of N pass too, and the float 1/N picks one of them.
+    for j in range(63):
+        for k in range(40):
+            n = 2**j * 3**k
+            if n > 2**62:
+                break
+            got = _unit_denominator(1.0 / n)
+            assert got == (n if n < 2**48 else None), n
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: inner_direct(5e-324, 0.5),
+        lambda: l2_norm(5e-324),
+        lambda: breakpoints(5e-324, 0.5),
+        lambda: mellin_direct(5e-324, 1.0),
+    ],
+    ids=["inner_direct", "l2_norm", "breakpoints", "mellin_direct"],
+)
+def test_subnormal_theta_is_finite_or_typed(call):
+    # 1/theta overflows to inf here
+    try:
+        value = call()
+    except BNLadderError:
+        return
+    assert np.all(np.isfinite(value))
 
 
 _THETAS = st.one_of(

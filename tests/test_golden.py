@@ -19,9 +19,13 @@ number moved by at most 8.9e-16.  The three ``truncate`` cases were
 re-frozen when ``empirical_opnorm`` moved from power iteration, which
 stops early on the indefinite residual, to the exact largest |eigenvalue|:
 each norm rose by at most 1.02e-7 relative (1.41e-9 on the raw case),
-while every Schur bound and tail sum kept its bytes.  The values depend
-on float64 arithmetic only (no randomness), so a mismatch means a changed
-number or a changed format, not noise.
+while every Schur bound and tail sum kept its bytes.  The eleven cases
+that depend on zeta (the spectral, smoothed and spectrum ones) were
+re-frozen when zeta moved from the eta series to Euler-Maclaurin
+summation: Gram entries moved by at most 3.3e-16, 1.7e-6 of their
+budgets, and |M| in the spectrum cases by at most 6.4e-13 relative.
+The values depend on float64 arithmetic only (no randomness), so a
+mismatch means a changed number or a changed format, not noise.
 """
 
 import hashlib
@@ -39,43 +43,43 @@ GOLDEN = {
         ["gram", *SMOOTHED_4],
         "g.csv",
         {
-            "g.csv": "0b8649900f82676f10159ee3c1addc8f36a5121f65184e39015f4a495071ffd5",
-            "g.normalized.csv": "6923f41a39c1e8a56cf4d82c51537c9ada256e1a772eb9155032387fa038e0d8",
+            "g.csv": "8e7afc34a7c43822731930158a846020cbca0edcd228d656d2ac68ce4f009ce3",
+            "g.normalized.csv": "859af19a29a32d997393c58112a1ea440273050a62b2593c8267a041688413a8",
         },
     ),
     "gram_smoothed_4_json": (
         ["gram", *SMOOTHED_4, "--format", "json"],
         "g.json",
         {
-            "g.json": "7bd36ed3108591a8f1466146901b6fe5f9ba5f31836e9d2b83c0739621ff4dc4",
-            "g.normalized.json": "973084758d62ad3fbcdb8cb6e70bb91ec0fecdcaa3e770801145894579917d05",
+            "g.json": "22febaac0400f3679723c0963451f8c52891458847a177d3955b276df21e7540",
+            "g.normalized.json": "53f8aa982dd2f8b85d99ea4113da2eae8a8965c97fdb2f2872d8e09fa1c539bb",
         },
     ),
     "decay_smoothed_4": (
         ["decay", *SMOOTHED_4],
         "d.json",
         {
-            "d.json": "51a81e4cf640f7479a751319146e6f059221c1ab5df84cef0c7539e9ed467e4b",
-            "d.shells.csv": "e8eba8d78d561e10e6e6a508a7d7ff4a52a69f13ba680978d84cc176d56efcd4",
+            "d.json": "552c40e2c06733319f08457d7b8f4fd512d9ad5015448018478da13953d01cd1",
+            "d.shells.csv": "2086f44bcfeadb8205a841853be3c586f86360dcdc1e72ca6d4422db8efea520",
         },
     ),
     "decay_smoothed_4_csv_with_zero_row": (
         ["decay", *SMOOTHED_4, "--format", "csv", "--exclude-zero-row", "false"],
         "d.csv",
         {
-            "d.csv": "d1c7601c11cc46869d5fe12ecd87f4da4cd5a40f0aea219e0b9bb02827b95847",
-            "d.report.json": "d3b08bbe6f4609915f0e96c03ef3bcaec771344a973213c87c3352e398812f19",
+            "d.csv": "948912d4eb5e02a4fc1a807730f5845f811e0daae4a7921d81ac8ff0343445f7",
+            "d.report.json": "549180b45e850ff8db4346b910a0e48dcc8e4364450cb823474e7e4288fd8ccd",
         },
     ),
     "truncate_smoothed_4": (
         ["truncate", "--jmax", "4", "--kmax", "4"],
         "t.json",
-        {"t.json": "19190a6681c36419d652a4988666ebc4af503e2c632d68cb6c51ff1ec32fd8e5"},
+        {"t.json": "bdd07bd5258e507e639a676827e57f8385d944ae2bc58d07912ff828d3f2c03a"},
     ),
     "truncate_smoothed_4_csv": (
         ["truncate", "--jmax", "4", "--kmax", "4", "--format", "csv"],
         "t.csv",
-        {"t.csv": "ad4159ec8f58528b8750a4c4f9f2cd8fd1e03346fa514162dedad6ba6487a6c7"},
+        {"t.csv": "f0583ea3fde067c73d877b53754bc8268b715cafd9eb90c5cd62192702cc8820"},
     ),
     "gram_raw_3": (
         ["gram", *RAW_3],
@@ -106,12 +110,12 @@ GOLDEN = {
     "spectrum_csv": (
         ["spectrum", "--theta", "1/6", "--points", "20"],
         "s.csv",
-        {"s.csv": "ce2c8b0a604dcf21a84010d98f74b42aaffada233387c407e76688ca50ea32cf"},
+        {"s.csv": "dbc63c07496b31379df71c66e524fce672cdd6e5fcbfd9f28ee288739f5bc114"},
     ),
     "spectrum_json": (
         ["spectrum", "--theta", "1/6", "--points", "20", "--format", "json"],
         "s.json",
-        {"s.json": "aadb0b504349b3ad27d79b4bb02f8c490ca7f3666da14469d1927d4f15f66ed0"},
+        {"s.json": "50f66c061074f83a76bc9759fb379ca1d7907541780ce02549ee673e014ddd69"},
     ),
     # frozen from the per-subcommand cmd_* functions before the CLI handlers
     # were rebound to argparse, to pin the flags no case above exercises
@@ -120,8 +124,8 @@ GOLDEN = {
          "--tmax-raw", "50"],
         "g.csv",
         {
-            "g.csv": "b987a5f56b2bfc954a129e8bb1baf4896153653b2491088b2ded5bc770f2387a",
-            "g.normalized.csv": "171087d8db7f3165c24581fd877ee853cc78e24a1e161a280365e4a96640fb69",
+            "g.csv": "e3f8eb2539f0ecb924ea5c5e38c5ca8eaef7d410fe9f9a885a508fa1512c12ab",
+            "g.normalized.csv": "397adea21008a73798ec8b64e049ecc97bb2457c46921b710ccb286ab28eb910",
         },
     ),
     "gram_smoothed_2_quad_json": (
@@ -130,8 +134,8 @@ GOLDEN = {
          "--abs-tol", "1e-5", "--x-min", "1e-3", "--tmax-raw", "500", "--format", "json"],
         "g.json",
         {
-            "g.json": "fe949177fe07cad8b8b2be5ae9120c8f5bb079a22e6c5b7561f399e9954a25f3",
-            "g.normalized.json": "4a173a72ab65afdca8095e86e73807294f80741bdd72db0f69be4fa51149b340",
+            "g.json": "a1321bc6e208506f445547d7a7efcf66e2a8de9d8511d9a546e0b544860f8585",
+            "g.normalized.json": "60ae76d3df266a9b255a54c72f5f5f1d53ac87b7817641b034d4e815e73bfb23",
         },
     ),
     "truncate_raw_3_direct_csv": (
@@ -148,7 +152,7 @@ GOLDEN = {
         ["spectrum", "--theta", "1/4", "--W", "2", "--eps", "0", "--tmin", "1", "--tmax", "30",
          "--points", "9"],
         "s.csv",
-        {"s.csv": "8d6d447e7ec211dde21af02835111dc408b8d793341461671cabd3d5e4bfeffa"},
+        {"s.csv": "6f1435c6872fbdd62341ad427271bac75a7177f2da76284ca0494e58c5ac2970"},
     ),
 }
 

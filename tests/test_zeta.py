@@ -1,3 +1,6 @@
+from fractions import Fraction
+from math import comb, factorial
+
 import numpy as np
 import pytest
 
@@ -7,17 +10,22 @@ from bnladder.oracle import ZETA_ORACLE
 
 
 # zeta(1/2 + i t) above the oracle table's reach, from mpmath at 40 digits
-# and rounded to 30, with about 4x the measured absolute error of each
-# route: the scalar call, and one grid over all six points, whose block
-# sums every point to the term count of t = 9999.
+# and rounded to 30, with tolerances on the absolute error of each route:
+# the scalar call, about 4x its largest error over four summation orders
+# of the same terms (so that another BLAS does not trip it), and one grid
+# over all six points, whose block starts at t = 150 and sums every point
+# to the term count of t = 9999.
 HIGH_T = (
-    (150.0, complex(-0.0635050565486052305800892886459, -0.0651927599258052326532936766778), 1.3e-13, 2.6e-13),
-    (500.0, complex(-0.396256507275146617829576525567, -1.41812674134537081553125171514), 5.2e-13, 2.1e-12),
-    (1000.0, complex(0.356334367194396055074402476711, 0.931997831232993665115060432737), 6.4e-13, 1.7e-12),
-    (2500.0, complex(0.590883896839177563092591156037, 0.405404442479313334755408418409), 2.4e-12, 8.7e-12),
-    (5000.0, complex(0.406842713635432558981330918771, -0.693764159198085102454522258529), 5.3e-12, 7.5e-12),
-    (9999.0, complex(1.39985791048172059768481915305, 1.07187619213679093666341596683), 5.9e-11, 5.9e-11),
+    (150.0, complex(-0.0635050565486052305800892886459, -0.0651927599258052326532936766778), 2.2e-15, 2.6e-13),
+    (500.0, complex(-0.396256507275146617829576525567, -1.41812674134537081553125171514), 2.9e-15, 2.1e-12),
+    (1000.0, complex(0.356334367194396055074402476711, 0.931997831232993665115060432737), 2.9e-15, 1.7e-12),
+    (2500.0, complex(0.590883896839177563092591156037, 0.405404442479313334755408418409), 1.8e-15, 8.7e-12),
+    (5000.0, complex(0.406842713635432558981330918771, -0.693764159198085102454522258529), 2.9e-15, 7.5e-12),
+    (9999.0, complex(1.39985791048172059768481915305, 1.07187619213679093666341596683), 6.0e-15, 5.9e-11),
 )
+
+# What the module docstring promises of Backlund's bound on [0, T_CAP].
+TRUNCATION_TARGET = 4.0e-19
 
 
 def test_high_ordinates_match_frozen_values():
@@ -88,3 +96,36 @@ def test_selfcheck_detects_perturbation(monkeypatch):
     patched[1] = (t, ref + 1e-6, is_zero)
     monkeypatch.setattr(bnladder.zeta, "ZETA_ORACLE", tuple(patched))
     assert not zeta_selfcheck().passed
+
+
+def test_bernoulli_table_is_the_exact_fractions_rounded():
+    # B_m from sum_{j<=m} C(m+1, j) B_j = 0, in exact arithmetic
+    b = [Fraction(1)]
+    for m in range(1, 2 * bnladder.zeta._M + 3):
+        b.append(-sum(comb(m + 1, j) * b[j] for j in range(m)) / (m + 1))
+    want = tuple(float(b[2 * k] / factorial(2 * k)) for k in range(1, bnladder.zeta._M + 2))
+    assert bnladder.zeta._BERNOULLI == want
+
+
+def test_backlund_bound_below_target_at_every_block_top():
+    # A block's bound is largest at its top ordinate, which sets its N.
+    tops = np.append(np.linspace(0.0, T_CAP, 200_001), T_CAP)
+    n = np.array([bnladder.zeta._terms(t) for t in tops], dtype=np.float64)
+    _, bound = bnladder.zeta._tail(0.5 + 1j * tops, n)
+    assert np.all(bound < TRUNCATION_TARGET)
+    assert bound[-1] > 0.5 * TRUNCATION_TARGET  # the target is not slack
+
+
+def test_backlund_bound_below_target_on_the_grid_blocks(monkeypatch):
+    tail = bnladder.zeta._tail
+    bounds = []
+
+    def spy(s, n):
+        series, bound = tail(s, n)
+        bounds.append(bound)
+        return series, bound
+
+    monkeypatch.setattr(bnladder.zeta, "_tail", spy)
+    zeta_half_grid(np.linspace(0.0, T_CAP, 3 * 512 + 7))
+    assert len(bounds) == 4
+    assert max(float(np.max(b)) for b in bounds) < TRUNCATION_TARGET
