@@ -370,7 +370,12 @@ def _sweep(thetas: Sequence[float], x_min: float, cap: int, what: str):
     extra = (math.ceil(theta / x_min) for theta, n in zip(thetas, units) if n is None)
     bound = math.floor(big_u) + sum(extra)
     if bound > cap:
-        raise ConvergenceError(f"{what} needs ~{bound} pieces, above the cap {cap}; raise x_min")
+        # the bound can exceed the float range, so Decimal rounds it
+        from decimal import Decimal
+
+        raise ConvergenceError(
+            f"{what} needs ~{Decimal(bound):.2e} pieces, above the cap {cap}; raise x_min"
+        )
     span = 65536.0
     lo = 1.0
     while lo < big_u:

@@ -13,7 +13,10 @@ and the origin, and :func:`.fractional._assemble` turns it into entries:
   ``t_max_raw`` and integrated on equal Gauss-Kronrod K15 panels.  The
   integrand is |zeta/s|^2 times cosines of ladder displacements, so the
   table holds cosine moments of |zeta/s|^2 (145 on 8x8; see
-  :func:`_pair_matrices`).
+  :func:`_pair_matrices`).  Every displacement frequency is
+  dj log 2 + dk log 3, so e^{i omega t} factors into one exponential per
+  distinct dj and one per distinct dk, and all moments come from one
+  complex matrix product per slab of nodes (see :func:`_moments`).
 
 The raw spectral integrand decays only like (log t)/t^2, so truncation
 leaves a visible deficit; every spectral entry therefore carries an error
@@ -125,6 +128,8 @@ _PANEL_RADIANS = 12.0
 # A target below what roundoff allows is never met, so the halving stops
 # with ConvergenceError before a grid would exceed this many nodes.
 _MAX_GRID_NODES = 1 << 22
+# Nodes per slab of the moment pass (see _moments).
+_MOMENT_SLAB = 1 << 14
 
 _grid_cache: dict[tuple[float, float], "_SpectralGrid"] = {}
 
@@ -186,16 +191,30 @@ def _spectral_grid(t_max: float, h: float) -> _SpectralGrid:
     return _grid_cache.setdefault(key, _SpectralGrid(nodes, w_quad, w_diff, power))
 
 
-def _moments(grid: _SpectralGrid, weights, omegas: np.ndarray) -> np.ndarray:
-    """C_w(omega) = (1/pi) * sum_nodes w |zeta/s|^2 cos(omega t), one row per
-    omega and one column per weight vector, in one pass over the nodes that
-    is slabbed to a few million cosines at a time."""
-    wp = np.stack(weights, axis=1) * grid.power[:, None]
-    out = np.zeros((omegas.size, wp.shape[1]))
-    slab = max(1024, int(4.0e6 / max(omegas.size, 1)))
-    for lo in range(0, grid.nodes.size, slab):
-        out += np.cos(np.outer(omegas, grid.nodes[lo : lo + slab])) @ wp[lo : lo + slab]
-    return out / math.pi
+def _moments(grid: _SpectralGrid, weights, dj: np.ndarray, dk: np.ndarray) -> np.ndarray:
+    """C_w(omega) = (1/pi) * sum_nodes w |zeta/s|^2 cos(omega t) at the
+    ladder frequencies omega = dj log 2 + dk log 3, one row per (dj, dk)
+    and one column per weight vector.
+
+    cos is even, so each pair is first turned to dj >= 0.  Then
+    cos(omega t) = Re[e^{i dj log2 t} e^{i dk log3 t}], and every moment is
+    an entry of Re[(A * w |zeta/s|^2) B^T], with A holding e^{i dj log2 t}
+    for each distinct dj and B e^{i dk log3 t} for each distinct dk: a few
+    dozen exponentials per node instead of one cosine per frequency.  The
+    nodes go in slabs of _MOMENT_SLAB.
+    """
+    flip = np.where(dj < 0, -1, 1)
+    uj, row = np.unique(flip * dj, return_inverse=True)
+    uk, col = np.unique(flip * dk, return_inverse=True)
+    wp = np.stack(weights) * grid.power
+    out = np.zeros((len(weights), row.size))
+    for lo in range(0, grid.nodes.size, _MOMENT_SLAB):
+        t = grid.nodes[lo : lo + _MOMENT_SLAB]
+        a = np.exp(1j * np.outer(uj * LOG2, t))
+        b = np.exp(1j * np.outer(uk * LOG3, t)).T
+        for c, w in enumerate(wp[:, lo : lo + _MOMENT_SLAB]):
+            out[c] += ((a * w) @ b).real[row, col]
+    return out.T / math.pi
 
 
 def _pair_matrices(points: tuple[LadderPoint, ...], grid: _SpectralGrid, weights):
@@ -213,20 +232,21 @@ def _pair_matrices(points: tuple[LadderPoint, ...], grid: _SpectralGrid, weights
     # odd; cos is even, so |key| names the moment of d and of -d.
     key = np.abs(dj * (2 * int(ij[:, 1].max()) + 1) + dk)
     _, first, inv = np.unique(key, return_index=True, return_inverse=True)
-    omegas = (dj * LOG2 + dk * LOG3).ravel()[first]
     inv = inv.reshape(key.shape)
     theta = np.array([p.theta for p in points])
     # sqrt(theta) via exp(log_theta / 2) so deep indices degrade to 0
     # instead of raising; log_theta == 0.0 keeps the theta = 1 row exact.
     sqrt_theta = np.array([math.exp(0.5 * p.log_theta) for p in points])
-    return [_assemble(theta, sqrt_theta, c[inv]) for c in _moments(grid, weights, omegas).T]
+    moments = _moments(grid, weights, dj.ravel()[first], dk.ravel()[first])
+    return [_assemble(theta, sqrt_theta, c[inv]) for c in moments.T]
 
 
 def _searched_pairs(points, t_max: float, tau: float, taper=None, phases=()):
     """``(values, K15 - G7, phase values)`` on the grid the width rule accepts.
 
     The first two are the pair matrices of :func:`_pair_matrices`; the
-    third holds the value moments of :func:`_moments` at ``phases``.
+    third holds the value moments of :func:`_moments` at ``phases``, a
+    sequence of ladder displacements (dj, dk).
     ``taper``, a function of the nodes, multiplies both weight vectors.
     Starting from :func:`_first_width` at the highest frequency integrated,
     the width halves until every entry off the theta = 1 row has
@@ -235,8 +255,8 @@ def _searched_pairs(points, t_max: float, tau: float, taper=None, phases=()):
     """
     amps = np.array([_amp_bound(p) for p in points])
     off = amps > 0.0
-    phases = np.array(phases, dtype=np.float64)
-    omega = max([_displacement_span(points), *np.abs(phases)])
+    phases = np.array(phases, dtype=np.int64).reshape(-1, 2)
+    omega = max([_displacement_span(points), *np.abs(phases @ (LOG2, LOG3))])
     limit = _QUAD_SHARE * tau
     h = _first_width(omega, t_max, tau)
     while True:
@@ -246,7 +266,7 @@ def _searched_pairs(points, t_max: float, tau: float, taper=None, phases=()):
         vals, qdiff = _pair_matrices(points, grid, weights)
         ratios = np.abs(qdiff[np.ix_(off, off)]) / amps[off, None] / amps[None, off]
         # A separate pass, so that adding phases moves no entry's bits.
-        c = _moments(grid, weights, phases)
+        c = _moments(grid, weights, *phases.T)
         if np.all(ratios <= limit) and np.all(np.abs(c[:, 1]) <= limit):
             return vals, qdiff, c[:, 0]
         h *= 0.5
@@ -549,6 +569,7 @@ def compare_kernel_forms(
     pa, pb = _as_point(a), _as_point(b)
     lam = pa.log_theta - pb.log_theta
     mu = pa.log_theta + pb.log_theta
+    (ja, ka), (jb, kb) = pa.index, pb.index
     taper = None if smoothing is None else (lambda t: psi(t, smoothing) ** 2)
     # The two phase terms are single moments of |zeta/s|^2, which keep the
     # double pole of |zeta|^2 at t = -i/2 that theta - theta^s cancels in
@@ -556,7 +577,9 @@ def compare_kernel_forms(
     # build's target on the same range, which holds the reported values to
     # about 1e-12 relative of their converged values.
     tau = 1.0e-2 * _mean_sq_tail(quad.t_max_raw) / math.pi
-    vals, _, (c_lam, c_mu) = _searched_pairs((pa, pb), quad.t_max_raw, tau, taper, (lam, mu))
+    # cos(lam t) and cos(mu t) are the moments of the displacements a - b and a + b
+    phases = ((ja - jb, ka - kb), (ja + jb, ka + kb))
+    vals, _, (c_lam, c_mu) = _searched_pairs((pa, pb), quad.t_max_raw, tau, taper, phases)
     amp = math.exp(0.5 * (pa.log_theta + pb.log_theta))  # sqrt(theta_a theta_b)
     lam_part = amp * float(c_lam)
     mu_part = -amp * float(c_mu)

@@ -3,11 +3,17 @@
 Floats in CSV are printed with ``%.17g`` (an exact float64 round trip),
 JSON has sorted keys and a two-space indent, and every text ends in one
 LF.  :func:`write_all` makes all of a command's files appear or none.
+
+:func:`csv_text` is numpy throughout: a vectorized ``%.17g`` kernel (see
+the comment above :func:`_pow10`) renders each distinct float once, and
+the rows are assembled as one byte matrix per slab, so no Python ``%`` or
+string join runs per cell.  Its bytes are those of ``"%.17g" % x``.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import itertools
 import json
 import os
@@ -31,13 +37,165 @@ def _distinct_strings(values: np.ndarray, render) -> list[str]:
     return [text[i] for i in inverse.tolist()]
 
 
-def _column_strings(column) -> list[str]:
+# -- CSV: each column rendered once per distinct value, rows as one byte matrix
+#
+# Floats go through a numpy %.17g kernel.  For |x| = a it takes
+# k = 16 - floor(log10 a) and forms y = a * 10^k as a double-double
+# hi + lo: Dekker's two-product (Numer. Math. 18, 1971) gives a * hi(10^k)
+# exactly, and 10^k = hi + lo is itself correctly rounded to 106 bits, so
+# for y in [1e16, 1e17] the error of hi + lo stays below 1e-14.  There hi
+# is an integer, so floor(y) and its fraction come from hi and lo, and the
+# 17 digits are floor(y) or floor(y) + 1.  For k < 0, y is never a tie
+# (its odd part would need more than 53 bits).  Where 10^k is not a double
+# a fraction within _TIE of 1/2 could round either way; those near-ties,
+# zeros, non-finite values and a outside [1e-280, 1e280], where 10^k or its
+# split would leave the normal double range, go to FLOAT_FORMAT % x.  If y sits
+# within the error of 1e16, k may be off by one; both choices give the
+# same digits, as 10y then rounds up to 1e17, a carry into the next decade.
+
+_SPLIT = 134217729.0  # 2^27 + 1: Dekker's splitter for float64
+_TIE = 2.0**-20
+_SETTLED = (1e-280, 1e280)
+_WIDTH = 29  # the bytes of _layout's template; the widest text has 24
+_SLAB_ROWS = 1 << 15
+
+
+@functools.lru_cache(maxsize=None)
+def _pow10(k: int) -> tuple[float, float]:
+    """10^k as hi + lo, hi and lo each correctly rounded (Python's int
+    division is), built on first use per exponent."""
+    num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
+    hi = num / den
+    p, q = hi.as_integer_ratio()
+    return hi, (num * q - p * den) / (den * q)
+
+
+def _split(a: np.ndarray):
+    c = _SPLIT * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _scaled(a: np.ndarray, k: np.ndarray):
+    """a * 10^k as hi + lo: hi = fl(a * 10^k's hi half), lo its exact
+    two-product error plus a times 10^k's lo half."""
+    k0 = k.min(initial=0)
+    counts = np.bincount(k - k0)
+    need = np.flatnonzero(counts)
+    table = np.zeros((counts.size, 2))
+    table[need] = np.reshape([_pow10(int(x)) for x in need + k0], (-1, 2))
+    p_hi, p_lo = table[k - k0].T
+    hi = a * p_hi
+    a1, a2 = _split(a)
+    b1, b2 = _split(p_hi)
+    err = ((a1 * b1 - hi) + a1 * b2 + a2 * b1) + a2 * b2
+    return hi, err + a * p_lo
+
+
+def _decimal17(a: np.ndarray):
+    """(d, e, sure) for |x| = a in [1e-280, 1e280]: the digits d in
+    [10^16, 10^17) and the exponent e of x rounded to 17 significant
+    digits, d * 10^(e - 16); ``sure`` is False where the kernel leaves the
+    rounding undecided (near-ties)."""
+    k = 16 - np.floor(np.log10(a)).astype(np.int64)
+    hi, lo = _scaled(a, k)
+    low = (hi < 1e16) | ((hi == 1e16) & (lo < 0.0))
+    fix = low | (hi >= 1e17)
+    k[fix] += np.where(low[fix], 1, -1)
+    hi[fix], lo[fix] = _scaled(a[fix], k[fix])
+    whole = np.floor(lo)
+    frac = lo - whole
+    # For 0 <= k <= 22, 10^k is a double, so hi + lo is y itself and frac
+    # is exact wherever it is near 1/2: ties round half to even.
+    exact = k <= 22
+    sure = (hi >= 1e16) & (hi <= 1e17) & (exact | (np.abs(frac - 0.5) > _TIE))
+    d = np.where(sure, hi, 1e16).astype(np.int64) + whole.astype(np.int64)
+    d += (frac > 0.5) | ((frac == 0.5) & exact & (d % 2 == 1))
+    carry = d == 10**17  # a 17th-digit carry into the next decade
+    d[carry] = 10**16
+    return d, 16 - k + carry, sure
+
+
+def _layout(neg: np.ndarray, d: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """The %.17g text of (-1)^neg * d * 10^(e - 16), one row of bytes
+    each, with NULs where a byte is unused: fixed notation for
+    -4 <= e < 17, else d.ddde+XX, and trailing zeros dropped with the
+    point they leave bare.
+
+    Every text fills one template of _WIDTH bytes: a sign, a "0.000"
+    lead, 17 digits with a point among them, and "e+ddd".  The template
+    is built one byte position at a time over all values at once.
+    """
+    digits = np.zeros((17, d.size), dtype=np.uint8)  # d_0 .. d_16, in ASCII
+    high = d // 10**9
+    for x, rows in ((high, range(7, -1, -1)), (d - high * 10**9, range(16, 7, -1))):
+        x = x.astype(np.uint32)
+        for i in rows:
+            q = x // 10
+            digits[i] = x - 10 * q + ord("0")
+            x = q
+    # small counts as int8 and bytes as uint8 keep every pass below narrow
+    n = (17 - np.argmax(digits[::-1] != ord("0"), axis=0)).astype(np.int8)  # significant digits
+    fixed = (e >= -4) & (e < 17)
+    e8 = np.where(fixed, e, -5).astype(np.int8)
+    point = np.where(fixed, np.where(e8 >= 0, e8 + 1, 18), 1).astype(np.int8)  # the digit the point precedes
+    shown = np.where(e8 >= 0, np.maximum(n, e8 + 1), n).astype(np.int8)
+    digits[np.arange(17, dtype=np.int8)[:, None] >= shown] = 0  # trailing zeros after the point
+    dot = np.where(point < n, ord("."), 0).astype(np.uint8)
+    lead = np.where(fixed & (e8 < 0), 1 - e8, 0).astype(np.int8)  # the length of "0.", "0.0", ... "0.000"
+    ex = np.abs(e)
+    t = np.zeros((_WIDTH, d.size), dtype=np.uint8)
+    t[0] = np.where(neg, ord("-"), 0)
+    for j, byte in enumerate(b"0.000"):
+        t[1 + j] = np.where(lead > j, byte, 0)
+    for c in range(18):
+        here = digits[c] if c < 17 else 0
+        t[6 + c] = np.where(point > c, here, np.where(point == c, dot, digits[c - 1]))
+    t[24] = np.where(fixed, 0, ord("e"))
+    t[25] = np.where(fixed, 0, np.where(e < 0, ord("-"), ord("+")))
+    t[26] = np.where(fixed | (ex < 100), 0, ex // 100 + ord("0"))
+    t[27] = np.where(fixed, 0, ex // 10 % 10 + ord("0"))
+    t[28] = np.where(fixed, 0, ex % 10 + ord("0"))
+    return np.ascontiguousarray(t.T)
+
+
+def _text_block(texts: list[str]) -> np.ndarray:
+    """UTF-8 bytes of each text, one row each, NUL-padded."""
+    return np.array([t.encode() for t in texts], dtype=bytes).reshape(len(texts), 1).view(np.uint8)
+
+
+def _float_block(values: np.ndarray) -> np.ndarray:
+    """The FLOAT_FORMAT text of each float64, one row of _WIDTH bytes
+    each, NULs where a byte is unused."""
+    a = np.abs(values)
+    settled = np.isfinite(a) & (a >= _SETTLED[0]) & (a <= _SETTLED[1])
+    d, e, sure = _decimal17(a[settled])
+    block = np.zeros((values.size, _WIDTH), dtype=np.uint8)
+    block[settled] = _layout(np.signbit(values[settled]), d, e)
+    rest = np.concatenate((np.flatnonzero(~settled), np.flatnonzero(settled)[~sure]))
+    texts = _text_block([FLOAT_FORMAT % v for v in values[rest].tolist()])
+    block[rest] = 0
+    block[rest, : texts.shape[1]] = texts
+    return block
+
+
+def _column_block(column) -> tuple[np.ndarray, np.ndarray]:
+    """(block, index): one NUL-padded text row per distinct value of the
+    column and, per cell, the row of its text.  Floats are keyed by bit
+    pattern, so -0.0 and 0.0 print apart."""
     column = np.asarray(column)
     if column.dtype.kind == "b":
-        return np.where(column, "true", "false").tolist()
+        return _text_block(["false", "true"]), column.astype(np.intp)
     if column.dtype.kind == "f":
-        return _distinct_strings(column, lambda vs: [FLOAT_FORMAT % v for v in vs])
-    return _distinct_strings(column, lambda vs: list(map(str, vs)))
+        column = column.astype(np.float64)
+        distinct, index = np.unique(column.view(np.int64), return_inverse=True)
+        return _float_block(distinct.view(np.float64)), index
+    if column.dtype.kind in "iu" and column.size:
+        low, high = int(column.min()), int(column.max())
+        if high - low < column.size:  # a dense range: render all of it rather than sort
+            return _text_block([str(v) for v in range(low, high + 1)]), column - column.min()
+    distinct, index = np.unique(column, return_inverse=True)
+    return _text_block(list(map(str, distinct.tolist()))), index
 
 
 def csv_text(header: Sequence[str], columns: Sequence) -> str:
@@ -46,10 +204,25 @@ def csv_text(header: Sequence[str], columns: Sequence) -> str:
     ``columns`` holds the data column by column (arrays or lists, all of
     one length), and each column's dtype picks its format: integers as
     ``%d``, floats in :data:`FLOAT_FORMAT`, bools as ``true``/``false``
-    and strings as they are.
+    and strings as they are.  Each distinct value is rendered once into a
+    NUL-padded byte row; the rows of the table are gathered from those in
+    slabs as one byte matrix, its NULs dropped, and the whole text is
+    decoded once.
     """
-    rows = map(",".join, zip(*map(_column_strings, columns)))
-    return "\n".join([",".join(header), *rows]) + "\n"
+    blocks = []
+    for c, (block, index) in enumerate(map(_column_block, columns)):
+        sep = np.full((block.shape[0], 1), ord("\n" if c == len(columns) - 1 else ","), np.uint8)
+        blocks.append((np.hstack((block[:, block.any(axis=0)], sep)), index.ravel()))
+    n_rows = blocks[0][1].size if blocks else 0
+    edges = np.cumsum([0] + [block.shape[1] for block, _ in blocks])
+    slab = np.empty((min(n_rows, _SLAB_ROWS), edges[-1]), dtype=np.uint8)
+    parts = [(",".join(header) + "\n").encode()]
+    for lo in range(0, n_rows, _SLAB_ROWS):
+        rows = slab[: n_rows - lo]
+        for (block, index), a, b in zip(blocks, edges, edges[1:]):
+            np.take(block, index[lo : lo + rows.shape[0]], axis=0, out=rows[:, a:b], mode="clip")
+        parts.append(rows[rows != 0].tobytes())
+    return b"".join(parts).decode()
 
 
 _ARRAY_MARK = re.compile(r'"\\u0000(\d+)\\u0000"')

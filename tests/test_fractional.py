@@ -409,6 +409,16 @@ def test_subnormal_theta_is_finite_or_typed(call):
     assert np.all(np.isfinite(value))
 
 
+def test_piece_bound_beyond_the_float_range_prints_short():
+    # theta = 5e-324 clamps the cutoff to the smallest normal float, so the
+    # bound has 309 digits, more than a float holds
+    with pytest.raises(ConvergenceError) as info:
+        mellin_direct(5e-324, 1.0)
+    msg = str(info.value)
+    assert "~4.49e+307 pieces" in msg and "above the cap 100000000" in msg
+    assert len(msg) < 100
+
+
 _THETAS = st.one_of(
     st.integers(1, 10**6).map(lambda n: 1.0 / n),
     st.integers(1, 40).flatmap(lambda q: st.integers(1, q).map(lambda p: p / q)),

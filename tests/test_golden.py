@@ -43,43 +43,43 @@ GOLDEN = {
         ["gram", *SMOOTHED_4],
         "g.csv",
         {
-            "g.csv": "8e7afc34a7c43822731930158a846020cbca0edcd228d656d2ac68ce4f009ce3",
-            "g.normalized.csv": "859af19a29a32d997393c58112a1ea440273050a62b2593c8267a041688413a8",
+            "g.csv": "13e18c016877ad34d4c34a06c499e87dab642edf4ef229989458f62db05d2bdb",
+            "g.normalized.csv": "07d650a3d0d5b78f06d7f707300b26d908114bff4a3bfb42801c080a3f1e79a3",
         },
     ),
     "gram_smoothed_4_json": (
         ["gram", *SMOOTHED_4, "--format", "json"],
         "g.json",
         {
-            "g.json": "22febaac0400f3679723c0963451f8c52891458847a177d3955b276df21e7540",
-            "g.normalized.json": "53f8aa982dd2f8b85d99ea4113da2eae8a8965c97fdb2f2872d8e09fa1c539bb",
+            "g.json": "64c583fa4e4aa558cc11175f40618aed259c67a7c251f3f81a8edbed2e99babf",
+            "g.normalized.json": "9cf27388fb1c9bad845450f8f2bc75d107091973977191e0f29e4f040f0be0cf",
         },
     ),
     "decay_smoothed_4": (
         ["decay", *SMOOTHED_4],
         "d.json",
         {
-            "d.json": "552c40e2c06733319f08457d7b8f4fd512d9ad5015448018478da13953d01cd1",
-            "d.shells.csv": "2086f44bcfeadb8205a841853be3c586f86360dcdc1e72ca6d4422db8efea520",
+            "d.json": "0613000360fb7491c0a245594a1bb5a285f236cec792e9e5d215342f8da558ff",
+            "d.shells.csv": "daf0f8aa0cd47093d3821b3fe086623fac175f8adabca69de05b70e73262b0db",
         },
     ),
     "decay_smoothed_4_csv_with_zero_row": (
         ["decay", *SMOOTHED_4, "--format", "csv", "--exclude-zero-row", "false"],
         "d.csv",
         {
-            "d.csv": "948912d4eb5e02a4fc1a807730f5845f811e0daae4a7921d81ac8ff0343445f7",
-            "d.report.json": "549180b45e850ff8db4346b910a0e48dcc8e4364450cb823474e7e4288fd8ccd",
+            "d.csv": "1ad1960ac11b07ecd11abf9865647f8caa05c4c0d2a24dbee0c608928a12b7f0",
+            "d.report.json": "d63ca2901732272f4b04a5c4b0d31f8acd272e6e38a2cdb2445669283d8c7ff8",
         },
     ),
     "truncate_smoothed_4": (
         ["truncate", "--jmax", "4", "--kmax", "4"],
         "t.json",
-        {"t.json": "bdd07bd5258e507e639a676827e57f8385d944ae2bc58d07912ff828d3f2c03a"},
+        {"t.json": "38960b845ee9a4462934eab6311f2f3798cceae128fd02ab02a5897c322d3780"},
     ),
     "truncate_smoothed_4_csv": (
         ["truncate", "--jmax", "4", "--kmax", "4", "--format", "csv"],
         "t.csv",
-        {"t.csv": "f0583ea3fde067c73d877b53754bc8268b715cafd9eb90c5cd62192702cc8820"},
+        {"t.csv": "e6b9311d927e5f3b25b31d66965607af002805e890304a6d47c426050c7665a5"},
     ),
     "gram_raw_3": (
         ["gram", *RAW_3],
@@ -124,8 +124,8 @@ GOLDEN = {
          "--tmax-raw", "50"],
         "g.csv",
         {
-            "g.csv": "e3f8eb2539f0ecb924ea5c5e38c5ca8eaef7d410fe9f9a885a508fa1512c12ab",
-            "g.normalized.csv": "397adea21008a73798ec8b64e049ecc97bb2457c46921b710ccb286ab28eb910",
+            "g.csv": "80956dc92e84ed8656f12421c8131914a6708c3e39dae716cbff349faee8c18a",
+            "g.normalized.csv": "b77f0bb507b59553381a0cd12d028994b1e3fab544d161cc67d886a6b46b98eb",
         },
     ),
     "gram_smoothed_2_quad_json": (
@@ -134,8 +134,8 @@ GOLDEN = {
          "--abs-tol", "1e-5", "--x-min", "1e-3", "--tmax-raw", "500", "--format", "json"],
         "g.json",
         {
-            "g.json": "a1321bc6e208506f445547d7a7efcf66e2a8de9d8511d9a546e0b544860f8585",
-            "g.normalized.json": "60ae76d3df266a9b255a54c72f5f5f1d53ac87b7817641b034d4e815e73bfb23",
+            "g.json": "f5ea1ac76fe17c7250358bce676756f713386a936d8c5577428bb97f2821cb50",
+            "g.normalized.json": "01edd1a06d7ad860401932250ad04f8e3848a29ee152b137ad3d73136cf61a1d",
         },
     ),
     "truncate_raw_3_direct_csv": (

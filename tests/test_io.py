@@ -1,6 +1,9 @@
 import json
 import math
 import os
+import subprocess
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -45,6 +48,129 @@ def test_csv_text_matches_per_value_format():
 def test_csv_text_empty_table():
     assert io.csv_text(("a", "b"), []) == "a,b\n"
     assert io.csv_text(("a", "b"), [[], []]) == "a,b\n"
+
+
+def _percent_lines(values) -> str:
+    return "".join("%.17g\n" % v for v in np.asarray(values, dtype=np.float64).tolist())
+
+
+def test_float_kernel_matches_percent_format_on_random_bits():
+    """10^6 random float64 bit patterns (both signs, every exponent, so
+    subnormals, infinities and NaNs too) print as "%.17g" % v does, and
+    the kernel itself settles all but a few of those it takes on."""
+    rng = np.random.default_rng(20260916)
+    bits = rng.integers(0, 2**64, size=10**6, dtype=np.uint64, endpoint=False)
+    subnormal = rng.integers(1, 2**52, size=10**4, dtype=np.uint64) | (
+        rng.integers(0, 2, size=10**4, dtype=np.uint64) << np.uint64(63)
+    )
+    values = np.concatenate((bits, subnormal)).view(np.float64)
+    assert io.csv_text(("x",), [values]) == "x\n" + _percent_lines(values)
+    a = np.abs(values)
+    taken = a[np.isfinite(a) & (a >= 1e-280) & (a <= 1e280)]
+    assert taken.size > 0.85 * values.size
+    _, _, sure = io._decimal17(taken)
+    assert np.count_nonzero(~sure) <= 10
+
+
+def _powers_of_ten_and_neighbours():
+    """Every double nearest to 10^E, its two neighbours on each side, and
+    the 17th-digit carries among them: doubles just below 10^E whose
+    17-digit rounding is 10^E itself, found with exact fractions."""
+    values, carries = [], []
+    for e in range(-323, 309):
+        x = float(Fraction(10) ** e)
+        near = [x]
+        for _ in range(2):
+            near = [math.nextafter(near[0], 0.0), *near, math.nextafter(near[-1], math.inf)]
+        values += near
+        carries += [y for y in near if 0.0 < y < Fraction(10) ** e and ("%.17g" % y)[:2] in ("1", "1e")]
+    return values, carries
+
+
+FLOAT_EDGES = [
+    0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 2.2250738585072014e-308,
+    2.225073858507201e-308, sys.float_info.max, -sys.float_info.max,
+    # ties at the 17th digit, which round half to even
+    1234567890123456.75, 1234567890123456.25, -1234567890123456.75, 12345678901234567.0,
+    12345678901234565.0, 2.0**-24, 0.5, 0.125, 9007199254740993.0,
+    # the switch between fixed and exponent layout at 1e-5 / 1e-4 and 1e16 / 1e17
+    1e-5, 1e-4, 9.9999999999999991e-06, 1.0000000000000001e-05, 9.9999999999999999e-05,
+    1e16, 1e17, 9999999999999998.0, 99999999999999984.0, 1.0000000000000002e16,
+    # the ends of the range the kernel takes on
+    1e-280, 1e280, 9.99999999999999e-281, 1.0000000000000001e280,
+]
+
+
+def test_float_kernel_matches_percent_format_on_edges():
+    powers, carries = _powers_of_ten_and_neighbours()
+    assert len(carries) >= 10  # e.g. 1e-14, 1e+98: the double below 10^E printing as 10^E
+    edges = np.array(FLOAT_EDGES + powers + carries)
+    with np.errstate(over="ignore"):  # the step past the largest double is inf
+        steps = [np.nextafter(edges, np.inf), np.nextafter(edges, -np.inf)]
+    values = np.concatenate([edges, -edges, *steps])
+    assert io.csv_text(("x",), [values]) == "x\n" + _percent_lines(values)
+    assert io.csv_text(("x",), [[1234567890123456.75]]) == "x\n1234567890123456.8\n"
+
+
+def _row_join(header, columns) -> str:
+    """The writer csv_text replaced: every cell formatted on its own and
+    the rows joined with commas."""
+
+    def cells(column):
+        column = np.asarray(column)
+        if column.dtype.kind == "b":
+            return ["true" if v else "false" for v in column.tolist()]
+        if column.dtype.kind == "f":
+            return ["%.17g" % v for v in column.tolist()]
+        return [str(v) for v in column.tolist()]
+
+    rows = map(",".join, zip(*map(cells, columns)))
+    return "\n".join([",".join(header), *rows]) + "\n"
+
+
+def _random_columns(rng, n):
+    words = ["", "a", "\u00e9t\u00e9", "stra\u00dfe", "\u65e5\u672c", "x y", "-", "q\"t"]
+    floats = rng.standard_normal(n) * 10.0 ** rng.integers(-30, 30, n)
+    floats[rng.random(n) < 0.2] = rng.choice([0.0, -0.0, 1.0, 0.5, math.nan, math.inf], 1)[0]
+    return [
+        rng.integers(-30, 30, n),
+        floats,
+        rng.random(n) < 0.5,
+        [words[i] for i in rng.integers(0, len(words), n)],
+        rng.integers(-(2**62), 2**62, n),
+        [10**30 + int(i) for i in rng.integers(0, 3, n)],
+        rng.random(n).astype(np.float32),
+        list(rng.random(n)),
+        rng.integers(0, 4, n).astype(np.uint8),
+        rng.choice(np.array([-(2**63), 2**63 - 1, 0]), n),
+    ]
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 1000, (1 << 15) + 3])
+def test_csv_text_matches_row_join(n):
+    rng = np.random.default_rng(n)
+    columns = _random_columns(rng, n)
+    header = ["i", "x", "flag", "s\u00e9", "big", "huge", "f32", "py", "u8", "ends"]
+    assert io.csv_text(header, columns) == _row_join(header, columns)
+    for c in range(len(columns)):
+        assert io.csv_text(header[c : c + 1], columns[c : c + 1]) == _row_join(
+            header[c : c + 1], columns[c : c + 1]
+        )
+
+
+def test_import_builds_no_powers_of_ten():
+    """``import bnladder.cli`` builds none of the 10^k table, and a CSV
+    call builds only the exponents its floats need."""
+    code = (
+        "import bnladder.cli, bnladder.io as io\n"
+        "assert io._pow10.cache_info().currsize == 0\n"
+        "io.csv_text(['x'], [[0.5, 3.0, 250.0, -0.03]])\n"
+        "print(io._pow10.cache_info().currsize)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["4"]  # k = 17, 16, 14 and 18
 
 
 def test_json_rows_layout():
