@@ -204,10 +204,10 @@ def csv_text(header: Sequence[str], columns: Sequence) -> str:
     ``columns`` holds the data column by column (arrays or lists, all of
     one length), and each column's dtype picks its format: integers as
     ``%d``, floats in :data:`FLOAT_FORMAT`, bools as ``true``/``false``
-    and strings as they are.  Each distinct value is rendered once into a
-    NUL-padded byte row; the rows of the table are gathered from those in
-    slabs as one byte matrix, its NULs dropped, and the whole text is
-    decoded once.
+    and strings as they are (less any NUL characters).  Each distinct
+    value is rendered once into a NUL-padded row of bytes; the rows of the
+    table are gathered from those in slabs as one byte matrix, its NULs
+    dropped, and the whole text is decoded once.
     """
     blocks = []
     for c, (block, index) in enumerate(map(_column_block, columns)):
