@@ -45,13 +45,13 @@ def _distinct_strings(values: np.ndarray, render) -> list[str]:
 # exactly, and 10^k = hi + lo is itself correctly rounded to 106 bits, so
 # for y in [1e16, 1e17] the error of hi + lo stays below 1e-14.  There hi
 # is an integer, so floor(y) and its fraction come from hi and lo, and the
-# 17 digits are floor(y) or floor(y) + 1.  For k < 0, y is never a tie
-# (its odd part would need more than 53 bits).  Where 10^k is not a double
-# a fraction within _TIE of 1/2 could round either way; those near-ties,
-# zeros, non-finite values and a outside [1e-280, 1e280], where 10^k or its
-# split would leave the normal double range, go to FLOAT_FORMAT % x.  If y sits
-# within the error of 1e16, k may be off by one; both choices give the
-# same digits, as 10y then rounds up to 1e17, a carry into the next decade.
+# 17 digits are floor(y) or floor(y) + 1.  Where 10^k is not a double a
+# fraction within _TIE of 1/2 could round either way; those near-ties,
+# zeros, non-finite values and a outside [1e-280, 1e280], where 10^k or
+# its split would leave the normal double range, go to FLOAT_FORMAT % x.
+# If y sits within the error of 1e16, k may be off by one; both choices
+# give the same digits, as 10y then rounds up to 1e17, a carry into the
+# next decade.
 
 _SPLIT = 134217729.0  # 2^27 + 1: Dekker's splitter for float64
 _TIE = 2.0**-20
@@ -107,7 +107,7 @@ def _decimal17(a: np.ndarray):
     frac = lo - whole
     # For 0 <= k <= 22, 10^k is a double, so hi + lo is y itself and frac
     # is exact wherever it is near 1/2: ties round half to even.
-    exact = k <= 22
+    exact = (k >= 0) & (k <= 22)
     sure = (hi >= 1e16) & (hi <= 1e17) & (exact | (np.abs(frac - 0.5) > _TIE))
     d = np.where(sure, hi, 1e16).astype(np.int64) + whole.astype(np.int64)
     d += (frac > 0.5) | ((frac == 0.5) & exact & (d % 2 == 1))
@@ -134,15 +134,17 @@ def _layout(neg: np.ndarray, d: np.ndarray, e: np.ndarray) -> np.ndarray:
             q = x // 10
             digits[i] = x - 10 * q + ord("0")
             x = q
-    # small counts as int8 and bytes as uint8 keep every pass below narrow
-    n = (17 - np.argmax(digits[::-1] != ord("0"), axis=0)).astype(np.int8)  # significant digits
+    # Small counts as int8 and bytes as uint8 keep every pass below narrow.
+    # n: significant digits; point: the digit the point precedes (18: none);
+    # shown: digits printed; lead: the length of "0.", "0.0", ... "0.000".
+    n = (17 - np.argmax(digits[::-1] != ord("0"), axis=0)).astype(np.int8)
     fixed = (e >= -4) & (e < 17)
     e8 = np.where(fixed, e, -5).astype(np.int8)
-    point = np.where(fixed, np.where(e8 >= 0, e8 + 1, 18), 1).astype(np.int8)  # the digit the point precedes
+    point = np.where(fixed, np.where(e8 >= 0, e8 + 1, 18), 1).astype(np.int8)
     shown = np.where(e8 >= 0, np.maximum(n, e8 + 1), n).astype(np.int8)
-    digits[np.arange(17, dtype=np.int8)[:, None] >= shown] = 0  # trailing zeros after the point
+    digits[np.arange(17, dtype=np.int8)[:, None] >= shown] = 0  # trailing zeros
     dot = np.where(point < n, ord("."), 0).astype(np.uint8)
-    lead = np.where(fixed & (e8 < 0), 1 - e8, 0).astype(np.int8)  # the length of "0.", "0.0", ... "0.000"
+    lead = np.where(fixed & (e8 < 0), 1 - e8, 0).astype(np.int8)
     ex = np.abs(e)
     t = np.zeros((_WIDTH, d.size), dtype=np.uint8)
     t[0] = np.where(neg, ord("-"), 0)
@@ -161,7 +163,8 @@ def _layout(neg: np.ndarray, d: np.ndarray, e: np.ndarray) -> np.ndarray:
 
 def _text_block(texts: list[str]) -> np.ndarray:
     """UTF-8 bytes of each text, one row each, NUL-padded."""
-    return np.array([t.encode() for t in texts], dtype=bytes).reshape(len(texts), 1).view(np.uint8)
+    encoded = np.array([t.encode() for t in texts], dtype=bytes)
+    return encoded.reshape(len(texts), 1).view(np.uint8)
 
 
 def _float_block(values: np.ndarray) -> np.ndarray:

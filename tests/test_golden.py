@@ -24,6 +24,11 @@ that depend on zeta (the spectral, smoothed and spectrum ones) were
 re-frozen when zeta moved from the eta series to Euler-Maclaurin
 summation: Gram entries moved by at most 3.3e-16, 1.7e-6 of their
 budgets, and |M| in the spectrum cases by at most 6.4e-13 relative.
+The eight spectral and smoothed Gram, decay and truncate cases were
+re-frozen when the cosine moments moved to the product of one
+exponential per distinct dj and one per distinct dk: Gram entries moved
+by at most 5.6e-16, 2.5e-6 of their budgets.  The vectorized CSV writer
+that came with it changed no byte of any case.
 The values depend on float64 arithmetic only (no randomness), so a
 mismatch means a changed number or a changed format, not noise.
 """

@@ -83,7 +83,8 @@ def _powers_of_ten_and_neighbours():
         for _ in range(2):
             near = [math.nextafter(near[0], 0.0), *near, math.nextafter(near[-1], math.inf)]
         values += near
-        carries += [y for y in near if 0.0 < y < Fraction(10) ** e and ("%.17g" % y)[:2] in ("1", "1e")]
+        power = Fraction(10) ** e
+        carries += [y for y in near if 0.0 < y < power == Fraction("%.17g" % y)]
     return values, carries
 
 
@@ -93,6 +94,7 @@ FLOAT_EDGES = [
     # ties at the 17th digit, which round half to even
     1234567890123456.75, 1234567890123456.25, -1234567890123456.75, 12345678901234567.0,
     12345678901234565.0, 2.0**-24, 0.5, 0.125, 9007199254740993.0,
+    3 * 2.0**-24, 15 * 2.0**-25,  # ties where 10^k (k = 23, 24) is not a double
     # the switch between fixed and exponent layout at 1e-5 / 1e-4 and 1e16 / 1e17
     1e-5, 1e-4, 9.9999999999999991e-06, 1.0000000000000001e-05, 9.9999999999999999e-05,
     1e16, 1e17, 9999999999999998.0, 99999999999999984.0, 1.0000000000000002e16,
