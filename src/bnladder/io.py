@@ -193,10 +193,6 @@ def _column_block(column) -> tuple[np.ndarray, np.ndarray]:
         column = column.astype(np.float64)
         distinct, index = np.unique(column.view(np.int64), return_inverse=True)
         return _float_block(distinct.view(np.float64)), index
-    if column.dtype.kind in "iu" and column.size:
-        low, high = int(column.min()), int(column.max())
-        if high - low < column.size:  # a dense range: render all of it rather than sort
-            return _text_block([str(v) for v in range(low, high + 1)]), column - column.min()
     distinct, index = np.unique(column, return_inverse=True)
     return _text_block(list(map(str, distinct.tolist()))), index
 
@@ -223,6 +219,8 @@ def csv_text(header: Sequence[str], columns: Sequence) -> str:
     for lo in range(0, n_rows, _SLAB_ROWS):
         rows = slab[: n_rows - lo]
         for (block, index), a, b in zip(blocks, edges, edges[1:]):
+            # every index is a row of its block (np.unique's inverse or a
+            # bool), so "clip" never clips; it only spares "raise"'s buffering
             np.take(block, index[lo : lo + rows.shape[0]], axis=0, out=rows[:, a:b], mode="clip")
         parts.append(rows[rows != 0].tobytes())
     return b"".join(parts).decode()

@@ -145,6 +145,7 @@ def _random_columns(rng, n):
         list(rng.random(n)),
         rng.integers(0, 4, n).astype(np.uint8),
         rng.choice(np.array([-(2**63), 2**63 - 1, 0]), n),
+        rng.integers(-128, 128, n).astype(np.int8),  # a range wider than int8 holds
     ]
 
 
@@ -152,7 +153,7 @@ def _random_columns(rng, n):
 def test_csv_text_matches_row_join(n):
     rng = np.random.default_rng(n)
     columns = _random_columns(rng, n)
-    header = ["i", "x", "flag", "s\u00e9", "big", "huge", "f32", "py", "u8", "ends"]
+    header = ["i", "x", "flag", "s\u00e9", "big", "huge", "f32", "py", "u8", "ends", "i8"]
     assert io.csv_text(header, columns) == _row_join(header, columns)
     for c in range(len(columns)):
         assert io.csv_text(header[c : c + 1], columns[c : c + 1]) == _row_join(
