@@ -43,9 +43,7 @@ from .fractional import (
 from .gram import (
     CrossValidationReport,
     GramMatrix,
-    KernelFormComparison,
     build_gram,
-    compare_kernel_forms,
     cross_validate,
     gram_from_json,
     gram_to_csv,
@@ -118,8 +116,6 @@ __all__ = [
     "inner_spectral",
     "cross_validate",
     "CrossValidationReport",
-    "compare_kernel_forms",
-    "KernelFormComparison",
     "gram_to_csv",
     "gram_to_json",
     "gram_from_json",

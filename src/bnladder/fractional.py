@@ -66,6 +66,7 @@ from .errors import ConvergenceError, ParameterError, _integer, _real
 
 __all__ = [
     "QuadratureConfig",
+    "DEFAULT_QUAD",
     "InnerProductResult",
     "eval_f",
     "breakpoints",
@@ -109,8 +110,6 @@ class QuadratureConfig:
                        epsilon^2 share of smoothed Gram matrices, and the
                        cutoff fallback above the closed form's cap);
                        drives the small-x cutoff when x_min is unset.
-    rel_tol            only recorded in ``quad`` (and in JSON output);
-                       no computation reads it.
     x_min              explicit small-x cutoff for those same integrals;
                        default abs_tol / 8 so the cutoff tail
                        (<= 4 x_min) spends at most half the absolute
@@ -124,7 +123,6 @@ class QuadratureConfig:
     """
 
     abs_tol: float = 1.0e-6
-    rel_tol: float = 1.0e-8
     x_min: float | None = None
     max_subdivisions: int = 100_000_000
     t_max_raw: float = 1000.0
@@ -132,7 +130,7 @@ class QuadratureConfig:
 
     def __post_init__(self) -> None:
         # plain values, so every config that passes here also serializes
-        for name in ("abs_tol", "rel_tol", "t_max_raw"):
+        for name in ("abs_tol", "t_max_raw"):
             value = _real(getattr(self, name), name)
             if not (value > 0.0 and math.isfinite(value)):
                 raise ParameterError(f"{name} must be positive, got {value!r}")

@@ -72,11 +72,9 @@ from .zeta import _check_grid_top, zeta_half_grid
 __all__ = [
     "GramMatrix",
     "CrossValidationReport",
-    "KernelFormComparison",
     "build_gram",
     "inner_spectral",
     "cross_validate",
-    "compare_kernel_forms",
     "gram_to_csv",
     "gram_to_json",
     "gram_from_json",
@@ -84,6 +82,7 @@ __all__ = [
 
 KINDS = ("raw", "smoothed")
 METHODS = ("direct", "spectral", "hybrid")
+_GRAM_SCHEMA = "bnladder.gram/2"
 
 _EULER_GAMMA = float(np.euler_gamma)
 _MEAN_SQ_FLOOR = 10.0  # the mean-square tail estimate is meaningless below ~2pi
@@ -241,34 +240,27 @@ def _pair_matrices(points: tuple[LadderPoint, ...], grid: _SpectralGrid, weights
     return [_assemble(theta, sqrt_theta, c[inv]) for c in moments.T]
 
 
-def _searched_pairs(points, t_max: float, tau: float, taper=None, phases=()):
-    """``(values, K15 - G7, phase values)`` on the grid the width rule accepts.
+def _searched_pairs(points, t_max: float, tau: float, taper=None):
+    """``(values, K15 - G7)``, the pair matrices of :func:`_pair_matrices`
+    on the grid the width rule accepts.
 
-    The first two are the pair matrices of :func:`_pair_matrices`; the
-    third holds the value moments of :func:`_moments` at ``phases``, a
-    sequence of ladder displacements (dj, dk).
     ``taper``, a function of the nodes, multiplies both weight vectors.
-    Starting from :func:`_first_width` at the highest frequency integrated,
+    Starting from :func:`_first_width` at the points' displacement span,
     the width halves until every entry off the theta = 1 row has
     |K15 - G7|_ab <= _QUAD_SHARE * amp_a * amp_b * tau, with amp from
-    :func:`_amp_bound`, and every phase moment |K15 - G7| <= _QUAD_SHARE * tau.
+    :func:`_amp_bound`.
     """
     amps = np.array([_amp_bound(p) for p in points])
     off = amps > 0.0
-    phases = np.array(phases, dtype=np.int64).reshape(-1, 2)
-    omega = max([_displacement_span(points), *np.abs(phases @ (LOG2, LOG3))])
-    limit = _QUAD_SHARE * tau
-    h = _first_width(omega, t_max, tau)
+    h = _first_width(_displacement_span(points), t_max, tau)
     while True:
         grid = _spectral_grid(t_max, h)
         w = 1.0 if taper is None else taper(grid.nodes)
         weights = (grid.w_quad * w, grid.w_diff * w)
         vals, qdiff = _pair_matrices(points, grid, weights)
         ratios = np.abs(qdiff[np.ix_(off, off)]) / amps[off, None] / amps[None, off]
-        # A separate pass, so that adding phases moves no entry's bits.
-        c = _moments(grid, weights, *phases.T)
-        if np.all(ratios <= limit) and np.all(np.abs(c[:, 1]) <= limit):
-            return vals, qdiff, c[:, 0]
+        if np.all(ratios <= _QUAD_SHARE * tau):
+            return vals, qdiff
         h *= 0.5
 
 
@@ -394,7 +386,7 @@ def _spectral_raw(points, quad):
     if quad.t_max_raw < _MEAN_SQ_FLOOR:
         raise ParameterError(f"raw spectral builds need t_max_raw >= 10, got {quad.t_max_raw!r}")
     tau = _mean_sq_tail(quad.t_max_raw) / math.pi  # times amp_a * amp_b: the tail estimate
-    vals, qdiff, _ = _searched_pairs(points, quad.t_max_raw, tau)
+    vals, qdiff = _searched_pairs(points, quad.t_max_raw, tau)
     amps = np.array([_amp_bound(p) for p in points])
     return vals, np.abs(qdiff) + np.outer(amps, amps) * tau
 
@@ -410,7 +402,7 @@ def _spectral_smoothed(points, smoothing, quad):
     # quadrature share below _QUAD_SHARE of the Gaussian tail term.
     t_cut = _gaussian_cutoff(smoothing, quad)
     tau = quad.gaussian_tail_tol / 4.0
-    vals, qdiff, _ = _searched_pairs(points, t_cut, tau, taper)
+    vals, qdiff = _searched_pairs(points, t_cut, tau, taper)
     errs = np.abs(qdiff) + quad.gaussian_tail_tol
     if eps > 0.0:
         denoms = [p.denominator for p in points]
@@ -524,78 +516,6 @@ def cross_validate(
     )
 
 
-@dataclass(frozen=True)
-class KernelFormComparison:
-    """Parseval integrand vs the two-phase display kernel.
-
-    The display form sqrt(theta_a theta_b) (e^{it lam} - e^{it mu})
-    |zeta/s|^2 keeps only the extreme phases of the expanded product
-    (theta_a - theta_a^s)(theta_b - conj theta_b^s); the comparison
-    quantifies what the dropped middle terms contribute on a finite
-    integration range [0, t_max].
-    """
-
-    a: LadderIndex
-    b: LadderIndex
-    lam: float
-    mu: float
-    t_max: float
-    value_parseval: float
-    value_two_term: float
-    lambda_part: float
-    mu_part: float
-
-    @property
-    def difference(self) -> float:
-        return self.value_parseval - self.value_two_term
-
-
-def compare_kernel_forms(
-    a,
-    b,
-    smoothing: SmoothingParams | None = None,
-    quad: QuadratureConfig | None = None,
-) -> KernelFormComparison:
-    """Integrate the full Parseval integrand and the two-phase display
-    kernel over the same finite range and report both.
-
-    Both forms share the grid, the zeta power spectrum, and (optionally)
-    the psi^2 weight, so the difference isolates the kernel shape itself,
-    not the truncation.
-    """
-    from .mellin import psi
-
-    quad = quad if quad is not None else DEFAULT_QUAD
-    pa, pb = _as_point(a), _as_point(b)
-    lam = pa.log_theta - pb.log_theta
-    mu = pa.log_theta + pb.log_theta
-    (ja, ka), (jb, kb) = pa.index, pb.index
-    taper = None if smoothing is None else (lambda t: psi(t, smoothing) ** 2)
-    # The two phase terms are single moments of |zeta/s|^2, which keep the
-    # double pole of |zeta|^2 at t = -i/2 that theta - theta^s cancels in
-    # an entry, so their moments are checked too, and against 1e-2 of a raw
-    # build's target on the same range, which holds the reported values to
-    # about 1e-12 relative of their converged values.
-    tau = 1.0e-2 * _mean_sq_tail(quad.t_max_raw) / math.pi
-    # cos(lam t) and cos(mu t) are the moments of the displacements a - b and a + b
-    phases = ((ja - jb, ka - kb), (ja + jb, ka + kb))
-    vals, _, (c_lam, c_mu) = _searched_pairs((pa, pb), quad.t_max_raw, tau, taper, phases)
-    amp = math.exp(0.5 * (pa.log_theta + pb.log_theta))  # sqrt(theta_a theta_b)
-    lam_part = amp * float(c_lam)
-    mu_part = -amp * float(c_mu)
-    return KernelFormComparison(
-        a=pa.index,
-        b=pb.index,
-        lam=lam,
-        mu=mu,
-        t_max=float(quad.t_max_raw),
-        value_parseval=float(vals[0, 1]),
-        value_two_term=lam_part + mu_part,
-        lambda_part=lam_part,
-        mu_part=mu_part,
-    )
-
-
 def _pair_columns(g: GramMatrix) -> list[np.ndarray]:
     """Columns j, k, j2, k2 of the row-major pair layout: row i*n + m
     belongs to the pair (points[i], points[m])."""
@@ -620,7 +540,7 @@ def gram_to_csv(g: GramMatrix) -> str:
 def gram_to_json(g: GramMatrix) -> str:
     """Serialize a Gram matrix to JSON; exact float round trip."""
     payload = {
-        "schema": "bnladder.gram/1",
+        "schema": _GRAM_SCHEMA,
         "window": asdict(g.window),
         "kind": g.kind,
         "method": g.method,
@@ -635,14 +555,18 @@ def gram_to_json(g: GramMatrix) -> str:
 def gram_from_json(text: str) -> GramMatrix:
     """Rebuild a :class:`GramMatrix` from its JSON serialization.
 
-    Any malformed document (bad JSON, a missing or misspelled field, a
-    ragged or non-numeric array, an invalid kind, method or smoothing)
-    raises :class:`ParameterError`.
+    Any malformed document (bad JSON, a schema other than
+    ``bnladder.gram/2``, a missing or misspelled field, a ragged or
+    non-numeric array, an invalid kind, method or smoothing) raises
+    :class:`ParameterError`.
     """
     try:
         payload = json.loads(text)
-        if payload.get("schema") != "bnladder.gram/1":
-            raise ParameterError("not a bnladder Gram serialization")
+        schema = payload.get("schema")
+        if schema != _GRAM_SCHEMA:
+            raise ParameterError(
+                f"Gram serialization has schema {schema!r}, expected {_GRAM_SCHEMA!r}"
+            )
         window = IndexWindow(payload["window"]["j_max"], payload["window"]["k_max"])
         sm = payload["smoothing"]
         smoothing = None if sm is None else SmoothingParams(W=sm["W"], epsilon=sm["epsilon"])

@@ -4,7 +4,7 @@ The ladder assigns to each pair of nonnegative integers (j, k) the
 parameter theta = 2^-j 3^-k.  Because 2 and 3 are multiplicatively
 independent, the map (j, k) -> log theta = -(j log 2 + k log 3) is
 injective, and the additive gaps between log-parameters control how well
-spectral phases separate the corresponding profiles.
+the spectral side separates the corresponding profiles.
 
 Windows are finite rectangles 0 <= j <= j_max, 0 <= k <= k_max iterated
 in row-major order (j outer, k inner); that order fixes the layout of
@@ -138,9 +138,8 @@ def lambda_mu(
     """Difference and sum of log-parameters for an index pair.
 
     Returns ``(lam, mu)`` with lam = log theta_a - log theta_b and
-    mu = log theta_a + log theta_b.  These are the two phase frequencies
-    seen by the spectral kernels; lam vanishes only on the diagonal a == b
-    because the ladder is injective in log theta.
+    mu = log theta_a + log theta_b.  lam vanishes only on the diagonal
+    a == b because the ladder is injective in log theta.
     """
     la = theta_of(a).log_theta
     lb = theta_of(b).log_theta

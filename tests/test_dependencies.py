@@ -4,8 +4,11 @@ counts as a bool, an integer or a real argument is decided in errors.py only.
 """
 
 import ast
+import importlib
 import pathlib
 import sys
+
+import bnladder
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "bnladder"
 
@@ -60,3 +63,12 @@ def test_only_errors_decides_argument_types():
     assert sites == set()
     errors = ast.parse((SRC / "errors.py").read_text())
     assert set(_type_rule_sites(errors)) == {"import numbers", "isinstance(..., bool)"}
+
+
+def test_package_root_exports_exactly_the_submodules_names():
+    """The root re-exports every name of the submodules it imports from,
+    and nothing else, so a name deleted from a submodule cannot linger."""
+    init = ast.parse((SRC / "__init__.py").read_text())
+    sources = {n.module for n in ast.walk(init) if isinstance(n, ast.ImportFrom) and n.level == 1}
+    names = set().union(*(importlib.import_module(f"bnladder.{m}").__all__ for m in sources))
+    assert set(bnladder.__all__) - {"__version__"} == names

@@ -18,7 +18,6 @@ from bnladder import (
     ZetaRangeError,
     breakpoints,
     build_gram,
-    compare_kernel_forms,
     cross_validate,
     gram_from_json,
     gram_to_csv,
@@ -27,7 +26,6 @@ from bnladder import (
     inner_spectral,
     mellin_direct,
     pair_inner_matrix,
-    psi,
     theta_of,
     zeta_half_grid,
 )
@@ -102,16 +100,6 @@ def test_inner_spectral_smoothed_cross_is_bounded_real():
     assert abs(v) <= 4.0
 
 
-def test_kernel_form_comparison():
-    cmp = compare_kernel_forms((1, 0), (0, 1), smoothing=SM)
-    # parseval form should sit near the smoothed inner product
-    v = inner_spectral((1, 0), (0, 1), smoothing=SM)
-    assert cmp.value_parseval == pytest.approx(v, abs=1e-3)
-    assert cmp.value_two_term == cmp.lambda_part + cmp.mu_part
-    assert cmp.difference != 0.0
-    assert cmp.lam == pytest.approx(-math.log(2) + math.log(3), rel=1e-12)
-
-
 def test_gram_json_round_trip(gram_3x3_raw_direct):
     g = gram_3x3_raw_direct
     text = gram_to_json(g)
@@ -156,6 +144,7 @@ _DROP = object()
         pytest.param(("quad", "abs_tol"), True, id="bool_abs_tol"),
         pytest.param(("quad", "max_subdivisions"), 2.5, id="float_max_subdivisions"),
         pytest.param(("smoothing", "W"), True, id="bool_W"),
+        pytest.param(("schema",), "bnladder.gram/1", id="schema_1"),
     ],
 )
 def test_gram_json_rejects_malformed_document(
@@ -173,8 +162,10 @@ def test_gram_json_rejects_malformed_document(
         del node[last]
     else:
         node[last] = value
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError) as info:
         gram_from_json(json.dumps(doc))
+    if path == ("schema",):  # the message names the schema found and the one expected
+        assert "'bnladder.gram/1'" in str(info.value) and "'bnladder.gram/2'" in str(info.value)
 
 
 def test_gram_json_numpy_window_bounds():
@@ -432,7 +423,6 @@ def test_repeated_spectral_calls_evaluate_no_zeta(monkeypatch):
     monkeypatch.setattr(bnladder.gram, "_grid_cache", {})
     sm = SmoothingParams(W=2.0, epsilon=1e-2)
     calls = [
-        lambda: compare_kernel_forms((1, 0), (0, 1), sm, QuadratureConfig(t_max_raw=50.0)),
         lambda: inner_spectral((1, 1), (2, 0), sm, full_output=True),
         lambda: build_gram(IndexWindow(2, 2), "smoothed", smoothing=SmoothingParams(W=2.0)).entries,
     ]
@@ -451,34 +441,6 @@ def test_width_search_stops_at_the_node_cap(monkeypatch):
     quad = QuadratureConfig(gaussian_tail_tol=1e-30)
     with pytest.raises(ConvergenceError, match="spectral grid on"):
         build_gram(IndexWindow(2, 2), "smoothed", smoothing=SM, quad=quad)
-
-
-# Values of compare_kernel_forms before the K15 width rule (G15 panels of
-# width 1/4): (a, b, smoothing, t_max_raw) -> (value_parseval, lambda_part,
-# mu_part).
-KERNEL_FORMS_BEFORE = [
-    ((1, 0), (0, 1), None, 1000.0,
-     (0.10630721000092236, 0.44081077797832613, -0.3412112756284592)),
-    ((1, 0), (0, 1), SmoothingParams(W=5.0, epsilon=1e-6), 1000.0,
-     (0.10157675946858435, 0.440410810288213, -0.33772321872454175)),
-    ((2, 1), (0, 3), None, 200.0,
-     (0.044612110913769654, 0.05667178593174566, -0.012409190744185105)),
-    ((3, 3), (3, 3), None, 1000.0,
-     (0.00568903381894004, 0.0058257271869266505, -0.00013943792154734021)),
-    ((0, 0), (1, 2), SmoothingParams(W=2.0, epsilon=1e-2), 50.0,
-     (0.0, 0.14930840167116266, -0.14930840167116266)),
-    ((4, 0), (0, 4), SmoothingParams(W=5.0, epsilon=0.0), 100.0,
-     (0.020262687034881148, 0.02394654504933997, -0.0036792188773191437)),
-    ((0, 0), (0, 1), None, 200.0, (0.0, 0.57260682833594, -0.57260682833594)),
-]
-
-
-@pytest.mark.parametrize("a,b,smoothing,t_max,want", KERNEL_FORMS_BEFORE)
-def test_kernel_forms_match_values_before_width_rule(a, b, smoothing, t_max, want):
-    cmp = compare_kernel_forms(a, b, smoothing=smoothing, quad=QuadratureConfig(t_max_raw=t_max))
-    got = (cmp.value_parseval, cmp.lambda_part, cmp.mu_part)
-    for g, w in zip(got, want):
-        assert abs(g - w) <= 1e-12 * abs(w)
 
 
 def _complex_pair_matrices(points, grid, weights):
@@ -535,19 +497,20 @@ def test_moments_match_complex_accumulation(idx, eps):
     quad = QuadratureConfig(t_max_raw=SHORT_T)
     smoothing = None if eps is None else SmoothingParams(W=5.0, epsilon=eps)
     with mock.patch.object(bnladder.gram, "_grid_cache", {}) as cache:
-        cmp = compare_kernel_forms(a, b, smoothing=smoothing, quad=quad)
+        value = inner_spectral(a, b, smoothing=smoothing, quad=quad)
     grid = cache[min(cache)]  # the search ends at the finest grid, the one it accepted
     pair = (theta_of(a), theta_of(b))
-    w = grid.w_quad if smoothing is None else grid.w_quad * psi(grid.nodes, smoothing) ** 2
+    w = grid.w_quad
+    if smoothing is not None:  # the tapered share; the epsilon^2 share is a cutoff sweep
+        g1 = np.exp(-((grid.nodes / 5.0) ** 2))
+        w = w * (2.0 * eps * g1 + g1 * g1)
     (full,) = _complex_pair_matrices(pair, grid, (w,))
-    assert abs(cmp.value_parseval - full[0, 1]) <= 1e-14 * np.abs(full).max()
-    power = np.abs(zeta_half_grid(grid.nodes) / (0.5 + 1j * grid.nodes)) ** 2
-    amp = math.exp(0.5 * (pair[0].log_theta + pair[1].log_theta))
-    scale = amp * float(np.dot(np.abs(w), power)) / math.pi
-    lam_part = amp * float(np.dot(w, power * np.cos(cmp.lam * grid.nodes))) / math.pi
-    mu_part = -amp * float(np.dot(w, power * np.cos(cmp.mu * grid.nodes))) / math.pi
-    assert abs(cmp.lambda_part - lam_part) <= 1e-14 * scale
-    assert abs(cmp.mu_part - mu_part) <= 1e-14 * scale
+    want = full[0, 1]
+    if eps:
+        x_min = bnladder.gram._epsilon_cutoff(eps, quad)
+        base, _ = pair_inner_matrix([p.denominator for p in pair], x_min, quad.max_subdivisions)
+        want += eps * eps * base[0, 1]
+    assert abs(value - want) <= 1e-14 * np.abs(full).max()
 
 
 def _cosine_moments(grid, weights, dj, dk):
