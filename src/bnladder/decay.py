@@ -1,12 +1,13 @@
 """Off-diagonal decay diagnostics for Gram matrices.
 
 Entries are grouped into shells by ladder distance; per-shell statistics
-feed a log-log least-squares fit of mean |entry| against log(1 + c r),
-the envelope form the decay theory predicts.  Two envelope variants are
-kept apart deliberately: the shell sup (largest |entry| at distance
-exactly n) and the tail sup (largest at distance >= n).  Only the tail
-sup is nonincreasing by construction; shell-sup monotonicity fails on
-real windows and is reported, never asserted.
+feed a log-log least-squares fit of mean |entry| against log(1 + c r)
+with the fixed decay scale c = log 2, the envelope form the decay theory
+predicts.  Two envelope variants are kept apart deliberately: the shell
+sup (largest |entry| at distance exactly n) and the tail sup (largest at
+distance >= n).  Only the tail sup is nonincreasing by construction;
+shell-sup monotonicity fails on real windows and is reported, never
+asserted.
 
 Truncation diagnostics quantify finite-section error: per-row tail sums
 T_B (the l1 mass at distance >= B), their maximum over rows (a rigorous
@@ -32,7 +33,7 @@ from dataclasses import asdict, astuple, dataclass, fields
 
 import numpy as np
 
-from .errors import DegenerateFitError, ParameterError, _integer, _real
+from .errors import DegenerateFitError, ParameterError, _integer
 from .gram import GramMatrix
 from .io import csv_text, json_text
 from .ladder import LOG2, LadderIndex
@@ -83,23 +84,10 @@ def _pair_mask(g: GramMatrix, exclude_zero_row: bool) -> np.ndarray:
     return mask if mask.any() else np.ones_like(mask)
 
 
-def shell_stats(
-    g: GramMatrix,
-    center: LadderIndex | tuple[int, int] | None = None,
-    exclude_zero_row: bool = True,
-) -> list[ShellStats]:
-    """Group |entries| by ladder distance and summarize each shell.
-
-    Without ``center`` the grouping runs over all ordered pairs in the
-    window; with one, over that row only.  Shells are returned in
-    increasing r, one per distance that actually occurs.
-    """
-    rows = slice(None)
-    if center is not None:
-        i = g.index_of(center)
-        rows = slice(i, i + 1)
-    mask = _pair_mask(g, exclude_zero_row)[rows]
-    return _shells(np.abs(g.entries[rows]), _distance_matrix(g, rows), mask)
+def shell_stats(g: GramMatrix, exclude_zero_row: bool = True) -> list[ShellStats]:
+    """Group |entries| of all ordered pairs by ladder distance and
+    summarize each shell, in increasing r, one per distance that occurs."""
+    return _shells(np.abs(g.entries), _distance_matrix(g), _pair_mask(g, exclude_zero_row))
 
 
 def _shells(a: np.ndarray, d: np.ndarray, mask: np.ndarray) -> list[ShellStats]:
@@ -132,22 +120,18 @@ def _envelopes(a: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return env_shell, env_tail
 
 
-def fit_exponent(
-    shells: list[ShellStats],
-    fit_range: tuple[int, int],
-    c: float = LOG2,
-) -> float:
+def fit_exponent(shells: list[ShellStats], fit_range: tuple[int, int]) -> float:
     """Least-squares decay exponent from shell means.
 
-    Fits log(mean_abs) = a - m log(1 + c r) over shells with r inside
-    ``fit_range`` and positive mean, returning m.  Requires at least
-    three usable shells and a non-degenerate abscissa.
+    Fits log(mean_abs) = a - m log(1 + c r), c = log 2, over shells with
+    r inside ``fit_range`` and positive mean, returning m.  Requires at
+    least three usable shells and a non-degenerate abscissa.
     """
-    (lo, hi), c = _fit_args(fit_range, c)
+    lo, hi = _fit_range(fit_range)
     xs, ys = [], []
     for s in shells:
         if lo <= s.r <= hi and s.mean_abs > 0.0:
-            xs.append(math.log1p(c * s.r))
+            xs.append(math.log1p(LOG2 * s.r))
             ys.append(math.log(s.mean_abs))
     if len(xs) < 3:
         raise DegenerateFitError(
@@ -158,14 +142,11 @@ def fit_exponent(
     return _negated_slope(xs, ys)
 
 
-def _fit_args(fit_range: tuple[int, int], c: float) -> tuple[tuple[int, int], float]:
+def _fit_range(fit_range: tuple[int, int]) -> tuple[int, int]:
     lo, hi = (_integer(r, "fit range bound") for r in fit_range)
     if lo > hi:
         raise ParameterError(f"empty fit range [{lo}, {hi}]")
-    c = _real(c, "decay scale c")
-    if not (c > 0.0 and math.isfinite(c)):
-        raise ParameterError(f"decay scale c must be positive, got {c!r}")
-    return (lo, hi), c
+    return lo, hi
 
 
 def _negated_slope(xs: list[float], ys: list[float]) -> float:
@@ -243,7 +224,7 @@ def _lambda_gap(g: GramMatrix, d: np.ndarray) -> LambdaGapReport:
 
 @dataclass(frozen=True)
 class DecayReport:
-    """Shell statistics, envelopes, and the fitted decay exponent."""
+    """Shell statistics, envelopes, and the decay exponent fitted at c = log 2."""
 
     shells: tuple[ShellStats, ...]
     envelope_shell: tuple[float, ...]
@@ -258,7 +239,6 @@ class DecayReport:
 def decay_report(
     g: GramMatrix,
     fit_range: tuple[int, int] | None = None,
-    c: float = LOG2,
     exclude_zero_row: bool = True,
 ) -> DecayReport:
     """Full decay diagnosis of a Gram matrix.
@@ -270,18 +250,18 @@ def decay_report(
     if fit_range is None:
         diam = g.window.j_max + g.window.k_max
         fit_range = (1, max(1, diam // 2))
-    fit_range, c = _fit_args(fit_range, c)
+    fit_range = _fit_range(fit_range)
     d = _distance_matrix(g)
     a = np.abs(g.entries)
     shells = _shells(a, d, _pair_mask(g, exclude_zero_row))
     env_shell, env_tail = _envelopes(a, d)
-    m_hat = fit_exponent(shells, fit_range, c)
+    m_hat = fit_exponent(shells, fit_range)
     return DecayReport(
         shells=tuple(shells),
         envelope_shell=tuple(float(v) for v in env_shell),
         envelope_tail=tuple(float(v) for v in env_tail),
         fitted_exponent=m_hat,
-        c=c,
+        c=LOG2,
         fit_range=fit_range,
         lambda_gap=_lambda_gap(g, d),
         exclude_zero_row=exclude_zero_row,

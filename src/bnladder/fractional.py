@@ -88,6 +88,9 @@ _HUGE_DENOM = 2**62
 # in int64.
 _CLOSED_FORM_CAP = 2**30
 
+# Most pieces one cutoff sweep may walk: a guard against tiny cutoffs.
+_MAX_PIECES = 100_000_000
+
 _LOG_2PI_MINUS_GAMMA = math.log(2.0 * math.pi) - float(np.euler_gamma)
 _COT_CHUNK = 1 << 16
 _U = 0.5 * float(np.finfo(np.float64).eps)  # unit roundoff
@@ -105,28 +108,22 @@ def _check_x_min(x_min: float) -> float:
 class QuadratureConfig:
     """Accuracy budget shared by the direct and spectral integrators.
 
-    abs_tol            target absolute error for cutoff-based inner
-                       products (theta not a unit fraction, the
-                       epsilon^2 share of smoothed Gram matrices, and the
-                       cutoff fallback above the closed form's cap);
-                       drives the small-x cutoff when x_min is unset.
-    x_min              explicit small-x cutoff for those same integrals;
-                       default abs_tol / 8 so the cutoff tail
-                       (<= 4 x_min) spends at most half the absolute
-                       budget.  Unit-fraction pairs have no cutoff.
-    max_subdivisions   cap on the number of exact pieces the cutoff sweep
-                       may walk; guards against accidentally tiny cutoffs.
-    t_max_raw          truncation height for raw spectral integrals, at
-                       least 10, where their tail estimate starts to hold.
-    gaussian_tail_tol  absolute tail target when truncating Gaussian-
-                       smoothed spectral integrals.
+    abs_tol     target absolute error for cutoff-based inner products
+                (theta not a unit fraction, the epsilon^2 share of
+                smoothed Gram matrices, and the cutoff fallback above the
+                closed form's cap); drives the small-x cutoff when x_min
+                is unset.
+    x_min       explicit small-x cutoff for those same integrals; default
+                abs_tol / 8 so the cutoff tail (<= 4 x_min) spends at most
+                half the absolute budget.  Unit-fraction pairs have no
+                cutoff.
+    t_max_raw   truncation height for raw spectral integrals, at least
+                10, where their tail estimate starts to hold.
     """
 
     abs_tol: float = 1.0e-6
     x_min: float | None = None
-    max_subdivisions: int = 100_000_000
     t_max_raw: float = 1000.0
-    gaussian_tail_tol: float = 1.0e-10
 
     def __post_init__(self) -> None:
         # plain values, so every config that passes here also serializes
@@ -135,14 +132,8 @@ class QuadratureConfig:
             if not (value > 0.0 and math.isfinite(value)):
                 raise ParameterError(f"{name} must be positive, got {value!r}")
             object.__setattr__(self, name, value)
-        tail = _real(self.gaussian_tail_tol, "gaussian_tail_tol")
-        if not (0.0 < tail < 1.0):
-            raise ParameterError(f"gaussian_tail_tol must lie in (0, 1), got {tail!r}")
-        object.__setattr__(self, "gaussian_tail_tol", tail)
         if self.x_min is not None:
             object.__setattr__(self, "x_min", _check_x_min(self.x_min))
-        cap = _integer(self.max_subdivisions, "max_subdivisions", minimum=1)
-        object.__setattr__(self, "max_subdivisions", cap)
 
     def resolved_x_min(self) -> float:
         return self.x_min if self.x_min is not None else self.abs_tol / 8.0
@@ -188,17 +179,17 @@ def breakpoints(theta: float, x_min: float) -> np.ndarray:
 
     These are the points 1/n and theta/m that exceed x_min, read off the
     edges of :func:`_sweep` as 1/u, so coincident values (theta rational)
-    are reported once.  A sweep of more than
-    ``DEFAULT_QUAD.max_subdivisions`` pieces raises :class:`ConvergenceError`.
+    are reported once.  A sweep of more than ``_MAX_PIECES`` pieces raises
+    :class:`ConvergenceError`.
 
     >>> breakpoints(0.5, 0.2)
     array([0.25      , 0.33333333, 0.5       , 1.        ])
     """
     theta = _check_theta(theta)
     x_min = _check_x_min(x_min)
-    cap = DEFAULT_QUAD.max_subdivisions
+    spans = _sweep((theta,), x_min, _MAX_PIECES, "breakpoint list")
     # every span's last edge is the next span's first, or the cutoff
-    u = np.concatenate([e[:-1] for e, _ in _sweep((theta,), x_min, cap, "breakpoint list")])
+    u = np.concatenate([e[:-1] for e, _ in spans])
     x = 1.0 / u[::-1]
     return x[x > x_min]
 
@@ -295,7 +286,7 @@ def _unit_inner_matrix(
     dens = [_integer(n, "denominator", minimum=1) for n in denominators]
     if max(dens, default=1) > _CLOSED_FORM_CAP:
         x_min = quad.resolved_x_min()
-        gram, tail = pair_inner_matrix(dens, x_min, quad.max_subdivisions)
+        gram, tail = pair_inner_matrix(dens, x_min)
         return gram, tail, int(math.floor(1.0 / x_min))
     a = np.array(dens + [1], dtype=np.int64)  # the origin N = 1 last
     d = np.gcd.outer(a, a)
@@ -319,9 +310,7 @@ def _unit_inner_matrix(
     return gram, err, int(terms.sum())
 
 
-def pair_inner_matrix(
-    denominators: Sequence[int], x_min: float, max_pieces: int | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def pair_inner_matrix(denominators: Sequence[int], x_min: float) -> tuple[np.ndarray, np.ndarray]:
     """All pairwise inner products <f_(1/Na), f_(1/Nb)> in one cutoff pass.
 
     Returns ``(gram, tail)`` where ``tail[a, b]`` bounds the mass dropped
@@ -332,19 +321,16 @@ def pair_inner_matrix(
     of smoothed Gram matrices (whose coarse cutoff keeps it cheap at any
     window size), raw windows above the closed form's denominator cap, and
     the reference the closed form is tested against.
-    Its pieces, at most ``max_pieces``, are the cells of the integer
+    Its pieces, at most ``_MAX_PIECES``, are the cells of the integer
     lattice, where the profiles equal (u mod N)/N: this function's oracle.
 
     Denominators above 2^62 produce exact-zero rows (their profiles are
     numerically indistinguishable from zero at any supported cutoff).
     """
     x_min = _check_x_min(x_min)
-    cap = DEFAULT_QUAD.max_subdivisions
-    if max_pieces is not None:
-        cap = _integer(max_pieces, "max_pieces", minimum=1)
     dens = [_integer(n, "denominator", minimum=1) for n in denominators]
     theta = [1.0 / n if n <= _HUGE_DENOM else 0.0 for n in dens]
-    gram, tail, _ = _sweep_gram(theta, x_min, cap, "lattice pass")
+    gram, tail, _ = _sweep_gram(theta, x_min, _MAX_PIECES, "lattice pass")
     return gram, tail
 
 
@@ -366,7 +352,8 @@ def _sweep(thetas: Sequence[float], x_min: float, cap: int, what: str):
     units = [_unit_denominator(theta) if theta > 0.0 else None for theta in thetas]
     big_u = 1.0 / x_min
     extra = (math.ceil(theta / x_min) for theta, n in zip(thetas, units) if n is None)
-    bound = math.floor(big_u) + sum(extra)
+    # 1/x_min overflows below x_min = 5.6e-309, where it has no floor
+    bound = math.inf if big_u == math.inf else math.floor(big_u) + sum(extra)
     if bound > cap:
         # the bound can exceed the float range, so Decimal rounds it
         from decimal import Decimal
@@ -450,8 +437,8 @@ def inner_direct(
     if na is not None and nb is not None:
         gram, err, pieces = _unit_inner_matrix([na, nb], quad)
     else:  # err is the cutoff tail
-        x_min, cap = quad.resolved_x_min(), quad.max_subdivisions
-        gram, err, pieces = _sweep_gram((theta_a, theta_b), x_min, cap, "sweep")
+        x_min = quad.resolved_x_min()
+        gram, err, pieces = _sweep_gram((theta_a, theta_b), x_min, _MAX_PIECES, "sweep")
     res = InnerProductResult(value=float(gram[0, 1]), tail_bound=float(err[0, 1]), pieces=pieces)
     return res if full_output else res.value
 

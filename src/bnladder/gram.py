@@ -31,15 +31,15 @@ width 0.25 * 2^m at or below a first candidate, taken from the highest
 frequency the build integrates, at which every entry off the theta = 1
 row has |K15 - G7|_ab <= 1e-3 * amp_a * amp_b * tau.  Here tau * amp_a *
 amp_b is the raw tail estimate, or for the tapered share of a smoothed
-build tau = gaussian_tail_tol / 4 (see :func:`_searched_pairs`).
+build tau = _GAUSSIAN_TAIL_TOL / 4 (see :func:`_searched_pairs`).
 
 Smoothed Gram matrices weight the spectral integrand by
 psi_W(t)^2 = (epsilon + exp(-(t/W)^2))^2.  Expanding the square lets the
 epsilon^2 part reuse that cutoff sweep at a coarse cutoff (the
 closed form's cost grows with the denominators, which reach 6^24 on a
 24x24 window), while the two Gaussian-tapered parts are integrated on a
-short grid truncated where the taper pushes the tail below
-``gaussian_tail_tol``.  That split is what the hybrid method means for
+short grid truncated where the taper pushes the tail below 1e-10
+(``_GAUSSIAN_TAIL_TOL``).  That split is what the hybrid method means for
 smoothed matrices; for raw matrices hybrid falls back to direct, which is
 both faster and exact.
 
@@ -53,6 +53,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -82,10 +83,12 @@ __all__ = [
 
 KINDS = ("raw", "smoothed")
 METHODS = ("direct", "spectral", "hybrid")
-_GRAM_SCHEMA = "bnladder.gram/2"
+_GRAM_SCHEMA = "bnladder.gram/3"
 
 _EULER_GAMMA = float(np.euler_gamma)
 _MEAN_SQ_FLOOR = 10.0  # the mean-square tail estimate is meaningless below ~2pi
+# Absolute tail target of the Gaussian-tapered share of smoothed builds.
+_GAUSSIAN_TAIL_TOL = 1.0e-10
 
 # The 15-point Gauss-Kronrod rule on [-1, 1] (QUADPACK's qk15, Piessens et
 # al. 1983) at its nodes >= 0, from the top node down to 0, and the weights
@@ -248,8 +251,9 @@ def _searched_pairs(points, t_max: float, tau: float, taper=None):
     Starting from :func:`_first_width` at the points' displacement span,
     the width halves until every entry off the theta = 1 row has
     |K15 - G7|_ab <= _QUAD_SHARE * amp_a * amp_b * tau, with amp from
-    :func:`_amp_bound`.
+    :func:`_amp_bound`.  A ``t_max`` past the zeta cap raises before any width.
     """
+    _check_grid_top(t_max)
     amps = np.array([_amp_bound(p) for p in points])
     off = amps > 0.0
     h = _first_width(_displacement_span(points), t_max, tau)
@@ -274,10 +278,13 @@ def _mean_sq_tail(t_from: float) -> float:
     """integral_T^inf (log(t/2pi) + 2 gamma) / (1/4 + t^2) dt.
 
     Alternating series in T^-2; the integrand is the mean-square density
-    of zeta on the critical line over the kernel 1/|s|^2.
-    """
+    of zeta on the critical line over the kernel 1/|s|^2.  Above T = 1e6,
+    where no successful build reads it, only the leading term is summed, so
+    no power of T overflows."""
     t_from = max(t_from, _MEAN_SQ_FLOOR)
     lead = math.log(t_from / (2.0 * math.pi)) + 2.0 * _EULER_GAMMA
+    if t_from > 1.0e6:
+        return (lead + 1.0) / t_from if math.isfinite(t_from) else 0.0
     out = 0.0
     for k in range(12):
         q = 2 * k + 1
@@ -292,9 +299,9 @@ def _amp_bound(p: LadderPoint) -> float:
     return p.theta + math.exp(0.5 * p.log_theta)
 
 
-def _gaussian_cutoff(smoothing: SmoothingParams, quad: QuadratureConfig) -> float:
+def _gaussian_cutoff(smoothing: SmoothingParams) -> float:
     """Doubling search for the height where the tapered tail dips below
-    gaussian_tail_tol."""
+    _GAUSSIAN_TAIL_TOL."""
     w, eps = smoothing.W, smoothing.epsilon
 
     def bound(t: float) -> float:
@@ -303,22 +310,23 @@ def _gaussian_cutoff(smoothing: SmoothingParams, quad: QuadratureConfig) -> floa
         return (2.0 * eps * g1 + g2) * 4.0 * _mean_sq_tail(t) / math.pi
 
     t = 2.0 * w
-    while bound(t) > quad.gaussian_tail_tol:
+    while bound(t) > _GAUSSIAN_TAIL_TOL:
         t *= 2.0
         if t > 1.0e6:
             raise ConvergenceError(
-                f"Gaussian taper W={w:g} will not reach tail {quad.gaussian_tail_tol:g}"
+                f"Gaussian taper W={w:g} will not reach tail {_GAUSSIAN_TAIL_TOL:g}"
             )
     return t
 
 
 def _epsilon_cutoff(eps: float, quad: QuadratureConfig) -> float:
     # The epsilon^2 slice tolerates a cutoff larger by 1/eps^2; cap well
-    # inside (0, 1) so the cutoff sweep stays meaningful.
+    # inside (0, 1) so the cutoff sweep stays meaningful.  An eps^2 that
+    # underflows to 0 counts as the least double, so it takes the cap.
     base = quad.resolved_x_min()
     if eps <= 0.0:
         return base
-    return min(0.25, max(base, base / (eps * eps)))
+    return min(0.25, max(base, base / max(eps * eps, 5e-324)))
 
 
 def _as_point(p) -> LadderPoint:
@@ -348,12 +356,15 @@ class GramMatrix:
     smoothing: SmoothingParams | None
     entries: np.ndarray
     err_estimate: np.ndarray
-    points: tuple[LadderPoint, ...]
     quad: QuadratureConfig
+
+    @cached_property
+    def points(self) -> tuple[LadderPoint, ...]:
+        return tuple(self.window.points())
 
     @property
     def size(self) -> int:
-        return len(self.points)
+        return self.window.size
 
     def index_of(self, ix: LadderIndex | tuple[int, int]) -> int:
         return self.window.position(ix)
@@ -398,16 +409,16 @@ def _spectral_smoothed(points, smoothing, quad):
         g1 = np.exp(-((t / smoothing.W) ** 2))
         return 2.0 * eps * g1 + g1 * g1
 
-    # amp_a * amp_b <= 4, so a target of gaussian_tail_tol / 4 keeps the
+    # amp_a * amp_b <= 4, so a target of _GAUSSIAN_TAIL_TOL / 4 keeps the
     # quadrature share below _QUAD_SHARE of the Gaussian tail term.
-    t_cut = _gaussian_cutoff(smoothing, quad)
-    tau = quad.gaussian_tail_tol / 4.0
+    t_cut = _gaussian_cutoff(smoothing)
+    tau = _GAUSSIAN_TAIL_TOL / 4.0
     vals, qdiff = _searched_pairs(points, t_cut, tau, taper)
-    errs = np.abs(qdiff) + quad.gaussian_tail_tol
+    errs = np.abs(qdiff) + _GAUSSIAN_TAIL_TOL
     if eps > 0.0:
         denoms = [p.denominator for p in points]
         x_min_e = _epsilon_cutoff(eps, quad)
-        base, tail = pair_inner_matrix(denoms, x_min_e, quad.max_subdivisions)
+        base, tail = pair_inner_matrix(denoms, x_min_e)
         vals = vals + (eps * eps) * base
         errs = errs + (eps * eps) * tail
     # f_1 = 0, so the theta = 1 row is exactly 0 in every share: no budget.
@@ -451,7 +462,6 @@ def build_gram(
         smoothing=smoothing,
         entries=vals,
         err_estimate=errs,
-        points=points,
         quad=quad,
     )
 
@@ -556,7 +566,7 @@ def gram_from_json(text: str) -> GramMatrix:
     """Rebuild a :class:`GramMatrix` from its JSON serialization.
 
     Any malformed document (bad JSON, a schema other than
-    ``bnladder.gram/2``, a missing or misspelled field, a ragged or
+    ``bnladder.gram/3``, a missing or misspelled field, a ragged or
     non-numeric array, an invalid kind, method or smoothing) raises
     :class:`ParameterError`.
     """
@@ -588,6 +598,5 @@ def gram_from_json(text: str) -> GramMatrix:
         smoothing=smoothing,
         entries=entries,
         err_estimate=err,
-        points=tuple(window.points()),
         quad=quad,
     )

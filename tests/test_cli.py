@@ -135,6 +135,37 @@ def test_gram_rejects_raw_spectral_below_the_tail_floor(tmp_path):
     assert not os.path.exists(out)
 
 
+def test_gram_eps_whose_square_underflows_matches_eps_0(tmp_path):
+    # eps^2 = 0.0 in floats: the eps^2 share adds nothing, as at eps = 0
+    window = ["gram", "--jmax", "4", "--kmax", "4", "--kind", "smoothed"]
+    a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
+    assert main([*window, "--eps", "1e-200", "--out", a]) == 0
+    assert main([*window, "--eps", "0", "--out", b]) == 0
+    assert _read(a) == _read(b)
+
+
+@pytest.mark.parametrize(
+    "flags,code,message",
+    [
+        (["--method", "spectral", "--tmax-raw", "1e14"], 1, "grid reaches |t| = 1e+14"),
+        (["--kind", "smoothed", "--W", "2e13"], 1, "grid reaches |t| = 4e+13"),
+        (["--kind", "smoothed", "--W", "1e308"], 1, "grid reaches |t| = inf"),
+        (
+            ["--jmax", "12", "--kmax", "12", "--x-min", "1e-310"],
+            2,
+            "lattice pass needs ~Infinity pieces, above the cap 100000000",
+        ),
+    ],
+    ids=["tmax-raw-1e14", "W-2e13", "W-1e308", "subnormal-x-min"],
+)
+def test_gram_extreme_inputs_fail_typed(tmp_path, capsys, flags, code, message):
+    out = str(tmp_path / "g.csv")
+    assert main(["gram", *flags, "--out", out]) == code
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("bnladder: ") and message in err[0]
+    assert os.listdir(tmp_path) == []
+
+
 def test_spectrum_suppression_ratio(tmp_path):
     out = str(tmp_path / "s.csv")
     args = [

@@ -44,7 +44,6 @@ def _synthetic_gram(window, fill):
         smoothing=None,
         entries=e,
         err_estimate=np.zeros((n, n)),
-        points=pts,
         quad=DEFAULT_QUAD,
     )
 
@@ -53,9 +52,9 @@ def _points(window):
     return window.points()
 
 
-def _planted_shells(m, c=LOG2, rmax=10):
+def _planted_shells(m, rmax=10):
     return [
-        ShellStats(r=r, count=1, mean_abs=(1 + c * r) ** (-m), max_abs=1.0, sum_abs=1.0)
+        ShellStats(r=r, count=1, mean_abs=(1 + LOG2 * r) ** (-m), max_abs=1.0, sum_abs=1.0)
         for r in range(rmax + 1)
     ]
 
@@ -82,36 +81,31 @@ def test_fit_rejects_zero_mean_shells():
         fit_exponent(shells, (1, 5))
 
 
-def test_fit_validates_range_and_scale():
+def test_fit_validates_range_and_scale(gram_3x3_raw_direct):
     with pytest.raises(ParameterError):
         fit_exponent(_planted_shells(1), (5, 2))
-    with pytest.raises(ParameterError):
+    # the decay scale is the constant log 2, not an argument
+    with pytest.raises(TypeError):
         fit_exponent(_planted_shells(1), (1, 10), c=0.0)
+    with pytest.raises(TypeError):
+        decay_report(gram_3x3_raw_direct, (1, 4), c=0.0)
 
 
 @pytest.mark.parametrize(
-    "fit_range,c",
-    [
-        ((1.5, 10), LOG2),
-        ((True, 10), LOG2),
-        ((1, None), LOG2),
-        (("1", 10), LOG2),
-        ((1, 10), True),
-        ((1, 10), "1"),
-        ((1, 10), None),
-    ],
-    ids=["float-range", "bool-range", "none-range", "str-range", "bool-c", "str-c", "none-c"],
+    "fit_range",
+    [(1.5, 10), (True, 10), (1, None), ("1", 10)],
+    ids=["float-range", "bool-range", "none-range", "str-range"],
 )
-def test_fit_rejects_non_integer_range_and_non_real_scale(gram_3x3_raw_direct, fit_range, c):
+def test_fit_rejects_non_integer_range_and_non_real_scale(gram_3x3_raw_direct, fit_range):
     with pytest.raises(ParameterError):
-        fit_exponent(_planted_shells(1), fit_range, c)
+        fit_exponent(_planted_shells(1), fit_range)
     with pytest.raises(ParameterError):
-        decay_report(gram_3x3_raw_direct, fit_range=fit_range, c=c)
+        decay_report(gram_3x3_raw_direct, fit_range=fit_range)
 
 
 def test_decay_report_stores_plain_fit_values(gram_3x3_raw_direct):
     g = gram_3x3_raw_direct
-    rep = decay_report(g, fit_range=(np.int64(1), 4), c=np.float64(LOG2))
+    rep = decay_report(g, fit_range=(np.int64(1), 4))
     assert [type(v) for v in (*rep.fit_range, rep.c)] == [int, int, float]
     assert decay_report_to_json(rep) == decay_report_to_json(decay_report(g, fit_range=(1, 4)))
 

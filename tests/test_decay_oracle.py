@@ -56,11 +56,10 @@ def ref_included(g, i, j, exclude_zero_row):
     return g.points[i].denominator != 1 and g.points[j].denominator != 1
 
 
-def ref_shell_stats(g, center=None, exclude_zero_row=True):
+def ref_shell_stats(g, exclude_zero_row=True):
     n = len(g.points)
-    rows = range(n) if center is None else [g.index_of(center)]
     by_r = {}
-    for i in rows:
+    for i in range(n):
         for j in range(n):
             if ref_included(g, i, j, exclude_zero_row):
                 r = distance(g.points[i].index, g.points[j].index)
@@ -140,7 +139,7 @@ def ref_decay_report(g, fit_range, exclude_zero_row):
         shells=tuple(shells),
         envelope_shell=tuple(env_shell),
         envelope_tail=tuple(env_tail),
-        fitted_exponent=fit_exponent(shells, fit_range, LOG2),
+        fitted_exponent=fit_exponent(shells, fit_range),
         c=LOG2,
         fit_range=fit_range,
         lambda_gap=ref_lambda_gap(g),
@@ -197,16 +196,14 @@ def synthetic_gram(j_max, k_max, seed, style):
         smoothing=None,
         entries=e,
         err_estimate=np.zeros((n, n)),
-        points=pts,
         quad=DEFAULT_QUAD,
     )
 
 
-def assert_matches_reference(g, center, bs):
+def assert_matches_reference(g, bs):
     diam = g.window.j_max + g.window.k_max
     for exclude in (True, False):
-        assert shell_stats(g, exclude_zero_row=exclude) == ref_shell_stats(g, None, exclude)
-        assert shell_stats(g, center, exclude) == ref_shell_stats(g, center, exclude)
+        assert shell_stats(g, exclude) == ref_shell_stats(g, exclude)
         fit_range = (1, max(1, diam))
         try:
             want = ref_decay_report(g, fit_range, exclude)
@@ -257,18 +254,16 @@ def assert_matches_reference(g, center, bs):
 def test_diagnostics_equal_scalar_reference(j_max, k_max, seed, style, data):
     g = synthetic_gram(j_max, k_max, seed, style)
     if data is None:
-        center = (j_max // 2, k_max)
         bs = (1, 2, 3, 4)
     else:
-        center = (data.draw(st.integers(0, j_max)), data.draw(st.integers(0, k_max)))
         bs = tuple(data.draw(st.lists(st.integers(1, j_max + k_max + 2), min_size=1, max_size=5)))
-    assert_matches_reference(g, center, bs)
+    assert_matches_reference(g, bs)
 
 
 @pytest.mark.parametrize("fixture", ["gram_3x3_raw_direct", "gram_6x6_smoothed"])
 def test_real_grams_equal_scalar_reference(request, fixture):
     g = request.getfixturevalue(fixture)
-    assert_matches_reference(g, (1, 2), (1, 2, 3, 4, 13))
+    assert_matches_reference(g, (1, 2, 3, 4, 13))
 
 
 @pytest.mark.parametrize("fixture", ["gram_3x3_raw_direct", "gram_6x6_smoothed"])

@@ -31,7 +31,10 @@ by at most 5.6e-16, 2.5e-6 of their budgets.  The vectorized CSV writer
 that came with it changed no byte of any case.  The two ``g.json`` files
 (``gram_smoothed_4_json``, ``gram_smoothed_2_quad_json``) were re-frozen
 when the Gram JSON moved to schema ``bnladder.gram/2``, whose ``quad``
-has no ``rel_tol``: those two lines are the whole difference.
+has no ``rel_tol``: those two lines are the whole difference.  They were
+re-frozen again at schema ``bnladder.gram/3``, whose ``quad`` no longer
+holds the sweep's piece cap or the Gaussian tail target, now constants:
+the schema line and those two lines are the whole difference.
 The values depend on float64 arithmetic only (no randomness), so a
 mismatch means a changed number or a changed format, not noise.
 """
@@ -59,7 +62,7 @@ GOLDEN = {
         ["gram", *SMOOTHED_4, "--format", "json"],
         "g.json",
         {
-            "g.json": "a7da8a07744b9d6e155865dfa6cb1d4069fd24873a007d5d5d5f52d5504069d8",
+            "g.json": "17a7d2e2dc8b0bacf02c3a9b230a3048bb5dfb695659b3c9fb7fa5c597c5d2fd",
             "g.normalized.json": "9cf27388fb1c9bad845450f8f2bc75d107091973977191e0f29e4f040f0be0cf",
         },
     ),
@@ -142,7 +145,7 @@ GOLDEN = {
          "--abs-tol", "1e-5", "--x-min", "1e-3", "--tmax-raw", "500", "--format", "json"],
         "g.json",
         {
-            "g.json": "dc421ab7e858077a5aa8e8e7a938a7422d296c3eaab59206a9f35b32c7a8d596",
+            "g.json": "de90a5f26689b4d41ee0c52c726c5be362603b6efffbb9b119cfce0d9519ca90",
             "g.normalized.json": "01edd1a06d7ad860401932250ad04f8e3848a29ee152b137ad3d73136cf61a1d",
         },
     ),

@@ -1,6 +1,8 @@
+import inspect
 import json
 import math
 import tracemalloc
+from dataclasses import fields
 from unittest import mock
 
 import numpy as np
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 import bnladder.gram
 from bnladder import (
     ConvergenceError,
+    GramMatrix,
     IndexWindow,
     ParameterError,
     QuadratureConfig,
@@ -19,6 +22,8 @@ from bnladder import (
     breakpoints,
     build_gram,
     cross_validate,
+    decay_report,
+    fit_exponent,
     gram_from_json,
     gram_to_csv,
     gram_to_json,
@@ -26,6 +31,7 @@ from bnladder import (
     inner_spectral,
     mellin_direct,
     pair_inner_matrix,
+    shell_stats,
     theta_of,
     zeta_half_grid,
 )
@@ -142,9 +148,9 @@ _DROP = object()
         pytest.param(("window",), {"j_max": True, "k_max": 7}, id="bool_j_max"),
         pytest.param(("window",), {"j_max": 3, "k_max": "3"}, id="text_k_max"),
         pytest.param(("quad", "abs_tol"), True, id="bool_abs_tol"),
-        pytest.param(("quad", "max_subdivisions"), 2.5, id="float_max_subdivisions"),
         pytest.param(("smoothing", "W"), True, id="bool_W"),
         pytest.param(("schema",), "bnladder.gram/1", id="schema_1"),
+        pytest.param(("schema",), "bnladder.gram/2", id="schema_2"),
     ],
 )
 def test_gram_json_rejects_malformed_document(
@@ -165,7 +171,7 @@ def test_gram_json_rejects_malformed_document(
     with pytest.raises(ParameterError) as info:
         gram_from_json(json.dumps(doc))
     if path == ("schema",):  # the message names the schema found and the one expected
-        assert "'bnladder.gram/1'" in str(info.value) and "'bnladder.gram/2'" in str(info.value)
+        assert repr(value) in str(info.value) and "'bnladder.gram/3'" in str(info.value)
 
 
 def test_gram_json_numpy_window_bounds():
@@ -176,13 +182,31 @@ def test_gram_json_numpy_window_bounds():
 
 def test_gram_json_numpy_config_values():
     # Configs store plain values, so numpy scalars serialize like Python ones.
-    quad = QuadratureConfig(max_subdivisions=np.int64(10**8), abs_tol=np.float64(1e-6))
+    quad = QuadratureConfig(t_max_raw=np.int64(1000), abs_tol=np.float64(1e-6))
     smoothing = SmoothingParams(W=np.float32(5), epsilon=np.float64(1e-6))
-    assert type(quad.max_subdivisions) is int and type(smoothing.W) is float
+    assert type(quad.t_max_raw) is float and type(smoothing.W) is float
     window = IndexWindow(1, 1)
     plain = build_gram(window, "smoothed", smoothing=SmoothingParams(W=5.0, epsilon=1e-6))
     numpy = build_gram(window, "smoothed", smoothing=smoothing, quad=quad)
     assert gram_to_json(numpy) == gram_to_json(plain)
+
+
+def test_settable_values_are_pinned(gram_3x3_raw_direct):
+    """The quadrature config holds exactly what the CLI's gram flags set,
+    the sweep cap and the decay scale are constants, and a Gram matrix
+    derives its points from its window."""
+    assert [f.name for f in fields(QuadratureConfig)] == ["abs_tol", "x_min", "t_max_raw"]
+    signatures = {
+        pair_inner_matrix: ["denominators", "x_min"],
+        fit_exponent: ["shells", "fit_range"],
+        decay_report: ["g", "fit_range", "exclude_zero_row"],
+        shell_stats: ["g", "exclude_zero_row"],
+    }
+    for fn, names in signatures.items():
+        assert list(inspect.signature(fn).parameters) == names
+    assert "points" not in [f.name for f in fields(GramMatrix)]
+    g = gram_3x3_raw_direct
+    assert g.points == tuple(g.window.points()) and g.points is g.points
 
 
 def test_entry_accepts_numpy_indices(gram_3x3_raw_direct):
@@ -231,14 +255,17 @@ def test_cross_validate_3x3_report(gram_3x3_raw_direct, gram_3x3_raw_spectral):
     assert diff.max() < 1e-3
 
 
-CAPPED = QuadratureConfig(max_subdivisions=1000)
+# Cutoffs whose piece bound, floor(1/x_min) and more, is above the cap of
+# 1e8 pieces; below x_min = 5.6e-309, 1/x_min itself overflows to inf.
+CAPPED = QuadratureConfig(x_min=1e-9)
+SUBNORMAL = QuadratureConfig(x_min=1e-310)
 
 
 @pytest.mark.parametrize(
     "call,message",
     [
         (lambda: breakpoints(0.5, 1e-9), "breakpoint list needs"),
-        (lambda: pair_inner_matrix([2, 3], 1e-4, max_pieces=1000), "lattice pass needs"),
+        (lambda: pair_inner_matrix([2, 3], 1e-9), "lattice pass needs"),
         (lambda: inner_direct(0.5, 0.3, CAPPED), "sweep needs"),
         (lambda: mellin_direct(0.5, 1.0, CAPPED), "transform needs"),
         (lambda: mellin_direct(0.3, 1.0, CAPPED), "transform needs"),
@@ -246,8 +273,20 @@ CAPPED = QuadratureConfig(max_subdivisions=1000)
             lambda: build_gram(IndexWindow(1, 1), "smoothed", smoothing=SmoothingParams(W=1e6)),
             "Gaussian taper",
         ),
+        (lambda: breakpoints(0.5, 1e-310), "breakpoint list needs"),
+        (lambda: pair_inner_matrix([2, 3], 1e-310), "lattice pass needs"),
+        (lambda: inner_direct(0.5, 0.3, SUBNORMAL), "sweep needs"),
+        (lambda: inner_direct(2**-31, 2**-32, SUBNORMAL), "lattice pass needs"),
+        (lambda: mellin_direct(0.5, 1.0, SUBNORMAL), "transform needs"),
+        (lambda: mellin_direct(0.3, 1.0, SUBNORMAL), "transform needs"),
+        # IndexWindow(12, 12) reaches 6^12 > 2^30, the closed form's cap
+        (lambda: build_gram(IndexWindow(12, 12), quad=SUBNORMAL), "lattice pass needs"),
     ],
-    ids=["breakpoints", "lattice", "sweep", "mellin-unit", "mellin-general", "gaussian-cutoff"],
+    ids=[
+        "breakpoints", "lattice", "sweep", "mellin-unit", "mellin-general", "gaussian-cutoff",
+        "breakpoints-subnormal", "lattice-subnormal", "sweep-subnormal", "fallback-subnormal",
+        "mellin-unit-subnormal", "mellin-general-subnormal", "gram-fallback-subnormal",
+    ],
 )
 def test_piece_caps_raise(call, message):
     with pytest.raises(ConvergenceError, match=message):
@@ -374,7 +413,7 @@ def test_width_rule_halves_until_every_entry_passes(j_max, k_max, t_max, smoothi
     if smoothing is None:
         tau, taper = gram._mean_sq_tail(t_max) / math.pi, None
     else:
-        tau = quad.gaussian_tail_tol / 4.0
+        tau = gram._GAUSSIAN_TAIL_TOL / 4.0
         eps, w = smoothing.epsilon, smoothing.W
         taper = lambda t: 2.0 * eps * np.exp(-((t / w) ** 2)) + np.exp(-2.0 * (t / w) ** 2)  # noqa: E731
     real_first, real_grid = gram._first_width, gram._spectral_grid
@@ -392,7 +431,7 @@ def test_width_rule_halves_until_every_entry_passes(j_max, k_max, t_max, smoothi
         else:
             g = build_gram(window, "smoothed", smoothing=smoothing, quad=quad)
         cache = dict(gram._grid_cache)
-    t_grid = t_max if smoothing is None else gram._gaussian_cutoff(smoothing, quad)
+    t_grid = t_max if smoothing is None else gram._gaussian_cutoff(smoothing)
     span = gram._displacement_span(points)
     assert tried[0] == widen * real_first(span, t_grid, tau)
     assert tried == [tried[0] / 2**i for i in range(len(tried))]
@@ -438,9 +477,9 @@ def test_width_search_stops_at_the_node_cap(monkeypatch):
     # a Gaussian tail target far below roundoff can never be met
     monkeypatch.setattr(bnladder.gram, "_MAX_GRID_NODES", 20_000)
     monkeypatch.setattr(bnladder.gram, "_grid_cache", {})
-    quad = QuadratureConfig(gaussian_tail_tol=1e-30)
+    monkeypatch.setattr(bnladder.gram, "_GAUSSIAN_TAIL_TOL", 1e-30)
     with pytest.raises(ConvergenceError, match="spectral grid on"):
-        build_gram(IndexWindow(2, 2), "smoothed", smoothing=SM, quad=quad)
+        build_gram(IndexWindow(2, 2), "smoothed", smoothing=SM)
 
 
 def _complex_pair_matrices(points, grid, weights):
@@ -508,7 +547,7 @@ def test_moments_match_complex_accumulation(idx, eps):
     want = full[0, 1]
     if eps:
         x_min = bnladder.gram._epsilon_cutoff(eps, quad)
-        base, _ = pair_inner_matrix([p.denominator for p in pair], x_min, quad.max_subdivisions)
+        base, _ = pair_inner_matrix([p.denominator for p in pair], x_min)
         want += eps * eps * base[0, 1]
     assert abs(value - want) <= 1e-14 * np.abs(full).max()
 
@@ -556,4 +595,4 @@ def test_smoothed_unit_row_has_zero_budget(eps):
         assert np.all(m[zero, :] == 0.0) and np.all(m[:, zero] == 0.0)
     off = np.ones(g.size, dtype=bool)
     off[zero] = False
-    assert np.all(g.err_estimate[np.ix_(off, off)] >= g.quad.gaussian_tail_tol)
+    assert np.all(g.err_estimate[np.ix_(off, off)] >= bnladder.gram._GAUSSIAN_TAIL_TOL)
