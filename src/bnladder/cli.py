@@ -72,12 +72,11 @@ def _parse_theta(text: str) -> float:
     if "/" in text:
         num_s, den_s = text.split("/", 1)
         try:
-            num, den = int(num_s), int(den_s)
-        except ValueError as exc:
+            return int(num_s) / int(den_s)
+        except ZeroDivisionError as exc:
+            raise argparse.ArgumentTypeError("fraction with zero denominator") from exc
+        except (ValueError, OverflowError) as exc:  # overflow: the quotient exceeds a float
             raise argparse.ArgumentTypeError(f"bad fraction {text!r}") from exc
-        if den == 0:
-            raise argparse.ArgumentTypeError("fraction with zero denominator")
-        return num / den
     try:
         return float(text)
     except ValueError as exc:

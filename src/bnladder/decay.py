@@ -45,11 +45,7 @@ __all__ = [
     "TruncationReport",
     "TruncationSuite",
     "shell_stats",
-    "envelopes",
     "fit_exponent",
-    "tail_sum",
-    "schur_truncation_bound",
-    "opnorm_residual",
     "decay_report",
     "truncation_suite",
     "shells_to_csv",
@@ -69,11 +65,11 @@ class ShellStats:
     sum_abs: float
 
 
-def _distance_matrix(g: GramMatrix, rows: slice = slice(None)) -> np.ndarray:
-    """Ladder distances from the points in ``rows`` to every point."""
+def _distance_matrix(g: GramMatrix) -> np.ndarray:
+    """Ladder distances between every pair of the window's points."""
     j = np.array([p.index.j for p in g.points], dtype=np.int64)
     k = np.array([p.index.k for p in g.points], dtype=np.int64)
-    return np.abs(j[rows, None] - j[None, :]) + np.abs(k[rows, None] - k[None, :])
+    return np.abs(j[:, None] - j[None, :]) + np.abs(k[:, None] - k[None, :])
 
 
 def _pair_mask(g: GramMatrix, exclude_zero_row: bool) -> np.ndarray:
@@ -100,17 +96,6 @@ def _shells(a: np.ndarray, d: np.ndarray, mask: np.ndarray) -> list[ShellStats]:
             mean, top, total = float(vals.mean()), float(vals.max()), float(vals.sum())
             out.append(ShellStats(r, vals.size, mean, top, total))
     return out
-
-
-def envelopes(g: GramMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Shell-sup and tail-sup envelopes over all pairs.
-
-    ``envelope_shell[n]`` is the largest |entry| at distance exactly n;
-    ``envelope_tail[n]`` the largest at distance >= n, which makes it
-    nonincreasing identically.  The zero row participates (it only ever
-    contributes zeros to a sup).
-    """
-    return _envelopes(np.abs(g.entries), _distance_matrix(g))
 
 
 def _envelopes(a: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -161,39 +146,6 @@ def _row_tails(a: np.ndarray, d: np.ndarray, b: int) -> np.ndarray:
     return np.cumsum(np.where(d >= b, a, 0.0), axis=1)[:, -1]
 
 
-def tail_sum(g: GramMatrix, center: LadderIndex | tuple[int, int], b: int) -> float:
-    """l1 mass of one row at ladder distance >= B (within the window)."""
-    b = _integer(b, "truncation radius B", minimum=1)
-    i = g.index_of(center)
-    row = slice(i, i + 1)
-    return float(_row_tails(np.abs(g.entries[row]), _distance_matrix(g, row), b)[0])
-
-
-def schur_truncation_bound(g: GramMatrix, b: int) -> float:
-    """Largest row tail: a rigorous bound on ||G - G^(B)|| by Schur's test.
-
-    The residual after zeroing every entry at distance >= B is symmetric,
-    so its spectral norm is at most the maximal absolute row sum, which
-    is exactly the worst tail_sum.
-    """
-    b = _integer(b, "truncation radius B", minimum=1)
-    return float(_row_tails(np.abs(g.entries), _distance_matrix(g), b).max())
-
-
-def opnorm_residual(g: GramMatrix, b: int) -> float:
-    """||G - G^(B)||, exactly: the symmetric residual's largest |eigenvalue|.
-
-    It never exceeds :func:`schur_truncation_bound`.  Reports carry it as
-    ``empirical_opnorm``, a name kept for schema stability.
-    """
-    b = _integer(b, "truncation radius B", minimum=1)
-    return _sym_norm(np.where(_distance_matrix(g) >= b, g.entries, 0.0))
-
-
-def _sym_norm(resid: np.ndarray) -> float:
-    return float(np.abs(np.linalg.eigvalsh(resid)).max())
-
-
 @dataclass(frozen=True)
 class LambdaGapReport:
     """Smallest |lambda|/d over distinct pairs of a window.
@@ -224,7 +176,13 @@ def _lambda_gap(g: GramMatrix, d: np.ndarray) -> LambdaGapReport:
 
 @dataclass(frozen=True)
 class DecayReport:
-    """Shell statistics, envelopes, and the decay exponent fitted at c = log 2."""
+    """Shell statistics, envelopes, and the decay exponent fitted at c = log 2.
+
+    ``envelope_shell[n]`` is the largest |entry| at distance exactly n and
+    ``envelope_tail[n]`` the largest at distance >= n, which makes it
+    nonincreasing identically.  Both take every pair: the zero row only
+    ever contributes zeros to a sup.
+    """
 
     shells: tuple[ShellStats, ...]
     envelope_shell: tuple[float, ...]
@@ -270,9 +228,16 @@ def decay_report(
 
 @dataclass(frozen=True)
 class TruncationReport:
-    """Finite-section diagnosis at one truncation radius.
+    """Finite-section diagnosis at one truncation radius B.
 
-    ``empirical_opnorm`` is the exact residual norm, named so for schema stability.
+    The residual G - G^(B) keeps the entries at ladder distance >= B and
+    zeroes the rest.  ``tail_sums`` holds each row's l1 mass in it, per
+    ladder index.  The residual is symmetric, so by Schur's test its
+    spectral norm is at most the largest absolute row sum: ``schur_bound``,
+    the largest tail sum, is a rigorous bound.  ``empirical_opnorm`` is
+    that norm exactly, the largest |eigenvalue| of the symmetric residual
+    (eigvalsh), so it never exceeds ``schur_bound``; the name is kept for
+    schema stability.
     """
 
     B: int
@@ -301,11 +266,12 @@ def truncation_suite(g: GramMatrix, bs: tuple[int, ...] = (1, 2, 3, 4)) -> Trunc
     reports = []
     for b in bs:
         tails = _row_tails(a, d, b)
+        resid = np.where(d >= b, g.entries, 0.0)
         reports.append(
             TruncationReport(
                 B=b,
                 schur_bound=float(tails.max()),
-                empirical_opnorm=_sym_norm(np.where(d >= b, g.entries, 0.0)),
+                empirical_opnorm=float(np.abs(np.linalg.eigvalsh(resid)).max()),
                 tail_sums=tuple(zip((p.index for p in g.points), tails.tolist())),
             )
         )

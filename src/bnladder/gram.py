@@ -168,10 +168,6 @@ def _spectral_grid(t_max: float, h: float) -> _SpectralGrid:
     repeated search evaluates zeta on none of its candidates again."""
     key = (float(t_max), float(h))
     n_panels = int(math.ceil(t_max / h))
-    # Reject a grid beyond the zeta cap before allocating it: its top node,
-    # by the same arithmetic as below, is the last panel's top node.
-    last_lo, last_hi = min((n_panels - 1) * h, t_max), min(n_panels * h, t_max)
-    _check_grid_top(0.5 * (last_lo + last_hi) + 0.5 * (last_hi - last_lo) * _K15_NODES[-1])
     got = _grid_cache.get(key)
     if got is not None:
         return got

@@ -131,7 +131,7 @@ def zeta_half(t: float) -> complex:
     if not math.isfinite(t):
         raise ZetaRangeError(f"ordinate must be finite, got {t!r}")
     if abs(t) > T_CAP:
-        raise ZetaRangeError(f"|t| = {abs(t):g} exceeds the accuracy-checked cap {T_CAP:g}")
+        raise ZetaRangeError(f"|t| = {abs(t)!r} exceeds the accuracy-checked cap {T_CAP:g}")
     val = complex(_block(np.array([abs(t)]), _phase_reducer(_terms(abs(t))))[0])
     return val if t >= 0 else val.conjugate()
 
@@ -140,7 +140,7 @@ def _check_grid_top(t_top: float) -> None:
     """Reject a grid whose largest ordinate ``t_top`` exceeds ``T_CAP``."""
     if t_top > T_CAP:
         raise ZetaRangeError(
-            f"grid reaches |t| = {t_top:g}, beyond the accuracy-checked cap {T_CAP:g}"
+            f"grid reaches |t| = {t_top!r}, beyond the accuracy-checked cap {T_CAP:g}"
         )
 
 

@@ -16,16 +16,14 @@ from bnladder import (
     IndexWindow,
     LOG2,
     ShellStats,
-    envelopes,
+    decay_report,
     fit_exponent,
     l2_norm,
     mellin_closed,
     mellin_direct,
-    opnorm_residual,
-    schur_truncation_bound,
     shell,
     shell_stats,
-    tail_sum,
+    truncation_suite,
     zeta_half,
     zeta_selfcheck,
 )
@@ -131,22 +129,21 @@ def test_criterion_05_zeta_reference_grid():
 
 def test_criterion_06_envelope_and_truncation_mechanics(gram_6x6_smoothed):
     g = gram_6x6_smoothed
-    _, env_tail = envelopes(g)
+    env_tail = decay_report(g).envelope_tail
     tail_monotone = all(env_tail[i] >= env_tail[i + 1] for i in range(len(env_tail) - 1))
+    reports = truncation_suite(g, range(1, 14)).reports
     sums_monotone = True
-    for p in g.points:
+    for i in range(len(g.points)):
         prev = math.inf
-        for b in range(1, 14):
-            cur = tail_sum(g, p.index, b)
+        for r in reports:
+            cur = r.tail_sums[i][1]
             sums_monotone &= cur <= prev
             prev = cur
     dominance = True
     worst_gap = math.inf
-    for b in (1, 2, 3, 4):
-        schur = schur_truncation_bound(g, b)
-        emp = opnorm_residual(g, b)
-        dominance &= emp <= schur
-        worst_gap = min(worst_gap, schur - emp)
+    for r in reports[:4]:  # B = 1..4
+        dominance &= r.empirical_opnorm <= r.schur_bound
+        worst_gap = min(worst_gap, r.schur_bound - r.empirical_opnorm)
     ok = tail_monotone and sums_monotone and dominance
     print(
         f"criterion 6: {'PASS' if ok else 'FAIL'} "

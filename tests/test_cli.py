@@ -60,6 +60,15 @@ def test_profile_columns_follow_spec(tmp_path, fmt):
     assert f == pytest.approx(2.0 / 3.0, rel=1e-14)  # {8/3} - (1/3) {8}
 
 
+@pytest.mark.parametrize("command", ["profile", "spectrum"])
+def test_theta_fraction_beyond_float_range_is_a_usage_error(tmp_path, capsys, command):
+    out = str(tmp_path / "p.csv")
+    assert main([command, "--theta", "1" + "0" * 400 + "/3", "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: bnladder {command}") and "bad fraction" in err
+    assert os.listdir(tmp_path) == []
+
+
 def test_profile_rejects_zero_points(tmp_path):
     out = str(tmp_path / "p.csv")
     assert main(["profile", "--points", "0", "--out", out]) == 1
@@ -147,16 +156,27 @@ def test_gram_eps_whose_square_underflows_matches_eps_0(tmp_path):
 @pytest.mark.parametrize(
     "flags,code,message",
     [
-        (["--method", "spectral", "--tmax-raw", "1e14"], 1, "grid reaches |t| = 1e+14"),
-        (["--kind", "smoothed", "--W", "2e13"], 1, "grid reaches |t| = 4e+13"),
-        (["--kind", "smoothed", "--W", "1e308"], 1, "grid reaches |t| = inf"),
+        (
+            ["--method", "spectral", "--tmax-raw", "1e14"],
+            1,
+            "grid reaches |t| = 100000000000000.0,",
+        ),
+        (["--kind", "smoothed", "--W", "2e13"], 1, "grid reaches |t| = 40000000000000.0,"),
+        (["--kind", "smoothed", "--W", "1e308"], 1, "grid reaches |t| = inf,"),
+        (
+            # the cap prints as 10000 either way; the height keeps every digit
+            ["--jmax", "0", "--kmax", "1", "--method", "spectral",
+             "--tmax-raw", "10000.000000000002"],
+            1,
+            "grid reaches |t| = 10000.000000000002, beyond the accuracy-checked cap 10000",
+        ),
         (
             ["--jmax", "12", "--kmax", "12", "--x-min", "1e-310"],
             2,
             "lattice pass needs ~Infinity pieces, above the cap 100000000",
         ),
     ],
-    ids=["tmax-raw-1e14", "W-2e13", "W-1e308", "subnormal-x-min"],
+    ids=["tmax-raw-1e14", "W-2e13", "W-1e308", "tmax-raw-just-above-cap", "subnormal-x-min"],
 )
 def test_gram_extreme_inputs_fail_typed(tmp_path, capsys, flags, code, message):
     out = str(tmp_path / "g.csv")

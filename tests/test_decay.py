@@ -14,14 +14,10 @@ from bnladder import (
     ShellStats,
     decay_report,
     decay_report_to_json,
-    envelopes,
     fit_exponent,
-    opnorm_residual,
-    schur_truncation_bound,
     shell,
     shell_stats,
     shells_to_csv,
-    tail_sum,
     truncation_suite,
     truncation_suite_to_json,
 )
@@ -142,56 +138,55 @@ def test_shell_stats_single_point_window():
     assert shells[0].mean_abs == 0.0
 
 
-def test_envelopes_single_point_window():
-    g = _synthetic_gram(IndexWindow(0, 0), lambda a, b: 0.0)
-    env_shell, env_tail = envelopes(g)
-    assert list(env_shell) == [0.0]
-    assert list(env_tail) == [0.0]
-
-
 def test_envelope_tail_identity(gram_3x3_raw_direct):
-    env_shell, env_tail = envelopes(gram_3x3_raw_direct)
+    rep = decay_report(gram_3x3_raw_direct)
+    env_shell, env_tail = rep.envelope_shell, rep.envelope_tail
     for n in range(len(env_shell)):
         assert env_tail[n] == max(env_shell[n:])
+
+
+def _tails(report):
+    return dict(report.tail_sums)
 
 
 def test_tail_sum_beyond_diameter(gram_3x3_raw_direct):
     g = gram_3x3_raw_direct
     diam = g.window.j_max + g.window.k_max
-    assert tail_sum(g, (0, 0), diam + 1) == 0.0
-    assert schur_truncation_bound(g, diam + 1) == 0.0
+    (rep,) = truncation_suite(g, (diam + 1,)).reports
+    assert set(_tails(rep).values()) == {0.0}
+    assert rep.schur_bound == 0.0
 
 
 def test_tail_sum_zero_row(gram_3x3_raw_direct):
-    assert tail_sum(gram_3x3_raw_direct, (0, 0), 1) == 0.0
+    (rep,) = truncation_suite(gram_3x3_raw_direct, (1,)).reports
+    assert _tails(rep)[(0, 0)] == 0.0
 
 
 def test_tail_sum_is_offdiagonal_row_mass(gram_3x3_raw_direct):
     g = gram_3x3_raw_direct
     i = g.index_of((2, 2))
     brute = float(np.sum(np.abs(g.entries[i]))) - abs(float(g.entries[i, i]))
-    assert tail_sum(g, (2, 2), 1) == pytest.approx(brute, rel=1e-14)
+    (rep,) = truncation_suite(g, (1,)).reports
+    assert _tails(rep)[(2, 2)] == pytest.approx(brute, rel=1e-14)
 
 
 def test_tail_sum_monotone_in_radius(gram_3x3_raw_direct):
     g = gram_3x3_raw_direct
+    reports = truncation_suite(g, range(1, 8)).reports
     for p in g.points:
         prev = math.inf
-        for b in range(1, 8):
-            cur = tail_sum(g, p.index, b)
+        for rep in reports:
+            cur = _tails(rep)[p.index]
             assert cur <= prev + 1e-15
             prev = cur
 
 
 def test_tail_sum_validates_radius(gram_3x3_raw_direct):
     with pytest.raises(ParameterError):
-        tail_sum(gram_3x3_raw_direct, (0, 0), 0)
+        truncation_suite(gram_3x3_raw_direct, (0,))
 
 
 RADIUS_TAKERS = {
-    "tail_sum": lambda g, b: tail_sum(g, (1, 1), b),
-    "schur_truncation_bound": schur_truncation_bound,
-    "opnorm_residual": opnorm_residual,
     "truncation_suite": lambda g, b: truncation_suite(g, (b,)),
     "shell": lambda g, r: shell((1, 1), r),
 }
@@ -207,9 +202,14 @@ def test_radius_rejects_bools(gram_3x3_raw_direct, call, flag):
         call(gram_3x3_raw_direct, flag)
 
 
+def _norms(g, bs):
+    """(empirical_opnorm, schur_bound) per radius, from one suite."""
+    return [(r.empirical_opnorm, r.schur_bound) for r in truncation_suite(g, bs).reports]
+
+
 def test_opnorm_zero_residual():
     g = _synthetic_gram(IndexWindow(1, 1), lambda a, b: 1.0 if a == b else 0.0)
-    assert opnorm_residual(g, 1) == 0.0
+    assert _norms(g, (1,)) == [(0.0, 0.0)]
 
 
 def test_opnorm_planted_spectrum():
@@ -224,15 +224,15 @@ def test_opnorm_planted_spectrum():
         return 0.0
 
     g = _synthetic_gram(w, fill)
-    assert opnorm_residual(g, 2) == pytest.approx(3.0, rel=1e-12)
-    assert schur_truncation_bound(g, 2) == pytest.approx(3.0, rel=1e-15)
-    assert opnorm_residual(g, 3) == 0.0
+    (opnorm_2, schur_2), (opnorm_3, _) = _norms(g, (2, 3))
+    assert opnorm_2 == pytest.approx(3.0, rel=1e-12)
+    assert schur_2 == pytest.approx(3.0, rel=1e-15)
+    assert opnorm_3 == 0.0
 
 
 def test_opnorm_never_exceeds_schur(gram_3x3_raw_direct):
-    for b in (1, 2, 3, 4):
-        emp = opnorm_residual(gram_3x3_raw_direct, b)
-        assert emp <= schur_truncation_bound(gram_3x3_raw_direct, b) + 1e-12
+    for emp, schur in _norms(gram_3x3_raw_direct, (1, 2, 3, 4)):
+        assert emp <= schur + 1e-12
 
 
 def test_decay_report_fields(gram_3x3_raw_direct):

@@ -33,16 +33,12 @@ from bnladder import (
     decay_report,
     decay_report_to_json,
     distance,
-    envelopes,
     fit_exponent,
-    opnorm_residual,
-    schur_truncation_bound,
     shell_stats,
-    tail_sum,
     truncation_suite,
     truncation_suite_to_json,
 )
-from bnladder.decay import _distance_matrix, _lambda_gap
+from bnladder.decay import _distance_matrix, _envelopes, _lambda_gap
 from bnladder.fractional import DEFAULT_QUAD
 
 # -- scalar reference ---------------------------------------------------------
@@ -214,15 +210,11 @@ def assert_matches_reference(g, bs):
             got = decay_report(g, fit_range=fit_range, exclude_zero_row=exclude)
             assert got == want
             assert decay_report_to_json(got) == decay_report_to_json(want)
-    # decay_report carries the gap only where the fit succeeds
-    assert _lambda_gap(g, _distance_matrix(g)) == ref_lambda_gap(g)
-    env_shell, env_tail = envelopes(g)
+    # decay_report carries the gap and the envelopes only where the fit succeeds
+    d = _distance_matrix(g)
+    assert _lambda_gap(g, d) == ref_lambda_gap(g)
+    env_shell, env_tail = _envelopes(np.abs(g.entries), d)
     assert (env_shell.tolist(), env_tail.tolist()) == ref_envelopes(g)
-    for b in bs:
-        tails = [tail_sum(g, p.index, b) for p in g.points]
-        assert tails == [ref_tail_sum(g, p.index, b) for p in g.points]
-        assert schur_truncation_bound(g, b) == max(tails)
-        assert_same_norm(opnorm_residual(g, b), ref_opnorm(g, b))
     got = truncation_suite(g, bs)
     want = ref_truncation_suite(g, bs)
     for r, w in zip(got.reports, want.reports):
@@ -269,7 +261,7 @@ def test_real_grams_equal_scalar_reference(request, fixture):
 @pytest.mark.parametrize("fixture", ["gram_3x3_raw_direct", "gram_6x6_smoothed"])
 def test_opnorm_residual_is_exact_on_real_windows(request, fixture):
     g = request.getfixturevalue(fixture)
-    for b in (1, 2, 3, 4):
-        want = ref_opnorm(g, b)
+    for r in truncation_suite(g, (1, 2, 3, 4)).reports:
+        want = ref_opnorm(g, r.B)
         assert want > 0.0
-        assert_same_norm(opnorm_residual(g, b), want)
+        assert_same_norm(r.empirical_opnorm, want)

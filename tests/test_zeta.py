@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, inf, nextafter
 
 import numpy as np
 import pytest
@@ -78,6 +78,9 @@ def test_grid_rejects_bad_input():
 def test_range_cap():
     with pytest.raises(ZetaRangeError):
         zeta_half(T_CAP + 1.0)
+    # the message keeps every digit of the rejected height
+    with pytest.raises(ZetaRangeError, match=r"\|t\| = 10000\.000000000002 exceeds the"):
+        zeta_half(nextafter(T_CAP, inf))
     # the boundary itself is allowed
     zeta_half(T_CAP)
 
