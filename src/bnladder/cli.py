@@ -72,15 +72,25 @@ def _parse_theta(text: str) -> float:
     if "/" in text:
         num_s, den_s = text.split("/", 1)
         try:
-            return int(num_s) / int(den_s)
+            num = int(num_s)
+            value = num / int(den_s)
         except ZeroDivisionError as exc:
             raise argparse.ArgumentTypeError("fraction with zero denominator") from exc
         except (ValueError, OverflowError) as exc:  # overflow: the quotient exceeds a float
             raise argparse.ArgumentTypeError(f"bad fraction {text!r}") from exc
+        if value == 0.0 and num != 0:
+            raise argparse.ArgumentTypeError(f"fraction {text!r} underflows to 0")
+        return value
     try:
-        return float(text)
+        value = float(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad theta {text!r}") from exc
+    if value == 0.0:
+        from decimal import Decimal  # here only, so that CLI start-up does not pay for it
+
+        if Decimal(text) != 0:
+            raise argparse.ArgumentTypeError(f"theta {text!r} underflows to 0")
+    return value
 
 
 def _parse_bool(text: str) -> bool:
@@ -138,7 +148,7 @@ def _gram(args: argparse.Namespace) -> GramMatrix:
         kind=args.kind,
         method=args.method,
         smoothing=smoothing,
-        quad=QuadratureConfig(abs_tol=args.abs_tol, x_min=args.x_min, t_max_raw=args.tmax_raw),
+        quad=QuadratureConfig(x_min=args.x_min, t_max_raw=args.tmax_raw),
     )
 
 
@@ -318,24 +328,19 @@ def _add_gram(p: argparse.ArgumentParser, kind_default: str):
     """The flags :func:`_gram` reads: window, kind, method, quadrature, smoothing."""
     _add_window(p)
     p.add_argument("--kind", choices=("raw", "smoothed"), default=kind_default)
-    p.add_argument("--method", choices=("direct", "spectral", "hybrid"), default="hybrid")
-    cutoff_use = (
-        "; used only by the eps^2 share of smoothed builds and by raw windows "
-        f"with a denominator above {_CLOSED_FORM_CAP}, since raw entries come "
-        "from an exact closed form"
-    )
     p.add_argument(
-        "--abs-tol",
-        type=float,
-        default=DEFAULT_QUAD.abs_tol,
-        help="absolute error target that sets the default cutoff x_min = abs_tol/8"
-        + cutoff_use,
+        "--method",
+        choices=("direct", "spectral", "hybrid"),
+        default=None,
+        help="raw: direct (default) or spectral; smoothed: hybrid",
     )
     p.add_argument(
         "--x-min",
         type=float,
         default=None,
-        help="small-x cutoff (default abs_tol/8)" + cutoff_use,
+        help="small-x cutoff (default 1e-6/8); used only by the eps^2 share of "
+        "smoothed builds and by raw windows with a denominator above "
+        f"{_CLOSED_FORM_CAP}, since raw entries come from an exact closed form",
     )
     tmax_help = "truncation height of raw spectral builds, at least 10"
     p.add_argument("--tmax-raw", type=float, default=DEFAULT_QUAD.t_max_raw, help=tmax_help)

@@ -95,6 +95,8 @@ _LOG_2PI_MINUS_GAMMA = math.log(2.0 * math.pi) - float(np.euler_gamma)
 _COT_CHUNK = 1 << 16
 _U = 0.5 * float(np.finfo(np.float64).eps)  # unit roundoff
 _SUM_GROWTH = 16.0 + math.log2(_COT_CHUNK)  # numpy pairwise-sum error factor
+# Absolute error target of cutoff integrals whose x_min is unset.
+_ABS_TOL = 1.0e-6
 
 
 def _check_x_min(x_min: float) -> float:
@@ -108,35 +110,30 @@ def _check_x_min(x_min: float) -> float:
 class QuadratureConfig:
     """Accuracy budget shared by the direct and spectral integrators.
 
-    abs_tol     target absolute error for cutoff-based inner products
-                (theta not a unit fraction, the epsilon^2 share of
-                smoothed Gram matrices, and the cutoff fallback above the
-                closed form's cap); drives the small-x cutoff when x_min
-                is unset.
-    x_min       explicit small-x cutoff for those same integrals; default
-                abs_tol / 8 so the cutoff tail (<= 4 x_min) spends at most
-                half the absolute budget.  Unit-fraction pairs have no
-                cutoff.
+    x_min       small-x cutoff of cutoff-based inner products (theta not
+                a unit fraction, the epsilon^2 share of smoothed Gram
+                matrices, and the cutoff fallback above the closed form's
+                cap); default _ABS_TOL / 8 = 1.25e-7, so the cutoff tail
+                (<= 4 x_min) spends at most half the absolute target
+                _ABS_TOL = 1e-6.  Unit-fraction pairs have no cutoff.
     t_max_raw   truncation height for raw spectral integrals, at least
                 10, where their tail estimate starts to hold.
     """
 
-    abs_tol: float = 1.0e-6
     x_min: float | None = None
     t_max_raw: float = 1000.0
 
     def __post_init__(self) -> None:
         # plain values, so every config that passes here also serializes
-        for name in ("abs_tol", "t_max_raw"):
-            value = _real(getattr(self, name), name)
-            if not (value > 0.0 and math.isfinite(value)):
-                raise ParameterError(f"{name} must be positive, got {value!r}")
-            object.__setattr__(self, name, value)
+        t_max_raw = _real(self.t_max_raw, "t_max_raw")
+        if not (t_max_raw > 0.0 and math.isfinite(t_max_raw)):
+            raise ParameterError(f"t_max_raw must be positive, got {t_max_raw!r}")
+        object.__setattr__(self, "t_max_raw", t_max_raw)
         if self.x_min is not None:
             object.__setattr__(self, "x_min", _check_x_min(self.x_min))
 
     def resolved_x_min(self) -> float:
-        return self.x_min if self.x_min is not None else self.abs_tol / 8.0
+        return self.x_min if self.x_min is not None else _ABS_TOL / 8.0
 
 
 DEFAULT_QUAD = QuadratureConfig()

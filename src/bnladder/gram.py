@@ -39,9 +39,8 @@ epsilon^2 part reuse that cutoff sweep at a coarse cutoff (the
 closed form's cost grows with the denominators, which reach 6^24 on a
 24x24 window), while the two Gaussian-tapered parts are integrated on a
 short grid truncated where the taper pushes the tail below 1e-10
-(``_GAUSSIAN_TAIL_TOL``).  That split is what the hybrid method means for
-smoothed matrices; for raw matrices hybrid falls back to direct, which is
-both faster and exact.
+(``_GAUSSIAN_TAIL_TOL``).  That split, the ``hybrid`` method, is the one
+route of smoothed matrices.
 
 Every grid built is cached per (t_max, panel_width), rejected candidates
 included, so a repeated call evaluates no zeta; the widths are quantized
@@ -81,9 +80,9 @@ __all__ = [
     "gram_from_json",
 ]
 
-KINDS = ("raw", "smoothed")
-METHODS = ("direct", "spectral", "hybrid")
-_GRAM_SCHEMA = "bnladder.gram/3"
+# The methods of each kind; the first is its default.
+_ROUTES = {"raw": ("direct", "spectral"), "smoothed": ("hybrid",)}
+_GRAM_SCHEMA = "bnladder.gram/4"
 
 _EULER_GAMMA = float(np.euler_gamma)
 _MEAN_SQ_FLOOR = 10.0  # the mean-square tail estimate is meaningless below ~2pi
@@ -347,12 +346,16 @@ class GramMatrix:
     """
 
     window: IndexWindow
-    kind: str
     method: str
     smoothing: SmoothingParams | None
     entries: np.ndarray
     err_estimate: np.ndarray
     quad: QuadratureConfig
+
+    @property
+    def kind(self) -> str:
+        """Derived, so no matrix can pair kind "raw" with smoothing."""
+        return "raw" if self.smoothing is None else "smoothed"
 
     @cached_property
     def points(self) -> tuple[LadderPoint, ...]:
@@ -362,30 +365,23 @@ class GramMatrix:
     def size(self) -> int:
         return self.window.size
 
-    def index_of(self, ix: LadderIndex | tuple[int, int]) -> int:
-        return self.window.position(ix)
-
     def entry(self, a, b) -> float:
-        return float(self.entries[self.index_of(a), self.index_of(b)])
+        return float(self.entries[self.window.position(a), self.window.position(b)])
 
 
 def _validate_build(kind: str, method: str | None, smoothing: SmoothingParams | None):
-    if kind not in KINDS:
-        raise ParameterError(f"kind must be one of {KINDS}, got {kind!r}")
-    if kind == "raw":
-        if smoothing is not None:
-            raise ParameterError("raw Gram takes no smoothing parameters")
-        method = method if method is not None else "direct"
-    else:
-        if smoothing is None:
-            raise ParameterError("smoothed Gram requires SmoothingParams")
-        method = method if method is not None else "hybrid"
-    if method not in METHODS:
-        raise ParameterError(f"method must be one of {METHODS}, got {method!r}")
-    if kind == "smoothed" and method == "direct":
-        raise ParameterError(
-            "smoothed entries exist only spectrally; use method='hybrid' or 'spectral'"
-        )
+    """The method ``kind`` builds with: ``method``, or the kind's default."""
+    if kind not in _ROUTES:
+        raise ParameterError(f"kind must be one of {tuple(_ROUTES)}, got {kind!r}")
+    if kind == "raw" and smoothing is not None:
+        raise ParameterError("raw Gram takes no smoothing parameters")
+    if kind == "smoothed" and smoothing is None:
+        raise ParameterError("smoothed Gram requires SmoothingParams")
+    routes = _ROUTES[kind]
+    if method is None:
+        return routes[0]
+    if method not in routes:
+        raise ParameterError(f"{kind} Gram methods are {routes}, got {method!r}")
     return method
 
 
@@ -435,25 +431,21 @@ def build_gram(
     Raw matrices default to the direct route, the exact closed form;
     ``method='spectral'`` switches to truncated Parseval integration
     (useful as a consistency probe, see :func:`cross_validate`).
-    Smoothed matrices default to ``hybrid``: the epsilon^2 share of psi^2
-    goes through the direct cutoff sweep at a coarse cutoff and only the
-    Gaussian-tapered share is integrated spectrally.  ``method='spectral'``
-    on a smoothed build is accepted as an alias; the decomposition is the
-    only evaluation the taper admits.
+    Smoothed matrices have one route, ``hybrid``: the epsilon^2 share of
+    psi^2 goes through the direct cutoff sweep at a coarse cutoff and only
+    the Gaussian-tapered share is integrated spectrally.
     """
     quad = quad if quad is not None else DEFAULT_QUAD
     method = _validate_build(kind, method, smoothing)
     points = tuple(window.points())
-    if kind == "raw":
-        if method in ("direct", "hybrid"):
-            vals, errs, _ = _unit_inner_matrix([p.denominator for p in points], quad)
-        else:
-            vals, errs = _spectral_raw(points, quad)
+    if method == "direct":
+        vals, errs, _ = _unit_inner_matrix([p.denominator for p in points], quad)
+    elif kind == "raw":
+        vals, errs = _spectral_raw(points, quad)
     else:
         vals, errs = _spectral_smoothed(points, smoothing, quad)
     return GramMatrix(
         window=window,
-        kind=kind,
         method=method,
         smoothing=smoothing,
         entries=vals,
@@ -562,7 +554,7 @@ def gram_from_json(text: str) -> GramMatrix:
     """Rebuild a :class:`GramMatrix` from its JSON serialization.
 
     Any malformed document (bad JSON, a schema other than
-    ``bnladder.gram/3``, a missing or misspelled field, a ragged or
+    ``bnladder.gram/4``, a missing or misspelled field, a ragged or
     non-numeric array, an invalid kind, method or smoothing) raises
     :class:`ParameterError`.
     """
@@ -577,7 +569,10 @@ def gram_from_json(text: str) -> GramMatrix:
         sm = payload["smoothing"]
         smoothing = None if sm is None else SmoothingParams(W=sm["W"], epsilon=sm["epsilon"])
         quad = QuadratureConfig(**payload["quad"])
-        method = _validate_build(payload["kind"], payload["method"], smoothing)
+        method = payload["method"]
+        if method is None:  # the kind's default, which the document need not have run
+            raise ParameterError("Gram serialization names no method")
+        _validate_build(payload["kind"], method, smoothing)
         entries = np.array(payload["entries"], dtype=np.float64)
         err = np.array(payload["err_estimate"], dtype=np.float64)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
@@ -589,7 +584,6 @@ def gram_from_json(text: str) -> GramMatrix:
         raise ParameterError("entry arrays must be finite")
     return GramMatrix(
         window=window,
-        kind=payload["kind"],
         method=method,
         smoothing=smoothing,
         entries=entries,

@@ -80,8 +80,9 @@ def theta_of(ix: LadderIndex | tuple[int, int]) -> LadderPoint:
     n = 2**ix.j * 3**ix.k
     # +0.0 normalizes the -0.0 that negation produces at the origin
     log_theta = -(ix.j * LOG2 + ix.k * LOG3) + 0.0
-    # 1/n underflows before log_theta loses meaning; keep both.
-    theta = 1.0 / n if n < 2**1074 else 0.0
+    # 1/n underflows before log_theta loses meaning; keep both.  Int true
+    # division rounds correctly and underflows to 0.0 instead of raising.
+    theta = 1 / n
     return LadderPoint(index=ix, theta=theta, log_theta=log_theta, denominator=n)
 
 

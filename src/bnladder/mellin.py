@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, _real
-from .fractional import _MAX_PIECES, DEFAULT_QUAD, QuadratureConfig, _check_theta, _sweep
+from .fractional import _ABS_TOL, _MAX_PIECES, DEFAULT_QUAD, QuadratureConfig, _check_theta, _sweep
 from .zeta import zeta_half, zeta_half_grid
 
 __all__ = [
@@ -99,13 +99,13 @@ def mellin_closed_grid(theta: float, ts: np.ndarray) -> np.ndarray:
 def _mellin_cutoff(theta: float, quad: QuadratureConfig) -> float:
     """Cutoff for the direct transform: honor an explicit x_min, else pick
     one whose post-correction residual ~ coef * x_min^(3/2) stays below an
-    eighth of the absolute budget."""
+    eighth of the absolute target _ABS_TOL."""
     if quad.x_min is not None:
         return quad.x_min
     coef = (1.0 / theta + theta) / 4.0
     # a tiny theta makes coef overflow; the smallest normal cutoff then
     # lets the sweep report the pieces it would need
-    return min(1.0e-2, max((quad.abs_tol / (8.0 * coef)) ** (2.0 / 3.0), np.finfo(float).tiny))
+    return min(1.0e-2, max((_ABS_TOL / (8.0 * coef)) ** (2.0 / 3.0), np.finfo(float).tiny))
 
 
 def mellin_direct(theta: float, t: float, quad: QuadratureConfig | None = None) -> complex:

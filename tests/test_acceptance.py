@@ -102,7 +102,7 @@ def test_criterion_04_structural_identities(
     for g in grams:
         n = g.entries.shape[0]
         assert np.array_equal(g.entries, g.entries.T)
-        zero = g.index_of((0, 0))
+        zero = g.window.position((0, 0))
         assert np.all(g.entries[zero, :] == 0.0)
         assert np.all(g.entries[:, zero] == 0.0)
         lam_min = float(np.linalg.eigvalsh(g.entries).min())

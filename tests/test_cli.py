@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import re
+import shlex
 
 import pytest
 
@@ -60,12 +62,30 @@ def test_profile_columns_follow_spec(tmp_path, fmt):
     assert f == pytest.approx(2.0 / 3.0, rel=1e-14)  # {8/3} - (1/3) {8}
 
 
-@pytest.mark.parametrize("command", ["profile", "spectrum"])
-def test_theta_fraction_beyond_float_range_is_a_usage_error(tmp_path, capsys, command):
+_THETA_BEYOND_FLOAT = [
+    ("1" + "0" * 400 + "/3", "bad fraction", ""),
+    # nonzero inputs whose float is 0.0 are named as given, not as 0.0
+    ("1/1" + "0" * 400, "underflows to 0", "-fraction-underflow"),
+    ("1e-400", "theta '1e-400' underflows to 0", "-decimal-underflow"),
+]
+
+
+@pytest.mark.parametrize(
+    "command,theta,message",
+    [
+        pytest.param(command, theta, message, id=command + tag)
+        for theta, message, tag in _THETA_BEYOND_FLOAT
+        for command in ("profile", "spectrum")
+    ],
+)
+def test_theta_fraction_beyond_float_range_is_a_usage_error(
+    tmp_path, capsys, command, theta, message
+):
     out = str(tmp_path / "p.csv")
-    assert main([command, "--theta", "1" + "0" * 400 + "/3", "--out", out]) == 1
+    assert main([command, "--theta", theta, "--out", out]) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"usage: bnladder {command}") and "bad fraction" in err
+    assert err.startswith(f"usage: bnladder {command}") and message in err
+    assert repr(theta) in err and "got 0.0" not in err
     assert os.listdir(tmp_path) == []
 
 
@@ -90,6 +110,16 @@ def test_ladder_0x0(tmp_path):
     rows = _rows(out)
     assert len(rows) == 1
     assert rows[0].split(",")[2] == "1"
+
+
+def test_ladder_past_the_float_range_of_denominators(tmp_path):
+    # 2^j has no float from j = 1024 on; theta is 1/2^j correctly rounded
+    out = str(tmp_path / "l.csv")
+    assert main(["ladder", "--jmax", "1100", "--kmax", "0", "--out", out]) == 0
+    rows = _rows(out)
+    assert len(rows) == 1101
+    assert rows[1074].split(",")[2] == "4.9406564584124654e-324"
+    assert rows[1075].split(",")[2] == "0"
 
 
 def test_ladder_3x2_distinct(tmp_path):
@@ -122,10 +152,11 @@ def test_gram_csv_and_normalized(tmp_path):
 
 def test_gram_json_deterministic(tmp_path):
     a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
-    base = ["gram", "--jmax", "1", "--kmax", "1", "--kind", "raw", "--method", "direct", "--format", "json"]
+    base = ["gram", "--jmax", "1", "--kmax", "1", "--kind", "raw", "--format", "json"]
     assert main(base + ["--out", a]) == 0
     assert main(base + ["--out", b]) == 0
     assert _read(a) == _read(b)
+    assert json.loads(_read(a))["method"] == "direct"  # the raw default, recorded as run
     assert _read(a.replace(".json", ".normalized.json")) == _read(
         b.replace(".json", ".normalized.json")
     )
@@ -136,6 +167,22 @@ def test_gram_rejects_smoothed_direct(tmp_path):
     args = ["gram", "--kind", "smoothed", "--method", "direct", "--out", out]
     assert main(args) == 1
     assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--kind", "raw", "--method", "hybrid"],
+        ["--kind", "smoothed", "--method", "spectral"],
+        ["--abs-tol", "1e-5"],
+    ],
+    ids=["raw-hybrid", "smoothed-spectral", "abs-tol"],
+)
+def test_gram_rejects_retired_spellings(tmp_path, flags):
+    # each route has one method name, and the cutoff one flag, --x-min
+    out = str(tmp_path / "g.csv")
+    assert main(["gram", "--jmax", "1", "--kmax", "1", *flags, "--out", out]) == 1
+    assert os.listdir(tmp_path) == []
 
 
 def test_gram_rejects_raw_spectral_below_the_tail_floor(tmp_path):
@@ -287,7 +334,7 @@ def test_bad_format_flag_exits_1(tmp_path):
     assert not os.path.exists(out)
 
 
-GRAM_FIELDS = ("jmax", "kmax", "kind", "method", "abs_tol", "x_min", "tmax_raw", "W", "eps")
+GRAM_FIELDS = ("jmax", "kmax", "kind", "method", "x_min", "tmax_raw", "W", "eps")
 GRAM_COMMANDS = ("gram", "decay", "truncate")
 
 
@@ -298,8 +345,8 @@ def _gram_fields(argv):
 
 def test_gram_flag_group_is_shared():
     flags = [
-        "--jmax", "2", "--kmax", "1", "--kind", "smoothed", "--method", "spectral",
-        "--abs-tol", "1e-5", "--x-min", "1e-3", "--tmax-raw", "50", "--W", "2", "--eps", "0",
+        "--jmax", "2", "--kmax", "1", "--kind", "smoothed", "--method", "hybrid",
+        "--x-min", "1e-3", "--tmax-raw", "50", "--W", "2", "--eps", "0",
     ]
     parsed = [_gram_fields([cmd, *flags]) for cmd in GRAM_COMMANDS]
     assert parsed[0] == parsed[1] == parsed[2]
@@ -308,9 +355,27 @@ def test_gram_flag_group_is_shared():
     defaults = [_gram_fields([cmd]) for cmd in GRAM_COMMANDS]
     assert [d.pop("kind") for d in defaults] == ["raw", "raw", "smoothed"]
     assert defaults[0] == defaults[1] == defaults[2]
-    assert defaults[0]["method"] == "hybrid"
+    assert defaults[0]["method"] is None  # each kind's default route, see build_gram
     assert (defaults[0]["jmax"], defaults[0]["kmax"], defaults[0]["x_min"]) == (3, 3, None)
 
 
 def test_cli_exports_only_main():
     assert bnladder.cli.__all__ == ["main"]
+
+
+def _readme_commands():
+    """Every ``bnladder ...`` line of README's fenced blocks, with its
+    backslash continuations joined."""
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    text = _read(readme)
+    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", text, flags=re.M | re.S)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("bnladder ")]
+
+
+def test_readme_cli_examples_run(tmp_path, monkeypatch):
+    commands = _readme_commands()
+    assert len(commands) >= 8
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert main(argv) == 0, argv

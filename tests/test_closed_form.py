@@ -73,7 +73,7 @@ def test_cot_sum_against_frozen_mpmath(h, k):
 @pytest.mark.parametrize("a,b", sorted(CORNER_ENTRIES))
 def test_8x8_entries_against_frozen_mpmath(gram_8x8_raw_direct, a, b):
     g = gram_8x8_raw_direct
-    i, j = g.index_of(_ladder_index(a)), g.index_of(_ladder_index(b))
+    i, j = g.window.position(_ladder_index(a)), g.window.position(_ladder_index(b))
     diff = abs(Fraction(g.entries[i, j]) - Fraction(CORNER_ENTRIES[a, b]))
     assert diff <= Fraction(g.err_estimate[i, j])
     assert 0.0 < g.err_estimate[i, j] < 1e-13
@@ -84,7 +84,7 @@ def test_8x8_within_lattice_tail_and_zero_row_exact(gram_8x8_raw_direct):
     dens = [p.denominator for p in g.points]
     lattice, tail = pair_inner_matrix(dens, DEFAULT_QUAD.resolved_x_min())
     assert np.all(np.abs(g.entries - lattice) <= tail)
-    zero = g.index_of((0, 0))
+    zero = g.window.position((0, 0))
     for m in (g.entries, g.err_estimate):
         assert np.all(m[zero, :] == 0.0)
         assert np.all(m[:, zero] == 0.0)

@@ -35,7 +35,6 @@ def _synthetic_gram(window, fill):
     e = 0.5 * (e + e.T)
     return GramMatrix(
         window=window,
-        kind="raw",
         method="direct",
         smoothing=None,
         entries=e,
@@ -164,7 +163,7 @@ def test_tail_sum_zero_row(gram_3x3_raw_direct):
 
 def test_tail_sum_is_offdiagonal_row_mass(gram_3x3_raw_direct):
     g = gram_3x3_raw_direct
-    i = g.index_of((2, 2))
+    i = g.window.position((2, 2))
     brute = float(np.sum(np.abs(g.entries[i]))) - abs(float(g.entries[i, i]))
     (rep,) = truncation_suite(g, (1,)).reports
     assert _tails(rep)[(2, 2)] == pytest.approx(brute, rel=1e-14)

@@ -90,7 +90,7 @@ def ref_envelopes(g):
 
 
 def ref_tail_sum(g, center, b):
-    i = g.index_of(center)
+    i = g.window.position(center)
     total = 0.0
     for j, q in enumerate(g.points):
         if distance(g.points[i].index, q.index) >= b:
@@ -187,7 +187,6 @@ def synthetic_gram(j_max, k_max, seed, style):
     e[:, 0] = 0.0
     return GramMatrix(
         window=window,
-        kind="raw",
         method="direct",
         smoothing=None,
         entries=e,

@@ -101,7 +101,7 @@ REAL_TAKERS = {
     "zeta_half": zeta_half,
     "SmoothingParams_W": lambda w: SmoothingParams(W=w),
     "SmoothingParams_epsilon": lambda eps: SmoothingParams(W=5.0, epsilon=eps),
-    "QuadratureConfig_abs_tol": lambda tol: QuadratureConfig(abs_tol=tol),
+    "QuadratureConfig_t_max_raw": lambda t: QuadratureConfig(t_max_raw=t),
     "breakpoints_x_min": lambda x: breakpoints(0.5, x),
 }
 
@@ -464,7 +464,7 @@ def test_inner_stable_under_cutoff_halving():
     x_min = 1e-3
     a = inner_direct(0.5, 0.3, quad=QuadratureConfig(x_min=x_min))
     b = inner_direct(0.5, 0.3, quad=QuadratureConfig(x_min=x_min / 2))
-    assert abs(a - b) <= 4.0 * x_min + DEFAULT_QUAD.abs_tol
+    assert abs(a - b) <= 4.0 * x_min + 1e-6
     a = inner_direct(0.5, 1.0 / 3.0, quad=QuadratureConfig(x_min=x_min))
     b = inner_direct(0.5, 1.0 / 3.0, quad=QuadratureConfig(x_min=x_min / 2))
     assert a == b
@@ -472,9 +472,7 @@ def test_inner_stable_under_cutoff_halving():
 
 def test_quadrature_config_validation():
     with pytest.raises(ParameterError):
-        QuadratureConfig(abs_tol=0.0)
-    with pytest.raises(ParameterError):
         QuadratureConfig(x_min=2.0)
     with pytest.raises(ParameterError):
         QuadratureConfig(t_max_raw=-1.0)
-    assert QuadratureConfig().resolved_x_min() == pytest.approx(1e-6 / 8)
+    assert QuadratureConfig().resolved_x_min() == 1e-6 / 8

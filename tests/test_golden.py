@@ -34,7 +34,14 @@ when the Gram JSON moved to schema ``bnladder.gram/2``, whose ``quad``
 has no ``rel_tol``: those two lines are the whole difference.  They were
 re-frozen again at schema ``bnladder.gram/3``, whose ``quad`` no longer
 holds the sweep's piece cap or the Gaussian tail target, now constants:
-the schema line and those two lines are the whole difference.
+the schema line and those two lines are the whole difference.  They were
+re-frozen once more at schema ``bnladder.gram/4``, whose ``quad`` has no
+``abs_tol``, now the constant behind the default cutoff: the schema line
+and the ``abs_tol`` line are the whole difference (``g.json`` of
+``gram_smoothed_4_json`` is now 808227e6..., of
+``gram_smoothed_2_quad_json`` aee0fcdd...).  The latter also drops
+``--abs-tol 1e-5`` from its argv; its ``--x-min 1e-3`` already fixed the
+cutoff, so no number changed.
 The values depend on float64 arithmetic only (no randomness), so a
 mismatch means a changed number or a changed format, not noise.
 """
@@ -62,7 +69,7 @@ GOLDEN = {
         ["gram", *SMOOTHED_4, "--format", "json"],
         "g.json",
         {
-            "g.json": "17a7d2e2dc8b0bacf02c3a9b230a3048bb5dfb695659b3c9fb7fa5c597c5d2fd",
+            "g.json": "808227e6002c407e3356853be21f25fba44ff6d25dc6ec8ede26020c2a4eeaee",
             "g.normalized.json": "9cf27388fb1c9bad845450f8f2bc75d107091973977191e0f29e4f040f0be0cf",
         },
     ),
@@ -140,12 +147,12 @@ GOLDEN = {
         },
     ),
     "gram_smoothed_2_quad_json": (
-        # the JSON `quad` object records --abs-tol, --x-min and --tmax-raw
+        # the JSON `quad` object records --x-min and --tmax-raw
         ["gram", "--jmax", "2", "--kmax", "2", "--kind", "smoothed", "--W", "2", "--eps", "1e-4",
-         "--abs-tol", "1e-5", "--x-min", "1e-3", "--tmax-raw", "500", "--format", "json"],
+         "--x-min", "1e-3", "--tmax-raw", "500", "--format", "json"],
         "g.json",
         {
-            "g.json": "de90a5f26689b4d41ee0c52c726c5be362603b6efffbb9b119cfce0d9519ca90",
+            "g.json": "aee0fcdd8a250322c0ebb9775f3471315bd08462a8b058c1cc00239d90f40aec",
             "g.normalized.json": "01edd1a06d7ad860401932250ad04f8e3848a29ee152b137ad3d73136cf61a1d",
         },
     ),

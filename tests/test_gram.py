@@ -60,19 +60,17 @@ def test_direct_vs_spectral_2x2():
 
 
 def test_smoothed_spectral_4x4_structure(gram_3x3_raw_direct, gram_3x3_raw_spectral):
-    g = build_gram(IndexWindow(4, 4), kind="smoothed", method="spectral", smoothing=SM)
+    g = build_gram(IndexWindow(4, 4), kind="smoothed", smoothing=SM)
+    assert (g.kind, g.method) == ("smoothed", "hybrid")
     # every route is exactly symmetric on its own; build_gram does not symmetrize
     for built in (g, gram_3x3_raw_direct, gram_3x3_raw_spectral):
         assert np.array_equal(built.entries, built.entries.T)
         assert np.array_equal(built.err_estimate, built.err_estimate.T)
-    zero = g.index_of((0, 0))
+    zero = g.window.position((0, 0))
     assert np.all(g.entries[zero, :] == 0.0)
     assert np.all(g.entries[:, zero] == 0.0)
     n = g.entries.shape[0]
     assert np.linalg.eigvalsh(g.entries).min() >= -n * 1e-8
-    # hybrid names the same decomposition for the smoothed kind
-    h = build_gram(IndexWindow(4, 4), kind="smoothed", method="hybrid", smoothing=SM)
-    assert np.array_equal(h.entries, g.entries)
 
 
 @pytest.mark.parametrize(
@@ -83,6 +81,9 @@ def test_smoothed_spectral_4x4_structure(gram_3x3_raw_direct, gram_3x3_raw_spect
         dict(kind="smoothed", method="spectral"),
         dict(kind="bogus", method="direct"),
         dict(kind="raw", method="bogus"),
+        # one spelling per route: raw hybrid ran direct, smoothed spectral was hybrid
+        dict(kind="raw", method="hybrid"),
+        dict(kind="smoothed", method="spectral", smoothing=SM),
     ],
 )
 def test_build_validation(kwargs):
@@ -139,18 +140,23 @@ _DROP = object()
         pytest.param(("err_estimate", 2, 0), None, id="null_err_estimate"),
         pytest.param(("kind",), "weird", id="unknown_kind"),
         pytest.param(("method",), "bogus", id="unknown_method"),
+        pytest.param(("method",), None, id="null_method"),
         pytest.param(("smoothing",), {"W": 5.0, "epsilon": 1e-6}, id="raw_with_smoothing"),
         pytest.param(("window",), [3, 3], id="window_not_object"),
+        # abs_tol is no field of /4, so a document that still carries it is refused
         pytest.param(("quad",), {"abs_tol": "tight"}, id="text_abs_tol"),
+        pytest.param(("quad", "t_max_raw"), "tall", id="text_t_max_raw"),
         # each keeps 16 points in coerced arithmetic, so the shape check
         # cannot be what rejects it
         pytest.param(("window",), {"j_max": 3.0, "k_max": 3}, id="float_j_max"),
         pytest.param(("window",), {"j_max": True, "k_max": 7}, id="bool_j_max"),
         pytest.param(("window",), {"j_max": 3, "k_max": "3"}, id="text_k_max"),
         pytest.param(("quad", "abs_tol"), True, id="bool_abs_tol"),
+        pytest.param(("quad", "x_min"), True, id="bool_x_min"),
         pytest.param(("smoothing", "W"), True, id="bool_W"),
         pytest.param(("schema",), "bnladder.gram/1", id="schema_1"),
         pytest.param(("schema",), "bnladder.gram/2", id="schema_2"),
+        pytest.param(("schema",), "bnladder.gram/3", id="schema_3"),
     ],
 )
 def test_gram_json_rejects_malformed_document(
@@ -171,7 +177,7 @@ def test_gram_json_rejects_malformed_document(
     with pytest.raises(ParameterError) as info:
         gram_from_json(json.dumps(doc))
     if path == ("schema",):  # the message names the schema found and the one expected
-        assert repr(value) in str(info.value) and "'bnladder.gram/3'" in str(info.value)
+        assert repr(value) in str(info.value) and "'bnladder.gram/4'" in str(info.value)
 
 
 def test_gram_json_numpy_window_bounds():
@@ -182,11 +188,17 @@ def test_gram_json_numpy_window_bounds():
 
 def test_gram_json_numpy_config_values():
     # Configs store plain values, so numpy scalars serialize like Python ones.
-    quad = QuadratureConfig(t_max_raw=np.int64(1000), abs_tol=np.float64(1e-6))
+    quad = QuadratureConfig(t_max_raw=np.int64(1000), x_min=np.float64(1e-3))
     smoothing = SmoothingParams(W=np.float32(5), epsilon=np.float64(1e-6))
-    assert type(quad.t_max_raw) is float and type(smoothing.W) is float
+    assert type(quad.t_max_raw) is float and type(quad.x_min) is float
+    assert type(smoothing.W) is float
     window = IndexWindow(1, 1)
-    plain = build_gram(window, "smoothed", smoothing=SmoothingParams(W=5.0, epsilon=1e-6))
+    plain = build_gram(
+        window,
+        "smoothed",
+        smoothing=SmoothingParams(W=5.0, epsilon=1e-6),
+        quad=QuadratureConfig(t_max_raw=1000.0, x_min=1e-3),
+    )
     numpy = build_gram(window, "smoothed", smoothing=smoothing, quad=quad)
     assert gram_to_json(numpy) == gram_to_json(plain)
 
@@ -194,8 +206,12 @@ def test_gram_json_numpy_config_values():
 def test_settable_values_are_pinned(gram_3x3_raw_direct):
     """The quadrature config holds exactly what the CLI's gram flags set,
     the sweep cap and the decay scale are constants, and a Gram matrix
-    derives its points from its window."""
-    assert [f.name for f in fields(QuadratureConfig)] == ["abs_tol", "x_min", "t_max_raw"]
+    derives its points and kind from its window and smoothing."""
+    assert [f.name for f in fields(QuadratureConfig)] == ["x_min", "t_max_raw"]
+    assert [f.name for f in fields(GramMatrix)] == [
+        "window", "method", "smoothing", "entries", "err_estimate", "quad"
+    ]
+    assert not hasattr(GramMatrix, "index_of")
     signatures = {
         pair_inner_matrix: ["denominators", "x_min"],
         fit_exponent: ["shells", "fit_range"],
@@ -204,8 +220,8 @@ def test_settable_values_are_pinned(gram_3x3_raw_direct):
     }
     for fn, names in signatures.items():
         assert list(inspect.signature(fn).parameters) == names
-    assert "points" not in [f.name for f in fields(GramMatrix)]
     g = gram_3x3_raw_direct
+    assert g.kind == "raw"
     assert g.points == tuple(g.window.points()) and g.points is g.points
 
 
@@ -232,7 +248,7 @@ def test_gram_csv_shape_and_determinism(gram_3x3_raw_direct):
 
 def test_raw_direct_err_estimate_is_tail(gram_3x3_raw_direct):
     g = gram_3x3_raw_direct
-    zero = g.index_of((0, 0))
+    zero = g.window.position((0, 0))
     mask = np.ones(len(g.points), dtype=bool)
     mask[zero] = False
     assert np.all(g.err_estimate[np.ix_(mask, mask)] > 0.0)
@@ -587,7 +603,7 @@ def test_factorized_moments_match_cosine_accumulation(j_max, k_max, seed, taper)
 @pytest.mark.parametrize("eps", [0.0, 1e-6, 1e-2])
 def test_smoothed_unit_row_has_zero_budget(eps):
     g = build_gram(IndexWindow(3, 3), "smoothed", smoothing=SmoothingParams(W=2.0, epsilon=eps))
-    zero = g.index_of((0, 0))
+    zero = g.window.position((0, 0))
     for m in (g.entries, g.err_estimate):
         assert np.all(m[zero, :] == 0.0) and np.all(m[:, zero] == 0.0)
     off = np.ones(g.size, dtype=bool)

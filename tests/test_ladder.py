@@ -33,12 +33,26 @@ def test_theta_of_origin_log_is_positive_zero():
     assert math.copysign(1.0, p.log_theta) == 1.0
 
 
-def test_theta_of_deep_index_underflows_cleanly():
-    p = theta_of((2000, 0))
-    assert p.theta == 0.0
-    assert p.denominator == 2**2000
+@pytest.mark.parametrize(
+    "ix,want",
+    [
+        ((1024, 0), 2.0**-1024),
+        ((1073, 0), 2.0**-1073),
+        ((1074, 0), 5e-324),  # the least subnormal, 2^-1074
+        # 1/3^647, correctly rounded: within half an ulp of Fraction(1, 3**647)
+        ((0, 647), float.fromhex("0x0.17174f38df4d5p-1022")),
+        ((2000, 0), 0.0),
+    ],
+    ids=["j1024", "j1073", "j1074", "k647", "j2000"],
+)
+def test_theta_of_deep_index_underflows_cleanly(ix, want):
+    # from 2^1024 on the denominator has no float, yet theta is still 1/n
+    p = theta_of(ix)
+    j, k = ix
+    assert p.denominator == 2**j * 3**k
+    assert p.theta == want
     assert math.isfinite(p.log_theta)
-    assert p.log_theta == pytest.approx(-2000 * LOG2, rel=1e-15)
+    assert p.log_theta == pytest.approx(-(j * LOG2 + k * LOG3), rel=1e-15)
 
 
 @pytest.mark.parametrize(
