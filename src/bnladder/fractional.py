@@ -143,14 +143,13 @@ DEFAULT_QUAD = QuadratureConfig()
 class InnerProductResult:
     """Inner product value plus its error budget.
 
-    ``tail_bound`` is the cutoff tail of a piecewise integral, or the
-    roundoff estimate of the unit-fraction closed form; ``pieces`` counts
-    the integration pieces, or the cotangent terms of the closed form.
+    ``err_estimate`` is the cutoff tail of a piecewise integral, the
+    roundoff estimate of the unit-fraction closed form, or the quadrature
+    and truncation estimate of a spectral entry.
     """
 
     value: float
-    tail_bound: float
-    pieces: int
+    err_estimate: float
 
 
 def _check_theta(theta: float, name: str = "theta") -> float:
@@ -200,10 +199,10 @@ def _unit_denominator(theta: float) -> int | None:
     return n if n >= 1 and abs(theta * n - 1.0) <= 8.0 * eps else None
 
 
-def _cot_sum(h: int, k: int) -> tuple[float, float, int]:
+def _cot_sum(h: int, k: int) -> tuple[float, float]:
     """V(h, k) = sum_{m=1}^{k-1} {mh/k} cot(pi m/k) for coprime h, k >= 1.
 
-    Returns ``(value, err, terms)``.  Pairing m with k - m folds the sum
+    Returns ``(value, err)``.  Pairing m with k - m folds the sum
     to sum_{m < k/2} (2{mh/k} - 1) cot(pi m/k): half the terms, and every
     cot argument stays in (0, pi/2), away from the pole at pi where the
     rounded argument would lose relative accuracy.  {mh/k} is taken
@@ -227,17 +226,17 @@ def _cot_sum(h: int, k: int) -> tuple[float, float, int]:
         abs_sum += float(np.abs(terms).sum())
     value = math.fsum(sums)
     err = _U * ((_SUM_GROWTH + 7.0) * abs_sum + 5.0 * n + abs(value))
-    return value, err, n
+    return value, err
 
 
-def _vasyunin_f(h: int, k: int) -> tuple[float, float, int]:
+def _vasyunin_f(h: int, k: int) -> tuple[float, float]:
     """F(h, k) for coprime h, k by Vasyunin's formula (module docstring).
 
-    Returns ``(value, err, terms)`` with the roundoff estimate of
+    Returns ``(value, err)`` with the roundoff estimate of
     :func:`_cot_sum` carried through the three terms.
     """
-    v1, e1, n1 = _cot_sum(h, k)
-    v2, e2, n2 = _cot_sum(k, h)
+    v1, e1 = _cot_sum(h, k)
+    v2, e2 = _cot_sum(k, h)
     scale = math.pi / (2.0 * h * k)
     t_const = 0.5 * _LOG_2PI_MINUS_GAMMA * (1.0 / h + 1.0 / k)
     slope = (k - h) / (2.0 * h * k)
@@ -247,7 +246,7 @@ def _vasyunin_f(h: int, k: int) -> tuple[float, float, int]:
     err = scale * (e1 + e2) + 8.0 * _U * (
         abs(t_const) + abs(t_log) + abs(t_cot) + abs(slope)
     )
-    return value, err, n1 + n2
+    return value, err
 
 
 def _assemble(theta: np.ndarray, sqrt_theta: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -267,31 +266,29 @@ def _assemble(theta: np.ndarray, sqrt_theta: np.ndarray, table: np.ndarray) -> n
 
 def _unit_inner_matrix(
     denominators: Sequence[int], quad: QuadratureConfig
-) -> tuple[np.ndarray, np.ndarray, int]:
+) -> tuple[np.ndarray, np.ndarray]:
     """All pairwise <f_(1/Na), f_(1/Nb)>: the one exact route for unit fractions.
 
-    Returns ``(gram, err, pieces)``.  K = sqrt(hk) F(h, k) is computed once
-    per distinct reduced pair (a/d, b/d), (2s+1)^2 on a ladder window of
-    side s, and :func:`_assemble` combines the table.  There is no cutoff:
-    ``err`` is the propagated roundoff estimate, ``pieces`` the number of
-    cotangent terms summed.  Rows with N = 1 are exactly zero.
+    Returns ``(gram, err)``.  K = sqrt(hk) F(h, k) is computed once per
+    distinct reduced pair (a/d, b/d), (2s+1)^2 on a ladder window of side
+    s, and :func:`_assemble` combines the table.  There is no cutoff:
+    ``err`` is the propagated roundoff estimate.  Rows with N = 1 are
+    exactly zero.
 
     Windows with a denominator above ``_CLOSED_FORM_CAP`` fall back to
     the cutoff pass of :func:`pair_inner_matrix` at ``quad``'s cutoff;
-    ``err`` is then its tail bound and ``pieces`` its piece count.
+    ``err`` is then its tail bound.
     """
     dens = [_integer(n, "denominator", minimum=1) for n in denominators]
     if max(dens, default=1) > _CLOSED_FORM_CAP:
-        x_min = quad.resolved_x_min()
-        gram, tail = pair_inner_matrix(dens, x_min)
-        return gram, tail, int(math.floor(1.0 / x_min))
+        return pair_inner_matrix(dens, quad.resolved_x_min())
     a = np.array(dens + [1], dtype=np.int64)  # the origin N = 1 last
     d = np.gcd.outer(a, a)
     h, k = a[:, None] // d, a[None, :] // d
     pairs = np.stack([np.minimum(h, k).ravel(), np.maximum(h, k).ravel()], axis=1)
     keys, where = np.unique(pairs, axis=0, return_inverse=True)
     reduced = [_vasyunin_f(int(p), int(q)) for p, q in keys]
-    f_val, f_err, terms = (np.array(col) for col in zip(*reduced))
+    f_val, f_err = (np.array(col) for col in zip(*reduced))
     scale = np.sqrt(keys[:, 0] * keys[:, 1].astype(np.float64))  # sqrt(hk)
     k_val = scale * f_val
     # Per assembled term: sqrt(hk) rounds by 2.5u, the theta products by
@@ -304,7 +301,7 @@ def _unit_inner_matrix(
     # Negating sqrt(theta) flips B and B^T: all four budgets add up.
     err = _assemble(theta, -sqrt_theta, k_err[where])
     err[theta == 1.0, :] = err[:, theta == 1.0] = 0.0
-    return gram, err, int(terms.sum())
+    return gram, err
 
 
 def pair_inner_matrix(denominators: Sequence[int], x_min: float) -> tuple[np.ndarray, np.ndarray]:
@@ -327,8 +324,7 @@ def pair_inner_matrix(denominators: Sequence[int], x_min: float) -> tuple[np.nda
     x_min = _check_x_min(x_min)
     dens = [_integer(n, "denominator", minimum=1) for n in denominators]
     theta = [1.0 / n if n <= _HUGE_DENOM else 0.0 for n in dens]
-    gram, tail, _ = _sweep_gram(theta, x_min, _MAX_PIECES, "lattice pass")
-    return gram, tail
+    return _sweep_gram(theta, x_min, _MAX_PIECES, "lattice pass")
 
 
 def _sweep(thetas: Sequence[float], x_min: float, cap: int, what: str):
@@ -384,7 +380,7 @@ def _sweep(thetas: Sequence[float], x_min: float, cap: int, what: str):
 def _sweep_gram(thetas: Sequence[float], x_min: float, cap: int, what: str):
     """All pairwise integrals of the f_theta over (x_min, 1], exactly.
 
-    Returns ``(gram, tail, pieces)``.  Each u-piece [e_0, e_1) of
+    Returns ``(gram, tail)``.  Each u-piece [e_0, e_1) of
     :func:`_sweep` adds f f^T (e_1 - e_0)/(e_0 e_1), one matrix product
     per span, and the sum is symmetrized once at the end.  theta = 0
     gives an exact-zero row.  ``tail`` = x_min (1+theta_a)(1+theta_b)
@@ -393,53 +389,44 @@ def _sweep_gram(thetas: Sequence[float], x_min: float, cap: int, what: str):
     """
     theta = np.array(thetas, dtype=np.float64)
     gram = np.zeros((theta.size, theta.size))
-    pieces = 0
     for e, f in _sweep(thetas, x_min, cap, what):
         lengths = (e[1:] - e[:-1]) / (e[:-1] * e[1:])  # x-length of each u-piece
         gram += (f * lengths) @ f.T
-        pieces += e.size - 1
     tail = x_min * np.outer(1.0 + theta, 1.0 + theta)
     unit = theta == 1.0
     tail[unit, :] = tail[:, unit] = 0.0
-    return 0.5 * (gram + gram.T), tail, pieces
+    return 0.5 * (gram + gram.T), tail
 
 
 def inner_direct(
     theta_a: float,
     theta_b: float,
     quad: QuadratureConfig | None = None,
-    full_output: bool = False,
-):
-    """L2(0, 1] inner product <f_{theta_a}, f_{theta_b}>.
+) -> InnerProductResult:
+    """L2(0, 1] inner product <f_{theta_a}, f_{theta_b}> with its budget.
 
     Unit fractions theta = 1/N go through the closed form of
-    :func:`_unit_inner_matrix`: no cutoff, and ``tail_bound`` is its
+    :func:`_unit_inner_matrix`: no cutoff, and ``err_estimate`` is its
     roundoff estimate (above the denominator cap, the cutoff tail of
     :func:`pair_inner_matrix`).  Other parameters are integrated piece by
     piece above the cutoff x_min resolved from ``quad``; the value omits
     at most (1+theta_a)(1+theta_b) x_min of tail mass, which is then
-    ``tail_bound``.  With ``full_output=True`` an
-    :class:`InnerProductResult` carrying that budget and the piece count
-    (cotangent terms for the closed form) is returned instead of a bare
-    float.
+    ``err_estimate``.
     """
     theta_a = _check_theta(theta_a, "theta_a")
     theta_b = _check_theta(theta_b, "theta_b")
     quad = quad if quad is not None else DEFAULT_QUAD
     if theta_a == 1.0 or theta_b == 1.0:
         # f_1 is identically zero: {1/x} - {1/x}.
-        res = InnerProductResult(value=0.0, tail_bound=0.0, pieces=0)
-        return res if full_output else 0.0
+        return InnerProductResult(value=0.0, err_estimate=0.0)
     na, nb = _unit_denominator(theta_a), _unit_denominator(theta_b)
     if na is not None and nb is not None:
-        gram, err, pieces = _unit_inner_matrix([na, nb], quad)
+        gram, err = _unit_inner_matrix([na, nb], quad)
     else:  # err is the cutoff tail
-        x_min = quad.resolved_x_min()
-        gram, err, pieces = _sweep_gram((theta_a, theta_b), x_min, _MAX_PIECES, "sweep")
-    res = InnerProductResult(value=float(gram[0, 1]), tail_bound=float(err[0, 1]), pieces=pieces)
-    return res if full_output else res.value
+        gram, err = _sweep_gram((theta_a, theta_b), quad.resolved_x_min(), _MAX_PIECES, "sweep")
+    return InnerProductResult(value=float(gram[0, 1]), err_estimate=float(err[0, 1]))
 
 
 def l2_norm(theta: float, quad: QuadratureConfig | None = None) -> float:
     """L2 norm of f_theta on (0, 1] (nonnegative square root)."""
-    return math.sqrt(inner_direct(theta, theta, quad))
+    return math.sqrt(inner_direct(theta, theta, quad).value)

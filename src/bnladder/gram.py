@@ -59,6 +59,7 @@ import numpy as np
 from .errors import ConvergenceError, ParameterError
 from .fractional import (
     DEFAULT_QUAD,
+    InnerProductResult,
     QuadratureConfig,
     _assemble,
     _unit_inner_matrix,
@@ -238,18 +239,18 @@ def _pair_matrices(points: tuple[LadderPoint, ...], grid: _SpectralGrid, weights
     return [_assemble(theta, sqrt_theta, c[inv]) for c in moments.T]
 
 
-def _searched_pairs(points, t_max: float, tau: float, taper=None):
+def _searched_pairs(points, amps: np.ndarray, t_max: float, tau: float, taper=None):
     """``(values, K15 - G7)``, the pair matrices of :func:`_pair_matrices`
     on the grid the width rule accepts.
 
     ``taper``, a function of the nodes, multiplies both weight vectors.
     Starting from :func:`_first_width` at the points' displacement span,
     the width halves until every entry off the theta = 1 row has
-    |K15 - G7|_ab <= _QUAD_SHARE * amp_a * amp_b * tau, with amp from
-    :func:`_amp_bound`.  A ``t_max`` past the zeta cap raises before any width.
+    |K15 - G7|_ab <= _QUAD_SHARE * amp_a * amp_b * tau, with ``amps`` the
+    points' :func:`_amp_bound`.  A ``t_max`` past the zeta cap raises
+    before any width.
     """
     _check_grid_top(t_max)
-    amps = np.array([_amp_bound(p) for p in points])
     off = amps > 0.0
     h = _first_width(_displacement_span(points), t_max, tau)
     while True:
@@ -389,8 +390,8 @@ def _spectral_raw(points, quad):
     if quad.t_max_raw < _MEAN_SQ_FLOOR:
         raise ParameterError(f"raw spectral builds need t_max_raw >= 10, got {quad.t_max_raw!r}")
     tau = _mean_sq_tail(quad.t_max_raw) / math.pi  # times amp_a * amp_b: the tail estimate
-    vals, qdiff = _searched_pairs(points, quad.t_max_raw, tau)
     amps = np.array([_amp_bound(p) for p in points])
+    vals, qdiff = _searched_pairs(points, amps, quad.t_max_raw, tau)
     return vals, np.abs(qdiff) + np.outer(amps, amps) * tau
 
 
@@ -405,7 +406,8 @@ def _spectral_smoothed(points, smoothing, quad):
     # quadrature share below _QUAD_SHARE of the Gaussian tail term.
     t_cut = _gaussian_cutoff(smoothing)
     tau = _GAUSSIAN_TAIL_TOL / 4.0
-    vals, qdiff = _searched_pairs(points, t_cut, tau, taper)
+    amps = np.array([_amp_bound(p) for p in points])
+    vals, qdiff = _searched_pairs(points, amps, t_cut, tau, taper)
     errs = np.abs(qdiff) + _GAUSSIAN_TAIL_TOL
     if eps > 0.0:
         denoms = [p.denominator for p in points]
@@ -439,12 +441,12 @@ def build_gram(
     method = _validate_build(kind, method, smoothing)
     points = tuple(window.points())
     if method == "direct":
-        vals, errs, _ = _unit_inner_matrix([p.denominator for p in points], quad)
+        vals, errs = _unit_inner_matrix([p.denominator for p in points], quad)
     elif kind == "raw":
         vals, errs = _spectral_raw(points, quad)
     else:
         vals, errs = _spectral_smoothed(points, smoothing, quad)
-    return GramMatrix(
+    g = GramMatrix(
         window=window,
         method=method,
         smoothing=smoothing,
@@ -452,6 +454,8 @@ def build_gram(
         err_estimate=errs,
         quad=quad,
     )
+    g.__dict__["points"] = points  # seeds the cached property: no second window walk
+    return g
 
 
 def inner_spectral(
@@ -459,13 +463,12 @@ def inner_spectral(
     b,
     smoothing: SmoothingParams | None = None,
     quad: QuadratureConfig | None = None,
-    full_output: bool = False,
-):
-    """Spectral inner product of two ladder points.
+) -> InnerProductResult:
+    """Spectral inner product of two ladder points with its error budget.
 
-    Raw (no smoothing): truncated Parseval integral with a reported
-    error budget.  Smoothed: the psi^2-weighted integral via the hybrid
-    decomposition.  ``full_output=True`` returns ``(value, err_estimate)``.
+    Raw (no smoothing): truncated Parseval integral.  Smoothed: the
+    psi^2-weighted integral via the hybrid decomposition.  The budget is
+    the entry's ``err_estimate`` in the matching :func:`build_gram`.
     """
     quad = quad if quad is not None else DEFAULT_QUAD
     points = (_as_point(a), _as_point(b))
@@ -473,8 +476,7 @@ def inner_spectral(
         vals, errs = _spectral_raw(points, quad)
     else:
         vals, errs = _spectral_smoothed(points, smoothing, quad)
-    value, err = float(vals[0, 1]), float(errs[0, 1])
-    return (value, err) if full_output else value
+    return InnerProductResult(value=float(vals[0, 1]), err_estimate=float(errs[0, 1]))
 
 
 @dataclass(frozen=True)

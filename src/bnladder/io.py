@@ -205,8 +205,8 @@ def csv_text(header: Sequence[str], columns: Sequence) -> str:
     ``%d``, floats in :data:`FLOAT_FORMAT`, bools as ``true``/``false``
     and strings as they are (less any NUL characters).  Each distinct
     value is rendered once into a NUL-padded row of bytes; the rows of the
-    table are gathered from those in slabs as one byte matrix, its NULs
-    dropped, and the whole text is decoded once.
+    table are gathered from those in slabs as one byte matrix, and each
+    slab is decoded with its NULs dropped, so the text is built once.
     """
     blocks = []
     for c, (block, index) in enumerate(map(_column_block, columns)):
@@ -215,15 +215,15 @@ def csv_text(header: Sequence[str], columns: Sequence) -> str:
     n_rows = blocks[0][1].size if blocks else 0
     edges = np.cumsum([0] + [block.shape[1] for block, _ in blocks])
     slab = np.empty((min(n_rows, _SLAB_ROWS), edges[-1]), dtype=np.uint8)
-    parts = [(",".join(header) + "\n").encode()]
+    parts = [",".join(header) + "\n"]
     for lo in range(0, n_rows, _SLAB_ROWS):
         rows = slab[: n_rows - lo]
         for (block, index), a, b in zip(blocks, edges, edges[1:]):
             # every index is a row of its block (np.unique's inverse or a
             # bool), so "clip" never clips; it only spares "raise"'s buffering
             np.take(block, index[lo : lo + rows.shape[0]], axis=0, out=rows[:, a:b], mode="clip")
-        parts.append(rows[rows != 0].tobytes())
-    return b"".join(parts).decode()
+        parts.append(rows[rows != 0].tobytes().decode())
+    return "".join(parts)
 
 
 _ARRAY_MARK = re.compile(r'"\\u0000(\d+)\\u0000"')
@@ -283,7 +283,8 @@ def write_all(files: dict[str, str]) -> None:
     Each text first goes to its own fresh temp file beside its target, so
     concurrent runs never share one; only when all are on disk are they
     renamed over the targets.  On any failure the temp files and the
-    targets already renamed are removed and the error propagates.
+    targets already renamed are removed and the error propagates; an
+    ``OSError`` that names a file then names the target, not its temp file.
     """
     umask = os.umask(0)
     os.umask(umask)
@@ -300,8 +301,11 @@ def write_all(files: dict[str, str]) -> None:
         for tmp, path in temps:
             os.replace(tmp, path)
             renamed.append(path)
-    except BaseException:
+    except BaseException as exc:
         for leftover in [tmp for tmp, _ in temps] + renamed:
             with contextlib.suppress(OSError):
                 os.remove(leftover)
+        if isinstance(exc, OSError) and exc.filename is not None:
+            exc.filename = path
+            del exc.filename2  # set to None it would still print as "-> None"
         raise

@@ -131,6 +131,21 @@ def test_ladder_3x2_distinct(tmp_path):
     assert len(set(thetas)) == 12
 
 
+@pytest.mark.parametrize(
+    "target,errno_text",
+    [("missing/l.csv", "[Errno 2] No such file or directory"), ("taken", "[Errno 21] Is a directory")],
+    ids=["missing-dir", "is-a-dir"],
+)
+def test_io_failure_names_the_given_path(tmp_path, capsys, target, errno_text):
+    (tmp_path / "taken").mkdir()
+    out = str(tmp_path / target)
+    assert main(["ladder", "--jmax", "1", "--kmax", "1", "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err == f"bnladder: I/O failure: {errno_text}: {out!r}\n"
+    assert ".tmp" not in err
+    assert os.listdir(tmp_path) == ["taken"] and os.listdir(tmp_path / "taken") == []
+
+
 def test_gram_csv_and_normalized(tmp_path):
     out = str(tmp_path / "g.csv")
     args = ["gram", "--jmax", "2", "--kmax", "2", "--kind", "raw", "--method", "direct", "--out", out]

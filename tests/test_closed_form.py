@@ -65,8 +65,7 @@ def _ladder_index(n: int) -> tuple[int, int]:
 
 @pytest.mark.parametrize("h,k", sorted(COT_SUMS))
 def test_cot_sum_against_frozen_mpmath(h, k):
-    value, err, terms = _cot_sum(h, k)
-    assert terms == (k - 1) // 2
+    value, err = _cot_sum(h, k)
     assert abs(Fraction(value) - Fraction(COT_SUMS[h, k])) <= Fraction(err)
 
 
@@ -105,11 +104,10 @@ def test_fallback_above_cap_is_the_lattice_build(monkeypatch):
     g = build_gram(window, kind="raw", method="direct", quad=quad)
     assert np.array_equal(g.entries, lattice)
     assert np.array_equal(g.err_estimate, tail)
-    res = inner_direct(1.0 / 36.0, 0.5, quad=quad, full_output=True)
+    res = inner_direct(1.0 / 36.0, 0.5, quad=quad)
     pair, pair_tail = pair_inner_matrix([36, 2], quad.x_min)
     assert res.value == pair[0, 1]
-    assert res.tail_bound == pair_tail[0, 1]
-    assert res.pieces == math.floor(1.0 / quad.x_min)
+    assert res.err_estimate == pair_tail[0, 1]
 
 
 def _vasyunin_assembly(dens):
@@ -124,7 +122,7 @@ def _vasyunin_assembly(dens):
     d = np.gcd.outer(a, a)
     h, k = a[:, None] // d, a[None, :] // d
     f = np.array(
-        [_vasyunin_f(int(min(p, q)), int(max(p, q)))[:2] for p, q in zip(h.ravel(), k.ravel())]
+        [_vasyunin_f(int(min(p, q)), int(max(p, q))) for p, q in zip(h.ravel(), k.ravel())]
     ).reshape(n + 1, n + 1, 2)
     f_val, f_err = f[..., 0], f[..., 1]
     af = a.astype(np.float64)
@@ -154,7 +152,7 @@ _DENOMINATORS = sorted({2**j * 3**k for j in range(7) for k in range(7)} | {5, 7
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.sampled_from(_DENOMINATORS), min_size=1, max_size=8))
 def test_k_table_assembly_against_vasyunin_oracle(dens):
-    gram, err, _ = _unit_inner_matrix(dens, DEFAULT_QUAD)
+    gram, err = _unit_inner_matrix(dens, DEFAULT_QUAD)
     want, want_err = _vasyunin_assembly(dens)
     assert np.all(np.abs(gram - want) <= err)
     assert np.all(np.abs(gram - want) <= want_err)

@@ -46,7 +46,7 @@ from bnladder import (
     zeta_half,
 )
 from bnladder.errors import BNLadderError
-from bnladder.fractional import _sweep_gram, _unit_denominator, _unit_inner_matrix
+from bnladder.fractional import _sweep, _unit_denominator, _unit_inner_matrix
 
 EXACT_INNER = {
     (2, 2): 0.17328679513998632,  # = log(2)/4
@@ -91,8 +91,8 @@ def test_eval_f_rejects_bad_theta(theta):
 REAL_TAKERS = {
     "eval_f": lambda th: eval_f(th, 0.3),
     "breakpoints": lambda th: breakpoints(th, 0.3),
-    "inner_direct_a": lambda th: inner_direct(th, 0.5),
-    "inner_direct_b": lambda th: inner_direct(0.5, th),
+    "inner_direct_a": lambda th: inner_direct(th, 0.5).value,
+    "inner_direct_b": lambda th: inner_direct(0.5, th).value,
     "l2_norm": l2_norm,
     "mellin_closed": lambda th: mellin_closed(th, 1.0),
     "mellin_direct": lambda th: mellin_direct(th, 1.0),
@@ -199,37 +199,37 @@ def test_l2_norm_positive_and_bounded(theta):
 
 
 def test_inner_with_unit_theta_is_zero():
-    assert inner_direct(1.0, 0.5) == 0.0
-    assert inner_direct(0.5, 1.0) == 0.0
+    assert inner_direct(1.0, 0.5).value == 0.0
+    assert inner_direct(0.5, 1.0).value == 0.0
 
 
 def test_inner_matches_squared_norm():
-    assert inner_direct(0.5, 0.5) == pytest.approx(l2_norm(0.5) ** 2, rel=1e-12)
+    assert inner_direct(0.5, 0.5).value == pytest.approx(l2_norm(0.5) ** 2, rel=1e-12)
 
 
 def test_inner_symmetric():
-    assert inner_direct(0.5, 1.0 / 3.0) == pytest.approx(
-        inner_direct(1.0 / 3.0, 0.5), rel=1e-14
+    assert inner_direct(0.5, 1.0 / 3.0).value == pytest.approx(
+        inner_direct(1.0 / 3.0, 0.5).value, rel=1e-14
     )
 
 
 def test_inner_cauchy_schwarz():
-    v = inner_direct(0.5, 1.0 / 3.0)
+    v = inner_direct(0.5, 1.0 / 3.0).value
     assert abs(v) <= l2_norm(0.5) * l2_norm(1.0 / 3.0) + 1e-12
     assert abs(v) <= 4.0
 
 
 @pytest.mark.parametrize("a,b", sorted(EXACT_INNER))
 def test_inner_against_exact_series(a, b):
-    res = inner_direct(1.0 / a, 1.0 / b, full_output=True)
+    res = inner_direct(1.0 / a, 1.0 / b)
     # the roundoff budget covers the gap; 2^-53 |v| is the constant's rounding
-    assert abs(res.value - EXACT_INNER[a, b]) <= res.tail_bound + 2.0**-53 * EXACT_INNER[a, b]
+    assert abs(res.value - EXACT_INNER[a, b]) <= res.err_estimate + 2.0**-53 * EXACT_INNER[a, b]
     assert res.value == pytest.approx(EXACT_INNER[a, b], abs=5e-6)
 
 
 @pytest.mark.parametrize("ta,tb", sorted(MIDPOINT_INNER))
 def test_inner_against_midpoint_oracle(ta, tb):
-    assert inner_direct(ta, tb) == pytest.approx(MIDPOINT_INNER[ta, tb], abs=1e-4)
+    assert inner_direct(ta, tb).value == pytest.approx(MIDPOINT_INNER[ta, tb], abs=1e-4)
 
 
 @pytest.mark.parametrize("a,b", [(2, 3), (2, 2), (6, 12)])
@@ -306,15 +306,15 @@ def test_unit_fraction_sweep_walks_the_lattice_cells(x_min):
     big_u = int(math.floor(1.0 / x_min))
     cells = big_u - 1 + (1.0 / big_u - x_min > 0.0)
     dens = [p.denominator for p in IndexWindow(8, 8).points()] + list(range(5, 40))
-    _, _, pieces = _sweep_gram([1.0 / n for n in dens], x_min, big_u, "lattice")
-    assert pieces == cells
+    spans = _sweep([1.0 / n for n in dens], x_min, big_u, "lattice")
+    assert sum(e.size - 1 for e, _ in spans) == cells
 
 
 def test_lattice_and_sweep_agree():
     # theta = 0.3 forces the general sweep; 1/2 x 1/3 uses the closed form
     q = QuadratureConfig(x_min=1e-5)
-    direct = inner_direct(0.5, 1.0 / 3.0, quad=q)
-    sweep = inner_direct(0.5, 0.3, quad=q)
+    direct = inner_direct(0.5, 1.0 / 3.0, quad=q).value
+    sweep = inner_direct(0.5, 0.3, quad=q).value
     mid_a, mid_b = MIDPOINT_INNER[(0.5, 1.0 / 3.0)], MIDPOINT_INNER[(0.3, 0.5)]
     assert direct == pytest.approx(mid_a, abs=1e-4)
     assert sweep == pytest.approx(mid_b, abs=1e-4)
@@ -322,13 +322,13 @@ def test_lattice_and_sweep_agree():
 
 def test_pair_inner_matrix_consistent_with_scalar():
     dens = [2, 3, 6]
-    closed, err, _ = _unit_inner_matrix(dens, DEFAULT_QUAD)
+    closed, err = _unit_inner_matrix(dens, DEFAULT_QUAD)
     mat, tail = pair_inner_matrix(dens, DEFAULT_QUAD.resolved_x_min())
     for i, a in enumerate(dens):
         for j, b in enumerate(dens):
-            res = inner_direct(1.0 / a, 1.0 / b, full_output=True)
-            assert abs(closed[i, j] - res.value) <= err[i, j] + res.tail_bound
-            assert abs(mat[i, j] - res.value) <= tail[i, j] + res.tail_bound
+            res = inner_direct(1.0 / a, 1.0 / b)
+            assert abs(closed[i, j] - res.value) <= err[i, j] + res.err_estimate
+            assert abs(mat[i, j] - res.value) <= tail[i, j] + res.err_estimate
     assert np.array_equal(closed, closed.T)
     assert np.array_equal(mat, mat.T)
     assert np.all(tail > 0.0)
@@ -374,8 +374,8 @@ def test_near_unit_theta_takes_the_cutoff_route():
     # against a roundoff budget of ~1e-19.
     theta = 1.0 / (1e6 + 1e-3)
     x_min = 1e-4
-    res = inner_direct(theta, theta, QuadratureConfig(x_min=x_min), full_output=True)
-    assert res.tail_bound == x_min * ((1.0 + theta) * (1.0 + theta))
+    res = inner_direct(theta, theta, QuadratureConfig(x_min=x_min))
+    assert res.err_estimate == x_min * ((1.0 + theta) * (1.0 + theta))
 
 
 def test_unit_denominator_names_one_integer_or_none():
@@ -393,7 +393,7 @@ def test_unit_denominator_names_one_integer_or_none():
 @pytest.mark.parametrize(
     "call",
     [
-        lambda: inner_direct(5e-324, 0.5),
+        lambda: inner_direct(5e-324, 0.5).value,
         lambda: l2_norm(5e-324),
         lambda: breakpoints(5e-324, 0.5),
         lambda: mellin_direct(5e-324, 1.0),
@@ -435,22 +435,20 @@ _THETAS = st.one_of(
 def test_sweep_piece_bound_never_undercounts(thetas, x_min):
     # A cap one below the pieces walked is refused, so the bound the sweep
     # takes before walking is at least the pieces it then walks.
-    _, _, pieces = _sweep_gram(thetas, x_min, 10**9, "test sweep")
+    pieces = sum(e.size - 1 for e, _ in _sweep(thetas, x_min, 10**9, "test sweep"))
     with pytest.raises(ConvergenceError, match="test sweep needs"):
-        _sweep_gram(thetas, x_min, pieces - 1, "test sweep")
+        next(_sweep(thetas, x_min, pieces - 1, "test sweep"))
 
 
-def test_full_output_reports_tail_and_pieces():
+def test_inner_direct_reports_roundoff_or_cutoff_budget():
     # Unit fractions: the budget is the closed form's roundoff estimate.
-    res = inner_direct(0.5, 0.5, full_output=True)
-    assert 0.0 < res.tail_bound < 1e-14
-    assert abs(res.value - math.log(2.0) / 4.0) <= res.tail_bound
-    assert res.pieces == 0  # V(1, 1) and V(1, 2) have no folded terms
-    # Other parameters: the sweep's cutoff tail and piece count.
-    res = inner_direct(0.5, 0.3, full_output=True)
+    res = inner_direct(0.5, 0.5)
+    assert 0.0 < res.err_estimate < 1e-14
+    assert abs(res.value - math.log(2.0) / 4.0) <= res.err_estimate
+    # Other parameters: the sweep's cutoff tail.
+    res = inner_direct(0.5, 0.3)
     xm = DEFAULT_QUAD.resolved_x_min()
-    assert res.tail_bound == pytest.approx(1.5 * 1.3 * xm, rel=1e-12)
-    assert res.pieces > 1000
+    assert res.err_estimate == pytest.approx(1.5 * 1.3 * xm, rel=1e-12)
 
 
 @pytest.mark.parametrize("theta", [0.5, 1.0 / 3.0, 0.3, 0.9])
@@ -462,11 +460,11 @@ def test_eval_f_pointwise_bound(theta):
 def test_inner_stable_under_cutoff_halving():
     # theta = 0.3 takes the cutoff sweep; unit fractions have no cutoff.
     x_min = 1e-3
-    a = inner_direct(0.5, 0.3, quad=QuadratureConfig(x_min=x_min))
-    b = inner_direct(0.5, 0.3, quad=QuadratureConfig(x_min=x_min / 2))
+    a = inner_direct(0.5, 0.3, quad=QuadratureConfig(x_min=x_min)).value
+    b = inner_direct(0.5, 0.3, quad=QuadratureConfig(x_min=x_min / 2)).value
     assert abs(a - b) <= 4.0 * x_min + 1e-6
-    a = inner_direct(0.5, 1.0 / 3.0, quad=QuadratureConfig(x_min=x_min))
-    b = inner_direct(0.5, 1.0 / 3.0, quad=QuadratureConfig(x_min=x_min / 2))
+    a = inner_direct(0.5, 1.0 / 3.0, quad=QuadratureConfig(x_min=x_min)).value
+    b = inner_direct(0.5, 1.0 / 3.0, quad=QuadratureConfig(x_min=x_min / 2)).value
     assert a == b
 
 

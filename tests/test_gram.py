@@ -15,6 +15,7 @@ from bnladder import (
     ConvergenceError,
     GramMatrix,
     IndexWindow,
+    InnerProductResult,
     ParameterError,
     QuadratureConfig,
     SmoothingParams,
@@ -92,17 +93,17 @@ def test_build_validation(kwargs):
 
 
 def test_inner_spectral_zero_row():
-    assert inner_spectral((0, 0), (2, 1)) == 0.0
+    assert inner_spectral((0, 0), (2, 1)).value == 0.0
 
 
 def test_inner_spectral_diagonal_matches_direct_within_budget():
-    value, err = inner_spectral((1, 0), (1, 0), full_output=True)
-    exact = inner_direct(0.5, 0.5)
-    assert abs(value - exact) <= 1e-4 + err
+    res = inner_spectral((1, 0), (1, 0))
+    exact = inner_direct(0.5, 0.5).value
+    assert abs(res.value - exact) <= 1e-4 + res.err_estimate
 
 
 def test_inner_spectral_smoothed_cross_is_bounded_real():
-    v = inner_spectral((1, 0), (0, 1), smoothing=SM_NOFLOOR)
+    v = inner_spectral((1, 0), (0, 1), smoothing=SM_NOFLOOR).value
     assert isinstance(v, float)
     assert abs(v) <= 4.0
 
@@ -212,7 +213,10 @@ def test_settable_values_are_pinned(gram_3x3_raw_direct):
         "window", "method", "smoothing", "entries", "err_estimate", "quad"
     ]
     assert not hasattr(GramMatrix, "index_of")
+    assert [f.name for f in fields(InnerProductResult)] == ["value", "err_estimate"]
     signatures = {
+        inner_direct: ["theta_a", "theta_b", "quad"],
+        inner_spectral: ["a", "b", "smoothing", "quad"],
         pair_inner_matrix: ["denominators", "x_min"],
         fit_exponent: ["shells", "fit_range"],
         decay_report: ["g", "fit_range", "exclude_zero_row"],
@@ -223,6 +227,36 @@ def test_settable_values_are_pinned(gram_3x3_raw_direct):
     g = gram_3x3_raw_direct
     assert g.kind == "raw"
     assert g.points == tuple(g.window.points()) and g.points is g.points
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: inner_direct(0.5, 1.0 / 3.0, full_output=True),
+        lambda: inner_spectral((1, 0), (0, 1), full_output=True),
+    ],
+    ids=["inner_direct", "inner_spectral"],
+)
+def test_pair_inner_products_take_no_output_flag(call):
+    # Both always return InnerProductResult(value, err_estimate).
+    with pytest.raises(TypeError, match="full_output"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "kind,smoothing", [("raw", None), ("smoothed", SmoothingParams(W=2.0))]
+)
+def test_build_walks_the_window_once(monkeypatch, kind, smoothing):
+    calls = []
+    real_points = IndexWindow.points
+
+    def spy(window):
+        calls.append(window)
+        return real_points(window)
+
+    monkeypatch.setattr(IndexWindow, "points", spy)
+    g = build_gram(IndexWindow(2, 2), kind, smoothing=smoothing)
+    assert g.points == tuple(real_points(g.window)) and len(calls) == 1
 
 
 def test_entry_accepts_numpy_indices(gram_3x3_raw_direct):
@@ -257,7 +291,7 @@ def test_raw_direct_err_estimate_is_tail(gram_3x3_raw_direct):
 def test_entry_lookup(gram_3x3_raw_direct):
     g = gram_3x3_raw_direct
     v = g.entry((1, 0), (0, 1))
-    assert v == pytest.approx(inner_direct(0.5, 1.0 / 3.0), rel=1e-8)
+    assert v == pytest.approx(inner_direct(0.5, 1.0 / 3.0).value, rel=1e-8)
     with pytest.raises(ParameterError):
         g.entry((9, 9), (0, 0))
 
@@ -475,7 +509,7 @@ def test_repeated_spectral_calls_evaluate_no_zeta(monkeypatch):
     monkeypatch.setattr(bnladder.gram, "_grid_cache", {})
     sm = SmoothingParams(W=2.0, epsilon=1e-2)
     calls = [
-        lambda: inner_spectral((1, 1), (2, 0), sm, full_output=True),
+        lambda: inner_spectral((1, 1), (2, 0), sm),
         lambda: build_gram(IndexWindow(2, 2), "smoothed", smoothing=SmoothingParams(W=2.0)).entries,
     ]
     for call in calls:
@@ -549,7 +583,7 @@ def test_moments_match_complex_accumulation(idx, eps):
     quad = QuadratureConfig(t_max_raw=SHORT_T)
     smoothing = None if eps is None else SmoothingParams(W=5.0, epsilon=eps)
     with mock.patch.object(bnladder.gram, "_grid_cache", {}) as cache:
-        value = inner_spectral(a, b, smoothing=smoothing, quad=quad)
+        value = inner_spectral(a, b, smoothing=smoothing, quad=quad).value
     grid = cache[min(cache)]  # the search ends at the finest grid, the one it accepted
     pair = (theta_of(a), theta_of(b))
     w = grid.w_quad
