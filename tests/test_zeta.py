@@ -1,3 +1,4 @@
+import decimal
 from fractions import Fraction
 from math import comb, factorial, inf, nextafter
 
@@ -132,3 +133,50 @@ def test_backlund_bound_below_target_on_the_grid_blocks(monkeypatch):
     zeta_half_grid(np.linspace(0.0, T_CAP, 3 * 512 + 7))
     assert len(bounds) == 4
     assert max(float(np.max(b)) for b in bounds) < TRUNCATION_TARGET
+
+
+def _omega(k):
+    """Number of prime factors of k, with multiplicity, by trial division."""
+    count, p = 0, 2
+    while p * p <= k:
+        while k % p == 0:
+            k, count = k // p, count + 1
+        p += 1
+    return count + (k > 1)
+
+
+@pytest.mark.parametrize("lo,hi", [(0.0, 40.0), (2500.0, 2530.0), (T_CAP - 30.0, T_CAP)])
+def test_power_table_rows_match_direct_phases(lo, hi):
+    # Reference row k: cos/sin of (t_a ln k mod 2 pi) + (t - t_a) ln k, with
+    # t_a ln k mod 2 pi from 40-digit decimal logarithms rounded once.
+    ts = np.linspace(lo, hi, 7)
+    n = bnladder.zeta._terms(hi)
+    table = bnladder.zeta._powers(ts, bnladder.zeta._phase_reducer(bnladder.zeta._terms(T_CAP)))
+    assert table.shape == (n + 1, ts.size)
+    ctx = decimal.Context(prec=40)
+    two_pi = ctx.create_decimal("6.283185307179586476925286766559005768394")
+    t_a = decimal.Decimal(float(ts[0]))
+    reduced = [float(ctx.remainder(ctx.multiply(t_a, ctx.ln(k)), two_pi)) for k in range(1, n + 1)]
+    k = np.arange(1, n + 1)
+    phase = np.array(reduced)[:, None] + np.outer(np.log(k), ts - ts[0])
+    ref_re, ref_im = np.cos(phase), -np.sin(phase)
+    omega = np.array([_omega(int(j)) for j in k])
+    prime = omega == 1
+    # A prime row is the reference's own formula, so its bits are the reference's.
+    assert np.array_equal(table.real[1:][prime], ref_re[prime])
+    assert np.array_equal(table.imag[1:][prime], ref_im[prime])
+    assert np.all(table[1] == 1.0)
+    # A composite row is a product of Omega(k) prime rows.  With u = 2^-53,
+    # each prime row's phase errs by <= 4u (the reduced phase, below 2 pi,
+    # rounded once) + u (2 pi + |t - t_a| ln p) (the float64 sum) + 2u
+    # |t - t_a| ln p (ln p and its product with t - t_a), and its cosine and
+    # sine by a few ulp; the Omega(k) - 1 complex products add <= sqrt(5) u
+    # each.  The reference row errs as one such factor with ln k for ln p, so
+    # the two differ by at most about u [16 (Omega(k) + 1) + 3 (Omega(k) - 1)
+    # + 6 |t - t_a| ln k]: the |t - t_a| terms add up to ln k over the
+    # factors, the rest grows with Omega(k).
+    u = 2.0**-53
+    tol = u * (16.0 * (omega + 1) + 3.0 * (omega - 1))[:, None]
+    tol = tol + 6.0 * u * np.outer(np.log(k), ts - ts[0])
+    err = np.abs(table[1:] - (ref_re + 1j * ref_im))
+    assert np.all(err <= tol)
