@@ -183,7 +183,7 @@ def breakpoints(theta: float, x_min: float) -> np.ndarray:
     """
     theta = _check_theta(theta)
     x_min = _check_x_min(x_min)
-    spans = _sweep((theta,), x_min, _MAX_PIECES, "breakpoint list")
+    spans = _sweep((theta,), x_min, "breakpoint list")
     # every span's last edge is the next span's first, or the cutoff
     u = np.concatenate([e[:-1] for e, _ in spans])
     x = 1.0 / u[::-1]
@@ -324,10 +324,10 @@ def pair_inner_matrix(denominators: Sequence[int], x_min: float) -> tuple[np.nda
     x_min = _check_x_min(x_min)
     dens = [_integer(n, "denominator", minimum=1) for n in denominators]
     theta = [1.0 / n if n <= _HUGE_DENOM else 0.0 for n in dens]
-    return _sweep_gram(theta, x_min, _MAX_PIECES, "lattice pass")
+    return _sweep_gram(theta, x_min, "lattice pass")
 
 
-def _sweep(thetas: Sequence[float], x_min: float, cap: int, what: str):
+def _sweep(thetas: Sequence[float], x_min: float, what: str):
     """Common pieces of the f_theta on u = 1/x in [1, 1/x_min].
 
     Yields ``(e, f)`` per 65,536-wide span of u: the sorted edges ``e``,
@@ -335,8 +335,9 @@ def _sweep(thetas: Sequence[float], x_min: float, cap: int, what: str):
     of f_(thetas[i]) on the piece [e_j, e_(j+1)), taken at its midpoint.
     Spans share their boundary edges; the last ends at u = 1/x_min.
     Before building any piece it bounds them by floor(1/x_min) integer
-    cells plus ceil(theta/x_min) per theta not 1/N; a bound above ``cap``
-    raises :class:`ConvergenceError` naming the caller's ``what``.
+    cells plus ceil(theta/x_min) per theta not 1/N; a bound above
+    ``_MAX_PIECES`` raises :class:`ConvergenceError` naming the caller's
+    ``what``.
     """
     th = np.array(thetas, dtype=np.float64)[:, None]
     # theta = 1/N crosses the integers m N, taken exactly: m / theta lands
@@ -347,12 +348,13 @@ def _sweep(thetas: Sequence[float], x_min: float, cap: int, what: str):
     extra = (math.ceil(theta / x_min) for theta, n in zip(thetas, units) if n is None)
     # 1/x_min overflows below x_min = 5.6e-309, where it has no floor
     bound = math.inf if big_u == math.inf else math.floor(big_u) + sum(extra)
-    if bound > cap:
+    if bound > _MAX_PIECES:
         # the bound can exceed the float range, so Decimal rounds it
         from decimal import Decimal
 
         raise ConvergenceError(
-            f"{what} needs ~{Decimal(bound):.2e} pieces, above the cap {cap}; raise x_min"
+            f"{what} needs ~{Decimal(bound):.2e} pieces, above the cap {_MAX_PIECES}; "
+            "raise x_min"
         )
     span = 65536.0
     lo = 1.0
@@ -377,7 +379,7 @@ def _sweep(thetas: Sequence[float], x_min: float, cap: int, what: str):
         lo = hi
 
 
-def _sweep_gram(thetas: Sequence[float], x_min: float, cap: int, what: str):
+def _sweep_gram(thetas: Sequence[float], x_min: float, what: str):
     """All pairwise integrals of the f_theta over (x_min, 1], exactly.
 
     Returns ``(gram, tail)``.  Each u-piece [e_0, e_1) of
@@ -389,7 +391,7 @@ def _sweep_gram(thetas: Sequence[float], x_min: float, cap: int, what: str):
     """
     theta = np.array(thetas, dtype=np.float64)
     gram = np.zeros((theta.size, theta.size))
-    for e, f in _sweep(thetas, x_min, cap, what):
+    for e, f in _sweep(thetas, x_min, what):
         lengths = (e[1:] - e[:-1]) / (e[:-1] * e[1:])  # x-length of each u-piece
         gram += (f * lengths) @ f.T
     tail = x_min * np.outer(1.0 + theta, 1.0 + theta)
@@ -423,7 +425,7 @@ def inner_direct(
     if na is not None and nb is not None:
         gram, err = _unit_inner_matrix([na, nb], quad)
     else:  # err is the cutoff tail
-        gram, err = _sweep_gram((theta_a, theta_b), quad.resolved_x_min(), _MAX_PIECES, "sweep")
+        gram, err = _sweep_gram((theta_a, theta_b), quad.resolved_x_min(), "sweep")
     return InnerProductResult(value=float(gram[0, 1]), err_estimate=float(err[0, 1]))
 
 

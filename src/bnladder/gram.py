@@ -31,7 +31,7 @@ width 0.25 * 2^m at or below a first candidate, taken from the highest
 frequency the build integrates, at which every entry off the theta = 1
 row has |K15 - G7|_ab <= 1e-3 * amp_a * amp_b * tau.  Here tau * amp_a *
 amp_b is the raw tail estimate, or for the tapered share of a smoothed
-build tau = _GAUSSIAN_TAIL_TOL / 4 (see :func:`_searched_pairs`).
+build tau = _GAUSSIAN_TAIL_TOL / 4 (see :func:`_spectral`).
 
 Smoothed Gram matrices weight the spectral integrand by
 psi_W(t)^2 = (epsilon + exp(-(t/W)^2))^2.  Expanding the square lets the
@@ -119,13 +119,13 @@ _G7_ON_K15 = np.zeros(15)
 _G7_ON_K15[1::2] = _ascending(_G7_TOP_WEIGHTS)  # the Gauss nodes are the odd-indexed ones
 
 # The width rule: a grid is accepted when every entry off the theta = 1 row
-# has |K15 - G7|_ab <= _QUAD_SHARE * amp_a * amp_b * tau (see _searched_pairs).
+# has |K15 - G7|_ab <= _QUAD_SHARE * amp_a * amp_b * tau (see _spectral).
 _QUAD_SHARE = 1.0e-3
 # Radians a panel may span where _QUAD_SHARE * tau = 1e-6; G7's error on a
 # panel goes roughly like (omega h)^14, so the span scales like the 14th
 # root of the target.  Sized so that the raw windows IndexWindow(3, 3) and
 # (8, 8) at t_max_raw = 1000 and the smoothed (24, 24) at W = 5 accept
-# their first candidate.
+# their first candidate; a test pins that each tries one width.
 _PANEL_RADIANS = 12.0
 # A target below what roundoff allows is never met, so the halving stops
 # with ConvergenceError before a grid would exceed this many nodes.
@@ -239,31 +239,6 @@ def _pair_matrices(points: tuple[LadderPoint, ...], grid: _SpectralGrid, weights
     return [_assemble(theta, sqrt_theta, c[inv]) for c in moments.T]
 
 
-def _searched_pairs(points, amps: np.ndarray, t_max: float, tau: float, taper=None):
-    """``(values, K15 - G7)``, the pair matrices of :func:`_pair_matrices`
-    on the grid the width rule accepts.
-
-    ``taper``, a function of the nodes, multiplies both weight vectors.
-    Starting from :func:`_first_width` at the points' displacement span,
-    the width halves until every entry off the theta = 1 row has
-    |K15 - G7|_ab <= _QUAD_SHARE * amp_a * amp_b * tau, with ``amps`` the
-    points' :func:`_amp_bound`.  A ``t_max`` past the zeta cap raises
-    before any width.
-    """
-    _check_grid_top(t_max)
-    off = amps > 0.0
-    h = _first_width(_displacement_span(points), t_max, tau)
-    while True:
-        grid = _spectral_grid(t_max, h)
-        w = 1.0 if taper is None else taper(grid.nodes)
-        weights = (grid.w_quad * w, grid.w_diff * w)
-        vals, qdiff = _pair_matrices(points, grid, weights)
-        ratios = np.abs(qdiff[np.ix_(off, off)]) / amps[off, None] / amps[None, off]
-        if np.all(ratios <= _QUAD_SHARE * tau):
-            return vals, qdiff
-        h *= 0.5
-
-
 def _displacement_span(points) -> float:
     """The largest ladder displacement of the points and the origin."""
     logs = [p.log_theta for p in points] + [0.0]
@@ -295,22 +270,22 @@ def _amp_bound(p: LadderPoint) -> float:
     return p.theta + math.exp(0.5 * p.log_theta)
 
 
+def _taper(t, smoothing: SmoothingParams):
+    """psi_W(t)^2 - epsilon^2 = 2 epsilon g + g^2 with g = exp(-(t/W)^2):
+    the weight of the Gaussian-tapered share of a smoothed build."""
+    g = np.exp(-((t / smoothing.W) ** 2))
+    return 2.0 * smoothing.epsilon * g + g * g
+
+
 def _gaussian_cutoff(smoothing: SmoothingParams) -> float:
     """Doubling search for the height where the tapered tail dips below
     _GAUSSIAN_TAIL_TOL."""
-    w, eps = smoothing.W, smoothing.epsilon
-
-    def bound(t: float) -> float:
-        g1 = math.exp(-((t / w) ** 2))
-        g2 = math.exp(-2.0 * ((t / w) ** 2))
-        return (2.0 * eps * g1 + g2) * 4.0 * _mean_sq_tail(t) / math.pi
-
-    t = 2.0 * w
-    while bound(t) > _GAUSSIAN_TAIL_TOL:
+    t = 2.0 * smoothing.W
+    while _taper(t, smoothing) * 4.0 * _mean_sq_tail(t) / math.pi > _GAUSSIAN_TAIL_TOL:
         t *= 2.0
         if t > 1.0e6:
             raise ConvergenceError(
-                f"Gaussian taper W={w:g} will not reach tail {_GAUSSIAN_TAIL_TOL:g}"
+                f"Gaussian taper W={smoothing.W:g} will not reach tail {_GAUSSIAN_TAIL_TOL:g}"
             )
     return t
 
@@ -386,33 +361,49 @@ def _validate_build(kind: str, method: str | None, smoothing: SmoothingParams | 
     return method
 
 
-def _spectral_raw(points, quad):
-    if quad.t_max_raw < _MEAN_SQ_FLOOR:
-        raise ParameterError(f"raw spectral builds need t_max_raw >= 10, got {quad.t_max_raw!r}")
-    tau = _mean_sq_tail(quad.t_max_raw) / math.pi  # times amp_a * amp_b: the tail estimate
+def _spectral(points, smoothing: SmoothingParams | None, quad: QuadratureConfig):
+    """``(values, budgets)`` of the spectral share of every pair of points.
+
+    Raw (``smoothing`` None) integrates |zeta/s|^2 up to ``t_max_raw``
+    with tau = the mean-square tail over pi; smoothed integrates the
+    Gaussian-tapered share up to :func:`_gaussian_cutoff` with
+    tau = _GAUSSIAN_TAIL_TOL / 4.  A height past the zeta cap raises
+    before any grid.  Starting from :func:`_first_width` at the points'
+    displacement span, the panel width halves until every entry off the
+    theta = 1 row has |K15 - G7|_ab <= _QUAD_SHARE * amp_a * amp_b * tau,
+    with amp the points' :func:`_amp_bound`.  The budget is |K15 - G7|
+    plus amp_a * amp_b * tau raw; smoothed, the flat Gaussian tail plus
+    the epsilon^2 share's cutoff tail, and 0 on the theta = 1 row.
+    """
     amps = np.array([_amp_bound(p) for p in points])
-    vals, qdiff = _searched_pairs(points, amps, quad.t_max_raw, tau)
-    return vals, np.abs(qdiff) + np.outer(amps, amps) * tau
-
-
-def _spectral_smoothed(points, smoothing, quad):
-    eps = smoothing.epsilon
-
-    def taper(t):
-        g1 = np.exp(-((t / smoothing.W) ** 2))
-        return 2.0 * eps * g1 + g1 * g1
-
-    # amp_a * amp_b <= 4, so a target of _GAUSSIAN_TAIL_TOL / 4 keeps the
-    # quadrature share below _QUAD_SHARE of the Gaussian tail term.
-    t_cut = _gaussian_cutoff(smoothing)
-    tau = _GAUSSIAN_TAIL_TOL / 4.0
-    amps = np.array([_amp_bound(p) for p in points])
-    vals, qdiff = _searched_pairs(points, amps, t_cut, tau, taper)
+    if smoothing is None:
+        t_max = quad.t_max_raw
+        if t_max < _MEAN_SQ_FLOOR:
+            raise ParameterError(f"raw spectral builds need t_max_raw >= 10, got {t_max!r}")
+        tau = _mean_sq_tail(t_max) / math.pi  # times amp_a * amp_b: the tail estimate
+    else:
+        # amp_a * amp_b <= 4, so a target of _GAUSSIAN_TAIL_TOL / 4 keeps the
+        # quadrature share below _QUAD_SHARE of the Gaussian tail term.
+        t_max = _gaussian_cutoff(smoothing)
+        tau = _GAUSSIAN_TAIL_TOL / 4.0
+    _check_grid_top(t_max)
+    off, limit = amps > 0.0, _QUAD_SHARE * tau
+    h = _first_width(_displacement_span(points), t_max, tau)
+    while True:
+        grid = _spectral_grid(t_max, h)
+        w = 1.0 if smoothing is None else _taper(grid.nodes, smoothing)
+        vals, qdiff = _pair_matrices(points, grid, (grid.w_quad * w, grid.w_diff * w))
+        # Unnamed, the ratios die here: kept alive through the budget below,
+        # they raised the peak RSS of a smoothed 24x24 gram run by 6 MB.
+        if np.all(np.abs(qdiff[np.ix_(off, off)]) / amps[off, None] / amps[None, off] <= limit):
+            break
+        h *= 0.5
+    if smoothing is None:
+        return vals, np.abs(qdiff) + np.outer(amps, amps) * tau
     errs = np.abs(qdiff) + _GAUSSIAN_TAIL_TOL
+    eps = smoothing.epsilon
     if eps > 0.0:
-        denoms = [p.denominator for p in points]
-        x_min_e = _epsilon_cutoff(eps, quad)
-        base, tail = pair_inner_matrix(denoms, x_min_e)
+        base, tail = pair_inner_matrix([p.denominator for p in points], _epsilon_cutoff(eps, quad))
         vals = vals + (eps * eps) * base
         errs = errs + (eps * eps) * tail
     # f_1 = 0, so the theta = 1 row is exactly 0 in every share: no budget.
@@ -435,17 +426,17 @@ def build_gram(
     (useful as a consistency probe, see :func:`cross_validate`).
     Smoothed matrices have one route, ``hybrid``: the epsilon^2 share of
     psi^2 goes through the direct cutoff sweep at a coarse cutoff and only
-    the Gaussian-tapered share is integrated spectrally.
+    the Gaussian-tapered share is integrated spectrally.  Both spectral
+    routes are one builder, :func:`_spectral`, which picks the height, the
+    panel width and the budget from ``smoothing``.
     """
     quad = quad if quad is not None else DEFAULT_QUAD
     method = _validate_build(kind, method, smoothing)
     points = tuple(window.points())
     if method == "direct":
         vals, errs = _unit_inner_matrix([p.denominator for p in points], quad)
-    elif kind == "raw":
-        vals, errs = _spectral_raw(points, quad)
     else:
-        vals, errs = _spectral_smoothed(points, smoothing, quad)
+        vals, errs = _spectral(points, smoothing, quad)
     g = GramMatrix(
         window=window,
         method=method,
@@ -467,15 +458,13 @@ def inner_spectral(
     """Spectral inner product of two ladder points with its error budget.
 
     Raw (no smoothing): truncated Parseval integral.  Smoothed: the
-    psi^2-weighted integral via the hybrid decomposition.  The budget is
-    the entry's ``err_estimate`` in the matching :func:`build_gram`.
+    psi^2-weighted integral via the hybrid decomposition.  It runs the
+    spectral builder of :func:`build_gram` on the two points alone, so
+    value and budget are composed as a matrix entry's; the width search
+    sees only this pair, so its grid may be coarser than a window's.
     """
     quad = quad if quad is not None else DEFAULT_QUAD
-    points = (_as_point(a), _as_point(b))
-    if smoothing is None:
-        vals, errs = _spectral_raw(points, quad)
-    else:
-        vals, errs = _spectral_smoothed(points, smoothing, quad)
+    vals, errs = _spectral((_as_point(a), _as_point(b)), smoothing, quad)
     return InnerProductResult(value=float(vals[0, 1]), err_estimate=float(errs[0, 1]))
 
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, _real
-from .fractional import _ABS_TOL, _MAX_PIECES, DEFAULT_QUAD, QuadratureConfig, _check_theta, _sweep
+from .fractional import _ABS_TOL, DEFAULT_QUAD, QuadratureConfig, _check_theta, _sweep
 from .zeta import zeta_half, zeta_half_grid
 
 __all__ = [
@@ -123,7 +123,7 @@ def mellin_direct(theta: float, t: float, quad: QuadratureConfig | None = None) 
         return 0.0 + 0.0j
     x_min = _mellin_cutoff(theta, quad)
     total = 0.0 + 0.0j
-    for e, f in _sweep((theta,), x_min, _MAX_PIECES, "transform"):
+    for e, f in _sweep((theta,), x_min, "transform"):
         # x-interval of u-piece [e_i, e_{i+1}) is (1/e_{i+1}, 1/e_i]
         pow_edges = np.exp(-s * np.log(e))
         total += np.dot(f[0], pow_edges[:-1] - pow_edges[1:]) / s

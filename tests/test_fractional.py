@@ -23,6 +23,7 @@ closed form's own frozen high-precision oracle is in test_closed_form.py.
 
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -45,6 +46,7 @@ from bnladder import (
     pair_inner_matrix,
     zeta_half,
 )
+from bnladder import fractional
 from bnladder.errors import BNLadderError
 from bnladder.fractional import _sweep, _unit_denominator, _unit_inner_matrix
 
@@ -299,14 +301,15 @@ def test_pair_inner_matrix_matches_integer_lattice(dens, x_min):
 
 
 @pytest.mark.parametrize("x_min", _LATTICE_CUTOFFS)
-def test_unit_fraction_sweep_walks_the_lattice_cells(x_min):
+def test_unit_fraction_sweep_walks_the_lattice_cells(monkeypatch, x_min):
     """At theta = 1/N every edge is an integer, so the sweep's pieces are
     the lattice's cells: [n, n+1) for n < U, plus the fragment (x_min, 1/U]
     when the cutoff lies between two lattice points."""
     big_u = int(math.floor(1.0 / x_min))
     cells = big_u - 1 + (1.0 / big_u - x_min > 0.0)
     dens = [p.denominator for p in IndexWindow(8, 8).points()] + list(range(5, 40))
-    spans = _sweep([1.0 / n for n in dens], x_min, big_u, "lattice")
+    monkeypatch.setattr(fractional, "_MAX_PIECES", big_u)  # unit fractions add no pieces
+    spans = _sweep([1.0 / n for n in dens], x_min, "lattice")
     assert sum(e.size - 1 for e, _ in spans) == cells
 
 
@@ -435,9 +438,11 @@ _THETAS = st.one_of(
 def test_sweep_piece_bound_never_undercounts(thetas, x_min):
     # A cap one below the pieces walked is refused, so the bound the sweep
     # takes before walking is at least the pieces it then walks.
-    pieces = sum(e.size - 1 for e, _ in _sweep(thetas, x_min, 10**9, "test sweep"))
-    with pytest.raises(ConvergenceError, match="test sweep needs"):
-        next(_sweep(thetas, x_min, pieces - 1, "test sweep"))
+    pieces = sum(e.size - 1 for e, _ in _sweep(thetas, x_min, "test sweep"))
+    with mock.patch.object(fractional, "_MAX_PIECES", pieces - 1), pytest.raises(
+        ConvergenceError, match="test sweep needs"
+    ):
+        next(_sweep(thetas, x_min, "test sweep"))
 
 
 def test_inner_direct_reports_roundoff_or_cutoff_budget():

@@ -493,6 +493,33 @@ def test_width_rule_halves_until_every_entry_passes(j_max, k_max, t_max, smoothi
     assert np.all(g.err_estimate >= 0.0)
 
 
+@pytest.mark.parametrize(
+    "window,kwargs",
+    [
+        (IndexWindow(3, 3), {"kind": "raw", "method": "spectral"}),
+        (IndexWindow(8, 8), {"kind": "raw", "method": "spectral"}),
+        (IndexWindow(24, 24), {"kind": "smoothed", "smoothing": SM}),
+    ],
+    ids=["raw-3x3", "raw-8x8", "smoothed-24x24"],
+)
+def test_probe_builds_accept_their_first_width(monkeypatch, window, kwargs):
+    """_PANEL_RADIANS is sized so that the raw 3x3 and 8x8 builds at the
+    default t_max_raw = 1000 and the smoothed 24x24 at W = 5 accept the
+    first candidate of _first_width: a halving would double their nodes.
+    Only the count of tried widths is pinned, not the width itself."""
+    tried = []
+    real_grid = bnladder.gram._spectral_grid
+
+    def spy_grid(t, h):
+        tried.append(h)
+        return real_grid(t, h)
+
+    monkeypatch.setattr(bnladder.gram, "_grid_cache", {})
+    monkeypatch.setattr(bnladder.gram, "_spectral_grid", spy_grid)
+    build_gram(window, **kwargs)
+    assert len(tried) == 1
+
+
 def test_repeated_spectral_calls_evaluate_no_zeta(monkeypatch):
     """A width search caches every grid it builds, rejected ones included,
     so a second identical call evaluates zeta at no point.  Each first call
