@@ -372,8 +372,10 @@ def _sweep(thetas: Sequence[float], x_min: float, what: str):
                     edges.append(np.where(np.abs(u - near) <= 2.0 * np.spacing(near), near, u))
                 else:
                     edges.append(m * n)
-        e = np.unique(np.concatenate(edges))
-        e = e[(e >= lo) & (e <= hi)]
+        # sorted, each value once: the edges are finite, so == dedupes them
+        # (np.unique without flags would import numpy.ma to test for a mask)
+        e = np.sort(np.concatenate(edges))
+        e = e[(e >= lo) & (e <= hi) & np.concatenate(([True], e[1:] != e[:-1]))]
         um = 0.5 * (e[:-1] + e[1:])
         yield e, th * np.floor(um) - np.floor(th * um)
         lo = hi

@@ -65,7 +65,7 @@ from .fractional import (
     _unit_inner_matrix,
     pair_inner_matrix,
 )
-from .io import csv_text, json_text
+from .io import _ranked, csv_text, json_text
 from .ladder import LOG2, LOG3, IndexWindow, LadderIndex, LadderPoint, theta_of
 from .mellin import SmoothingParams
 from .zeta import _check_grid_top, zeta_half_grid
@@ -229,8 +229,12 @@ def _pair_matrices(points: tuple[LadderPoint, ...], grid: _SpectralGrid, weights
     # With |dk| < span / 2, (dj, dk) -> dj * span + dk is one-to-one and
     # odd; cos is even, so |key| names the moment of d and of -d.
     key = np.abs(dj * (2 * int(ij[:, 1].max()) + 1) + dk)
-    _, first, inv = np.unique(key, return_index=True, return_inverse=True)
-    inv = inv.reshape(key.shape)
+    # inv ranks the keys and first holds each distinct key's first
+    # position: np.unique's inverse and index.  On a window the largest key
+    # is below the count of keys, so _ranked ranks them with no sort.
+    distinct, inv = _ranked(key)
+    first = np.full(distinct.size, key.size)
+    np.minimum.at(first, inv.ravel(), np.arange(key.size))
     theta = np.array([p.theta for p in points])
     # sqrt(theta) via exp(log_theta / 2) so deep indices degrade to 0
     # instead of raising; log_theta == 0.0 keeps the theta = 1 row exact.

@@ -5,9 +5,11 @@ JSON has sorted keys and a two-space indent, and every text ends in one
 LF.  :func:`write_all` makes all of a command's files appear or none.
 
 :func:`csv_text` is numpy throughout: a vectorized ``%.17g`` kernel (see
-the comment above :func:`_pow10`) renders each distinct float once, and
-the rows are assembled as one byte matrix per slab, so no Python ``%`` or
-string join runs per cell.  Its bytes are those of ``"%.17g" % x``.
+the comment above :func:`_pow10`) renders each distinct float once, small
+integer columns are keyed without a sort (:func:`_ranked`), and each
+column's cells, padded to one typed scalar, are gathered per slab into a
+structured array, so no Python ``%`` or string join runs per cell.  Its
+bytes are those of ``"%.17g" % x``.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ def _distinct_strings(values: np.ndarray, render) -> list[str]:
     return [text[i] for i in inverse.tolist()]
 
 
-# -- CSV: each column rendered once per distinct value, rows as one byte matrix
+# -- CSV: each column rendered once per distinct value, cells gathered as typed scalars
 #
 # Floats go through a numpy %.17g kernel.  For |x| = a it takes
 # k = 16 - floor(log10 a) and forms y = a * 10^k as a double-double
@@ -182,6 +184,21 @@ def _float_block(values: np.ndarray) -> np.ndarray:
     return block
 
 
+def _ranked(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(distinct, inverse) as np.unique(values, return_inverse=True) gives
+    them.  Integers that span at most their count are ranked without a
+    sort, by a bincount of their offsets from the minimum.  The offsets
+    are int64, which holds them wherever the maximum fits; a larger
+    maximum takes the sort."""
+    if values.dtype.kind in "iu" and values.size:
+        lo, hi = int(values.min()), int(values.max())
+        if hi - lo <= values.size and hi < 2**63:
+            offset = values.astype(np.int64) - lo
+            seen = np.bincount(offset.ravel()) != 0
+            return np.flatnonzero(seen) + lo, (np.cumsum(seen) - 1)[offset]
+    return np.unique(values, return_inverse=True)
+
+
 def _column_block(column) -> tuple[np.ndarray, np.ndarray]:
     """(block, index): one NUL-padded text row per distinct value of the
     column and, per cell, the row of its text.  Floats are keyed by bit
@@ -193,8 +210,41 @@ def _column_block(column) -> tuple[np.ndarray, np.ndarray]:
         column = column.astype(np.float64)
         distinct, index = np.unique(column.view(np.int64), return_inverse=True)
         return _float_block(distinct.view(np.float64)), index
-    distinct, index = np.unique(column, return_inverse=True)
+    distinct, index = _ranked(column)
     return _text_block(list(map(str, distinct.tolist()))), index
+
+
+def _cells(block: np.ndarray, sep: str) -> np.ndarray:
+    """Each row of the block as one scalar: its text bytes (the byte
+    columns NUL in every row dropped), ``sep``, then NULs up to a power of
+    two of bytes, viewed as one uint8/16/32/64 or void16, void32, ...
+    element, so a gather copies each cell as one typed item."""
+    keep = np.flatnonzero(block.any(axis=0))
+    width = 1 << keep.size.bit_length()  # the least power of two above keep.size
+    cells = np.zeros((block.shape[0], width), np.uint8)
+    cells[:, : keep.size] = block[:, keep]
+    cells[:, keep.size] = ord(sep)
+    return cells.view(f"u{width}" if width <= 8 else f"V{width}").ravel()
+
+
+def _row_texts(columns: Sequence):
+    """The CSV lines of the columns, one text per slab of _SLAB_ROWS rows."""
+    cells, indices = [], []
+    for c, column in enumerate(columns):
+        block, index = _column_block(column)
+        cells.append(_cells(block, "\n" if c == len(columns) - 1 else ","))
+        indices.append(index.ravel())
+    n_rows = indices[0].size if indices else 0
+    # one field per column, so a row of the slab is a row of the table
+    slab = np.empty(min(n_rows, _SLAB_ROWS), [(f"c{c}", x.dtype) for c, x in enumerate(cells)])
+    for lo in range(0, n_rows, _SLAB_ROWS):
+        rows = slab[: n_rows - lo]
+        for name, x, index in zip(slab.dtype.names, cells, indices):
+            # every index is a row of its cells (the rank of a distinct value
+            # or a bool), so "clip" never clips; it only skips "raise"'s check
+            np.take(x, index[lo : lo + rows.size], out=rows[name], mode="clip")
+        text = rows.view(np.uint8)
+        yield text[text != 0].tobytes().decode()
 
 
 def csv_text(header: Sequence[str], columns: Sequence) -> str:
@@ -204,26 +254,13 @@ def csv_text(header: Sequence[str], columns: Sequence) -> str:
     one length), and each column's dtype picks its format: integers as
     ``%d``, floats in :data:`FLOAT_FORMAT`, bools as ``true``/``false``
     and strings as they are (less any NUL characters).  Each distinct
-    value is rendered once into a NUL-padded row of bytes; the rows of the
-    table are gathered from those in slabs as one byte matrix, and each
-    slab is decoded with its NULs dropped, so the text is built once.
+    value is rendered once into a NUL-padded cell (see :func:`_cells`);
+    the rows of the table are gathered from those in slabs, one typed
+    element per cell, and each slab is decoded with its NULs dropped, so
+    the text is built once.
     """
-    blocks = []
-    for c, (block, index) in enumerate(map(_column_block, columns)):
-        sep = np.full((block.shape[0], 1), ord("\n" if c == len(columns) - 1 else ","), np.uint8)
-        blocks.append((np.hstack((block[:, block.any(axis=0)], sep)), index.ravel()))
-    n_rows = blocks[0][1].size if blocks else 0
-    edges = np.cumsum([0] + [block.shape[1] for block, _ in blocks])
-    slab = np.empty((min(n_rows, _SLAB_ROWS), edges[-1]), dtype=np.uint8)
-    parts = [",".join(header) + "\n"]
-    for lo in range(0, n_rows, _SLAB_ROWS):
-        rows = slab[: n_rows - lo]
-        for (block, index), a, b in zip(blocks, edges, edges[1:]):
-            # every index is a row of its block (np.unique's inverse or a
-            # bool), so "clip" never clips; it only spares "raise"'s buffering
-            np.take(block, index[lo : lo + rows.shape[0]], axis=0, out=rows[:, a:b], mode="clip")
-        parts.append(rows[rows != 0].tobytes().decode())
-    return "".join(parts)
+    # the generator has run out, freeing its cells and keys, by the join
+    return "".join([",".join(header) + "\n", *_row_texts(columns)])
 
 
 _ARRAY_MARK = re.compile(r'"\\u0000(\d+)\\u0000"')

@@ -570,7 +570,31 @@ def _complex_pair_matrices(points, grid, weights):
     return [((rows * w) @ rows.conj().T).real / math.pi for w in weights]
 
 
+def _unique_keyed_pair_matrices(points, grid, weights):
+    """:func:`bnladder.gram._pair_matrices` with its displacement keys
+    ranked by np.unique, as before the bincount ranking."""
+    ij = np.array([tuple(p.index) for p in points] + [(0, 0)], dtype=np.int64)
+    dj, dk = (ij[:, None, c] - ij[None, :, c] for c in (0, 1))
+    key = np.abs(dj * (2 * int(ij[:, 1].max()) + 1) + dk)
+    _, first, inv = np.unique(key, return_index=True, return_inverse=True)
+    theta = np.array([p.theta for p in points])
+    sqrt_theta = np.array([math.exp(0.5 * p.log_theta) for p in points])
+    moments = bnladder.gram._moments(grid, weights, dj.ravel()[first], dk.ravel()[first])
+    inv = inv.reshape(key.shape)
+    return [bnladder.gram._assemble(theta, sqrt_theta, c[inv]) for c in moments.T]
+
+
 SHORT_T = 20.0
+
+
+@pytest.mark.parametrize("window", [(1, 0), (0, 5), (3, 3), (24, 24)])
+def test_pair_keys_match_unique_keys(window):
+    points = tuple(IndexWindow(*window).points())
+    grid = bnladder.gram._spectral_grid(SHORT_T, 1 / 8)
+    weights = (grid.w_quad, grid.w_diff)
+    got = bnladder.gram._pair_matrices(points, grid, weights)
+    for g, u in zip(got, _unique_keyed_pair_matrices(points, grid, weights)):
+        assert np.array_equal(g, u)
 
 
 @settings(max_examples=30, deadline=None)
@@ -582,9 +606,11 @@ SHORT_T = 20.0
 @example(idx=[(0, 0), (0, 0)], eps=1e-2)
 @example(idx=[(3, 1), (0, 0), (3, 1), (24, 24), (0, 24)], eps=1e-6)
 @example(idx=[(5, 0)], eps=0.0)
+@example(idx=[(1, 0)], eps=None)  # cancels: the entry is 9 % of its terms' absolute sum
 def test_moments_match_complex_accumulation(idx, eps):
     """Gram entries from displacement moments equal the complex per-node
-    accumulation, raw (eps None) and with the smoothed build's taper."""
+    accumulation, raw (eps None) and with the smoothed build's taper, and
+    equal bit for bit those keyed by np.unique."""
     points = tuple(theta_of(ix) for ix in idx)
     grid = bnladder.gram._spectral_grid(SHORT_T, 1 / 8)
     weights = (grid.w_quad, grid.w_diff)
@@ -593,11 +619,16 @@ def test_moments_match_complex_accumulation(idx, eps):
         weights = tuple(w * (2.0 * eps * g1 + g1 * g1) for w in weights)
     got = bnladder.gram._pair_matrices(points, grid, weights)
     want = _complex_pair_matrices(points, grid, weights)
-    # The difference matrix is a G15 - G7 cancellation, so its own entries
-    # are no roundoff scale; both sums carry the value entries' roundoff.
-    tol = 1e-14 * np.abs(want[0]).max()
-    for g, w in zip(got, want):
-        assert np.abs(g - w).max() <= tol
+    for g, u in zip(got, _unique_keyed_pair_matrices(points, grid, weights)):
+        assert np.array_equal(g, u)
+    # Both sums round on the scale of the absolute accumulation: (1/pi)
+    # sum_nodes |w| r_a r_b with r >= |M|, per entry and per weight vector.
+    theta = np.array([p.theta for p in points])
+    r = np.abs(zeta_half_grid(grid.nodes) / (0.5 + 1j * grid.nodes)) * (theta + np.sqrt(theta))[
+        :, None
+    ]
+    for g, w, weight in zip(got, want, weights):
+        assert np.all(np.abs(g - w) <= 1e-14 * ((r * np.abs(weight)) @ r.T) / math.pi)
         assert np.array_equal(g, g.T)
         for i, ix in enumerate(idx):
             if ix == (0, 0):

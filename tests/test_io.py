@@ -131,7 +131,7 @@ def _row_join(header, columns) -> str:
 
 
 def _random_columns(rng, n):
-    words = ["", "a", "\u00e9t\u00e9", "stra\u00dfe", "\u65e5\u672c", "x y", "-", "q\"t"]
+    words = ["", "a", "\u00e9t\u00e9", "stra\u00dfe", "\u65e5\u672c", "x y", "-", "q\"t", "\u00e9" * 40]
     floats = rng.standard_normal(n) * 10.0 ** rng.integers(-30, 30, n)
     floats[rng.random(n) < 0.2] = rng.choice([0.0, -0.0, 1.0, 0.5, math.nan, math.inf], 1)[0]
     return [
@@ -159,6 +159,46 @@ def test_csv_text_matches_row_join(n):
         assert io.csv_text(header[c : c + 1], columns[c : c + 1]) == _row_join(
             header[c : c + 1], columns[c : c + 1]
         )
+
+
+INTEGER_KEY_COLUMNS = {
+    "span_above_length": np.array([0, 5, 2]),
+    "span_equal_to_length": np.array([0, 3, 1]),
+    "one_value": np.full(5, 7),
+    "negative_small_span": np.array([-5, -3, -4, -5, -3]),
+    "int8_full_range": np.arange(-128, 128, dtype=np.int8)[::-1],
+    "uint64_top": np.array([2**64 - 1, 2**64 - 2], dtype=np.uint64),
+    "int64_top": np.array([2**63 - 1, 2**63 - 2], dtype=np.int64),
+    "slab_and_one": np.arange(io._SLAB_ROWS + 1) % 7 - 3,
+}
+
+
+@pytest.mark.parametrize("name", INTEGER_KEY_COLUMNS)
+def test_integer_keys_match_sorted_keys(name):
+    """Integer columns keyed by offset (span at most the length) or by
+    sort give np.unique's keys and the row writer's text."""
+    column = INTEGER_KEY_COLUMNS[name]
+    distinct, inverse = io._ranked(column)
+    want_distinct, want_inverse = np.unique(column, return_inverse=True)
+    assert distinct.tolist() == want_distinct.tolist()
+    assert np.array_equal(inverse, want_inverse)
+    columns = [column, column[::-1]]
+    assert io.csv_text(("a", "b"), columns) == _row_join(("a", "b"), columns)
+
+
+def test_csv_and_smoothed_build_leave_numpy_ma_unimported():
+    """numpy.ma costs 14 ms to import; np.unique without flags imports it."""
+    code = (
+        "import sys, bnladder\n"
+        "g = bnladder.build_gram(bnladder.IndexWindow(2, 2), 'smoothed',"
+        " smoothing=bnladder.SmoothingParams(W=5.0, epsilon=1e-6))\n"
+        "bnladder.io.csv_text(['x', 'n', 'b'], [g.entries.ravel(), [3] * 81, [True] * 81])\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["False"]
 
 
 def test_import_builds_no_powers_of_ten():
