@@ -29,8 +29,19 @@ K_ab = sqrt(hk) F(h, k) depends only on a/b, and with 0 the origin N = 1,
 which :func:`_assemble` forms from a table of K; the spectral route of
 :mod:`.gram` fills the same table with cosine moments of |zeta/s|^2.
 That is the one route for unit fractions: exact, with a roundoff
-estimate as its error budget, at O(h + k) work per reduced pair
-(:func:`_unit_inner_matrix`).
+estimate as its error budget (:func:`_unit_inner_matrix`).  Its cost is
+O(h + k) per reduced pair, except F(1, k), the same-sign pairs of a
+ladder window and every pair with the origin, whose slots reach the
+largest k: for k >= k0 = 64 (``_SERIES_K0``) it is O(1) by the
+Euler-Maclaurin series of :func:`_f_one`,
+
+    F(1, k) = (log 2pi k - gamma + 1)/(2k) + sum_{j>=1} d_j k^(-2j),
+    d_j = sgn(B_2j) (2pi)^(2j) B_2j^2 / (4j (2j)!),   d_1 = pi^2/72,
+
+which also avoids the cancellation of terms of size log k that leaves
+the cotangent route relative errors up to 5e-11 at k = 6^8.  Its
+truncation error is a proven bound; its roundoff, like the cotangent
+route's, an estimate.
 
 Everything else is integrated exactly piece by piece above a small-x
 cutoff x_min; the neglected mass obeys |tail| <= (1+theta_a)
@@ -84,12 +95,26 @@ _HUGE_DENOM = 2**62
 # sums of a window cost about as much as that pass, then an integer
 # lattice, at the default cutoff (2-core x86 VM, numpy 2.4: 11x11 window,
 # N <= 3.6e8, 3.8 s against 6.6 s; 12x12, N <= 2.2e9, 14.7 s against
-# 8.7 s).  It must stay below 3e9 so that m * (h mod k) < k^2 / 2 fits
-# in int64.
+# 8.7 s).  Those sums were F(1, N)'s, now an O(1) series, so the closed
+# form of 12x12 would take 0.17 s.  The cap must stay below 3e9 so that
+# m * (h mod k) < k^2 / 2 fits in int64.
 _CLOSED_FORM_CAP = 2**30
 
 # Most pieces one cutoff sweep may walk: a guard against tiny cutoffs.
 _MAX_PIECES = 100_000_000
+
+# Smallest k whose F(1, k) takes the series of _f_one.  There its proven
+# truncation bound is 3.8e-32, against F(1, 64) = 0.05, and below it the
+# folded cotangent sum has at most 31 terms, so the series saves nothing.
+_SERIES_K0 = 64
+
+# Bernoulli numbers B_2, B_4, ..., B_18: the series keeps 8 terms, and the
+# ninth coefficient sets its truncation bound.
+_BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510, 43867 / 798)
+_SERIES_COEFFS = tuple(
+    b * abs(b) * (2.0 * math.pi) ** (2 * j) / (4 * j * math.factorial(2 * j))
+    for j, b in enumerate(_BERNOULLI, start=1)
+)
 
 _LOG_2PI_MINUS_GAMMA = math.log(2.0 * math.pi) - float(np.euler_gamma)
 _COT_CHUNK = 1 << 16
@@ -127,7 +152,7 @@ class QuadratureConfig:
         # plain values, so every config that passes here also serializes
         t_max_raw = _real(self.t_max_raw, "t_max_raw")
         if not (t_max_raw > 0.0 and math.isfinite(t_max_raw)):
-            raise ParameterError(f"t_max_raw must be positive, got {t_max_raw!r}")
+            raise ParameterError(f"t_max_raw must be finite and positive, got {t_max_raw!r}")
         object.__setattr__(self, "t_max_raw", t_max_raw)
         if self.x_min is not None:
             object.__setattr__(self, "x_min", _check_x_min(self.x_min))
@@ -214,6 +239,11 @@ def _cot_sum(h: int, k: int) -> tuple[float, float]:
     a tan accurate to 1 ulp (numpy does not promise that, so this is an
     estimate, not a proof): each term is off by <= 7u |term| + 5u, and
     numpy's pairwise summation adds <= (16 + log2 chunk) u sum |term|.
+
+    The closed form calls it only for V(1, k) with k < ``_SERIES_K0`` = 64
+    and for pairs with h, k > 1, at most 3^11 on a ladder window under the
+    cap: F(1, k) for larger k takes the O(1) series of :func:`_f_one`,
+    which needs no cotangent and has a proven truncation bound.
     """
     n = (k - 1) // 2
     hr = h % k
@@ -229,12 +259,51 @@ def _cot_sum(h: int, k: int) -> tuple[float, float]:
     return value, err
 
 
-def _vasyunin_f(h: int, k: int) -> tuple[float, float]:
-    """F(h, k) for coprime h, k by Vasyunin's formula (module docstring).
+def _f_one(k: int) -> tuple[float, float]:
+    """F(1, k) for k >= 1 by its Euler-Maclaurin series (module docstring).
 
-    Returns ``(value, err)`` with the roundoff estimate of
-    :func:`_cot_sum` carried through the three terms.
+    Returns ``(value, err)``.  With g(x) = (x - 1/2) cot(pi x), V(1, k) is
+    the sum of g(m/k) over 0 < m < k (the cot(pi m/k)/2 cancel in pairs).
+    g = phi + P with the poles P(x) = -(1/x + 1/(1 - x))/(2 pi) split off:
+    the sum of P(m/k) is -(k/pi) H_(k-1), expanded by digamma's series
+    H_(k-1) = log k + gamma - 1/(2k) - sum_j B_2j/(2j k^2j), and phi is
+    analytic on [0, 1] with phi(1 - x) = phi(x), so Euler-Maclaurin over
+    the nodes m/k gives the rest.  The two expansions combine to the d_j.
+
+    ``err`` is a proven truncation bound plus a roundoff estimate.  The
+    partial fractions of cot make every even derivative of phi negative on
+    [0, 1], and those of 1/t are positive, so by the integral form of the
+    Euler-Maclaurin remainder (DLMF 2.10.1) each expansion cut after 8
+    terms is off by at most twice its first omitted term; the two omitted
+    terms add up to at most 2 |d_9| k^-18, so the truncation error is at
+    most 4 |d_9| k^-18 (6.8e-16 at k = 8, 3.8e-32 at k = 64).  The
+    roundoff estimate is 8u of the absolute terms, as in
+    :func:`_vasyunin_f`: log(2 pi k) - gamma + 1 adds positive terms, and
+    the d_j sum is below 1e-3 of the leading term from k = 64 on.
     """
+    x = 1.0 / (float(k) * k)
+    tail = 0.0
+    for d in reversed(_SERIES_COEFFS[:-1]):  # Horner in 1/k^2
+        tail = (tail + d) * x
+    lead = (math.log(k) + _LOG_2PI_MINUS_GAMMA + 1.0) / (2.0 * k)
+    truncation = 4.0 * abs(_SERIES_COEFFS[-1]) * x**9
+    return lead + tail, truncation + 8.0 * _U * (lead + abs(tail))
+
+
+def _vasyunin_f(h: int, k: int) -> tuple[float, float]:
+    """F(h, k) for coprime h <= k by Vasyunin's formula (module docstring).
+
+    Returns ``(value, err)``.  For h = 1 and k >= ``_SERIES_K0`` = 64 it
+    is the series of :func:`_f_one`, in O(1) instead of O(k) and without
+    the cancellation of the log k terms; its budget is a proven truncation
+    bound plus a roundoff estimate.  Below k0 the cotangent sum has at
+    most 31 terms, so the series would save nothing, and pairs with h > 1
+    (the mixed-sign slots of a ladder window) have no such series: there
+    ``err`` is the roundoff estimate of :func:`_cot_sum` carried through
+    the three terms.
+    """
+    if h == 1 and k >= _SERIES_K0:
+        return _f_one(k)
     v1, e1 = _cot_sum(h, k)
     v2, e2 = _cot_sum(k, h)
     scale = math.pi / (2.0 * h * k)
@@ -272,8 +341,9 @@ def _unit_inner_matrix(
     Returns ``(gram, err)``.  K = sqrt(hk) F(h, k) is computed once per
     distinct reduced pair (a/d, b/d), (2s+1)^2 on a ladder window of side
     s, and :func:`_assemble` combines the table.  There is no cutoff:
-    ``err`` is the propagated roundoff estimate.  Rows with N = 1 are
-    exactly zero.
+    ``err`` propagates the budgets of :func:`_vasyunin_f`, roundoff
+    estimates plus the series' proven truncation bound.  Rows with N = 1
+    are exactly zero.
 
     Windows with a denominator above ``_CLOSED_FORM_CAP`` fall back to
     the cutoff pass of :func:`pair_inner_matrix` at ``quad``'s cutoff;

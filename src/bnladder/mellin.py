@@ -60,10 +60,10 @@ class SmoothingParams:
         for name in ("W", "epsilon"):
             object.__setattr__(self, name, _real(getattr(self, name), name))
         if not (self.W > 0.0 and math.isfinite(self.W)):
-            raise ParameterError(f"smoothing width W must be positive, got {self.W!r}")
+            raise ParameterError(f"smoothing width W must be finite and positive, got {self.W!r}")
         if not (self.epsilon >= 0.0 and math.isfinite(self.epsilon)):
             raise ParameterError(
-                f"smoothing floor epsilon must be nonnegative, got {self.epsilon!r}"
+                f"smoothing floor epsilon must be finite and nonnegative, got {self.epsilon!r}"
             )
 
 

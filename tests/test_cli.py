@@ -237,8 +237,14 @@ def test_gram_eps_whose_square_underflows_matches_eps_0(tmp_path):
             2,
             "lattice pass needs ~Infinity pieces, above the cap 100000000",
         ),
+        (["--kind", "smoothed", "--W", "inf"], 1, "W must be finite and positive, got inf"),
+        (["--kind", "smoothed", "--eps", "inf"], 1, "epsilon must be finite and nonnegative, got inf"),
+        (["--tmax-raw", "nan"], 1, "t_max_raw must be finite and positive, got nan"),
     ],
-    ids=["tmax-raw-1e14", "W-2e13", "W-1e308", "tmax-raw-just-above-cap", "subnormal-x-min"],
+    ids=[
+        "tmax-raw-1e14", "W-2e13", "W-1e308", "tmax-raw-just-above-cap", "subnormal-x-min",
+        "W-inf", "eps-inf", "tmax-raw-nan",
+    ],
 )
 def test_gram_extreme_inputs_fail_typed(tmp_path, capsys, flags, code, message):
     out = str(tmp_path / "g.csv")

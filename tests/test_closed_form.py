@@ -11,6 +11,16 @@ digits (mpmath is not a dependency):
   constant, logarithm and cotangent sum above in 30-digit arithmetic.
   At (2, 3) it agrees with the 50-digit digamma value in
   test_fractional.py to all 30 digits.
+- F_ONE: F(1, k) from Vasyunin's formula at 80 digits, with V(1, k) the
+  sum of g(m/k), g(x) = (x - 1/2) cot(pi x), split as in
+  ``fractional._f_one``: the poles give -(k/pi) ``mpmath.harmonic(k - 1)``,
+  and the analytic rest phi goes through Euler-Maclaurin with 6
+  correction terms, its integral by ``mpmath.quad`` and its derivatives
+  at 0 by ``mpmath.diff`` on a circle of radius 1/2.  None of the
+  library's series coefficients enter.  For k <= 6^8 the stored value is
+  the direct 40-digit sum over m, which the Euler-Maclaurin route
+  matches to 1.3e-25 relative at k = 64 (its remainder there) and to
+  2.3e-31 at k = 6^8.
 
 They are kept as decimal strings and compared exactly (Fraction), so the
 only slack is the route's own err_estimate.  The cutoff lattice pass
@@ -29,7 +39,14 @@ from hypothesis import strategies as st
 
 from bnladder import IndexWindow, QuadratureConfig, build_gram, inner_direct, pair_inner_matrix
 from bnladder import fractional
-from bnladder.fractional import DEFAULT_QUAD, _cot_sum, _unit_inner_matrix, _vasyunin_f
+from bnladder.fractional import (
+    _SERIES_K0,
+    DEFAULT_QUAD,
+    _cot_sum,
+    _f_one,
+    _unit_inner_matrix,
+    _vasyunin_f,
+)
 
 _U = 2.0**-53
 
@@ -43,8 +60,9 @@ COT_SUMS = {
 }
 
 # (a, b) -> <f_(1/a), f_(1/b)>; 256 = 2^8, 6561 = 3^8, 1679616 = 6^8.
-# (2, 6^8) and (3, 6^8) have the largest relative budget of the window:
-# F(1, 6^8/2) cancels terms of size log(6^8) down to about 1e-5.
+# Vasyunin's formula for F(1, 6^8/3) cancels terms of size log(6^8) down
+# to about 1e-5, so summing its cotangents leaves (3, 6^8) about 5e-11
+# relative off; the series of F(1, k) has no such cancellation.
 CORNER_ENTRIES = {
     (2, 3): "0.106308922802654589708360331229",
     (2, 1679616): "0.00000217920778662208072088238916491",
@@ -53,6 +71,16 @@ CORNER_ENTRIES = {
     (256, 6561): "0.000414406202273439637029196420268",
     (6561, 1679616): "0.000002322876366142332159719221712",
     (1679616, 1679616): "0.000000750559813668675292001217985799",
+}
+
+
+# k -> F(1, k); 2^30 is the closed form's cap and 6^24 lies beyond it.
+F_ONE = {
+    64: "0.0501861570197538656575199953261",
+    216: "0.0176787246450257901320216422848",
+    1679616: "0.00000494003906802431767336069981725",
+    2**30: "0.0000000107358567503101654710121193628",
+    6**24: "4.77619733736053739263869487601e-18",
 }
 
 
@@ -76,6 +104,48 @@ def test_8x8_entries_against_frozen_mpmath(gram_8x8_raw_direct, a, b):
     diff = abs(Fraction(g.entries[i, j]) - Fraction(CORNER_ENTRIES[a, b]))
     assert diff <= Fraction(g.err_estimate[i, j])
     assert 0.0 < g.err_estimate[i, j] < 1e-13
+
+
+def test_deep_entry_free_of_the_log_cancellation(gram_8x8_raw_direct):
+    g = gram_8x8_raw_direct
+    i, j = g.window.position(_ladder_index(3)), g.window.position(_ladder_index(1679616))
+    want = Fraction(CORNER_ENTRIES[3, 1679616])
+    diff = abs(Fraction(g.entries[i, j]) - want)
+    assert diff <= Fraction(g.err_estimate[i, j]) <= Fraction(1e-14) * want
+
+
+@pytest.mark.parametrize("k", sorted(F_ONE))
+def test_f_one_series_against_frozen_mpmath(k):
+    value, err = _f_one(k)
+    want = Fraction(F_ONE[k])
+    assert abs(Fraction(value) - want) <= Fraction(err) <= Fraction(1e-14) * want
+    assert _vasyunin_f(1, k) == (value, err)
+
+
+def _cot_route(k):
+    """F(1, k) and its budget by Vasyunin's formula with the cotangent sum."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(fractional, "_SERIES_K0", math.inf)
+        return _vasyunin_f(1, k)
+
+
+def test_f_one_series_against_cot_route_on_8x8():
+    # the same-sign slots of IndexWindow(8, 8) are F(1, 2^x 3^y), 0 <= x, y <= 8
+    ks = [k for k in (2**x * 3**y for x in range(9) for y in range(9)) if k >= _SERIES_K0]
+    assert len(ks) == 65
+    for k in ks:
+        value, err = _f_one(k)
+        want, want_err = _cot_route(k)
+        assert abs(value - want) <= want_err
+        assert err < want_err
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(_SERIES_K0, 2**22))
+def test_f_one_series_against_cot_route_random(k):
+    value, _ = _f_one(k)
+    want, want_err = _cot_route(k)
+    assert abs(value - want) <= want_err
 
 
 def test_8x8_within_lattice_tail_and_zero_row_exact(gram_8x8_raw_direct):
