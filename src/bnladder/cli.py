@@ -35,6 +35,7 @@ from .decay import (
 from .errors import BNLadderError, ParameterError
 from .fractional import _CLOSED_FORM_CAP, DEFAULT_QUAD, QuadratureConfig, eval_f, l2_norm
 from .gram import (
+    _ROUTES,
     GramMatrix,
     _pair_columns,
     build_gram,
@@ -327,20 +328,21 @@ def _add_smoothing(p: argparse.ArgumentParser):
 def _add_gram(p: argparse.ArgumentParser, kind_default: str):
     """The flags :func:`_gram` reads: window, kind, method, quadrature, smoothing."""
     _add_window(p)
-    p.add_argument("--kind", choices=("raw", "smoothed"), default=kind_default)
+    p.add_argument("--kind", choices=tuple(_ROUTES), default=kind_default)
+    methods = "; ".join(f"{kind}: {' or '.join(r)}" for kind, r in _ROUTES.items())
     p.add_argument(
         "--method",
-        choices=("direct", "spectral", "hybrid"),
+        choices=tuple(m for routes in _ROUTES.values() for m in routes),
         default=None,
-        help="raw: direct (default) or spectral; smoothed: hybrid",
+        help=f"{methods} (the first is the default)",
     )
     p.add_argument(
         "--x-min",
         type=float,
         default=None,
-        help="small-x cutoff (default 1e-6/8); used only by the eps^2 share of "
-        "smoothed builds and by raw windows with a denominator above "
-        f"{_CLOSED_FORM_CAP}, since raw entries come from an exact closed form",
+        help="small-x cutoff (default 1e-6/8), read only by windows with a denominator above "
+        f"{_CLOSED_FORM_CAP}: raw builds cut there, the eps^2 share of smoothed ones at "
+        "x_min/eps^2 clamped to [x_min, 0.25]",
     )
     tmax_help = "truncation height of raw spectral builds, at least 10"
     p.add_argument("--tmax-raw", type=float, default=DEFAULT_QUAD.t_max_raw, help=tmax_help)

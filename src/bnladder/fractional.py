@@ -54,10 +54,10 @@ sums f (e_0^-s - e_1^-s)/s over them for every theta.  The sweep alone
 lists the jumps (:func:`breakpoints`) and caps the pieces walked.
 
 For theta = 1/N that integral (:func:`pair_inner_matrix`) is the closed
-form's independent test reference, its fallback above the denominator
-cap, and the route of the coarse epsilon^2 share of smoothed Gram
-matrices.  Its own test oracle is the integer lattice, where the profile
-equals (n mod N)/N on u in [n, n+1).
+form's independent test reference and its fallback above the cap 2^30.
+The epsilon^2 share of smoothed Gram matrices is epsilon^2 times the raw
+direct build: the closed form below the cap, that fallback above.  The
+sweep's oracle is the integer lattice: f is (n mod N)/N on [n, n+1).
 
 Pointwise evaluation divides by x, so for x below roughly 1e-12 the
 floats in theta/x stop resolving the steps; the integrators never
@@ -136,9 +136,9 @@ class QuadratureConfig:
     """Accuracy budget shared by the direct and spectral integrators.
 
     x_min       small-x cutoff of cutoff-based inner products (theta not
-                a unit fraction, the epsilon^2 share of smoothed Gram
-                matrices, and the cutoff fallback above the closed form's
-                cap); default _ABS_TOL / 8 = 1.25e-7, so the cutoff tail
+                a unit fraction, and the fallback above the closed form's
+                cap, coarsened for the epsilon^2 share of smoothed Gram
+                matrices); default _ABS_TOL / 8 = 1.25e-7, so the cutoff tail
                 (<= 4 x_min) spends at most half the absolute target
                 _ABS_TOL = 1e-6.  Unit-fraction pairs have no cutoff.
     t_max_raw   truncation height for raw spectral integrals, at least
@@ -347,7 +347,8 @@ def _unit_inner_matrix(
 
     Windows with a denominator above ``_CLOSED_FORM_CAP`` fall back to
     the cutoff pass of :func:`pair_inner_matrix` at ``quad``'s cutoff;
-    ``err`` is then its tail bound.
+    ``err`` is then its tail bound.  It is also the epsilon^2 share of
+    smoothed Gram matrices, whose coarser cutoff only that fallback reads.
     """
     dens = [_integer(n, "denominator", minimum=1) for n in denominators]
     if max(dens, default=1) > _CLOSED_FORM_CAP:
@@ -381,10 +382,10 @@ def pair_inner_matrix(denominators: Sequence[int], x_min: float) -> tuple[np.nda
     below the cutoff, exactly 0 on the rows with N = 1, where f_1 = 0.  The
     step-function sweep of :func:`_sweep_gram` at theta = 1/N integrates
     every pair at once.  It is independent of the closed form in
-    :func:`_unit_inner_matrix` and serves three uses: the epsilon^2 share
-    of smoothed Gram matrices (whose coarse cutoff keeps it cheap at any
-    window size), raw windows above the closed form's denominator cap, and
-    the reference the closed form is tested against.
+    :func:`_unit_inner_matrix` and serves two uses: windows above the
+    closed form's denominator cap, raw ones and the epsilon^2 share of
+    smoothed ones (whose coarse cutoff keeps it cheap at any window size),
+    and the reference the closed form is tested against.
     Its pieces, at most ``_MAX_PIECES``, are the cells of the integer
     lattice, where the profiles equal (u mod N)/N: this function's oracle.
 
@@ -410,9 +411,9 @@ def _sweep(thetas: Sequence[float], x_min: float, what: str):
     ``what``.
     """
     th = np.array(thetas, dtype=np.float64)[:, None]
-    # theta = 1/N crosses the integers m N, taken exactly: m / theta lands
-    # many of them an ulp off and leaves sliver pieces.  A rounded p/q
-    # crosses the integers within 2 ulps; those edges are snapped too.
+    # theta = 1/N crosses only the integers m N, edges already (m / theta
+    # would land many an ulp off and leave slivers); a rounded p/q crosses
+    # the integers within 2 ulps, and those edges are snapped.
     units = [_unit_denominator(theta) if theta > 0.0 else None for theta in thetas]
     big_u = 1.0 / x_min
     extra = (math.ceil(theta / x_min) for theta, n in zip(thetas, units) if n is None)
@@ -434,14 +435,10 @@ def _sweep(thetas: Sequence[float], x_min: float, what: str):
         for theta, n in zip(thetas, units):
             m0 = math.ceil(theta * lo)
             m1 = math.ceil(theta * hi)
-            if m1 > m0:
-                m = np.arange(m0, m1, dtype=np.float64)
-                if n is None:
-                    u = m / theta
-                    near = np.rint(u)
-                    edges.append(np.where(np.abs(u - near) <= 2.0 * np.spacing(near), near, u))
-                else:
-                    edges.append(m * n)
+            if n is None and m1 > m0:
+                u = np.arange(m0, m1, dtype=np.float64) / theta
+                near = np.rint(u)
+                edges.append(np.where(np.abs(u - near) <= 2.0 * np.spacing(near), near, u))
         # sorted, each value once: the edges are finite, so == dedupes them
         # (np.unique without flags would import numpy.ma to test for a mask)
         e = np.sort(np.concatenate(edges))

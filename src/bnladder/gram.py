@@ -34,13 +34,12 @@ amp_b is the raw tail estimate, or for the tapered share of a smoothed
 build tau = _GAUSSIAN_TAIL_TOL / 4 (see :func:`_spectral`).
 
 Smoothed Gram matrices weight the spectral integrand by
-psi_W(t)^2 = (epsilon + exp(-(t/W)^2))^2.  Expanding the square lets the
-epsilon^2 part reuse that cutoff sweep at a coarse cutoff (the
-closed form's cost grows with the denominators, which reach 6^24 on a
-24x24 window), while the two Gaussian-tapered parts are integrated on a
-short grid truncated where the taper pushes the tail below 1e-10
-(``_GAUSSIAN_TAIL_TOL``).  That split, the ``hybrid`` method, is the one
-route of smoothed matrices.
+psi_W(t)^2 = (epsilon + exp(-(t/W)^2))^2.  Expanding the square makes the
+epsilon^2 part epsilon^2 times the raw direct build (above the closed
+form's cap, at the coarse cutoff of :func:`_epsilon_cutoff`), while the
+two Gaussian-tapered parts are integrated on a short grid truncated where
+the taper pushes the tail below 1e-10 (``_GAUSSIAN_TAIL_TOL``).  That
+split, the ``hybrid`` method, is the one route of smoothed matrices.
 
 Every grid built is cached per (t_max, panel_width), rejected candidates
 included, so a repeated call evaluates no zeta; the widths are quantized
@@ -51,7 +50,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -63,7 +62,6 @@ from .fractional import (
     QuadratureConfig,
     _assemble,
     _unit_inner_matrix,
-    pair_inner_matrix,
 )
 from .io import _ranked, csv_text, json_text
 from .ladder import LOG2, LOG3, IndexWindow, LadderIndex, LadderPoint, theta_of
@@ -295,12 +293,10 @@ def _gaussian_cutoff(smoothing: SmoothingParams) -> float:
 
 
 def _epsilon_cutoff(eps: float, quad: QuadratureConfig) -> float:
-    # The epsilon^2 slice tolerates a cutoff larger by 1/eps^2; cap well
-    # inside (0, 1) so the cutoff sweep stays meaningful.  An eps^2 that
-    # underflows to 0 counts as the least double, so it takes the cap.
+    # Above the cap the epsilon^2 share (eps > 0) tolerates a cutoff larger
+    # by 1/eps^2; cap it well inside (0, 1) so the sweep stays meaningful.
+    # An eps^2 that underflows to 0 counts as the least double: the cap.
     base = quad.resolved_x_min()
-    if eps <= 0.0:
-        return base
     return min(0.25, max(base, base / max(eps * eps, 5e-324)))
 
 
@@ -319,8 +315,8 @@ class GramMatrix:
     ``err_estimate`` holds per-entry absolute error budgets: the roundoff
     estimate of the closed form for direct builds (the cutoff tail above
     the closed form's cap), quadrature-difference plus truncation tail
-    for spectral ones, and for smoothed builds the Gaussian tail plus the
-    epsilon^2 share's cutoff tail.  Direct entries below the cap and every
+    for spectral ones, and for smoothed builds the Gaussian tail plus
+    epsilon^2 times a direct one.  Direct entries below the cap and every
     spectral share come out of :func:`.fractional._assemble`, so they are
     exactly symmetric with an exactly-zero theta = 1 row.
     """
@@ -377,7 +373,8 @@ def _spectral(points, smoothing: SmoothingParams | None, quad: QuadratureConfig)
     theta = 1 row has |K15 - G7|_ab <= _QUAD_SHARE * amp_a * amp_b * tau,
     with amp the points' :func:`_amp_bound`.  The budget is |K15 - G7|
     plus amp_a * amp_b * tau raw; smoothed, the flat Gaussian tail plus
-    the epsilon^2 share's cutoff tail, and 0 on the theta = 1 row.
+    epsilon^2 times that of the epsilon^2 share, the raw direct build,
+    and 0 on the theta = 1 row.
     """
     amps = np.array([_amp_bound(p) for p in points])
     if smoothing is None:
@@ -407,9 +404,10 @@ def _spectral(points, smoothing: SmoothingParams | None, quad: QuadratureConfig)
     errs = np.abs(qdiff) + _GAUSSIAN_TAIL_TOL
     eps = smoothing.epsilon
     if eps > 0.0:
-        base, tail = pair_inner_matrix([p.denominator for p in points], _epsilon_cutoff(eps, quad))
+        coarse = replace(quad, x_min=_epsilon_cutoff(eps, quad))
+        base, base_err = _unit_inner_matrix([p.denominator for p in points], coarse)
         vals = vals + (eps * eps) * base
-        errs = errs + (eps * eps) * tail
+        errs = errs + (eps * eps) * base_err
     # f_1 = 0, so the theta = 1 row is exactly 0 in every share: no budget.
     unit = np.array([p.denominator == 1 for p in points])
     errs[unit, :] = errs[:, unit] = 0.0
@@ -429,8 +427,8 @@ def build_gram(
     ``method='spectral'`` switches to truncated Parseval integration
     (useful as a consistency probe, see :func:`cross_validate`).
     Smoothed matrices have one route, ``hybrid``: the epsilon^2 share of
-    psi^2 goes through the direct cutoff sweep at a coarse cutoff and only
-    the Gaussian-tapered share is integrated spectrally.  Both spectral
+    psi^2 is epsilon^2 times the raw direct build, and only the
+    Gaussian-tapered share is integrated spectrally.  Both spectral
     routes are one builder, :func:`_spectral`, which picks the height, the
     panel width and the budget from ``smoothing``.
     """

@@ -37,8 +37,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bnladder import IndexWindow, QuadratureConfig, build_gram, inner_direct, pair_inner_matrix
-from bnladder import fractional
+from bnladder import (
+    IndexWindow,
+    QuadratureConfig,
+    SmoothingParams,
+    build_gram,
+    inner_direct,
+    pair_inner_matrix,
+)
+from bnladder import fractional, gram
 from bnladder.fractional import (
     _SERIES_K0,
     DEFAULT_QUAD,
@@ -178,6 +185,46 @@ def test_fallback_above_cap_is_the_lattice_build(monkeypatch):
     pair, pair_tail = pair_inner_matrix([36, 2], quad.x_min)
     assert res.value == pair[0, 1]
     assert res.err_estimate == pair_tail[0, 1]
+
+
+def test_smoothed_fallback_above_cap_is_the_lattice_build(monkeypatch):
+    # The epsilon^2 share of a smoothed build is epsilon^2 times the raw
+    # direct build: the closed form up to the cap, and above it the lattice
+    # pass at the coarse cutoff of _epsilon_cutoff.
+    quad = QuadratureConfig(x_min=1e-5)
+    sm = SmoothingParams(W=5.0, epsilon=1e-2)
+    eps2 = sm.epsilon * sm.epsilon
+    window = IndexWindow(2, 2)  # largest denominator 36
+    dens = [p.denominator for p in window.points()]
+    unit = np.array(dens) == 1
+    with monkeypatch.context() as m:  # the Gaussian-tapered share alone
+        m.setattr(gram, "_unit_inner_matrix", lambda d, q: (np.zeros((len(d),) * 2),) * 2)
+        tapered = build_gram(window, kind="smoothed", smoothing=sm, quad=quad)
+
+    def assert_share(g, share, share_err):
+        errs = tapered.err_estimate + eps2 * share_err
+        errs[unit, :] = errs[:, unit] = 0.0
+        assert np.array_equal(g.entries, tapered.entries + eps2 * share)
+        assert np.array_equal(g.err_estimate, errs)
+
+    monkeypatch.setattr(fractional, "_CLOSED_FORM_CAP", 35)
+    lattice, tail = pair_inner_matrix(dens, gram._epsilon_cutoff(sm.epsilon, quad))
+    assert_share(build_gram(window, kind="smoothed", smoothing=sm, quad=quad), lattice, tail)
+
+    monkeypatch.setattr(fractional, "_CLOSED_FORM_CAP", 36)
+    closed, closed_err = _unit_inner_matrix(dens, quad)
+    assert not np.array_equal(closed, lattice)
+    assert_share(build_gram(window, kind="smoothed", smoothing=sm, quad=quad), closed, closed_err)
+
+
+def test_smoothed_build_below_cap_ignores_x_min():
+    # below the cap the epsilon^2 share is the closed form, which has no cutoff
+    sm = SmoothingParams(W=5.0, epsilon=1e-2)
+    quads = (DEFAULT_QUAD, QuadratureConfig(x_min=1e-3))
+    assert len({gram._epsilon_cutoff(sm.epsilon, q) for q in quads}) == 2
+    a, b = (build_gram(IndexWindow(3, 3), kind="smoothed", smoothing=sm, quad=q) for q in quads)
+    assert np.array_equal(a.entries, b.entries)
+    assert np.array_equal(a.err_estimate, b.err_estimate)
 
 
 def _vasyunin_assembly(dens):

@@ -52,7 +52,16 @@ Euler-Maclaurin series, which the 3x3 slots with k = 72, 108 and 216
 take: Gram entries moved by at most 3.1e-16, 4.9 % of their old budgets
 and 4.4 % of old + new budget; no budget grew, and the 81 that changed
 shrank by up to 211x.  Every decay and truncate number moved by at most
-2.0e-15.
+2.0e-15.  The seven smoothed cases were re-frozen when the epsilon^2
+share became epsilon^2 times the raw direct build, the closed form below
+the cap, in place of a cutoff sweep: the 4x4 Gram entries moved by at most
+7.9e-14, 7.9e-4 of their old budgets, and those of
+``gram_smoothed_2_quad_json`` (eps = 1e-4, ``--x-min 1e-3``) by at most
+7.8e-10, 0.24 of their old budgets, whose largest fell from 5.7e-9 to
+1.0e-10; no budget grew.  Measured against the largest old Gram budget of
+the build, the other files moved by at most: ``g.normalized.*`` 2.6e-13
+(0.0026) on 4x4 and 3.3e-9 (0.57) on the 2x2; every ``d.*`` file 2.3e-12
+(0.023); ``t.json`` 6.7e-13 (0.0066) and ``t.csv`` 4.8e-13 (0.0048).
 The values depend on float64 arithmetic only (no randomness), so a
 mismatch means a changed number or a changed format, not noise.
 """
@@ -72,43 +81,43 @@ GOLDEN = {
         ["gram", *SMOOTHED_4],
         "g.csv",
         {
-            "g.csv": "51093b5c49f6e2726ecb815fee81385ca9dafc4f8382d8dab664f04f150813e1",
-            "g.normalized.csv": "c46fd2223a2aa7b11acd5876cc0ed4333dc5190a74e2501544b3550710064673",
+            "g.csv": "2eacf97d16293e94d0a0e41ffc546659f455e886c303026d0fafa9de88293d73",
+            "g.normalized.csv": "1ce0dba0cc358ba4b44b9a0fce5a2480c5279c6cf9b0bebba998258ee0526630",
         },
     ),
     "gram_smoothed_4_json": (
         ["gram", *SMOOTHED_4, "--format", "json"],
         "g.json",
         {
-            "g.json": "d75e700caf011bd42a44a19b601488ea6d4abc6ca8ccd458c242cb803e209843",
-            "g.normalized.json": "b37f5ee66c57de3ba8e22e3d7e797d49d76ec2d3d6adb223b83da4235926ae9a",
+            "g.json": "287d1ed5672886e3a987913b74c9e95f41d8ee573ad1456fff086b9ad29d34ec",
+            "g.normalized.json": "ea647901e84c0fcb9b8ff4500a8e5858b4d000cd852faf2011871f0b94defe5e",
         },
     ),
     "decay_smoothed_4": (
         ["decay", *SMOOTHED_4],
         "d.json",
         {
-            "d.json": "328638495ef824e148d84d52b9f880ec5a849cb8b85c5fe61d0781c674851832",
-            "d.shells.csv": "de8f72be5ef0ee8e9b1ad56d7b50b65009c4899fa81779c9832ca94b1e93690d",
+            "d.json": "f96c174fac6e9847d4266ef06a67fb1181cf6d0cd249e6338de7fe36c83b76bd",
+            "d.shells.csv": "8abe0ed8402560aeb07d3c910569b64c20a757e45d259cb7de2227dc13cd26b7",
         },
     ),
     "decay_smoothed_4_csv_with_zero_row": (
         ["decay", *SMOOTHED_4, "--format", "csv", "--exclude-zero-row", "false"],
         "d.csv",
         {
-            "d.csv": "fef13384e513b6736b0d26bdc91de99e6abbd4d187b564d1451baa7933a452d4",
-            "d.report.json": "dbb92e0f7c64370a9fca7e597b29f18bf77abd8931e49571c0abf0e94a394972",
+            "d.csv": "cebe5e75adc2498c5002c99521d5916ccd7774a542120dbd236d0c5233388c47",
+            "d.report.json": "6f0cdc19339f1304dc3fc0ec3a2de8b4be0d16bf1b9e2e8e3ff525330b6b426b",
         },
     ),
     "truncate_smoothed_4": (
         ["truncate", "--jmax", "4", "--kmax", "4"],
         "t.json",
-        {"t.json": "14ce972375b0cb2d78c63f034b84dd8e41cd24687c77f9ef45a9cdfc1596f0c3"},
+        {"t.json": "2c3f5a8060e36f4b43b2c6ca24c0b803762fdb38920ed67f27577f064806a9a1"},
     ),
     "truncate_smoothed_4_csv": (
         ["truncate", "--jmax", "4", "--kmax", "4", "--format", "csv"],
         "t.csv",
-        {"t.csv": "acc7cb81a4de1823cd8afb37918d65f76bef63f85f08a7fef3221289379d748d"},
+        {"t.csv": "13a09e7db5f39d9672eebc38e3d70f4241ad61631d7ec3d9252df2c35d89ae13"},
     ),
     "gram_raw_3": (
         ["gram", *RAW_3],
@@ -163,8 +172,8 @@ GOLDEN = {
          "--x-min", "1e-3", "--tmax-raw", "500", "--format", "json"],
         "g.json",
         {
-            "g.json": "71049826ef446bd025c588929a016f647722086a11ee3f4856bf7e4c9d6e3528",
-            "g.normalized.json": "43d1de88c459779259b40fdd01951525cdb8c2e9a6968b756177dc2a12cbf26c",
+            "g.json": "3d0b4597eadb42e794b698ecbb6a6ff53e7064d436c344c8bda36a0c3f80099e",
+            "g.normalized.json": "8a68c6a65d4c9d330cbf14ac8de7efda18456e55273a7690f4bc0c7cadf643e0",
         },
     ),
     "truncate_raw_3_direct_csv": (

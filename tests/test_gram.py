@@ -2,7 +2,7 @@ import inspect
 import json
 import math
 import tracemalloc
-from dataclasses import fields
+from dataclasses import fields, replace
 from unittest import mock
 
 import numpy as np
@@ -36,6 +36,7 @@ from bnladder import (
     theta_of,
     zeta_half_grid,
 )
+from bnladder.fractional import _unit_inner_matrix
 
 SM = SmoothingParams(W=5.0, epsilon=1e-6)
 SM_NOFLOOR = SmoothingParams(W=5.0, epsilon=0.0)
@@ -645,14 +646,14 @@ def test_moments_match_complex_accumulation(idx, eps):
     grid = cache[min(cache)]  # the search ends at the finest grid, the one it accepted
     pair = (theta_of(a), theta_of(b))
     w = grid.w_quad
-    if smoothing is not None:  # the tapered share; the epsilon^2 share is a cutoff sweep
+    if smoothing is not None:  # the tapered share; the epsilon^2 share is the raw direct build
         g1 = np.exp(-((grid.nodes / 5.0) ** 2))
         w = w * (2.0 * eps * g1 + g1 * g1)
     (full,) = _complex_pair_matrices(pair, grid, (w,))
     want = full[0, 1]
-    if eps:
-        x_min = bnladder.gram._epsilon_cutoff(eps, quad)
-        base, _ = pair_inner_matrix([p.denominator for p in pair], x_min)
+    if eps:  # the closed form, or above its cap the sweep at the coarse cutoff
+        coarse = replace(quad, x_min=bnladder.gram._epsilon_cutoff(eps, quad))
+        base, _ = _unit_inner_matrix([p.denominator for p in pair], coarse)
         want += eps * eps * base[0, 1]
     assert abs(value - want) <= 1e-14 * np.abs(full).max()
 
