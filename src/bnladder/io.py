@@ -5,11 +5,13 @@ JSON has sorted keys and a two-space indent, and every text ends in one
 LF.  :func:`write_all` makes all of a command's files appear or none.
 
 :func:`csv_text` is numpy throughout: a vectorized ``%.17g`` kernel (see
-the comment above :func:`_pow10`) renders each distinct float once, small
-integer columns are keyed without a sort (:func:`_ranked`), and each
-column's cells, padded to one typed scalar, are gathered per slab into a
-structured array, so no Python ``%`` or string join runs per cell.  Its
-bytes are those of ``"%.17g" % x``.
+the comment above :func:`_pow10`) writes each distinct float once,
+straight into its final cell, small integer columns are keyed without a
+sort (:func:`_ranked`), and each column's cells, one typed scalar each,
+are gathered per slab into a structured array, so no Python ``%`` or
+string join runs per cell.  The slabs' NULs are dropped with
+``bytes.translate`` into one buffer, decoded once.  Its bytes are those
+of ``"%.17g" % x``.
 """
 
 from __future__ import annotations
@@ -24,6 +26,8 @@ import tempfile
 from typing import Sequence
 
 import numpy as np
+
+from .errors import ParameterError
 
 __all__ = ["FLOAT_FORMAT", "csv_text", "json_text", "json_rows", "write_all"]
 
@@ -58,8 +62,8 @@ def _distinct_strings(values: np.ndarray, render) -> list[str]:
 _SPLIT = 134217729.0  # 2^27 + 1: Dekker's splitter for float64
 _TIE = 2.0**-20
 _SETTLED = (1e-280, 1e280)
-_WIDTH = 29  # the bytes of _layout's template; the widest text has 24
-_SLAB_ROWS = 1 << 15
+_CHUNK = 1 << 15  # floats per pass of the kernel, so its temporaries stay in cache
+_SLAB_ROWS = 1 << 12  # rows per gather, so a slab and its bytes stay in cache
 
 
 @functools.lru_cache(maxsize=None)
@@ -82,11 +86,12 @@ def _scaled(a: np.ndarray, k: np.ndarray):
     """a * 10^k as hi + lo: hi = fl(a * 10^k's hi half), lo its exact
     two-product error plus a times 10^k's lo half."""
     k0 = k.min(initial=0)
-    counts = np.bincount(k - k0)
+    at = k - k0
+    counts = np.bincount(at)
     need = np.flatnonzero(counts)
-    table = np.zeros((counts.size, 2))
-    table[need] = np.reshape([_pow10(int(x)) for x in need + k0], (-1, 2))
-    p_hi, p_lo = table[k - k0].T
+    table_hi, table_lo = np.zeros((2, counts.size))
+    table_hi[need], table_lo[need] = np.reshape([_pow10(int(x)) for x in need + k0], (-1, 2)).T
+    p_hi, p_lo = table_hi[at], table_lo[at]
     hi = a * p_hi
     a1, a2 = _split(a)
     b1, b2 = _split(p_hi)
@@ -118,149 +123,235 @@ def _decimal17(a: np.ndarray):
     return d, 16 - k + carry, sure
 
 
-def _layout(neg: np.ndarray, d: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """The %.17g text of (-1)^neg * d * 10^(e - 16), one row of bytes
-    each, with NULs where a byte is unused: fixed notation for
-    -4 <= e < 17, else d.ddde+XX, and trailing zeros dropped with the
-    point they leave bare.
-
-    Every text fills one template of _WIDTH bytes: a sign, a "0.000"
-    lead, 17 digits with a point among them, and "e+ddd".  The template
-    is built one byte position at a time over all values at once.
-    """
-    digits = np.zeros((17, d.size), dtype=np.uint8)  # d_0 .. d_16, in ASCII
+def _digits(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(digits, n) for d in [10^16, 10^17): its 17 digits in ASCII, one
+    row per digit position, and the count of them left when trailing
+    zeros are dropped."""
+    digits = np.empty((17, d.size), dtype=np.uint8)
     high = d // 10**9
     for x, rows in ((high, range(7, -1, -1)), (d - high * 10**9, range(16, 7, -1))):
         x = x.astype(np.uint32)
         for i in rows:
             q = x // 10
-            digits[i] = x - 10 * q + ord("0")
+            digits[i] = x - 10 * q
             x = q
-    # Small counts as int8 and bytes as uint8 keep every pass below narrow.
-    # n: significant digits; point: the digit the point precedes (18: none);
-    # shown: digits printed; lead: the length of "0.", "0.0", ... "0.000".
-    n = (17 - np.argmax(digits[::-1] != ord("0"), axis=0)).astype(np.int8)
-    fixed = (e >= -4) & (e < 17)
-    e8 = np.where(fixed, e, -5).astype(np.int8)
-    point = np.where(fixed, np.where(e8 >= 0, e8 + 1, 18), 1).astype(np.int8)
-    shown = np.where(e8 >= 0, np.maximum(n, e8 + 1), n).astype(np.int8)
-    digits[np.arange(17, dtype=np.int8)[:, None] >= shown] = 0  # trailing zeros
-    dot = np.where(point < n, ord("."), 0).astype(np.uint8)
-    lead = np.where(fixed & (e8 < 0), 1 - e8, 0).astype(np.int8)
-    ex = np.abs(e)
-    t = np.zeros((_WIDTH, d.size), dtype=np.uint8)
-    t[0] = np.where(neg, ord("-"), 0)
-    for j, byte in enumerate(b"0.000"):
-        t[1 + j] = np.where(lead > j, byte, 0)
-    for c in range(18):
-        here = digits[c] if c < 17 else 0
-        t[6 + c] = np.where(point > c, here, np.where(point == c, dot, digits[c - 1]))
-    t[24] = np.where(fixed, 0, ord("e"))
-    t[25] = np.where(fixed, 0, np.where(e < 0, ord("-"), ord("+")))
-    t[26] = np.where(fixed | (ex < 100), 0, ex // 100 + ord("0"))
-    t[27] = np.where(fixed, 0, ex // 10 % 10 + ord("0"))
-    t[28] = np.where(fixed, 0, ex % 10 + ord("0"))
-    return np.ascontiguousarray(t.T)
+    n = np.ones(d.size, dtype=np.int8)  # the first digit is never 0
+    for i in range(1, 17):
+        np.maximum(n, (digits[i] != 0) * np.int8(i + 1), out=n)
+    digits += ord("0")
+    return digits, n
 
 
-def _text_block(texts: list[str]) -> np.ndarray:
-    """UTF-8 bytes of each text, one row each, NUL-padded."""
-    encoded = np.array([t.encode() for t in texts], dtype=bytes)
-    return encoded.reshape(len(texts), 1).view(np.uint8)
+def _float_cells(column: np.ndarray, sep: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """(cells, index) for a float column: per distinct value, one
+    row-major cell of bytes holding its FLOAT_FORMAT text and ``sep``,
+    NULs where a byte is unused, viewed as one item; and per row of the
+    column, the cell of its value.  Values are told apart by bit pattern,
+    so -0.0 and 0.0 print apart.
 
-
-def _float_block(values: np.ndarray) -> np.ndarray:
-    """The FLOAT_FORMAT text of each float64, one row of _WIDTH bytes
-    each, NULs where a byte is unused."""
+    The text of (-1)^neg * d * 10^(e - 16) is fixed notation for
+    -4 <= e < 17, else d.ddde+XX, with trailing zeros dropped along with
+    the point they leave bare.  Values that share their sign, their
+    notation and, in fixed notation, e (in exponent notation, whether
+    |e| >= 100) share one layout of byte columns, and the widest text sets
+    the cell's width.  The distinct values come sorted by bit pattern,
+    within each sign by magnitude, so such values are adjacent and each
+    run of them is written as one piece.  The kernel runs over _CHUNK
+    values at a time, and no piece crosses a chunk.  Values the kernel
+    leaves unsettled are written as ``FLOAT_FORMAT % x``.
+    """
+    column = np.asarray(column, dtype=np.float64)
+    keys, index = np.unique(column.view(np.int64), return_inverse=True)
+    values = keys.view(np.float64)
     a = np.abs(values)
     settled = np.isfinite(a) & (a >= _SETTLED[0]) & (a <= _SETTLED[1])
-    d, e, sure = _decimal17(a[settled])
-    block = np.zeros((values.size, _WIDTH), dtype=np.uint8)
-    block[settled] = _layout(np.signbit(values[settled]), d, e)
-    rest = np.concatenate((np.flatnonzero(~settled), np.flatnonzero(settled)[~sure]))
-    texts = _text_block([FLOAT_FORMAT % v for v in values[rest].tolist()])
-    block[rest] = 0
-    block[rest, : texts.shape[1]] = texts
-    return block
+    a = np.where(settled, a, 1.0)  # a stand-in; unsettled rows are written below
+    digits = np.empty((17, values.size), dtype=np.uint8)
+    n = np.empty(values.size, dtype=np.int8)
+    e = np.empty(values.size, dtype=np.int16)
+    sure = np.empty(values.size, dtype=bool)
+    for lo in range(0, values.size, _CHUNK):
+        at = slice(lo, lo + _CHUNK)
+        d, e[at], sure[at] = _decimal17(a[at])
+        digits[:, at], n[at] = _digits(d)
+    ok = settled & sure
+    rest = np.flatnonzero(~ok)
+    fallback = [(FLOAT_FORMAT % v).encode() for v in values[rest].tolist()]
+    # Small counts as int8 and bytes as uint8 keep every pass below narrow.
+    # n: significant digits; cut: digits before the point (1 in exponent
+    # notation); lead: the length of "0.", "0.0", ... "0.000"; shown:
+    # digits printed; body: digits and point.
+    neg = np.signbit(values)
+    fixed = (e >= -4) & (e < 17)
+    wide = ~fixed & (np.abs(e) >= 100)
+    cut = np.where(fixed & (e >= 0), e + 1, 1).astype(np.int8)
+    lead = np.where(fixed & (e < 0), 1 - e, 0).astype(np.int8)
+    shown = np.maximum(n, cut)
+    body = shown + ((n > cut) & (lead == 0))
+    length = (neg + lead + body + ~fixed * (np.int8(4) + wide)) * ok
+    text = max([int(length.max(initial=0)), *map(len, fallback)])
+    cells = np.zeros((values.size, _cell_width(text + 1)), dtype=np.uint8)
+    cells[:, text] = ord(sep)
+
+    # A piece is a run of rows with one key: twice the notation (e in fixed
+    # notation, 100 or 101 in exponent notation) plus the sign.  Unsettled
+    # rows get a key of their own and are left to the fallback.
+    key = np.where(ok, np.where(fixed, e, np.int16(100) + wide) * 2 + neg, 1000)
+    first = np.ones(values.size, dtype=bool)
+    first[1:] = key[1:] != key[:-1]
+    first[::_CHUNK] = True
+    starts = np.flatnonzero(first)
+    for lo, hi in zip(starts.tolist(), starts[1:].tolist() + [values.size]):
+        if not ok[lo]:
+            continue
+        kind, col = divmod(int(key[lo]), 2)  # col: where the text starts, 1 after a "-"
+        out, dg, at = cells[lo:hi], digits[:, lo:hi], slice(lo, hi)
+        if col:
+            out[:, 0] = ord("-")
+        width = int(body[at].max())
+        # Trailing zeros to NUL, one digit row at a time: with one mask of
+        # all 17 rows, the 24x24 gram command's peak RSS read 7 MB higher
+        # (allocator high-water, not live data).
+        for c in range(1, min(width, 17)):
+            dg[c] *= shown[at] > c
+        if kind < 0:  # 0.ddd, 0.0ddd, ... 0.000ddd
+            prefix = b"0." + b"0" * (-kind - 1)
+            out[:, col : col + len(prefix)] = np.frombuffer(prefix, dtype=np.uint8)
+            out[:, col + len(prefix) : col + len(prefix) + width] = dg[:width].T
+            continue
+        point = kind + 1 if kind < 100 else 1  # digits before the point
+        out[:, col : col + point] = dg[:point].T
+        if width > point:
+            out[:, col + point] = (n[at] > point) * np.uint8(ord("."))
+            out[:, col + point + 1 : col + width] = dg[point : width - 1].T
+        if kind >= 100:
+            x = np.abs(e[at])
+            tail = [ord("e"), (e[at] < 0) * np.uint8(2) + np.uint8(ord("+"))]  # "-" is "+" + 2
+            tail += [x // 100 + ord("0")] * (kind == 101)
+            tail += [x // 10 % 10 + ord("0"), x % 10 + ord("0")]
+            for c, byte in enumerate(tail, col + width):
+                out[:, c] = byte
+    if rest.size:
+        width = max(map(len, fallback))
+        cells[rest, :width] = _text_block(fallback, width)
+    return _typed(cells), index.ravel()
+
+
+def _cell_width(width: int) -> int:
+    """Cells of up to 8 bytes round up to 1, 2, 4 or 8, one uint each;
+    wider cells keep their exact width, one void item each."""
+    return 1 << (width - 1).bit_length() if width <= 8 else width
+
+
+def _typed(cells: np.ndarray) -> np.ndarray:
+    """The rows of a byte array, each viewed as one typed item, so a
+    gather copies each cell as one item."""
+    width = cells.shape[1]
+    return cells.view(f"u{width}" if width <= 8 else f"V{width}").ravel()
+
+
+def _text_block(encoded: list[bytes], width: int) -> np.ndarray:
+    """The bytes of each text, one row of ``width`` each, NUL-padded."""
+    return np.array(encoded, dtype=f"S{width}").reshape(len(encoded), 1).view(np.uint8)
+
+
+def _text_cells(texts: list[str], sep: bytes) -> np.ndarray:
+    """One cell per text, laid out as :func:`_float_cells` lays floats:
+    the UTF-8 bytes of the text, then ``sep``."""
+    encoded = [t.encode() + sep for t in texts]
+    width = _cell_width(max(map(len, encoded), default=1))
+    return _typed(_text_block(encoded, width))
 
 
 def _ranked(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(distinct, inverse) as np.unique(values, return_inverse=True) gives
     them.  Integers that span at most their count are ranked without a
-    sort, by a bincount of their offsets from the minimum.  The offsets
+    sort, by marking their offsets from the minimum.  The offsets
     are int64, which holds them wherever the maximum fits; a larger
     maximum takes the sort."""
     if values.dtype.kind in "iu" and values.size:
         lo, hi = int(values.min()), int(values.max())
         if hi - lo <= values.size and hi < 2**63:
-            offset = values.astype(np.int64) - lo
-            seen = np.bincount(offset.ravel()) != 0
+            offset = np.subtract(values, lo, dtype=np.int64, casting="unsafe")
+            seen = np.zeros(hi - lo + 1, dtype=bool)
+            seen[offset] = True
+            if seen.all():  # the offsets are their own ranks
+                return np.arange(seen.size) + lo, offset
             return np.flatnonzero(seen) + lo, (np.cumsum(seen) - 1)[offset]
     return np.unique(values, return_inverse=True)
 
 
-def _column_block(column) -> tuple[np.ndarray, np.ndarray]:
-    """(block, index): one NUL-padded text row per distinct value of the
-    column and, per cell, the row of its text.  Floats are keyed by bit
-    pattern, so -0.0 and 0.0 print apart."""
+def _column_cells(column, sep: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """(cells, index): one cell per distinct value of the column (see
+    :func:`_float_cells`) and, per row of the column, the cell of its
+    value."""
     column = np.asarray(column)
     if column.dtype.kind == "b":
-        return _text_block(["false", "true"]), column.astype(np.intp)
+        return _text_cells(["false", "true"], sep), column.astype(np.intp).ravel()
     if column.dtype.kind == "f":
-        column = column.astype(np.float64)
-        distinct, index = np.unique(column.view(np.int64), return_inverse=True)
-        return _float_block(distinct.view(np.float64)), index
+        return _float_cells(column, sep)
     distinct, index = _ranked(column)
-    return _text_block(list(map(str, distinct.tolist()))), index
+    return _text_cells(list(map(str, distinct.tolist())), sep), index.ravel()
 
 
-def _cells(block: np.ndarray, sep: str) -> np.ndarray:
-    """Each row of the block as one scalar: its text bytes (the byte
-    columns NUL in every row dropped), ``sep``, then NULs up to a power of
-    two of bytes, viewed as one uint8/16/32/64 or void16, void32, ...
-    element, so a gather copies each cell as one typed item."""
-    keep = np.flatnonzero(block.any(axis=0))
-    width = 1 << keep.size.bit_length()  # the least power of two above keep.size
-    cells = np.zeros((block.shape[0], width), np.uint8)
-    cells[:, : keep.size] = block[:, keep]
-    cells[:, keep.size] = ord(sep)
-    return cells.view(f"u{width}" if width <= 8 else f"V{width}").ravel()
+def _csv_bytes(header: Sequence[str], columns: Sequence) -> memoryview:
+    """The UTF-8 bytes of :func:`csv_text`; the cells and keys are freed
+    when this returns.
 
-
-def _row_texts(columns: Sequence):
-    """The CSV lines of the columns, one text per slab of _SLAB_ROWS rows."""
+    They go into one buffer sized for every cell at its full width.  Its
+    pages are mapped as they are first written, so the tail that the
+    dropped NULs leave unused adds nothing to the resident memory."""
+    if len(columns) and len(header) != len(columns):
+        raise ParameterError(f"{len(header)} header names for {len(columns)} columns")
     cells, indices = [], []
     for c, column in enumerate(columns):
-        block, index = _column_block(column)
-        cells.append(_cells(block, "\n" if c == len(columns) - 1 else ","))
-        indices.append(index.ravel())
+        x, index = _column_cells(column, b"\n" if c == len(columns) - 1 else b",")
+        if indices and index.size != indices[0].size:
+            raise ParameterError(
+                f"column {c} has {index.size} rows, column 0 has {indices[0].size}"
+            )
+        cells.append(x)
+        indices.append(index)
     n_rows = indices[0].size if indices else 0
     # one field per column, so a row of the slab is a row of the table
     slab = np.empty(min(n_rows, _SLAB_ROWS), [(f"c{c}", x.dtype) for c, x in enumerate(cells)])
+    head = (",".join(header) + "\n").encode()
+    text = memoryview(np.empty(len(head) + n_rows * slab.itemsize, dtype=np.uint8))
+    text[: len(head)] = head
+    end = len(head)
     for lo in range(0, n_rows, _SLAB_ROWS):
         rows = slab[: n_rows - lo]
         for name, x, index in zip(slab.dtype.names, cells, indices):
             # every index is a row of its cells (the rank of a distinct value
-            # or a bool), so "clip" never clips; it only skips "raise"'s check
-            np.take(x, index[lo : lo + rows.size], out=rows[name], mode="clip")
-        text = rows.view(np.uint8)
-        yield text[text != 0].tobytes().decode()
+            # or a bool), so "clip" never clips; it only skips "raise"'s check.
+            # Gathered contiguous, then copied into the field: a take into
+            # the strided field would go through a temporary anyway.
+            rows[name] = np.take(x, index[lo : lo + rows.size], mode="clip")
+        chunk = rows.tobytes().translate(None, b"\0")
+        text[end : end + len(chunk)] = chunk
+        end += len(chunk)
+    return text[:end]
 
 
 def csv_text(header: Sequence[str], columns: Sequence) -> str:
     """CSV with a header line and one line per row.
 
     ``columns`` holds the data column by column (arrays or lists, all of
-    one length), and each column's dtype picks its format: integers as
-    ``%d``, floats in :data:`FLOAT_FORMAT`, bools as ``true``/``false``
-    and strings as they are (less any NUL characters).  Each distinct
-    value is rendered once into a NUL-padded cell (see :func:`_cells`);
-    the rows of the table are gathered from those in slabs, one typed
-    element per cell, and each slab is decoded with its NULs dropped, so
-    the text is built once.
+    one length, one per name of the header, or none at all), and each
+    column's dtype picks its format: integers as ``%d``, floats in
+    :data:`FLOAT_FORMAT`, bools as ``true``/``false`` and strings as they
+    are (less any NUL characters).  Columns of unequal lengths, or a
+    header whose names do not match the columns one to one, raise
+    :class:`ParameterError`.
+
+    Each distinct value is rendered once, straight into a row-major cell
+    of its text and separator, NULs where a byte is unused (see
+    :func:`_float_cells`).  The rows of the table are gathered from those
+    cells in slabs, one typed element per cell; each slab's bytes go, with
+    their NULs dropped by ``bytes.translate``, into one buffer, which is
+    decoded once.
     """
-    # the generator has run out, freeing its cells and keys, by the join
-    return "".join([",".join(header) + "\n", *_row_texts(columns)])
+    return str(_csv_bytes(header, columns), "utf-8")
 
 
 _ARRAY_MARK = re.compile(r'"\\u0000(\d+)\\u0000"')

@@ -18,6 +18,7 @@ from bnladder.decay import (
     truncation_suite,
     truncation_suite_to_json,
 )
+from bnladder.errors import ParameterError
 from bnladder.gram import gram_to_json
 
 
@@ -48,6 +49,31 @@ def test_csv_text_matches_per_value_format():
 def test_csv_text_empty_table():
     assert io.csv_text(("a", "b"), []) == "a,b\n"
     assert io.csv_text(("a", "b"), [[], []]) == "a,b\n"
+
+
+def test_csv_text_rejects_longer_later_column():
+    with pytest.raises(ParameterError, match="column 1 has 5 rows"):
+        io.csv_text(["a", "b"], [np.arange(3), np.arange(5)])
+
+
+def test_csv_text_rejects_shorter_later_column():
+    with pytest.raises(ParameterError, match="column 2 has 2 rows"):
+        io.csv_text(["a", "b", "c"], [np.arange(3), [0.5, 1.5, 2.5], [True, False]])
+
+
+def test_csv_text_rejects_header_that_does_not_match_the_columns():
+    x = np.arange(3)
+    with pytest.raises(ParameterError, match="3 header names for 2 columns"):
+        io.csv_text(["a", "b", "c"], [x, x])
+    with pytest.raises(ParameterError, match="1 header names for 2 columns"):
+        io.csv_text(["a"], [x, x])
+
+
+def test_csv_text_drops_nul_characters_in_strings():
+    strings = ["a\0b", "\0", "c\0\0", "\0d", "\u00e9\0", "e"]
+    text = io.csv_text(("s", "i"), [strings, np.arange(6)])
+    assert text == "s,i\nab,0\n,1\nc,2\nd,3\n\u00e9,4\ne,5\n"
+    assert io.csv_text(("i", "s"), [np.arange(6), strings]).endswith("\n4,\u00e9\n5,e\n")
 
 
 def _percent_lines(values) -> str:
@@ -149,7 +175,8 @@ def _random_columns(rng, n):
     ]
 
 
-@pytest.mark.parametrize("n", [0, 1, 2, 7, 1000, (1 << 15) + 3])
+# beyond one slab of gathered rows, and beyond one chunk of the float kernel
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 1000, io._SLAB_ROWS + 3, io._CHUNK + 3])
 def test_csv_text_matches_row_join(n):
     rng = np.random.default_rng(n)
     columns = _random_columns(rng, n)
@@ -159,6 +186,57 @@ def test_csv_text_matches_row_join(n):
         assert io.csv_text(header[c : c + 1], columns[c : c + 1]) == _row_join(
             header[c : c + 1], columns[c : c + 1]
         )
+
+
+def _widest_last(values: list, n: int) -> list:
+    """n values cycling through the shorter ones, the widest one last,
+    so with n past a slab it is gathered in the second slab."""
+    shorter = values[:-1] or values
+    return [shorter[i % len(shorter)] for i in range(n - 1)] + [values[-1]]
+
+
+# 1-byte cells up to 8-byte ones (one uint each), then void cells of 9 to 33
+@pytest.mark.parametrize("n", [5, io._SLAB_ROWS + 3])
+@pytest.mark.parametrize("width", range(1, 34))
+def test_string_cell_widths_match_row_join(width, n):
+    """A string column whose widest text has width - 1 bytes, so its
+    cells, with the separator, are width bytes before rounding."""
+    texts = ["", "\u00e9", "x" * (width // 2), "y" * (width - 1)]
+    texts = [t for t in texts if len(t.encode()) < width]
+    for string_last in (False, True):
+        columns = [_widest_last(texts, n), np.arange(n)]
+        header = ["s", "i"]
+        if string_last:
+            columns, header = columns[::-1], header[::-1]
+        assert io.csv_text(header, columns) == _row_join(header, columns)
+
+
+def _floats_of_every_width() -> dict:
+    """For each text width 1..24 of "%.17g", a float64 printing that wide."""
+    rng = np.random.default_rng(7)
+    pool = [0.0, -0.0, 5.0, -5.0, 0.5, 25.0, 1e-5, -1e-5, 1e16, 1e17, -1.2345678901234567e-100]
+    pool += [float("1" * k) for k in range(1, 18)] + [-float("1" * k) for k in range(1, 18)]
+    pool += (rng.standard_normal(2000) * 10.0 ** rng.integers(-120, 120, 2000)).tolist()
+    pool += [round(x, k) for x in rng.random(200).tolist() for k in range(1, 17)]
+    by_width = {}
+    for x in pool:
+        by_width.setdefault(len("%.17g" % x), x)
+    return by_width
+
+
+FLOATS_BY_WIDTH = _floats_of_every_width()
+
+
+@pytest.mark.parametrize("n", [5, io._SLAB_ROWS + 3])
+@pytest.mark.parametrize("width", range(1, 25))
+def test_float_cell_widths_match_row_join(width, n):
+    """A float column whose widest text has 1 ("0") to 24 bytes
+    ("-1.2345678901234567e-100")."""
+    values = [x for w, x in sorted(FLOATS_BY_WIDTH.items()) if w <= width]
+    assert len("%.17g" % values[-1]) == width
+    columns = [np.arange(n), np.array(_widest_last(values, n))]
+    assert io.csv_text(("i", "x"), columns) == _row_join(("i", "x"), columns)
+    assert io.csv_text(("x",), columns[1:]) == _row_join(("x",), columns[1:])
 
 
 INTEGER_KEY_COLUMNS = {
