@@ -41,9 +41,10 @@ two Gaussian-tapered parts are integrated on a short grid truncated where
 the taper pushes the tail below 1e-10 (``_GAUSSIAN_TAIL_TOL``).  That
 split, the ``hybrid`` method, is the one route of smoothed matrices.
 
-Every grid built is cached per (t_max, panel_width), rejected candidates
-included, so a repeated call evaluates no zeta; the widths are quantized
-to 0.25 * 2^m so windows of different sizes share zeta evaluations.
+Every build makes its own grids and keeps none, so the module holds no
+state between calls.  The widths are quantized to 0.25 * 2^m, powers of
+two, so each halving is exact and every panel edge i * h is an exact
+double.
 """
 
 from __future__ import annotations
@@ -131,8 +132,6 @@ _MAX_GRID_NODES = 1 << 22
 # Nodes per slab of the moment pass (see _moments).
 _MOMENT_SLAB = 1 << 14
 
-_grid_cache: dict[tuple[float, float], "_SpectralGrid"] = {}
-
 
 @dataclass(frozen=True)
 class _SpectralGrid:
@@ -161,14 +160,9 @@ def _first_width(omega: float, t_max: float, tau: float) -> float:
 
 
 def _spectral_grid(t_max: float, h: float) -> _SpectralGrid:
-    """K15 panels of width h on [0, t_max], cached per (t_max, h): rejected
-    grids too, which are all coarser than the grid a search accepts, so a
-    repeated search evaluates zeta on none of its candidates again."""
-    key = (float(t_max), float(h))
+    """K15 panels of width h on [0, t_max], with zeta evaluated afresh at
+    every node."""
     n_panels = int(math.ceil(t_max / h))
-    got = _grid_cache.get(key)
-    if got is not None:
-        return got
     if 15 * n_panels > _MAX_GRID_NODES:
         raise ConvergenceError(
             f"spectral grid on [0, {t_max:g}] at panel width {h:g} needs "
@@ -184,7 +178,7 @@ def _spectral_grid(t_max: float, h: float) -> _SpectralGrid:
     w_quad = (halves * _K15_WEIGHTS).ravel()
     w_diff = (halves * (_K15_WEIGHTS - _G7_ON_K15)).ravel()
     power = np.abs(zeta_half_grid(nodes)) ** 2 / (0.25 + nodes**2)
-    return _grid_cache.setdefault(key, _SpectralGrid(nodes, w_quad, w_diff, power))
+    return _SpectralGrid(nodes, w_quad, w_diff, power)
 
 
 def _moments(grid: _SpectralGrid, weights, dj: np.ndarray, dk: np.ndarray) -> np.ndarray:

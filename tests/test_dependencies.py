@@ -7,9 +7,11 @@ Every public name has a use outside the tests, or is a deliberate API.
 import ast
 import importlib
 import pathlib
+import pkgutil
 import sys
 
 import bnladder
+from bnladder import IndexWindow, QuadratureConfig, SmoothingParams, build_gram, inner_spectral
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "bnladder"
@@ -102,3 +104,31 @@ def test_every_public_name_has_a_caller_outside_the_tests():
     unused = set(bnladder.__all__) - {"__version__"} - used
     assert unused - DELIBERATE_API == set()
     assert DELIBERATE_API <= set(bnladder.__all__)
+
+
+def _module_containers():
+    """Every module-level dict, list and set of every bnladder module, by
+    the identities of its contents."""
+    out = {}
+    for info in pkgutil.iter_modules(bnladder.__path__):
+        module = importlib.import_module(f"bnladder.{info.name}")
+        for name, value in vars(module).items():
+            if name.startswith("__"):
+                continue
+            if isinstance(value, dict):
+                out[info.name, name] = [(id(k), id(v)) for k, v in value.items()]
+            elif isinstance(value, (list, set)):
+                out[info.name, name] = [id(v) for v in value]
+    return out
+
+
+def test_spectral_builds_leave_module_state_unchanged():
+    """A spectral build is a pure function of its inputs: no module keeps a
+    grid or any other result between calls.  The heights and widths are
+    ones no other test uses, so a hidden cache would have to grow."""
+    before = _module_containers()
+    assert before
+    build_gram(IndexWindow(2, 1), "raw", method="spectral", quad=QuadratureConfig(t_max_raw=23.0))
+    build_gram(IndexWindow(1, 2), "smoothed", smoothing=SmoothingParams(W=1.7, epsilon=1e-3))
+    inner_spectral((1, 1), (2, 0), quad=QuadratureConfig(t_max_raw=17.0))
+    assert _module_containers() == before

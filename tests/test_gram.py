@@ -3,6 +3,7 @@ import json
 import math
 import tracemalloc
 from dataclasses import fields, replace
+from functools import cache
 from unittest import mock
 
 import numpy as np
@@ -411,9 +412,8 @@ def test_embedded_g7_nodes_and_exactness():
 @pytest.mark.parametrize("t_max,h", [(20.0, 1 / 16), (37.3, 0.25), (1000.0, 0.125)])
 def test_spectral_grid_matches_panel_loop(monkeypatch, t_max, h):
     """The vectorized grid equals a per-panel loop over K15 panels, bit for
-    bit, and is cached."""
+    bit."""
     monkeypatch.setattr(bnladder.gram, "zeta_half_grid", lambda ts: np.zeros(ts.shape, complex))
-    monkeypatch.setattr(bnladder.gram, "_grid_cache", {})
     grid = bnladder.gram._spectral_grid(t_max, h)
     n_panels = int(math.ceil(t_max / h))
     edges = np.minimum(np.arange(n_panels + 1) * h, t_max)
@@ -425,8 +425,6 @@ def test_spectral_grid_matches_panel_loop(monkeypatch, t_max, h):
         w_diff.append(half * (K15_WEIGHTS - G7_ON_K15))
     for got, want in zip((grid.nodes, grid.w_quad, grid.w_diff), (nodes, w_quad, w_diff)):
         assert np.array_equal(got, np.concatenate(want))
-    cache = bnladder.gram._grid_cache
-    assert list(cache) == [(t_max, h)] and cache[(t_max, h)] is grid  # every built grid is cached
 
 
 def _rule_ratios(points, grid, taper):
@@ -451,9 +449,9 @@ def _rule_ratios(points, grid, taper):
 def test_width_rule_halves_until_every_entry_passes(j_max, k_max, t_max, smoothing, widen):
     """The accepted grid meets |K15 - G7|_ab <= f amp_a amp_b tau for every
     entry off the theta = 1 row; the search halves from its first
-    candidate, every rejected width breaks the rule, and every tried grid
-    is cached.  ``widen`` forces a first candidate that many times
-    wider, which must halve down to a width that passes."""
+    candidate and every rejected width breaks the rule.  ``widen`` forces a
+    first candidate that many times wider, which must halve down to a
+    width that passes."""
     gram = bnladder.gram
     quad = QuadratureConfig(t_max_raw=t_max)
     window = IndexWindow(j_max, k_max)
@@ -465,29 +463,29 @@ def test_width_rule_halves_until_every_entry_passes(j_max, k_max, t_max, smoothi
         eps, w = smoothing.epsilon, smoothing.W
         taper = lambda t: 2.0 * eps * np.exp(-((t / w) ** 2)) + np.exp(-2.0 * (t / w) ** 2)  # noqa: E731
     real_first, real_grid = gram._first_width, gram._spectral_grid
-    tried = []
+    built = []
 
     def spy_grid(t, h):
-        tried.append(h)
-        return real_grid(t, h)
+        built.append((t, h, real_grid(t, h)))
+        return built[-1][2]
 
-    with mock.patch.object(gram, "_grid_cache", {}), mock.patch.object(
+    with mock.patch.object(
         gram, "_first_width", lambda *a: widen * real_first(*a)
     ), mock.patch.object(gram, "_spectral_grid", spy_grid):
         if smoothing is None:
             g = build_gram(window, "raw", method="spectral", quad=quad)
         else:
             g = build_gram(window, "smoothed", smoothing=smoothing, quad=quad)
-        cache = dict(gram._grid_cache)
     t_grid = t_max if smoothing is None else gram._gaussian_cutoff(smoothing)
     span = gram._displacement_span(points)
+    tried = [h for _, h, _ in built]
+    assert all(t == t_grid for t, _, _ in built)
     assert tried[0] == widen * real_first(span, t_grid, tau)
     assert tried == [tried[0] / 2**i for i in range(len(tried))]
-    assert list(cache) == [(t_grid, h) for h in tried]
-    accepted = cache[(t_grid, tried[-1])]
+    accepted = built[-1][2]
     assert np.all(_rule_ratios(points, accepted, taper) <= gram._QUAD_SHARE * tau)
-    for h in tried[:-1]:
-        assert np.any(_rule_ratios(points, cache[(t_grid, h)], taper) > gram._QUAD_SHARE * tau)
+    for _, _, rejected in built[:-1]:
+        assert np.any(_rule_ratios(points, rejected, taper) > gram._QUAD_SHARE * tau)
     if widen == 16 and window.size > 1:
         assert len(tried) > 1
     # the reported budget carries the accepted grid's K15 - G7 difference
@@ -515,43 +513,47 @@ def test_probe_builds_accept_their_first_width(monkeypatch, window, kwargs):
         tried.append(h)
         return real_grid(t, h)
 
-    monkeypatch.setattr(bnladder.gram, "_grid_cache", {})
     monkeypatch.setattr(bnladder.gram, "_spectral_grid", spy_grid)
     build_gram(window, **kwargs)
     assert len(tried) == 1
 
 
-def test_repeated_spectral_calls_evaluate_no_zeta(monkeypatch):
-    """A width search caches every grid it builds, rejected ones included,
-    so a second identical call evaluates zeta at no point.  Each first call
-    rejects a candidate: the smoothed 2x2 build at W = 2 tries h = 1/2 and
-    1/4 before it accepts 1/8."""
-    sizes = []
-    real_zeta = bnladder.gram.zeta_half_grid
+def test_repeated_spectral_calls_repeat_their_bits(monkeypatch):
+    """A repeated call gives identical bits, and within one width search
+    zeta is evaluated once per width tried, rejected ones included.  Each
+    call rejects a candidate: the smoothed 2x2 build at W = 2 tries h = 1/2
+    and 1/4 before it accepts 1/8."""
+    sizes, tried = [], []
+    real_zeta, real_grid = bnladder.gram.zeta_half_grid, bnladder.gram._spectral_grid
 
     def spy_zeta(ts):
         sizes.append(ts.size)
         return real_zeta(ts)
 
+    def spy_grid(t, h):
+        tried.append(h)
+        return real_grid(t, h)
+
     monkeypatch.setattr(bnladder.gram, "zeta_half_grid", spy_zeta)
-    monkeypatch.setattr(bnladder.gram, "_grid_cache", {})
+    monkeypatch.setattr(bnladder.gram, "_spectral_grid", spy_grid)
     sm = SmoothingParams(W=2.0, epsilon=1e-2)
     calls = [
         lambda: inner_spectral((1, 1), (2, 0), sm),
         lambda: build_gram(IndexWindow(2, 2), "smoothed", smoothing=SmoothingParams(W=2.0)).entries,
     ]
     for call in calls:
-        sizes.clear()
-        first = call()
-        assert len(sizes) > 1
-        sizes.clear()
-        assert np.array_equal(call(), first) and sizes == []
+        runs = []
+        for _ in range(2):
+            sizes.clear()
+            tried.clear()
+            runs.append(call())
+            assert len(sizes) == len(tried) > 1
+        assert np.array_equal(runs[0], runs[1])
 
 
 def test_width_search_stops_at_the_node_cap(monkeypatch):
     # a Gaussian tail target far below roundoff can never be met
     monkeypatch.setattr(bnladder.gram, "_MAX_GRID_NODES", 20_000)
-    monkeypatch.setattr(bnladder.gram, "_grid_cache", {})
     monkeypatch.setattr(bnladder.gram, "_GAUSSIAN_TAIL_TOL", 1e-30)
     with pytest.raises(ConvergenceError, match="spectral grid on"):
         build_gram(IndexWindow(2, 2), "smoothed", smoothing=SM)
@@ -588,10 +590,17 @@ def _unique_keyed_pair_matrices(points, grid, weights):
 SHORT_T = 20.0
 
 
+@cache
+def _fixed_grid(t_max, h):
+    """One spectral grid per (t_max, h) for the tests that reuse it across
+    examples; the library itself builds every grid afresh."""
+    return bnladder.gram._spectral_grid(t_max, h)
+
+
 @pytest.mark.parametrize("window", [(1, 0), (0, 5), (3, 3), (24, 24)])
 def test_pair_keys_match_unique_keys(window):
     points = tuple(IndexWindow(*window).points())
-    grid = bnladder.gram._spectral_grid(SHORT_T, 1 / 8)
+    grid = _fixed_grid(SHORT_T, 1 / 8)
     weights = (grid.w_quad, grid.w_diff)
     got = bnladder.gram._pair_matrices(points, grid, weights)
     for g, u in zip(got, _unique_keyed_pair_matrices(points, grid, weights)):
@@ -613,7 +622,7 @@ def test_moments_match_complex_accumulation(idx, eps):
     accumulation, raw (eps None) and with the smoothed build's taper, and
     equal bit for bit those keyed by np.unique."""
     points = tuple(theta_of(ix) for ix in idx)
-    grid = bnladder.gram._spectral_grid(SHORT_T, 1 / 8)
+    grid = _fixed_grid(SHORT_T, 1 / 8)
     weights = (grid.w_quad, grid.w_diff)
     if eps is not None:
         g1 = np.exp(-((grid.nodes / 5.0) ** 2))
@@ -641,9 +650,16 @@ def test_moments_match_complex_accumulation(idx, eps):
     a, b = idx[0], idx[-1]
     quad = QuadratureConfig(t_max_raw=SHORT_T)
     smoothing = None if eps is None else SmoothingParams(W=5.0, epsilon=eps)
-    with mock.patch.object(bnladder.gram, "_grid_cache", {}) as cache:
+    built = []
+    real_grid = bnladder.gram._spectral_grid
+
+    def spy_grid(t, h):
+        built.append(real_grid(t, h))
+        return built[-1]
+
+    with mock.patch.object(bnladder.gram, "_spectral_grid", spy_grid):
         value = inner_spectral(a, b, smoothing=smoothing, quad=quad).value
-    grid = cache[min(cache)]  # the search ends at the finest grid, the one it accepted
+    grid = built[-1]  # the search ends at the grid it accepted
     pair = (theta_of(a), theta_of(b))
     w = grid.w_quad
     if smoothing is not None:  # the tapered share; the epsilon^2 share is the raw direct build
@@ -679,7 +695,7 @@ def test_factorized_moments_match_cosine_accumulation(j_max, k_max, seed, taper)
     order, on the raw 8x8 grid (K15 panels of width 1/2 to T = 1000): the
     factorized moments agree with one cosine per node and frequency to
     1e-14 of the largest moment, and d and -d give the same bits."""
-    grid = bnladder.gram._spectral_grid(1000.0, 0.5)
+    grid = _fixed_grid(1000.0, 0.5)
     w = 1.0 if taper is None else np.exp(-((grid.nodes / taper) ** 2))
     weights = (grid.w_quad * w, grid.w_diff * w)
     dj, dk = np.meshgrid(np.arange(-j_max, j_max + 1), np.arange(-k_max, k_max + 1))
