@@ -37,7 +37,6 @@ from .fractional import _CLOSED_FORM_CAP, DEFAULT_QUAD, QuadratureConfig, eval_f
 from .gram import (
     _ROUTES,
     GramMatrix,
-    _pair_columns,
     build_gram,
     cross_validate,
     gram_to_csv,
@@ -156,12 +155,15 @@ def _gram(args: argparse.Namespace) -> GramMatrix:
 def _normalized(g: GramMatrix) -> tuple[np.ndarray, np.ndarray]:
     """G_ij / sqrt(G_ii G_jj) and its validity mask (both diagonals > 0);
     invalid entries are 0 and the valid diagonal is exactly 1, not
-    d / sqrt(d * d) roundoff."""
+    d / sqrt(d * d) roundoff.  Where G_ii G_jj falls below the least
+    normal double (deep windows), the scale is sqrt(G_ii) sqrt(G_jj)
+    instead, which neither underflows nor loses digits."""
     diag = np.diag(g.entries)
     pos = diag > 0.0
     ok = pos[:, None] & pos[None, :]
     safe = np.where(pos, diag, 1.0)
-    scale = np.sqrt(np.outer(safe, safe))
+    prod, root = np.outer(safe, safe), np.sqrt(safe)
+    scale = np.where(prod >= np.finfo(np.float64).tiny, np.sqrt(prod), np.outer(root, root))
     vals = np.where(ok, g.entries / scale, 0.0)
     vals[np.diag_indices_from(vals)] = np.where(pos, 1.0, 0.0)
     return vals, ok
@@ -172,7 +174,7 @@ def run_gram(args: argparse.Namespace) -> int:
     g = _gram(args)
     vals, ok = _normalized(g)
     header = ("j", "k", "j2", "k2", "value", "normalized")
-    columns = _pair_columns(g) + [vals.ravel(), ok.ravel()]
+    columns = [*g._pair_columns, vals.ravel(), ok.ravel()]
     if args.format == "json":
         texts = gram_to_json(g), json_rows("bnladder.gram_normalized/1", header, columns)
     else:

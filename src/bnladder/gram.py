@@ -12,11 +12,12 @@ and the origin, and :func:`.fractional._assemble` turns it into entries:
   integral_0^inf Re[M_a(1/2+it) conj(M_b(1/2+it))] dt, truncated at
   ``t_max_raw`` and integrated on equal Gauss-Kronrod K15 panels.  The
   integrand is |zeta/s|^2 times cosines of ladder displacements, so the
-  table holds cosine moments of |zeta/s|^2 (145 on 8x8; see
-  :func:`_pair_matrices`).  Every displacement frequency is
-  dj log 2 + dk log 3, so e^{i omega t} factors into one exponential per
-  distinct dj and one per distinct dk, and all moments come from one
-  complex matrix product per slab of nodes (see :func:`_moments`).
+  table holds cosine moments of |zeta/s|^2 on a (dj, dk) grid (9 x 17 =
+  153 cells on 8x8, covering its 145 distinct frequencies; see
+  :func:`_pair_matrices`).  Every frequency is dj log 2 + dk log 3, so
+  e^{i omega t} factors into one exponential per dj and one per dk, and
+  the whole grid is one complex matrix product per slab of nodes (see
+  :func:`_moments`).
 
 The raw spectral integrand decays only like (log t)/t^2, so truncation
 leaves a visible deficit; every spectral entry therefore carries an error
@@ -181,30 +182,26 @@ def _spectral_grid(t_max: float, h: float) -> _SpectralGrid:
     return _SpectralGrid(nodes, w_quad, w_diff, power)
 
 
-def _moments(grid: _SpectralGrid, weights, dj: np.ndarray, dk: np.ndarray) -> np.ndarray:
+def _moments(grid: _SpectralGrid, weights, uj: np.ndarray, uk: np.ndarray) -> np.ndarray:
     """C_w(omega) = (1/pi) * sum_nodes w |zeta/s|^2 cos(omega t) at the
-    ladder frequencies omega = dj log 2 + dk log 3, one row per (dj, dk)
-    and one column per weight vector.
+    ladder frequencies omega = dj log 2 + dk log 3, indexed (weight, dj,
+    dk) over every dj in ``uj`` and dk in ``uk``.
 
-    cos is even, so each pair is first turned to dj >= 0.  Then
-    cos(omega t) = Re[e^{i dj log2 t} e^{i dk log3 t}], and every moment is
-    an entry of Re[(A * w |zeta/s|^2) B^T], with A holding e^{i dj log2 t}
-    for each distinct dj and B e^{i dk log3 t} for each distinct dk: a few
-    dozen exponentials per node instead of one cosine per frequency.  The
-    nodes go in slabs of _MOMENT_SLAB.
+    cos(omega t) = Re[e^{i dj log2 t} e^{i dk log3 t}], so a weight's grid
+    is Re[(A * w |zeta/s|^2) B^T], with A holding e^{i dj log2 t} for each
+    dj and B e^{i dk log3 t} for each dk: a few dozen exponentials per
+    node instead of one cosine per frequency.  The nodes go in slabs of
+    _MOMENT_SLAB.
     """
-    flip = np.where(dj < 0, -1, 1)
-    uj, row = np.unique(flip * dj, return_inverse=True)
-    uk, col = np.unique(flip * dk, return_inverse=True)
     wp = np.stack(weights) * grid.power
-    out = np.zeros((len(weights), row.size))
+    out = np.zeros((len(weights), uj.size, uk.size))
     for lo in range(0, grid.nodes.size, _MOMENT_SLAB):
         t = grid.nodes[lo : lo + _MOMENT_SLAB]
         a = np.exp(1j * np.outer(uj * LOG2, t))
         b = np.exp(1j * np.outer(uk * LOG3, t)).T
         for c, w in enumerate(wp[:, lo : lo + _MOMENT_SLAB]):
-            out[c] += ((a * w) @ b).real[row, col]
-    return out.T / math.pi
+            out[c] += ((a * w) @ b).real
+    return out / math.pi
 
 
 def _pair_matrices(points: tuple[LadderPoint, ...], grid: _SpectralGrid, weights):
@@ -212,27 +209,25 @@ def _pair_matrices(points: tuple[LadderPoint, ...], grid: _SpectralGrid, weights
 
     With l = log theta, Re[M_a conj(M_b)] / |zeta/s|^2 = theta_a theta_b
     + sqrt(theta_a theta_b) cos(t(l_a - l_b)) - theta_a sqrt(theta_b) cos(t l_b)
-    - theta_b sqrt(theta_a) cos(t l_a), so each weight vector's moments,
-    one per displacement, fill the table of :func:`.fractional._assemble`.
+    - theta_b sqrt(theta_a) cos(t l_a), so each weight vector's moments
+    on the (dj, dk) grid (153 cells on 8x8, for 145 distinct frequencies)
+    fill the table of :func:`.fractional._assemble`.
     """
     # The origin appended last turns each l_a into the displacement a - 0.
     ij = np.array([tuple(p.index) for p in points] + [(0, 0)], dtype=np.int64)
     dj, dk = (ij[:, None, c] - ij[None, :, c] for c in (0, 1))
-    # With |dk| < span / 2, (dj, dk) -> dj * span + dk is one-to-one and
-    # odd; cos is even, so |key| names the moment of d and of -d.
-    key = np.abs(dj * (2 * int(ij[:, 1].max()) + 1) + dk)
-    # inv ranks the keys and first holds each distinct key's first
-    # position: np.unique's inverse and index.  On a window the largest key
-    # is below the count of keys, so _ranked ranks them with no sort.
-    distinct, inv = _ranked(key)
-    first = np.full(distinct.size, key.size)
-    np.minimum.at(first, inv.ravel(), np.arange(key.size))
+    # cos is even, so d takes the sign with dj > 0, or dj = 0 and dk >= 0:
+    # d and -d read one cell, so the table is exactly symmetric (a cell and
+    # its mirror, computed apart, can differ in the last bit).  On a window
+    # _ranked ranks each axis with no sort.
+    flip = np.where((dj < 0) | ((dj == 0) & (dk < 0)), -1, 1)
+    uj, row = _ranked(flip * dj)
+    uk, col = _ranked(flip * dk)
     theta = np.array([p.theta for p in points])
     # sqrt(theta) via exp(log_theta / 2) so deep indices degrade to 0
     # instead of raising; log_theta == 0.0 keeps the theta = 1 row exact.
     sqrt_theta = np.array([math.exp(0.5 * p.log_theta) for p in points])
-    moments = _moments(grid, weights, dj.ravel()[first], dk.ravel()[first])
-    return [_assemble(theta, sqrt_theta, c[inv]) for c in moments.T]
+    return [_assemble(theta, sqrt_theta, m[row, col]) for m in _moments(grid, weights, uj, uk)]
 
 
 def _displacement_span(points) -> float:
@@ -330,6 +325,16 @@ class GramMatrix:
     @cached_property
     def points(self) -> tuple[LadderPoint, ...]:
         return tuple(self.window.points())
+
+    @cached_property
+    def _pair_columns(self) -> tuple[np.ndarray, ...]:
+        """Columns j, k, j2, k2 of the row-major pair layout: row i*n + m
+        belongs to the pair (points[i], points[m]).  Cached, so the two
+        files of the ``gram`` command share one set."""
+        n = len(self.points)
+        j = np.array([p.index.j for p in self.points])
+        k = np.array([p.index.k for p in self.points])
+        return np.repeat(j, n), np.repeat(k, n), np.tile(j, n), np.tile(k, n)
 
     @property
     def size(self) -> int:
@@ -501,15 +506,6 @@ def cross_validate(
     )
 
 
-def _pair_columns(g: GramMatrix) -> list[np.ndarray]:
-    """Columns j, k, j2, k2 of the row-major pair layout: row i*n + m
-    belongs to the pair (points[i], points[m])."""
-    n = len(g.points)
-    j = np.array([p.index.j for p in g.points])
-    k = np.array([p.index.k for p in g.points])
-    return [np.repeat(j, n), np.repeat(k, n), np.tile(j, n), np.tile(k, n)]
-
-
 def gram_to_csv(g: GramMatrix) -> str:
     """Render all entries as CSV rows ``j,k,j2,k2,value,err_estimate``.
 
@@ -518,7 +514,7 @@ def gram_to_csv(g: GramMatrix) -> str:
     """
     return csv_text(
         ("j", "k", "j2", "k2", "value", "err_estimate"),
-        _pair_columns(g) + [g.entries.ravel(), g.err_estimate.ravel()],
+        [*g._pair_columns, g.entries.ravel(), g.err_estimate.ravel()],
     )
 
 

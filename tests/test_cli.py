@@ -4,9 +4,11 @@ import os
 import re
 import shlex
 
+import numpy as np
 import pytest
 
 import bnladder.cli
+from bnladder import GramMatrix, IndexWindow, QuadratureConfig
 from bnladder.cli import build_parser, main
 
 
@@ -163,6 +165,35 @@ def test_gram_csv_and_normalized(tmp_path):
         else:
             assert flag == "true"
             assert abs(float(value)) <= 1.0 + 1e-12
+
+
+def test_normalized_stays_finite_where_diagonal_products_underflow():
+    """Smoothed windows from j_max ~ 520 have diagonals whose products
+    G_ii G_jj underflow.  Every valid entry stays finite and within
+    rounding of its true ratio, and where the product is a normal double
+    the value keeps the bits of G_ij / sqrt(G_ii G_jj)."""
+    diag = np.array([0.0, 1.0, 3e-150, 1e-170, 2e-300])
+    root = np.sqrt(diag)
+    entries = 0.5 * np.outer(root, root)
+    entries[np.diag_indices_from(entries)] = diag
+    g = GramMatrix(
+        window=IndexWindow(4, 0),
+        method="direct",
+        smoothing=None,
+        entries=entries,
+        err_estimate=np.zeros_like(entries),
+        quad=QuadratureConfig(),
+    )
+    vals, ok = bnladder.cli._normalized(g)
+    assert np.all(np.isfinite(vals))
+    assert not ok[0].any() and not ok[:, 0].any() and ok[1:, 1:].all()
+    off = ok & ~np.eye(diag.size, dtype=bool)
+    assert np.all(np.abs(vals[off] - 0.5) <= 4 * np.finfo(np.float64).eps)
+    assert np.array_equal(np.diag(vals), [0.0, 1.0, 1.0, 1.0, 1.0])
+    prod = np.outer(diag, diag)
+    normal = off & (prod >= np.finfo(np.float64).tiny)
+    assert normal.sum() == 6  # (1, 2), (1, 3), (1, 4) and their mirrors
+    assert np.array_equal(vals[normal], entries[normal] / np.sqrt(prod[normal]))
 
 
 def test_gram_json_deterministic(tmp_path):

@@ -574,17 +574,19 @@ def _complex_pair_matrices(points, grid, weights):
 
 
 def _unique_keyed_pair_matrices(points, grid, weights):
-    """:func:`bnladder.gram._pair_matrices` with its displacement keys
-    ranked by np.unique, as before the bincount ranking."""
+    """:func:`bnladder.gram._pair_matrices` with each displacement turned
+    by its sign (that of dj, or of dk where dj = 0) and each axis ranked
+    by np.unique."""
     ij = np.array([tuple(p.index) for p in points] + [(0, 0)], dtype=np.int64)
     dj, dk = (ij[:, None, c] - ij[None, :, c] for c in (0, 1))
-    key = np.abs(dj * (2 * int(ij[:, 1].max()) + 1) + dk)
-    _, first, inv = np.unique(key, return_index=True, return_inverse=True)
+    sign = np.where(dj != 0, np.sign(dj), np.sign(dk))
+    uj, row = np.unique(sign * dj, return_inverse=True)
+    uk, col = np.unique(sign * dk, return_inverse=True)
     theta = np.array([p.theta for p in points])
     sqrt_theta = np.array([math.exp(0.5 * p.log_theta) for p in points])
-    moments = bnladder.gram._moments(grid, weights, dj.ravel()[first], dk.ravel()[first])
-    inv = inv.reshape(key.shape)
-    return [bnladder.gram._assemble(theta, sqrt_theta, c[inv]) for c in moments.T]
+    moments = bnladder.gram._moments(grid, weights, uj, uk)
+    row, col = row.reshape(dj.shape), col.reshape(dk.shape)
+    return [bnladder.gram._assemble(theta, sqrt_theta, m[row, col]) for m in moments]
 
 
 SHORT_T = 20.0
@@ -691,22 +693,37 @@ def _cosine_moments(grid, weights, dj, dk):
 )
 @example(j_max=8, k_max=8, seed=0, taper=None)
 def test_factorized_moments_match_cosine_accumulation(j_max, k_max, seed, taper):
-    """Every displacement of a random window, in both signs and in random
-    order, on the raw 8x8 grid (K15 panels of width 1/2 to T = 1000): the
-    factorized moments agree with one cosine per node and frequency to
-    1e-14 of the largest moment, and d and -d give the same bits."""
+    """Every cell of a (dj, dk) grid over both signs of each axis, in
+    random order, on the raw 8x8 grid (K15 panels of width 1/2 to
+    T = 1000): the factorized moments agree with one cosine per node and
+    frequency to 1e-14 of the largest moment."""
     grid = _fixed_grid(1000.0, 0.5)
     w = 1.0 if taper is None else np.exp(-((grid.nodes / taper) ** 2))
     weights = (grid.w_quad * w, grid.w_diff * w)
-    dj, dk = np.meshgrid(np.arange(-j_max, j_max + 1), np.arange(-k_max, k_max + 1))
-    order = np.random.default_rng(seed).permutation(dj.size)
-    dj, dk = dj.ravel()[order], dk.ravel()[order]
-    got = bnladder.gram._moments(grid, weights, dj, dk)
-    want = _cosine_moments(grid, weights, dj, dk)
-    assert got.shape == want.shape == (dj.size, 2)
-    assert np.abs(got - want).max() <= 1e-14 * np.abs(want[:, 0]).max()
-    mirrored = bnladder.gram._moments(grid, weights, -dj, -dk)
-    assert np.array_equal(mirrored, got)
+    rng = np.random.default_rng(seed)
+    uj = rng.permutation(np.arange(-j_max, j_max + 1))
+    uk = rng.permutation(np.arange(-k_max, k_max + 1))
+    got = bnladder.gram._moments(grid, weights, uj, uk)
+    dj, dk = np.meshgrid(uj, uk, indexing="ij")
+    want = _cosine_moments(grid, weights, dj.ravel(), dk.ravel()).T.reshape(got.shape)
+    assert got.shape == (2, uj.size, uk.size)
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want[0]).max()
+
+
+@settings(max_examples=20, deadline=None)
+@given(idx=st.lists(st.tuples(st.integers(0, 24), st.integers(0, 24)), min_size=1, max_size=8))
+@example(idx=[(3, 1), (0, 24), (8, 8)])
+def test_pair_matrices_are_exactly_symmetric(idx):
+    """d and -d read one moment, so on the raw 8x8 grid every matrix equals
+    its transpose bit for bit, with a duplicated point and a dj = 0 pair
+    in every point set.  Grid cells themselves are not compared: a cell
+    and its mirror, computed apart, can differ in the last bit."""
+    j, k = idx[0]
+    idx = idx + [idx[0], (j, (k + 7) % 25)]
+    points = tuple(theta_of(ix) for ix in idx)
+    grid = _fixed_grid(1000.0, 0.5)
+    for m in bnladder.gram._pair_matrices(points, grid, (grid.w_quad, grid.w_diff)):
+        assert np.array_equal(m, m.T)
 
 
 @pytest.mark.parametrize("eps", [0.0, 1e-6, 1e-2])
