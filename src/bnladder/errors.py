@@ -2,10 +2,13 @@
 
 Everything raised on purpose derives from :class:`BNLadderError` so callers
 (and the command line driver) can tell our failures apart from genuine bugs.
-Only :func:`_integer` and :func:`_real` decide what an integer or a real is.
+Only :func:`_integer`, :func:`_real` and :func:`_reals` decide what an
+integer or a real is.
 """
 
 import numbers
+
+import numpy as np
 
 __all__ = [
     "BNLadderError",
@@ -45,6 +48,21 @@ def _real(value, name: str) -> float:
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ParameterError(f"{name} must be a real number, got {value!r}")
     return float(value)
+
+
+def _reals(value, name: str):
+    """``value`` as :func:`_real` takes it, or a 1-D float array from a
+    1-D array of integers or reals; bool, string and object arrays raise
+    :class:`ParameterError`."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # a ragged sequence
+        arr = None
+    if arr is not None and arr.ndim == 0:
+        return _real(value, name)
+    if arr is None or arr.ndim != 1 or arr.dtype.kind not in "iuf":
+        raise ParameterError(f"{name} must be a real number or a 1-D array of them, got {value!r}")
+    return arr.astype(np.float64)
 
 
 class ConvergenceError(BNLadderError):

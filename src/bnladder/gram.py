@@ -15,9 +15,12 @@ and the origin, and :func:`.fractional._assemble` turns it into entries:
   table holds cosine moments of |zeta/s|^2 on a (dj, dk) grid (9 x 17 =
   153 cells on 8x8, covering its 145 distinct frequencies; see
   :func:`_pair_matrices`).  Every frequency is dj log 2 + dk log 3, so
-  e^{i omega t} factors into one exponential per dj and one per dk, and
-  the whole grid is one complex matrix product per slab of nodes (see
-  :func:`_moments`).
+  e^{i omega t} factors into one exponential per dj and one per dk, each
+  the product of its values at the panel midpoint and at the node's
+  offset, and the whole grid is one complex matrix product per slab of
+  panels (see :func:`_moments`).  zeta itself comes from the panel
+  evaluator of :mod:`.zeta`, which shares one table of offsets among the
+  panels in the same way.
 
 The raw spectral integrand decays only like (log t)/t^2, so truncation
 leaves a visible deficit; every spectral entry therefore carries an error
@@ -68,7 +71,7 @@ from .fractional import (
 from .io import _ranked, csv_text, json_text
 from .ladder import LOG2, LOG3, IndexWindow, LadderIndex, LadderPoint, theta_of
 from .mellin import SmoothingParams
-from .zeta import _check_grid_top, zeta_half_grid
+from .zeta import _check_grid_top, _panel_zeta
 
 __all__ = [
     "GramMatrix",
@@ -130,21 +133,26 @@ _PANEL_RADIANS = 12.0
 # A target below what roundoff allows is never met, so the halving stops
 # with ConvergenceError before a grid would exceed this many nodes.
 _MAX_GRID_NODES = 1 << 22
-# Nodes per slab of the moment pass (see _moments).
-_MOMENT_SLAB = 1 << 14
+# Panels per slab of the moment pass (see _moments).
+_MOMENT_SLAB = 1 << 10
 
 
 @dataclass(frozen=True)
 class _SpectralGrid:
     """Gauss-Kronrod K15 panels on [0, t_max] with the zeta power spectrum.
 
-    ``w_quad`` holds the K15 weights; ``w_diff`` holds K15 minus the
-    embedded G7 weights, so one dot product gives each entry's K15 - G7
-    difference.  That difference is the error estimate of the cruder G7
-    rule, so as the quadrature term of a budget it is an estimate, not a
-    bound, and a generous one for the K15 value itself.
+    ``groups`` holds ``(mids, offs)`` per group of panels that share their
+    node offsets from the midpoint: the full-width panels, then a clipped
+    last panel if there is one.  ``nodes`` is ``(mids[:, None] +
+    offs).ravel()`` over the groups in turn.  ``w_quad`` holds the K15
+    weights; ``w_diff`` holds K15 minus the embedded G7 weights, so one dot
+    product gives each entry's K15 - G7 difference.  That difference is the
+    error estimate of the cruder G7 rule, so as the quadrature term of a
+    budget it is an estimate, not a bound, and a generous one for the K15
+    value itself.
     """
 
+    groups: tuple[tuple[np.ndarray, np.ndarray], ...]
     nodes: np.ndarray
     w_quad: np.ndarray
     w_diff: np.ndarray
@@ -162,7 +170,7 @@ def _first_width(omega: float, t_max: float, tau: float) -> float:
 
 def _spectral_grid(t_max: float, h: float) -> _SpectralGrid:
     """K15 panels of width h on [0, t_max], with zeta evaluated afresh at
-    every node."""
+    every node by the panel evaluator of :mod:`.zeta`."""
     n_panels = int(math.ceil(t_max / h))
     if 15 * n_panels > _MAX_GRID_NODES:
         raise ConvergenceError(
@@ -170,16 +178,21 @@ def _spectral_grid(t_max: float, h: float) -> _SpectralGrid:
             f"{15 * n_panels} nodes (cap {_MAX_GRID_NODES})"
         )
     edges = np.minimum(np.arange(n_panels + 1) * h, t_max)
-    mids = 0.5 * (edges[:-1] + edges[1:])[:, None]
-    halves = 0.5 * (edges[1:] - edges[:-1])[:, None]
-    # Adding in place saves a node-sized temporary.
-    nodes = halves * _K15_NODES
-    nodes += mids
-    nodes = nodes.ravel()
-    w_quad = (halves * _K15_WEIGHTS).ravel()
-    w_diff = (halves * (_K15_WEIGHTS - _G7_ON_K15)).ravel()
-    power = np.abs(zeta_half_grid(nodes)) ** 2 / (0.25 + nodes**2)
-    return _SpectralGrid(nodes, w_quad, w_diff, power)
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    halves = 0.5 * (edges[1:] - edges[:-1])
+    # The edges are exact multiples of h, so every panel but a clipped last
+    # one has half-width exactly h/2 and the same offsets.
+    full = n_panels - int(halves[-1] != 0.5 * h)
+    groups = tuple(
+        (mids[lo:hi], halves[lo] * _K15_NODES)
+        for lo, hi in ((0, full), (full, n_panels))
+        if hi > lo
+    )
+    nodes = np.concatenate([(m[:, None] + o).ravel() for m, o in groups])
+    w_quad = (halves[:, None] * _K15_WEIGHTS).ravel()
+    w_diff = (halves[:, None] * (_K15_WEIGHTS - _G7_ON_K15)).ravel()
+    power = np.abs(_panel_zeta(groups)) ** 2 / (0.25 + nodes**2)
+    return _SpectralGrid(groups, nodes, w_quad, w_diff, power)
 
 
 def _moments(grid: _SpectralGrid, weights, uj: np.ndarray, uk: np.ndarray) -> np.ndarray:
@@ -189,18 +202,29 @@ def _moments(grid: _SpectralGrid, weights, uj: np.ndarray, uk: np.ndarray) -> np
 
     cos(omega t) = Re[e^{i dj log2 t} e^{i dk log3 t}], so a weight's grid
     is Re[(A * w |zeta/s|^2) B^T], with A holding e^{i dj log2 t} for each
-    dj and B e^{i dk log3 t} for each dk: a few dozen exponentials per
-    node instead of one cosine per frequency.  The nodes go in slabs of
-    _MOMENT_SLAB.
+    dj and B e^{i dk log3 t} for each dk.  Each is the product of its
+    value at the panel midpoint and at the node's offset, so a node costs
+    no exponential at all.  The node t is the rounded mid + off, which
+    moves the product's phase by at most f ulp(t)/2, as much as rounding
+    f t itself would.  The panels go in slabs of _MOMENT_SLAB.
     """
     wp = np.stack(weights) * grid.power
     out = np.zeros((len(weights), uj.size, uk.size))
-    for lo in range(0, grid.nodes.size, _MOMENT_SLAB):
-        t = grid.nodes[lo : lo + _MOMENT_SLAB]
-        a = np.exp(1j * np.outer(uj * LOG2, t))
-        b = np.exp(1j * np.outer(uk * LOG3, t)).T
-        for c, w in enumerate(wp[:, lo : lo + _MOMENT_SLAB]):
-            out[c] += ((a * w) @ b).real
+    freqs = (uj * LOG2, uk * LOG3)
+    lo = 0  # the slab's first node
+    for mids, offs in grid.groups:
+        at_offs = [np.exp(1j * np.outer(f, offs))[:, None, :] for f in freqs]
+        for first in range(0, mids.size, _MOMENT_SLAB):
+            m = mids[first : first + _MOMENT_SLAB]
+            # e^{i f t} = e^{i f mid} e^{i f off}, frequencies by nodes
+            a, b = (
+                (np.exp(1j * np.outer(f, m))[:, :, None] * at_off).reshape(f.size, -1)
+                for f, at_off in zip(freqs, at_offs)
+            )
+            hi = lo + a.shape[1]
+            for c, w in enumerate(wp[:, lo:hi]):
+                out[c] += ((a * w) @ b.T).real
+            lo = hi
     return out / math.pi
 
 

@@ -166,7 +166,8 @@ def shell(
         for cand in {(center.j + dj, center.k + dk), (center.j + dj, center.k - dk)}:
             if cand[0] < 0 or cand[1] < 0:
                 continue
-            if window is not None and cand not in window:
+            # cand holds plain ints >= 0, so the window test is two bounds
+            if window is not None and (cand[0] > window.j_max or cand[1] > window.k_max):
                 continue
             out.add(LadderIndex(*cand))
     return sorted(out)

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, _real
+from .errors import ParameterError, _real, _reals
 from .fractional import _ABS_TOL, DEFAULT_QUAD, QuadratureConfig, _check_theta, _sweep
 from .zeta import zeta_half, zeta_half_grid
 
@@ -108,26 +108,31 @@ def _mellin_cutoff(theta: float, quad: QuadratureConfig) -> float:
     return min(1.0e-2, max((_ABS_TOL / (8.0 * coef)) ** (2.0 / 3.0), np.finfo(float).tiny))
 
 
-def mellin_direct(theta: float, t: float, quad: QuadratureConfig | None = None) -> complex:
+def mellin_direct(theta: float, t, quad: QuadratureConfig | None = None):
     """Piecewise-exact Mellin transform at s = 1/2 + it.
 
     Walks the step structure of f_theta above the cutoff, then adds the
     mean-value tail term (1-theta)/2 * x_min^s / s.  Independent of the
     zeta evaluator, which is the point: disagreements with
-    :func:`mellin_closed` implicate one side or the other.
+    :func:`mellin_closed` implicate one side or the other.  ``t`` is a real
+    ordinate, giving a complex, or a 1-D array of them, giving an array:
+    one sweep serves every ordinate, each with the bits of its own call.
     """
     theta = _check_theta(theta)
     quad = quad if quad is not None else DEFAULT_QUAD
-    s = 0.5 + 1j * _real(t, "t")
-    if theta == 1.0:
-        return 0.0 + 0.0j
-    x_min = _mellin_cutoff(theta, quad)
-    total = 0.0 + 0.0j
-    for e, f in _sweep((theta,), x_min, "transform"):
-        # x-interval of u-piece [e_i, e_{i+1}) is (1/e_{i+1}, 1/e_i]
-        pow_edges = np.exp(-s * np.log(e))
-        total += np.dot(f[0], pow_edges[:-1] - pow_edges[1:]) / s
-    # Mean-value restoration of the cut tail; x_min^s as exp(s log x_min),
-    # stable where float x^s is not.
-    total += 0.5 * (1.0 - theta) * np.exp(s * math.log(x_min)) / s
-    return complex(total)
+    ts = _reals(t, "t")
+    s = 0.5 + 1j * np.atleast_1d(ts)
+    total = np.zeros(s.size, dtype=np.complex128)
+    if theta != 1.0:
+        x_min = _mellin_cutoff(theta, quad)
+        for e, f in _sweep((theta,), x_min, "transform"):
+            # x-interval of u-piece [e_i, e_{i+1}) is (1/e_{i+1}, 1/e_i]
+            log_e = np.log(e)
+            # a row per ordinate keeps a scalar call's memory and operations
+            for i, s_i in enumerate(s):
+                pow_edges = np.exp(-s_i * log_e)
+                total[i] += np.dot(f[0], pow_edges[:-1] - pow_edges[1:]) / s_i
+        # Mean-value restoration of the cut tail; x_min^s as exp(s log x_min),
+        # stable where float x^s is not.
+        total += 0.5 * (1.0 - theta) * np.exp(s * math.log(x_min)) / s
+    return complex(total[0]) if np.ndim(ts) == 0 else total

@@ -62,6 +62,17 @@ the cap, in place of a cutoff sweep: the 4x4 Gram entries moved by at most
 the build, the other files moved by at most: ``g.normalized.*`` 2.6e-13
 (0.0026) on 4x4 and 3.3e-9 (0.57) on the 2x2; every ``d.*`` file 2.3e-12
 (0.023); ``t.json`` 6.7e-13 (0.0066) and ``t.csv`` 4.8e-13 (0.0048).
+The eleven cases that depend on zeta were
+re-frozen when the spectral route was factored over its K15 panels:
+zeta's head sum became a table over the panel midpoints times one table
+over the shared offsets, with a first-order term in each node's rounding,
+scalar and grid calls became the one-offset case of that evaluator, and
+the moment exponentials became midpoint times offset products.  Gram
+entries moved by at most 1.2e-15 (the 1x1 raw window at t_max_raw = 50),
+at most 4.4e-6 of their budgets, and budgets by at most 2.0e-7 relative;
+every decay and truncate number moved by at most 3.6e-15, and |M| in the
+spectrum cases by at most 2.4e-15 (3.6e-13 relative, where |M| = 3.1e-4
+beside the zero of zeta at t = 69.55).
 The values depend on float64 arithmetic only (no randomness), so a
 mismatch means a changed number or a changed format, not noise.
 """
@@ -81,43 +92,43 @@ GOLDEN = {
         ["gram", *SMOOTHED_4],
         "g.csv",
         {
-            "g.csv": "2eacf97d16293e94d0a0e41ffc546659f455e886c303026d0fafa9de88293d73",
-            "g.normalized.csv": "1ce0dba0cc358ba4b44b9a0fce5a2480c5279c6cf9b0bebba998258ee0526630",
+            "g.csv": "1a04ba1caa7800775f4fab60544aeec38e708920be5bc2fc7a4580a1bc23f388",
+            "g.normalized.csv": "f71ed1508159a88172d2549847cea8ec8190058d60b7bd879e79029e291ef86f",
         },
     ),
     "gram_smoothed_4_json": (
         ["gram", *SMOOTHED_4, "--format", "json"],
         "g.json",
         {
-            "g.json": "287d1ed5672886e3a987913b74c9e95f41d8ee573ad1456fff086b9ad29d34ec",
-            "g.normalized.json": "ea647901e84c0fcb9b8ff4500a8e5858b4d000cd852faf2011871f0b94defe5e",
+            "g.json": "aa0a130d3474f8f6d4b4627dc76088edb4744cb67d125b21c3deda91d9fae670",
+            "g.normalized.json": "1f09c097f8100db35c5f9b46b6d0776425c8c0c755bf6fd92d2a56d31d71f569",
         },
     ),
     "decay_smoothed_4": (
         ["decay", *SMOOTHED_4],
         "d.json",
         {
-            "d.json": "f96c174fac6e9847d4266ef06a67fb1181cf6d0cd249e6338de7fe36c83b76bd",
-            "d.shells.csv": "8abe0ed8402560aeb07d3c910569b64c20a757e45d259cb7de2227dc13cd26b7",
+            "d.json": "5c1e4592c01d7f9051bf8d8187a31eb5f6286bf55ac8715f8d2bdcdc55c2234e",
+            "d.shells.csv": "ecb48c89f0cca7ce4ba2372826725e9253583c71b7d65ec269e9da1e6be43aa8",
         },
     ),
     "decay_smoothed_4_csv_with_zero_row": (
         ["decay", *SMOOTHED_4, "--format", "csv", "--exclude-zero-row", "false"],
         "d.csv",
         {
-            "d.csv": "cebe5e75adc2498c5002c99521d5916ccd7774a542120dbd236d0c5233388c47",
-            "d.report.json": "6f0cdc19339f1304dc3fc0ec3a2de8b4be0d16bf1b9e2e8e3ff525330b6b426b",
+            "d.csv": "c2a0ff967bdf01dab4a5d8f7bc172fe0a3b693373dc4e9828afc208c17b2154e",
+            "d.report.json": "f0343a8e543a27f220b9113f5ea2ecaff27da8e8e49ac107151e55818038b633",
         },
     ),
     "truncate_smoothed_4": (
         ["truncate", "--jmax", "4", "--kmax", "4"],
         "t.json",
-        {"t.json": "2c3f5a8060e36f4b43b2c6ca24c0b803762fdb38920ed67f27577f064806a9a1"},
+        {"t.json": "26a26cc75d35f563112cc7f7ebf6cd3d163826a058177b00498876f3114b14ee"},
     ),
     "truncate_smoothed_4_csv": (
         ["truncate", "--jmax", "4", "--kmax", "4", "--format", "csv"],
         "t.csv",
-        {"t.csv": "13a09e7db5f39d9672eebc38e3d70f4241ad61631d7ec3d9252df2c35d89ae13"},
+        {"t.csv": "96c9ba60b5fbd67c1e4dadac8852667927825166bd592bee1786560d655d7f52"},
     ),
     "gram_raw_3": (
         ["gram", *RAW_3],
@@ -148,12 +159,12 @@ GOLDEN = {
     "spectrum_csv": (
         ["spectrum", "--theta", "1/6", "--points", "20"],
         "s.csv",
-        {"s.csv": "1c6d5370d7a946ddca227efa55447b3580fe042fe68f6b4e3972e01730507352"},
+        {"s.csv": "ae5decf783af728819dfb1e90d40c94f2f53c6a2f909413d38c4ecea0faaf542"},
     ),
     "spectrum_json": (
         ["spectrum", "--theta", "1/6", "--points", "20", "--format", "json"],
         "s.json",
-        {"s.json": "579bae5ee742617ff22d6aef748c9257a69a08eac1f2cb873443b9bcd00c12a5"},
+        {"s.json": "8d3e6cb78749ee1f107cca41cd16f77aef2485f27268c915fdb4371da1d6d6e7"},
     ),
     # frozen from the per-subcommand cmd_* functions before the CLI handlers
     # were rebound to argparse, to pin the flags no case above exercises
@@ -162,8 +173,8 @@ GOLDEN = {
          "--tmax-raw", "50"],
         "g.csv",
         {
-            "g.csv": "87e751ed6efac5e990de62fc918ca9bf90f5b0fc16e29c2c50cf67772eb5cbce",
-            "g.normalized.csv": "ed7768086d02f1a92975d97e79703cc65d4d28775cf507bbd9cd48ed73888538",
+            "g.csv": "eaeb30eec4650f789ab15f3a6fd67551c2e5a7912f77e9954199bf7f47ae510a",
+            "g.normalized.csv": "cc3693f5d87d62ddc42edbbad1bbf2698c8b6aa11299bc45963917e8d4d8a909",
         },
     ),
     "gram_smoothed_2_quad_json": (
@@ -172,8 +183,8 @@ GOLDEN = {
          "--x-min", "1e-3", "--tmax-raw", "500", "--format", "json"],
         "g.json",
         {
-            "g.json": "3d0b4597eadb42e794b698ecbb6a6ff53e7064d436c344c8bda36a0c3f80099e",
-            "g.normalized.json": "8a68c6a65d4c9d330cbf14ac8de7efda18456e55273a7690f4bc0c7cadf643e0",
+            "g.json": "7cee573288b831bce820875cac0742bce94f2676a998a8099838935851322994",
+            "g.normalized.json": "b4ed236c3574025b71d229685ff4feed40b56f6ce1f180fcbcbd693705a0f14c",
         },
     ),
     "truncate_raw_3_direct_csv": (
@@ -190,7 +201,7 @@ GOLDEN = {
         ["spectrum", "--theta", "1/4", "--W", "2", "--eps", "0", "--tmin", "1", "--tmax", "30",
          "--points", "9"],
         "s.csv",
-        {"s.csv": "d0642d240f381efba857ba7bc481534656644059c54c6d892af969eabeb2ca2c"},
+        {"s.csv": "01ddf533d56680600011022f1a33b9cae894ef7a52949b76c719eea451342575"},
     ),
 }
 

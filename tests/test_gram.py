@@ -35,7 +35,6 @@ from bnladder import (
     pair_inner_matrix,
     shell_stats,
     theta_of,
-    zeta_half_grid,
 )
 from bnladder.fractional import _unit_inner_matrix
 
@@ -412,9 +411,21 @@ def test_embedded_g7_nodes_and_exactness():
 @pytest.mark.parametrize("t_max,h", [(20.0, 1 / 16), (37.3, 0.25), (1000.0, 0.125)])
 def test_spectral_grid_matches_panel_loop(monkeypatch, t_max, h):
     """The vectorized grid equals a per-panel loop over K15 panels, bit for
-    bit."""
-    monkeypatch.setattr(bnladder.gram, "zeta_half_grid", lambda ts: np.zeros(ts.shape, complex))
+    bit, and its panel groups lay out the same nodes: the full-width panels,
+    then a clipped last one with its own offsets."""
+    seen = []
+
+    def spy(groups):
+        seen.append(groups)
+        return np.zeros(sum(m.size * o.size for m, o in groups), complex)
+
+    monkeypatch.setattr(bnladder.gram, "_panel_zeta", spy)
     grid = bnladder.gram._spectral_grid(t_max, h)
+    (groups,) = seen
+    assert groups is grid.groups
+    assert [m.size for m, _ in groups] == ([math.floor(t_max / h), 1] if t_max % h else [t_max / h])
+    assert np.array_equal(groups[0][1], 0.5 * h * K15_NODES)
+    assert np.array_equal(np.concatenate([(m[:, None] + o).ravel() for m, o in groups]), grid.nodes)
     n_panels = int(math.ceil(t_max / h))
     edges = np.minimum(np.arange(n_panels + 1) * h, t_max)
     nodes, w_quad, w_diff = [], [], []
@@ -524,17 +535,17 @@ def test_repeated_spectral_calls_repeat_their_bits(monkeypatch):
     call rejects a candidate: the smoothed 2x2 build at W = 2 tries h = 1/2
     and 1/4 before it accepts 1/8."""
     sizes, tried = [], []
-    real_zeta, real_grid = bnladder.gram.zeta_half_grid, bnladder.gram._spectral_grid
+    real_zeta, real_grid = bnladder.gram._panel_zeta, bnladder.gram._spectral_grid
 
-    def spy_zeta(ts):
-        sizes.append(ts.size)
-        return real_zeta(ts)
+    def spy_zeta(groups):
+        sizes.append(sum(m.size * o.size for m, o in groups))
+        return real_zeta(groups)
 
     def spy_grid(t, h):
         tried.append(h)
         return real_grid(t, h)
 
-    monkeypatch.setattr(bnladder.gram, "zeta_half_grid", spy_zeta)
+    monkeypatch.setattr(bnladder.gram, "_panel_zeta", spy_zeta)
     monkeypatch.setattr(bnladder.gram, "_spectral_grid", spy_grid)
     sm = SmoothingParams(W=2.0, epsilon=1e-2)
     calls = [
@@ -562,8 +573,10 @@ def test_width_search_stops_at_the_node_cap(monkeypatch):
 def _complex_pair_matrices(points, grid, weights):
     """The per-node accumulation the moment route replaced: form
     M_a(1/2+it) = zeta/s * (theta - theta^s) at every node and return
-    (1/pi) * sum_nodes w * Re[M_a conj(M_b)] for each weight vector."""
-    kernel = zeta_half_grid(grid.nodes) / (0.5 + 1j * grid.nodes)
+    (1/pi) * sum_nodes w * Re[M_a conj(M_b)] for each weight vector.  The
+    phase of zeta/s cancels in M_a conj(M_b), so |zeta/s| comes from the
+    grid's own power spectrum: both routes see the same zeta values."""
+    kernel = np.sqrt(grid.power)
     theta = np.array([p.theta for p in points])
     sqrt_theta = np.array([math.exp(0.5 * p.log_theta) for p in points])
     log_theta = np.array([p.log_theta for p in points])
@@ -636,9 +649,7 @@ def test_moments_match_complex_accumulation(idx, eps):
     # Both sums round on the scale of the absolute accumulation: (1/pi)
     # sum_nodes |w| r_a r_b with r >= |M|, per entry and per weight vector.
     theta = np.array([p.theta for p in points])
-    r = np.abs(zeta_half_grid(grid.nodes) / (0.5 + 1j * grid.nodes)) * (theta + np.sqrt(theta))[
-        :, None
-    ]
+    r = np.sqrt(grid.power) * (theta + np.sqrt(theta))[:, None]
     for g, w, weight in zip(got, want, weights):
         assert np.all(np.abs(g - w) <= 1e-14 * ((r * np.abs(weight)) @ r.T) / math.pi)
         assert np.array_equal(g, g.T)

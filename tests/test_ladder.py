@@ -154,6 +154,16 @@ def test_shell_interior_counts():
     assert len(shell((5, 5), 3, window=w)) == 12
 
 
+def test_shell_window_clip_matches_window_membership():
+    # The clip tests two bounds; IndexWindow.__contains__ gives the same set.
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        j_max, k_max, cj, ck, r = (int(v) for v in rng.integers(0, 9, 5))
+        w = IndexWindow(j_max, k_max)
+        want = sorted(ix for ix in shell((cj, ck), r) if ix in w)
+        assert shell((cj, ck), r, window=w) == want
+
+
 def test_shell_unbounded_interior_is_4r():
     for r in range(1, 9):
         assert len(shell((20, 20), r)) == 4 * r

@@ -96,3 +96,26 @@ def test_closed_form_uses_fresh_zeta():
     t = 33.7
     expected = zeta_half(t) * (0.5 - math.exp(0.5 * math.log(0.5)) * np.exp(1j * t * math.log(0.5))) / (0.5 + 1j * t)
     assert mellin_closed(0.5, t) == pytest.approx(expected, rel=1e-12)
+
+
+def test_direct_array_call_repeats_the_scalar_calls():
+    # One sweep serves every ordinate, each with the operations of its own
+    # call: measured against the scalar calls the difference is 0, so the
+    # tolerance is equality.
+    ts = np.array([0.0, 1.0, 5.0, 20.0, 123.4])
+    for theta in (0.5, 1.0 / 3.0, 1.0 / 12.0, 1.0):
+        got = mellin_direct(theta, ts)
+        assert got.shape == ts.shape and got.dtype == np.complex128
+        assert np.array_equal(got, [mellin_direct(theta, float(t)) for t in ts])
+    assert np.array_equal(mellin_direct(0.5, [1, 5]), mellin_direct(0.5, np.array([1.0, 5.0])))
+    assert isinstance(mellin_direct(0.5, 5.0), complex)
+
+
+@pytest.mark.parametrize(
+    "ts",
+    [np.array([True, False]), np.array(["1", "2"]), np.array([[1.0, 2.0]]), [1.0, None], [1.0, [2.0]]],
+    ids=["bool", "str", "2d", "none", "ragged"],
+)
+def test_direct_rejects_non_real_ordinate_arrays(ts):
+    with pytest.raises(ParameterError):
+        mellin_direct(0.5, ts)

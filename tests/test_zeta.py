@@ -5,35 +5,88 @@ from math import comb, factorial, inf, nextafter
 import numpy as np
 import pytest
 
+import bnladder.gram
 import bnladder.zeta
 from bnladder import T_CAP, ZetaRangeError, zeta_half, zeta_half_grid, zeta_selfcheck
 from bnladder.oracle import ZETA_ORACLE
 
 
 # zeta(1/2 + i t) above the oracle table's reach, from mpmath at 40 digits
-# and rounded to 30, with tolerances on the absolute error of each route:
-# the scalar call, about 4x its largest error over four summation orders
-# of the same terms (so that another BLAS does not trip it), and one grid
-# over all six points, whose block starts at t = 150 and sums every point
-# to the term count of t = 9999.
+# and rounded to 30, with the tolerance of the scalar call on its absolute
+# error: about 4x its largest error over four summation orders of the same
+# terms (so that another BLAS does not trip it).  The ordinates lie more
+# than _SPAN apart, so a grid over all six takes each as its own block and
+# repeats the scalar calls' bits.
 HIGH_T = (
-    (150.0, complex(-0.0635050565486052305800892886459, -0.0651927599258052326532936766778), 2.2e-15, 2.6e-13),
-    (500.0, complex(-0.396256507275146617829576525567, -1.41812674134537081553125171514), 2.9e-15, 2.1e-12),
-    (1000.0, complex(0.356334367194396055074402476711, 0.931997831232993665115060432737), 2.9e-15, 1.7e-12),
-    (2500.0, complex(0.590883896839177563092591156037, 0.405404442479313334755408418409), 1.8e-15, 8.7e-12),
-    (5000.0, complex(0.406842713635432558981330918771, -0.693764159198085102454522258529), 2.9e-15, 7.5e-12),
-    (9999.0, complex(1.39985791048172059768481915305, 1.07187619213679093666341596683), 6.0e-15, 5.9e-11),
+    (150.0, complex(-0.0635050565486052305800892886459, -0.0651927599258052326532936766778), 2.2e-15),
+    (500.0, complex(-0.396256507275146617829576525567, -1.41812674134537081553125171514), 2.9e-15),
+    (1000.0, complex(0.356334367194396055074402476711, 0.931997831232993665115060432737), 2.9e-15),
+    (2500.0, complex(0.590883896839177563092591156037, 0.405404442479313334755408418409), 1.8e-15),
+    (5000.0, complex(0.406842713635432558981330918771, -0.693764159198085102454522258529), 2.9e-15),
+    (9999.0, complex(1.39985791048172059768481915305, 1.07187619213679093666341596683), 6.0e-15),
 )
+
+# zeta(1/2 + i t) at stored nodes of the K15 grid on [0, 37.3] at panel
+# width 1/4 (``gram._spectral_grid(37.3, 0.25)``): the 15 nodes of full
+# panel 144 and those of the clipped last panel [37.25, 37.3], as (index
+# in ``grid.nodes``, node, value), from mpmath at 40 digits rounded to 30.
+PANEL_NODES = (
+    (2160, 36.0010680786099, complex(2.37714919929074455670091177111, -1.18960691833080671393207733537)),
+    (2161, 36.006361510957156, complex(2.36725043720977330527237975343, -1.19836185965584762688758526145)),
+    (2162, 36.016891947080026, complex(2.34736278884293340866567938578, -1.21553021029426948656348037308)),
+    (2163, 36.032308601800075, complex(2.31778749379169936510212898642, -1.2400612551708300512490876122)),
+    (2164, 36.05173909556654, complex(2.2797592783237009206930424072, -1.26993896705040983264437964833)),
+    (2165, 36.07426935607783, complex(2.23465869536051127839009304419, -1.30309934435192257409837199869)),
+    (2166, 36.09902688062401, complex(2.1839210966812720230358841562, -1.33765738101565037963352678805)),
+    (2167, 36.125, complex(2.12945056899066667901511679782, -1.37174579418236269735138967032)),
+    (2168, 36.15097311937599, complex(2.07380158713313066900831891213, -1.40356602523712000780708236187)),
+    (2169, 36.17573064392217, complex(2.0197486128198753949034330598, -1.43174283501412597154573093353)),
+    (2170, 36.19826090443346, complex(1.96977610084748618456413360801, -1.45552578501987530093471116259)),
+    (2171, 36.217691398199925, complex(1.92613208472172052652408436414, -1.47459391541228238642923997673)),
+    (2172, 36.233108052919974, complex(1.89117323821712056294440388886, -1.48876206388209879480044057316)),
+    (2173, 36.243638489042844, complex(1.86713836237603093865066596494, -1.49794710114606092772929656415)),
+    (2174, 36.2489319213901, complex(1.85501126408555372504386139051, -1.50241246286807555239594695899)),
+    (2235, 37.25021361572198, complex(3.85468704751462899681089112112e-3, -6.63505398290990151852599078815e-1)),
+    (2236, 37.25127230219143, complex(3.21935451253479303306805858875e-3, -6.61405332309000202391005187662e-1)),
+    (2237, 37.25337838941601, complex(1.96720834453243341798442086129e-3, -6.5722550240252509297329177437e-1)),
+    (2238, 37.256461720360015, complex(1.62265992454764470899710642598e-4, -6.5110129000809018528546804615e-1)),
+    (2239, 37.260347819113306, complex(-2.06482296469404755881397864259e-3, -6.43374544791556858709363894093e-1)),
+    (2240, 37.264853871215564, complex(-4.5804322429452037974221363746e-3, -6.34404347451131323582288719257e-1)),
+    (2241, 37.2698053761248, complex(-7.26197004642694853986364859367e-3, -6.24534654508306992930298632689e-1)),
+    (2242, 37.275, complex(-9.98194927593626439260792614687e-3, -6.14166817070381541116804914737e-1)),
+    (2243, 37.2801946238752, complex(-1.26063921463619050837588119661e-2, -6.03785958226999785535004132927e-1)),
+    (2244, 37.28514612878443, complex(-1.50190037129023855272377975054e-2, -5.93879610821024535949982691964e-1)),
+    (2245, 37.28965218088669, complex(-1.71390212661835154915696629464e-2, -5.84855493576045520593217684175e-1)),
+    (2246, 37.29353827963998, complex(-1.89095165594412766247743679852e-2, -5.77066512262362297039026895663e-1)),
+    (2247, 37.29662161058399, complex(-2.02761422554900970370993035598e-2, -5.70882553497443864019146254228e-1)),
+    (2248, 37.298727697808566, complex(-2.11902247408250302974099185848e-2, -5.66656641551799325460960387944e-1)),
+    (2249, 37.299786384278015, complex(-2.16437669670124944993519575597e-2, -5.64531795054215865406417118833e-1)),
+)
+# The evaluator errs by at most 1.6e-15 on these nodes.  Without the
+# first-order term in the node's rounding e it errs by up to 9.0e-15 on
+# panel 144 and 5.6e-15 on the last panel.
+PANEL_TOL = 3.0e-15
 
 # What the module docstring promises of Backlund's bound on [0, T_CAP].
 TRUNCATION_TARGET = 4.0e-19
 
 
 def test_high_ordinates_match_frozen_values():
-    grid = zeta_half_grid(np.array([t for t, _, _, _ in HIGH_T]))
-    for (t, ref, tol_scalar, tol_grid), g in zip(HIGH_T, grid):
-        assert abs(zeta_half(t) - ref) <= tol_scalar, t
-        assert abs(g - ref) <= tol_grid, t
+    grid = zeta_half_grid(np.array([t for t, _, _ in HIGH_T]))
+    for (t, ref, tol), g in zip(HIGH_T, grid):
+        assert abs(zeta_half(t) - ref) <= tol, t
+        assert g == zeta_half(t), t
+
+
+def test_panel_evaluator_matches_frozen_values_at_the_grid_nodes():
+    grid = bnladder.gram._spectral_grid(37.3, 0.25)
+    (mids, offs), (last, last_offs) = grid.groups
+    assert mids.size == 149 and np.array_equal(last, [37.275])
+    assert not np.array_equal(offs, last_offs)  # the clipped panel has its own offsets
+    values = bnladder.zeta._panel_zeta(grid.groups)
+    for i, t, ref in PANEL_NODES:
+        assert grid.nodes[i] == t
+        assert abs(values[i] - ref) <= PANEL_TOL, t
 
 
 @pytest.mark.parametrize("t,ref,is_zero", ZETA_ORACLE)
@@ -121,18 +174,23 @@ def test_backlund_bound_below_target_at_every_block_top():
 
 
 def test_backlund_bound_below_target_on_the_grid_blocks(monkeypatch):
+    # The tail runs once per grid, with the N of each node's block; a
+    # panel grid's two groups (full panels and a clipped last one) share it.
     tail = bnladder.zeta._tail
     bounds = []
 
     def spy(s, n):
         series, bound = tail(s, n)
-        bounds.append(bound)
+        bounds.append((s.size, bound))
         return series, bound
 
     monkeypatch.setattr(bnladder.zeta, "_tail", spy)
     zeta_half_grid(np.linspace(0.0, T_CAP, 3 * 512 + 7))
-    assert len(bounds) == 4
-    assert max(float(np.max(b)) for b in bounds) < TRUNCATION_TARGET
+    offs = 0.2 * np.linspace(-1.0, 1.0, 15)
+    mids = np.arange(0.5, T_CAP - 40.0, 37.0)
+    bnladder.zeta._panel_zeta([(mids, offs), ([T_CAP - 0.1], 0.5 * offs)])
+    assert [size for size, _ in bounds] == [3 * 512 + 7, 15 * (mids.size + 1)]
+    assert max(float(np.max(b)) for _, b in bounds) < TRUNCATION_TARGET
 
 
 def _omega(k):
@@ -147,18 +205,20 @@ def _omega(k):
 
 @pytest.mark.parametrize("lo,hi", [(0.0, 40.0), (2500.0, 2530.0), (T_CAP - 30.0, T_CAP)])
 def test_power_table_rows_match_direct_phases(lo, hi):
-    # Reference row k: cos/sin of (t_a ln k mod 2 pi) + (t - t_a) ln k, with
-    # t_a ln k mod 2 pi from 40-digit decimal logarithms rounded once.
+    # Reference row k: cos/sin of (t_a ln k mod 2 pi) + (t - t_a) ln k at
+    # the block's middle ordinate t_a, with t_a ln k mod 2 pi from 40-digit
+    # decimal logarithms rounded once.
     ts = np.linspace(lo, hi, 7)
-    n = bnladder.zeta._terms(hi)
-    table = bnladder.zeta._powers(ts, bnladder.zeta._phase_reducer(bnladder.zeta._terms(T_CAP)))
+    n = int(bnladder.zeta._terms(hi))
+    table = bnladder.zeta._powers(ts, bnladder.zeta._phase_reducer(int(bnladder.zeta._terms(T_CAP))), n)
     assert table.shape == (n + 1, ts.size)
     ctx = decimal.Context(prec=40)
     two_pi = ctx.create_decimal("6.283185307179586476925286766559005768394")
-    t_a = decimal.Decimal(float(ts[0]))
+    t_mid = float(ts[3])
+    t_a = decimal.Decimal(t_mid)
     reduced = [float(ctx.remainder(ctx.multiply(t_a, ctx.ln(k)), two_pi)) for k in range(1, n + 1)]
     k = np.arange(1, n + 1)
-    phase = np.array(reduced)[:, None] + np.outer(np.log(k), ts - ts[0])
+    phase = np.array(reduced)[:, None] + np.outer(np.log(k), ts - t_mid)
     ref_re, ref_im = np.cos(phase), -np.sin(phase)
     omega = np.array([_omega(int(j)) for j in k])
     prime = omega == 1
@@ -177,6 +237,6 @@ def test_power_table_rows_match_direct_phases(lo, hi):
     # factors, the rest grows with Omega(k).
     u = 2.0**-53
     tol = u * (16.0 * (omega + 1) + 3.0 * (omega - 1))[:, None]
-    tol = tol + 6.0 * u * np.outer(np.log(k), ts - ts[0])
+    tol = tol + 6.0 * u * np.outer(np.log(k), np.abs(ts - t_mid))
     err = np.abs(table[1:] - (ref_re + 1j * ref_im))
     assert np.all(err <= tol)
