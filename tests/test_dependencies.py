@@ -7,7 +7,9 @@ Every public name has a use outside the tests, or is a deliberate API.
 import ast
 import importlib
 import pathlib
+import os
 import pkgutil
+import subprocess
 import sys
 
 import bnladder
@@ -132,3 +134,22 @@ def test_spectral_builds_leave_module_state_unchanged():
     build_gram(IndexWindow(1, 2), "smoothed", smoothing=SmoothingParams(W=1.7, epsilon=1e-3))
     inner_spectral((1, 1), (2, 0), quad=QuadratureConfig(t_max_raw=17.0))
     assert _module_containers() == before
+
+
+def test_cli_start_spectral_builds_and_zeta_leave_decimal_unimported():
+    """zeta reduces its phases from a frozen ln p table: CLI start-up, a
+    raw spectral build, a scalar call at the cap and the self-check import
+    no ``decimal`` (nor ``fractions``, which imports it)."""
+    code = (
+        "import sys\n"
+        "import bnladder.cli\n"
+        "from bnladder import IndexWindow, build_gram, zeta_half, zeta_selfcheck\n"
+        "build_gram(IndexWindow(2, 2), 'raw', method='spectral')\n"
+        "zeta_half(9999.0)\n"
+        "assert zeta_selfcheck().passed\n"
+        "print(sorted({'decimal', 'fractions'} & set(sys.modules)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "[]\n"

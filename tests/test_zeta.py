@@ -1,6 +1,7 @@
 import decimal
+import math
 from fractions import Fraction
-from math import comb, factorial, inf, nextafter
+from math import comb, factorial, inf, isqrt, nextafter
 
 import numpy as np
 import pytest
@@ -203,25 +204,107 @@ def _omega(k):
     return count + (k > 1)
 
 
+# 2 pi to 70 digits (from mpmath), and the 40-digit decimal reduction the
+# frozen ln p table and the reducer are checked against.
+TWO_PI_70 = "6.283185307179586476925286766559005768394338798750211641949889184615633"
+CTX_40 = decimal.Context(prec=40)
+TWO_PI_40 = CTX_40.create_decimal(TWO_PI_70)
+
+
+def _primes_to(n):
+    """The primes <= n, by trial division."""
+    return [p for p in range(2, n + 1) if all(p % d for d in range(2, isqrt(p) + 1))]
+
+
+def _decimal_phases(ts, ks):
+    """t ln k mod 2 pi in 40-digit decimal arithmetic, rounded once: rows t."""
+    logs = [CTX_40.ln(int(k)) for k in ks]
+    mul, rem = CTX_40.multiply, CTX_40.remainder
+    rows = ([mul(decimal.Decimal(float(t)), lg) for lg in logs] for t in ts)
+    return np.array([[float(rem(x, TWO_PI_40)) for x in row] for row in rows])
+
+
+def test_log_table_is_the_decimal_logs_split_into_words():
+    # w1 = float(L), w2 = float(L - w1), w3 = float(L - w1 - w2), with L at
+    # 60 digits and the differences exact.
+    primes = _primes_to(int(bnladder.zeta._terms(T_CAP)))
+    ctx, exact = decimal.Context(prec=60), decimal.Context(prec=200)
+    want = []
+    for p in primes:
+        rest, words = ctx.ln(p), []
+        for _ in range(3):
+            words.append(float(rest))
+            rest = exact.subtract(rest, decimal.Decimal(words[-1]))
+        want.append(words)
+    assert len(primes) == 452 and primes[-1] == 3191
+    assert np.array_equal(bnladder.zeta._LN_PRIMES, np.array(want))
+
+
+def test_two_pi_words():
+    c1, c2, c3 = bnladder.zeta._TWO_PI
+    # k C1 and k C2 are exact for every k the reduction takes (k < 2^14)
+    for c in (c1, c2):
+        num, _ = c.as_integer_ratio()
+        assert (num >> ((num & -num).bit_length() - 1)).bit_length() <= 36
+    assert int(T_CAP * math.log(3191) / (2 * math.pi)) + 1 < 2**14
+    exact = decimal.Context(prec=200)
+    rest = exact.subtract(decimal.Decimal(TWO_PI_70), decimal.Decimal(c1))
+    rest = exact.subtract(rest, decimal.Decimal(c2))
+    assert c3 == float(rest)
+    assert abs(exact.subtract(rest, decimal.Decimal(c3))) < decimal.Decimal(2) ** -127
+
+
+def test_phase_reducer_equals_decimal_reduction_bit_for_bit(monkeypatch):
+    rng = np.random.default_rng(20261020)
+    primes = _primes_to(int(bnladder.zeta._terms(T_CAP)))
+    # the 63 block middles of the raw 8x8 spectral grid at T = 1000
+    reducer, middles = bnladder.zeta._phase_reducer, []
+
+    def spy(t_a, count):
+        middles.extend(t_a)
+        return reducer(t_a, count)
+
+    monkeypatch.setattr(bnladder.zeta, "_phase_reducer", spy)
+    bnladder.gram.build_gram(bnladder.IndexWindow(7, 7), "raw", method="spectral")
+    assert len(middles) == 63
+    # within about 1e-12 of a period of one prime: t = 2 pi k / ln p rounded
+    ctx = decimal.Context(prec=60)
+    near = []
+    for p in rng.choice(primes, 300):
+        k = int(rng.integers(1, int(T_CAP * math.log(p) / (2 * math.pi)) + 1))
+        near.append(float(ctx.divide(ctx.multiply(k, decimal.Decimal(TWO_PI_70)), ctx.ln(int(p)))))
+    ts = np.concatenate(
+        (rng.uniform(0.0, T_CAP, 2000), middles, np.geomspace(0.1, 5000.0, 200), [0.0, T_CAP], near)
+    )
+    got = bnladder.zeta._phase_reducer(ts, len(primes))
+    want = _decimal_phases(ts, primes)
+    assert np.array_equal(got, want)
+    # the near periods come out as near as ~1e-15 from both ends of [0, 2 pi)
+    tiny = np.minimum(want[-300:], 2 * math.pi - want[-300:]).min(axis=1)
+    assert np.sum(tiny < 1e-9) == 300
+    assert want[-300:][want[-300:] < 1e-9].min() < 1e-14
+
+
 @pytest.mark.parametrize("lo,hi", [(0.0, 40.0), (2500.0, 2530.0), (T_CAP - 30.0, T_CAP)])
 def test_power_table_rows_match_direct_phases(lo, hi):
     # Reference row k: cos/sin of (t_a ln k mod 2 pi) + (t - t_a) ln k at
-    # the block's middle ordinate t_a, with t_a ln k mod 2 pi from 40-digit
-    # decimal logarithms rounded once.
+    # the column's block middle t_a, with t_a ln k mod 2 pi from 40-digit
+    # decimal logarithms rounded once.  The seven ordinates are two blocks
+    # of one table, reduced at ts[1] and at ts[5].
     ts = np.linspace(lo, hi, 7)
     n = int(bnladder.zeta._terms(hi))
-    table = bnladder.zeta._powers(ts, bnladder.zeta._phase_reducer(int(bnladder.zeta._terms(T_CAP))), n)
+    least = bnladder.zeta._least_factors(n)
+    t_a = np.where(np.arange(ts.size) < 3, ts[1], ts[5])
+    primes = _primes_to(n)
+    reduced = bnladder.zeta._phase_reducer(t_a, len(primes)).T
+    table = bnladder.zeta._powers(ts, t_a, reduced, least, n)
     assert table.shape == (n + 1, ts.size)
-    ctx = decimal.Context(prec=40)
-    two_pi = ctx.create_decimal("6.283185307179586476925286766559005768394")
-    t_mid = float(ts[3])
-    t_a = decimal.Decimal(t_mid)
-    reduced = [float(ctx.remainder(ctx.multiply(t_a, ctx.ln(k)), two_pi)) for k in range(1, n + 1)]
     k = np.arange(1, n + 1)
-    phase = np.array(reduced)[:, None] + np.outer(np.log(k), ts - t_mid)
+    phase = _decimal_phases(t_a, k).T + np.outer(np.log(k), ts - t_a)
     ref_re, ref_im = np.cos(phase), -np.sin(phase)
     omega = np.array([_omega(int(j)) for j in k])
     prime = omega == 1
+    assert np.array_equal(k[prime], primes)
     # A prime row is the reference's own formula, so its bits are the reference's.
     assert np.array_equal(table.real[1:][prime], ref_re[prime])
     assert np.array_equal(table.imag[1:][prime], ref_im[prime])
@@ -237,6 +320,6 @@ def test_power_table_rows_match_direct_phases(lo, hi):
     # factors, the rest grows with Omega(k).
     u = 2.0**-53
     tol = u * (16.0 * (omega + 1) + 3.0 * (omega - 1))[:, None]
-    tol = tol + 6.0 * u * np.outer(np.log(k), np.abs(ts - t_mid))
+    tol = tol + 6.0 * u * np.outer(np.log(k), np.abs(ts - t_a))
     err = np.abs(table[1:] - (ref_re + 1j * ref_im))
     assert np.all(err <= tol)
