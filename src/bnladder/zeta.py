@@ -102,6 +102,9 @@ _SPAN = 32.0
 # Consecutive blocks share one table of powers while it fits in this many bytes.
 _TABLE_BYTES = 1 << 19
 _M = 30  # Euler-Maclaurin corrections
+# 2 pi = C1 + C2 + C3 to 2^-127: C1 and C2 of 36 bits, C3 the float64 rest.
+# The primes' ln p in three words, _LN_PRIMES, closes the module.
+_TWO_PI = (6.283185307169333, 1.0253376606335823e-11, 4.225199626794971e-23)
 
 # B_2k/(2k)! for k = 1..M+1, each exact fraction rounded once to float64.
 _BERNOULLI = (
@@ -171,9 +174,10 @@ def _phase_reducer(t_a, count: int) -> np.ndarray:
 
     The result equals ``float(remainder(Decimal(t_a) * ln p, 2 pi))`` in
     40-digit decimal arithmetic bit for bit, checked in the tests on every
-    prime at 2,000 random t_a, the CLI's block middles, 0, T_CAP and 300
-    t_a within 1e-12 of a period of one prime (another 1,500 such, as close
-    as 5e-17, agreed too).  Two words of ln p would not do: ln p - w1 - w2
+    prime at 2,000 random t_a, the block middles of the raw 8x8 spectral
+    grid, the 200 ordinates of ``spectrum``, 0, T_CAP and 300 t_a within
+    1e-12 of a period of one prime (another 1,500 such, as close as 5e-17,
+    agreed too).  Two words of ln p would not do: ln p - w1 - w2
     reaches 2^-104 ln p, and 72 of 300 near periods came out an ulp or more
     apart.  Dropping w3 changes 55 of the tests' random and near-period pairs,
     dropping C3 2,439.
@@ -561,5 +565,3 @@ _LN_PRIMES = np.frombuffer(
     ),
     dtype="<f8",
 ).reshape(-1, 3)
-# 2 pi = C1 + C2 + C3 to 2^-127: C1 and C2 of 36 bits, C3 the float64 rest.
-_TWO_PI = (6.283185307169333, 1.0253376606335823e-11, 4.225199626794971e-23)
