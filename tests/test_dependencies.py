@@ -6,8 +6,8 @@ Every public name has a use outside the tests, or is a deliberate API.
 
 import ast
 import importlib
-import pathlib
 import os
+import pathlib
 import pkgutil
 import subprocess
 import sys
