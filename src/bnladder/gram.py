@@ -18,7 +18,8 @@ and the origin, and :func:`.fractional._assemble` turns it into entries:
   e^{i omega t} factors into one exponential per dj and one per dk, each
   the product of its values at the panel midpoint and at the node's
   offset, and the whole grid is one complex matrix product per slab of
-  panels (see :func:`_moments`).  zeta itself comes from the panel
+  panels, each slab within zeta's 512 KiB table budget (see
+  :func:`_moments`).  zeta itself comes from the panel
   evaluator of :mod:`.zeta`, which shares one table of offsets among the
   panels in the same way.
 
@@ -53,6 +54,7 @@ double.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import asdict, dataclass, replace
@@ -71,7 +73,7 @@ from .fractional import (
 from .io import _ranked, csv_text, json_text
 from .ladder import LOG2, LOG3, IndexWindow, LadderIndex, LadderPoint, theta_of
 from .mellin import SmoothingParams
-from .zeta import _check_grid_top, _panel_zeta
+from .zeta import _TABLE_BYTES, _check_grid_top, _panel_zeta
 
 __all__ = [
     "GramMatrix",
@@ -130,11 +132,16 @@ _QUAD_SHARE = 1.0e-3
 # (8, 8) at t_max_raw = 1000 and the smoothed (24, 24) at W = 5 accept
 # their first candidate; a test pins that each tries one width.
 _PANEL_RADIANS = 12.0
+# The poles of |zeta/s|^2 at t = +-i/2 limit the first panel [0, h]: its G7
+# error, relative to amp_a * amp_b, goes like omega^2 rho(h)^-14, with omega
+# the displacement span and rho(h) the Bernstein ellipse through i/2.  At
+# h = 1/4 it measured 0.034-0.052 omega^2 rho^-14 on the windows (1, 0) to
+# (4, 4); without this cap the smoothed (2, 2) at W = 2 tried 1/2 and 1/4
+# before it accepted 1/8.
+_POLE_SHARE = 0.05
 # A target below what roundoff allows is never met, so the halving stops
 # with ConvergenceError before a grid would exceed this many nodes.
 _MAX_GRID_NODES = 1 << 22
-# Panels per slab of the moment pass (see _moments).
-_MOMENT_SLAB = 1 << 10
 
 
 @dataclass(frozen=True)
@@ -162,15 +169,32 @@ class _SpectralGrid:
 def _first_width(omega: float, t_max: float, tau: float) -> float:
     """Widest 0.25 * 2^m whose panels span at most the radians that the
     target tau allows, at the frequency omega plus |zeta|^2's own band,
-    about log(t/2pi) at t_max."""
+    about log(t/2pi) at t_max, and whose first panel keeps the poles at
+    t = +-i/2 within it: _POLE_SHARE omega^2 rho(h)^-14 <= _QUAD_SHARE tau."""
     radians = _PANEL_RADIANS * (_QUAD_SHARE * tau / 1.0e-6) ** (1.0 / 14.0)
     band = omega + max(1.0, math.log(t_max / (2.0 * math.pi)))
-    return 0.25 * 2.0 ** math.floor(math.log2(radians / (0.25 * band)))
+    h = 0.25 * 2.0 ** math.floor(math.log2(radians / (0.25 * band)))
+    rho_min = (_POLE_SHARE * omega * omega / (_QUAD_SHARE * tau)) ** (1.0 / 14.0)
+    while _pole_rho(h) < rho_min:
+        h *= 0.5
+    return h
+
+
+def _pole_rho(h: float) -> float:
+    """rho of the Bernstein ellipse of the panel [0, h] through the pole
+    t = i/2, whose image on [-1, 1] is x = 2t/h - 1 = -1 + i/h: the root of
+    rho + 1/rho = 2x, |x +- sqrt(x^2 - 1)|, that is at least 1."""
+    x = complex(-1.0, 1.0 / h)
+    root = cmath.sqrt(x * x - 1.0)
+    return max(abs(x + root), abs(x - root))
 
 
 def _spectral_grid(t_max: float, h: float) -> _SpectralGrid:
     """K15 panels of width h on [0, t_max], with zeta evaluated afresh at
-    every node by the panel evaluator of :mod:`.zeta`."""
+    every node by the panel evaluator of :mod:`.zeta`.  The grid keeps four
+    arrays over its nodes (the nodes, both weights and the power spectrum);
+    the evaluator adds its one complex output and working space that does
+    not grow with the number of panels (see :mod:`.zeta`)."""
     n_panels = int(math.ceil(t_max / h))
     if 15 * n_panels > _MAX_GRID_NODES:
         raise ConvergenceError(
@@ -206,24 +230,29 @@ def _moments(grid: _SpectralGrid, weights, uj: np.ndarray, uk: np.ndarray) -> np
     value at the panel midpoint and at the node's offset, so a node costs
     no exponential at all.  The node t is the rounded mid + off, which
     moves the product's phase by at most f ulp(t)/2, as much as rounding
-    f t itself would.  The panels go in slabs of _MOMENT_SLAB.
+    f t itself would.  The panels go in slabs whose A and B take at most
+    zeta's table budget, _TABLE_BYTES (512 KiB): 84 panels on raw 8x8 and
+    29 on smoothed 24x24, so the pass holds no array as large as the grid
+    beyond its inputs and one moment per weight and cell.
     """
-    wp = np.stack(weights) * grid.power
     out = np.zeros((len(weights), uj.size, uk.size))
     freqs = (uj * LOG2, uk * LOG3)
     lo = 0  # the slab's first node
     for mids, offs in grid.groups:
         at_offs = [np.exp(1j * np.outer(f, offs))[:, None, :] for f in freqs]
-        for first in range(0, mids.size, _MOMENT_SLAB):
-            m = mids[first : first + _MOMENT_SLAB]
+        # a panel's rows of A and B: (|uj| + |uk|) x offsets complex values
+        slab = max(1, _TABLE_BYTES // ((uj.size + uk.size) * offs.size * 16))
+        for first in range(0, mids.size, slab):
+            m = mids[first : first + slab]
             # e^{i f t} = e^{i f mid} e^{i f off}, frequencies by nodes
             a, b = (
                 (np.exp(1j * np.outer(f, m))[:, :, None] * at_off).reshape(f.size, -1)
                 for f, at_off in zip(freqs, at_offs)
             )
             hi = lo + a.shape[1]
-            for c, w in enumerate(wp[:, lo:hi]):
-                out[c] += ((a * w) @ b.T).real
+            power = grid.power[lo:hi]
+            for c, w in enumerate(weights):
+                out[c] += ((a * (w[lo:hi] * power)) @ b.T).real
             lo = hi
     return out / math.pi
 

@@ -379,6 +379,23 @@ def test_grid_beyond_zeta_cap_rejected_before_allocation(kind, kwargs):
     assert peak < 1 << 20
 
 
+@pytest.mark.parametrize("t_max,limit_mb", [(1000.0, 6.0), (1.0e4, 32.0)])
+def test_raw_spectral_build_working_set(t_max, limit_mb):
+    """The moment slabs and zeta's tail chunks are bounded by bytes, so the
+    raw 8x8 spectral build (h = 1/2: 30,000 nodes at T = 1000, 300,000 at
+    1e4) allocates little beyond its grid-sized arrays: a tracemalloc peak
+    of 3.6 and 19.7 MB, against 15.3 and 67.1 MB with slabs of 1,024
+    panels and one tail over the whole grid."""
+    quad = QuadratureConfig(t_max_raw=t_max)
+    tracemalloc.start()
+    try:
+        build_gram(IndexWindow(8, 8), "raw", method="spectral", quad=quad)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= limit_mb * 1e6
+
+
 K15_NODES, K15_WEIGHTS = bnladder.gram._K15_NODES, bnladder.gram._K15_WEIGHTS
 G7_ON_K15 = bnladder.gram._G7_ON_K15
 
@@ -504,19 +521,40 @@ def test_width_rule_halves_until_every_entry_passes(j_max, k_max, t_max, smoothi
 
 
 @pytest.mark.parametrize(
-    "window,kwargs",
+    "window,kwargs,width",
     [
-        (IndexWindow(3, 3), {"kind": "raw", "method": "spectral"}),
-        (IndexWindow(8, 8), {"kind": "raw", "method": "spectral"}),
-        (IndexWindow(24, 24), {"kind": "smoothed", "smoothing": SM}),
+        (IndexWindow(1, 1), {"kind": "raw", "method": "spectral"}, 1.0),
+        (IndexWindow(3, 3), {"kind": "raw", "method": "spectral"}, 1.0),
+        (IndexWindow(8, 8), {"kind": "raw", "method": "spectral"}, 0.5),
+        (IndexWindow(8, 8), {"kind": "smoothed", "smoothing": SM}, 0.125),
+        (IndexWindow(24, 24), {"kind": "smoothed", "smoothing": SM}, 0.0625),
+        (IndexWindow(2, 2), {"kind": "smoothed", "smoothing": SmoothingParams(W=2.0)}, 0.125),
+        (IndexWindow(4, 4), {"kind": "smoothed", "smoothing": SmoothingParams(W=5.0)}, 0.125),
+        (
+            IndexWindow(3, 3),
+            {"kind": "smoothed", "smoothing": SmoothingParams(W=10.0, epsilon=1e-2)},
+            0.125,
+        ),
     ],
-    ids=["raw-3x3", "raw-8x8", "smoothed-24x24"],
+    ids=[
+        "raw-1x1",
+        "raw-3x3",
+        "raw-8x8",
+        "smoothed-8x8",
+        "smoothed-24x24",
+        "smoothed-2x2-W2",
+        "smoothed-4x4-W5",
+        "smoothed-3x3-W10",
+    ],
 )
-def test_probe_builds_accept_their_first_width(monkeypatch, window, kwargs):
+def test_probe_builds_accept_their_first_width(monkeypatch, window, kwargs, width):
     """_PANEL_RADIANS is sized so that the raw 3x3 and 8x8 builds at the
     default t_max_raw = 1000 and the smoothed 24x24 at W = 5 accept the
     first candidate of _first_width: a halving would double their nodes.
-    Only the count of tried widths is pinned, not the width itself."""
+    The pole cap (_POLE_SHARE) makes the smoothed 2x2 at W = 2, 4x4 at
+    W = 5 and 3x3 at W = 10 accept theirs too: without it they tried 1/2
+    and 1/4, 1/4, and 1/4 before 1/8.  Their accepted widths are as before
+    the cap, so their outputs are too."""
     tried = []
     real_grid = bnladder.gram._spectral_grid
 
@@ -526,16 +564,17 @@ def test_probe_builds_accept_their_first_width(monkeypatch, window, kwargs):
 
     monkeypatch.setattr(bnladder.gram, "_spectral_grid", spy_grid)
     build_gram(window, **kwargs)
-    assert len(tried) == 1
+    assert tried == [width]
 
 
 def test_repeated_spectral_calls_repeat_their_bits(monkeypatch):
     """A repeated call gives identical bits, and within one width search
     zeta is evaluated once per width tried, rejected ones included.  Each
-    call rejects a candidate: the smoothed 2x2 build at W = 2 tries h = 1/2
-    and 1/4 before it accepts 1/8."""
+    call starts from a first candidate four times too wide, so it rejects
+    at least one width."""
     sizes, tried = [], []
     real_zeta, real_grid = bnladder.gram._panel_zeta, bnladder.gram._spectral_grid
+    real_first = bnladder.gram._first_width
 
     def spy_zeta(groups):
         sizes.append(sum(m.size * o.size for m, o in groups))
@@ -547,6 +586,7 @@ def test_repeated_spectral_calls_repeat_their_bits(monkeypatch):
 
     monkeypatch.setattr(bnladder.gram, "_panel_zeta", spy_zeta)
     monkeypatch.setattr(bnladder.gram, "_spectral_grid", spy_grid)
+    monkeypatch.setattr(bnladder.gram, "_first_width", lambda *a: 4.0 * real_first(*a))
     sm = SmoothingParams(W=2.0, epsilon=1e-2)
     calls = [
         lambda: inner_spectral((1, 1), (2, 0), sm),

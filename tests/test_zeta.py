@@ -1,4 +1,5 @@
 import decimal
+import hashlib
 import math
 from fractions import Fraction
 from math import comb, factorial, inf, isqrt, nextafter
@@ -90,6 +91,27 @@ def test_panel_evaluator_matches_frozen_values_at_the_grid_nodes():
         assert abs(values[i] - ref) <= PANEL_TOL, t
 
 
+# sha256 of the panel evaluator's values on the K15 grids of
+# ``gram._spectral_grid(t_max, 1/2)``, frozen when the evaluator came to
+# write into one output and to run the tail over chunks of whole runs:
+# neither may move a bit.  999.7 ends in a clipped panel, a second group.
+PANEL_GRID_SHA256 = {
+    1000.0: "e46e97b99780da084cb1a1f1fa8a60a61531ee1907a83c29a6f93911c44e8aaa",
+    999.7: "71eb7ad5e614237c1cc7eff0ddeb441bf714ab932f0f12f22d4d57fa22e2fb71",
+    1.0e4: "52fc5ab06b0c34a51af8727546b8e7e019c2e0c881567710d9539afdffb187c6",
+}
+
+
+@pytest.mark.parametrize("t_max", list(PANEL_GRID_SHA256))
+def test_panel_grid_values_keep_their_bits(monkeypatch, t_max):
+    with monkeypatch.context() as m:  # the groups alone: skip the grid's own zeta
+        m.setattr(bnladder.gram, "_panel_zeta", lambda g: np.zeros(sum(a.size * o.size for a, o in g)))
+        groups = bnladder.gram._spectral_grid(t_max, 0.5).groups
+    values = bnladder.zeta._panel_zeta(groups)
+    assert values.size == 15 * math.ceil(t_max / 0.5)
+    assert hashlib.sha256(values.tobytes()).hexdigest() == PANEL_GRID_SHA256[t_max]
+
+
 @pytest.mark.parametrize("t,ref,is_zero", ZETA_ORACLE)
 def test_matches_frozen_table(t, ref, is_zero):
     val = zeta_half(t)
@@ -175,23 +197,29 @@ def test_backlund_bound_below_target_at_every_block_top():
 
 
 def test_backlund_bound_below_target_on_the_grid_blocks(monkeypatch):
-    # The tail runs once per grid, with the N of each node's block; a
-    # panel grid's two groups (full panels and a clipped last one) share it.
+    # The tail runs over chunks of whole runs of blocks, each node with the
+    # N of its block: the chunks cover every node exactly once, in a grid
+    # and in a panel call's two groups (full panels and a clipped last one).
     tail = bnladder.zeta._tail
-    bounds = []
+    calls = []
 
     def spy(s, n):
         series, bound = tail(s, n)
-        bounds.append((s.size, bound))
+        calls.append((s.copy(), bound))
         return series, bound
 
     monkeypatch.setattr(bnladder.zeta, "_tail", spy)
-    zeta_half_grid(np.linspace(0.0, T_CAP, 3 * 512 + 7))
+    ts = np.linspace(0.0, T_CAP, 3 * 512 + 7)
+    zeta_half_grid(ts)
     offs = 0.2 * np.linspace(-1.0, 1.0, 15)
-    mids = np.arange(0.5, T_CAP - 40.0, 37.0)
-    bnladder.zeta._panel_zeta([(mids, offs), ([T_CAP - 0.1], 0.5 * offs)])
-    assert [size for size, _ in bounds] == [3 * 512 + 7, 15 * (mids.size + 1)]
-    assert max(float(np.max(b)) for _, b in bounds) < TRUNCATION_TARGET
+    mids = np.arange(0.5, T_CAP - 40.0, 3.7)
+    groups = [(mids, offs), (np.array([T_CAP - 0.1]), 0.5 * offs)]
+    bnladder.zeta._panel_zeta(groups)
+    nodes = np.concatenate([ts] + [(m[:, None] + o).ravel() for m, o in groups])
+    covered = np.concatenate([s.imag for s, _ in calls])
+    assert np.array_equal(covered, nodes)  # each node once, in order
+    assert len(calls) > 3  # the full panels take more than one chunk
+    assert max(float(np.max(b)) for _, b in calls) < TRUNCATION_TARGET
 
 
 def _omega(k):
