@@ -54,7 +54,6 @@ double.
 
 from __future__ import annotations
 
-import cmath
 import json
 import math
 from dataclasses import asdict, dataclass, replace
@@ -182,11 +181,11 @@ def _first_width(omega: float, t_max: float, tau: float) -> float:
 
 def _pole_rho(h: float) -> float:
     """rho of the Bernstein ellipse of the panel [0, h] through the pole
-    t = i/2, whose image on [-1, 1] is x = 2t/h - 1 = -1 + i/h: the root of
-    rho + 1/rho = 2x, |x +- sqrt(x^2 - 1)|, that is at least 1."""
-    x = complex(-1.0, 1.0 / h)
-    root = cmath.sqrt(x * x - 1.0)
-    return max(abs(x + root), abs(x - root))
+    t = i/2, whose image on [-1, 1] is x = 2t/h - 1 = -1 + i/h: the
+    ellipse with foci -1 and 1 through x has semi-major axis
+    a = (|x - 1| + |x + 1|) / 2, and rho = a + sqrt(a^2 - 1)."""
+    a = 0.5 * (math.hypot(2.0, 1.0 / h) + 1.0 / h)
+    return a + math.sqrt(a * a - 1.0)
 
 
 def _spectral_grid(t_max: float, h: float) -> _SpectralGrid:
