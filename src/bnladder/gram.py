@@ -33,7 +33,9 @@ what the comparison budget in cross-validation accounts for.
 
 The panel width is sized per build by that same difference: the widest
 width 0.25 * 2^m at or below a first candidate, taken from the highest
-frequency the build integrates, at which every entry off the theta = 1
+frequency the build integrates and narrowed where the first panel would
+miss the target beside the poles of |zeta/s|^2 at t = +-i/2 (see
+:func:`_first_width`), at which every entry off the theta = 1
 row has |K15 - G7|_ab <= 1e-3 * amp_a * amp_b * tau.  Here tau * amp_a *
 amp_b is the raw tail estimate, or for the tapered share of a smoothed
 build tau = _GAUSSIAN_TAIL_TOL / 4 (see :func:`_spectral`).
@@ -168,8 +170,9 @@ class _SpectralGrid:
 def _first_width(omega: float, t_max: float, tau: float) -> float:
     """Widest 0.25 * 2^m whose panels span at most the radians that the
     target tau allows, at the frequency omega plus |zeta|^2's own band,
-    about log(t/2pi) at t_max, and whose first panel keeps the poles at
-    t = +-i/2 within it: _POLE_SHARE omega^2 rho(h)^-14 <= _QUAD_SHARE tau."""
+    about log(t/2pi) at t_max, and whose first panel meets the target
+    beside the poles at t = +-i/2: _POLE_SHARE omega^2 rho(h)^-14 <=
+    _QUAD_SHARE tau."""
     radians = _PANEL_RADIANS * (_QUAD_SHARE * tau / 1.0e-6) ** (1.0 / 14.0)
     band = omega + max(1.0, math.log(t_max / (2.0 * math.pi)))
     h = 0.25 * 2.0 ** math.floor(math.log2(radians / (0.25 * band)))
@@ -231,8 +234,8 @@ def _moments(grid: _SpectralGrid, weights, uj: np.ndarray, uk: np.ndarray) -> np
     moves the product's phase by at most f ulp(t)/2, as much as rounding
     f t itself would.  The panels go in slabs whose A and B take at most
     zeta's table budget, _TABLE_BYTES (512 KiB): 84 panels on raw 8x8 and
-    29 on smoothed 24x24, so the pass holds no array as large as the grid
-    beyond its inputs and one moment per weight and cell.
+    29 on smoothed 24x24, so beyond its inputs the pass allocates nothing
+    the size of the grid.
     """
     out = np.zeros((len(weights), uj.size, uk.size))
     freqs = (uj * LOG2, uk * LOG3)

@@ -43,10 +43,9 @@ into the one output array, and the tail series, times N^(-it) / sqrt(N),
 is added over chunks of whole runs, a chunk closing once its nodes reach
 _TABLE_BYTES / 64 (four complex arrays of the tail).  Every step is
 elementwise or per block, so the chunking moves no bit.  With the moment
-slabs of :mod:`.gram` bounded by the same budget, the raw 8x8 spectral
-build allocates at most 3.6 MB beyond its inputs at T = 1000 (30,000
-nodes) and 19.7 MB at T = 10000, its grid-sized arrays included
-(tracemalloc peaks).
+slabs of :mod:`.gram` bounded by the same budget, the allocations of the
+raw 8x8 spectral build peak at 3.6 MB at T = 1000 (30,000 nodes) and at
+19.7 MB at T = 10000, the grid's own arrays included (tracemalloc).
 
 The roundoff is an estimate.  Float64 gets the phase t ln p wrong by
 ~t ulp(ln p), so a block takes t_a ln p mod 2 pi at its middle midpoint
@@ -284,7 +283,8 @@ def _panel_zeta(groups) -> np.ndarray:
     out = np.empty(sum(m.size * o.size for m, o in groups), dtype=np.complex128)
     lo = 0  # the group's first node in out
     for mids, offs in groups:
-        # out, midpoint-major: the group's head sums, then their values
+        # the group's share of out, midpoint-major: its head sums until the
+        # tail is added
         values = out[lo : lo + mids.size * offs.size].reshape(mids.size, offs.size)
         lo += values.size
         tops = _terms(mids + offs.max())  # N of each panel's top node
