@@ -339,11 +339,11 @@ def _unit_inner_matrix(
     """All pairwise <f_(1/Na), f_(1/Nb)>: the one exact route for unit fractions.
 
     Returns ``(gram, err)``.  K = sqrt(hk) F(h, k) is computed once per
-    distinct reduced pair (a/d, b/d), (2s+1)^2 on a ladder window of side
-    s, and :func:`_assemble` combines the table.  There is no cutoff:
-    ``err`` propagates the budgets of :func:`_vasyunin_f`, roundoff
-    estimates plus the series' proven truncation bound.  Rows with N = 1
-    are exactly zero.
+    distinct unordered reduced pair (a/d, b/d), ((2s+1)^2 + 1)/2 on a
+    ladder window of side s, and :func:`_assemble` combines the table.
+    There is no cutoff: ``err`` propagates the budgets of
+    :func:`_vasyunin_f`, roundoff estimates plus the series' proven
+    truncation bound.  Rows with N = 1 are exactly zero.
 
     Windows with a denominator above ``_CLOSED_FORM_CAP`` fall back to
     the cutoff pass of :func:`pair_inner_matrix` at ``quad``'s cutoff;

@@ -50,8 +50,10 @@ split, the ``hybrid`` method, is the one route of smoothed matrices.
 
 Every build makes its own grids and keeps none, so the module holds no
 state between calls.  The widths are quantized to 0.25 * 2^m, powers of
-two, so each halving is exact and every panel edge i * h is an exact
-double.
+two, so each halving is exact.  A grid lays out n = ceil(t_max / h)
+panels of width t_max / n: where h divides t_max, as at every default
+height, that is h and every panel edge i * h is an exact double;
+otherwise the panels are slightly narrower and still end at t_max.
 """
 
 from __future__ import annotations
@@ -149,18 +151,18 @@ _MAX_GRID_NODES = 1 << 22
 class _SpectralGrid:
     """Gauss-Kronrod K15 panels on [0, t_max] with the zeta power spectrum.
 
-    ``groups`` holds ``(mids, offs)`` per group of panels that share their
-    node offsets from the midpoint: the full-width panels, then a clipped
-    last panel if there is one.  ``nodes`` is ``(mids[:, None] +
-    offs).ravel()`` over the groups in turn.  ``w_quad`` holds the K15
-    weights; ``w_diff`` holds K15 minus the embedded G7 weights, so one dot
-    product gives each entry's K15 - G7 difference.  That difference is the
-    error estimate of the cruder G7 rule, so as the quadrature term of a
+    The panels are equal: ``mids`` holds their ascending midpoints and
+    ``offs`` the node offsets from the midpoint that they share, and
+    ``nodes`` is ``(mids[:, None] + offs).ravel()``.  ``w_quad`` holds the
+    K15 weights; ``w_diff`` holds K15 minus the embedded G7 weights, so one
+    dot product gives each entry's K15 - G7 difference.  That difference is
+    the error estimate of the cruder G7 rule, so as the quadrature term of a
     budget it is an estimate, not a bound, and a generous one for the K15
     value itself.
     """
 
-    groups: tuple[tuple[np.ndarray, np.ndarray], ...]
+    mids: np.ndarray
+    offs: np.ndarray
     nodes: np.ndarray
     w_quad: np.ndarray
     w_diff: np.ndarray
@@ -192,33 +194,28 @@ def _pole_rho(h: float) -> float:
 
 
 def _spectral_grid(t_max: float, h: float) -> _SpectralGrid:
-    """K15 panels of width h on [0, t_max], with zeta evaluated afresh at
-    every node by the panel evaluator of :mod:`.zeta`.  The grid keeps four
-    arrays over its nodes (the nodes, both weights and the power spectrum);
-    the evaluator adds its one complex output and working space that does
-    not grow with the number of panels (see :mod:`.zeta`)."""
+    """n = ceil(t_max / h) equal K15 panels of width t_max / n on
+    [0, t_max], with zeta evaluated afresh at every node by the panel
+    evaluator of :mod:`.zeta`.  Where h divides t_max the width is h
+    itself; otherwise it is slightly narrower, and the last panel still
+    ends at t_max.  The grid keeps four arrays over its nodes (the nodes,
+    both weights and the power spectrum); the evaluator adds its one
+    complex output and working space that does not grow with the number
+    of panels (see :mod:`.zeta`)."""
     n_panels = int(math.ceil(t_max / h))
     if 15 * n_panels > _MAX_GRID_NODES:
         raise ConvergenceError(
             f"spectral grid on [0, {t_max:g}] at panel width {h:g} needs "
             f"{15 * n_panels} nodes (cap {_MAX_GRID_NODES})"
         )
-    edges = np.minimum(np.arange(n_panels + 1) * h, t_max)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    halves = 0.5 * (edges[1:] - edges[:-1])
-    # The edges are exact multiples of h, so every panel but a clipped last
-    # one has half-width exactly h/2 and the same offsets.
-    full = n_panels - int(halves[-1] != 0.5 * h)
-    groups = tuple(
-        (mids[lo:hi], halves[lo] * _K15_NODES)
-        for lo, hi in ((0, full), (full, n_panels))
-        if hi > lo
-    )
-    nodes = np.concatenate([(m[:, None] + o).ravel() for m, o in groups])
-    w_quad = (halves[:, None] * _K15_WEIGHTS).ravel()
-    w_diff = (halves[:, None] * (_K15_WEIGHTS - _G7_ON_K15)).ravel()
-    power = np.abs(_panel_zeta(groups)) ** 2 / (0.25 + nodes**2)
-    return _SpectralGrid(groups, nodes, w_quad, w_diff, power)
+    width = t_max / n_panels
+    mids = (np.arange(n_panels) + 0.5) * width
+    offs = 0.5 * width * _K15_NODES
+    nodes = (mids[:, None] + offs).ravel()
+    w_quad = np.tile(0.5 * width * _K15_WEIGHTS, n_panels)
+    w_diff = np.tile(0.5 * width * (_K15_WEIGHTS - _G7_ON_K15), n_panels)
+    power = np.abs(_panel_zeta(mids, offs)) ** 2 / (0.25 + nodes**2)
+    return _SpectralGrid(mids, offs, nodes, w_quad, w_diff, power)
 
 
 def _moments(grid: _SpectralGrid, weights, uj: np.ndarray, uk: np.ndarray) -> np.ndarray:
@@ -229,33 +226,30 @@ def _moments(grid: _SpectralGrid, weights, uj: np.ndarray, uk: np.ndarray) -> np
     cos(omega t) = Re[e^{i dj log2 t} e^{i dk log3 t}], so a weight's grid
     is Re[(A * w |zeta/s|^2) B^T], with A holding e^{i dj log2 t} for each
     dj and B e^{i dk log3 t} for each dk.  Each is the product of its
-    value at the panel midpoint and at the node's offset, so a node costs
-    no exponential at all.  The node t is the rounded mid + off, which
-    moves the product's phase by at most f ulp(t)/2, as much as rounding
-    f t itself would.  The panels go in slabs whose A and B take at most
-    zeta's table budget, _TABLE_BYTES (512 KiB): 84 panels on raw 8x8 and
-    29 on smoothed 24x24, so beyond its inputs the pass allocates nothing
-    the size of the grid.
+    value at the panel midpoint and at the node's offset, which all panels
+    share, so a node costs no exponential at all.  The node t is the
+    rounded mid + off, which moves the product's phase by at most
+    f ulp(t)/2, as much as rounding f t itself would.  The panels go in
+    slabs whose A and B take at most zeta's table budget, _TABLE_BYTES
+    (512 KiB): 84 panels on raw 8x8 and 29 on smoothed 24x24, so beyond
+    its inputs the pass allocates nothing the size of the grid.
     """
     out = np.zeros((len(weights), uj.size, uk.size))
     freqs = (uj * LOG2, uk * LOG3)
-    lo = 0  # the slab's first node
-    for mids, offs in grid.groups:
-        at_offs = [np.exp(1j * np.outer(f, offs))[:, None, :] for f in freqs]
-        # a panel's rows of A and B: (|uj| + |uk|) x offsets complex values
-        slab = max(1, _TABLE_BYTES // ((uj.size + uk.size) * offs.size * 16))
-        for first in range(0, mids.size, slab):
-            m = mids[first : first + slab]
-            # e^{i f t} = e^{i f mid} e^{i f off}, frequencies by nodes
-            a, b = (
-                (np.exp(1j * np.outer(f, m))[:, :, None] * at_off).reshape(f.size, -1)
-                for f, at_off in zip(freqs, at_offs)
-            )
-            hi = lo + a.shape[1]
-            power = grid.power[lo:hi]
-            for c, w in enumerate(weights):
-                out[c] += ((a * (w[lo:hi] * power)) @ b.T).real
-            lo = hi
+    at_offs = [np.exp(1j * np.outer(f, grid.offs))[:, None, :] for f in freqs]
+    # a panel's rows of A and B: (|uj| + |uk|) x offsets complex values
+    slab = max(1, _TABLE_BYTES // ((uj.size + uk.size) * grid.offs.size * 16))
+    for first in range(0, grid.mids.size, slab):
+        m = grid.mids[first : first + slab]
+        # e^{i f t} = e^{i f mid} e^{i f off}, frequencies by nodes
+        a, b = (
+            (np.exp(1j * np.outer(f, m))[:, :, None] * at_off).reshape(f.size, -1)
+            for f, at_off in zip(freqs, at_offs)
+        )
+        nodes = slice(first * grid.offs.size, (first + m.size) * grid.offs.size)
+        power = grid.power[nodes]
+        for c, w in enumerate(weights):
+            out[c] += ((a * (w[nodes] * power)) @ b.T).real
     return out / math.pi
 
 

@@ -28,6 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ParameterError
+from .zeta import _split, _two_prod
 
 __all__ = ["FLOAT_FORMAT", "csv_text", "json_text", "json_rows", "write_all"]
 
@@ -47,19 +48,19 @@ def _distinct_strings(values: np.ndarray, render) -> list[str]:
 #
 # Floats go through a numpy %.17g kernel.  For |x| = a it takes
 # k = 16 - floor(log10 a) and forms y = a * 10^k as a double-double
-# hi + lo: Dekker's two-product (Numer. Math. 18, 1971) gives a * hi(10^k)
-# exactly, and 10^k = hi + lo is itself correctly rounded to 106 bits, so
-# for y in [1e16, 1e17] the error of hi + lo stays below 1e-14.  There hi
-# is an integer, so floor(y) and its fraction come from hi and lo, and the
-# 17 digits are floor(y) or floor(y) + 1.  Where 10^k is not a double a
-# fraction within _TIE of 1/2 could round either way; those near-ties,
-# zeros, non-finite values and a outside [1e-280, 1e280], where 10^k or
-# its split would leave the normal double range, go to FLOAT_FORMAT % x.
+# hi + lo: Dekker's two-product (Numer. Math. 18, 1971; zeta's _two_prod)
+# gives a * hi(10^k) exactly, and 10^k = hi + lo is itself correctly
+# rounded to 106 bits, so for y in [1e16, 1e17] the error of hi + lo
+# stays below 1e-14.  There hi is an integer, so floor(y) and its
+# fraction come from hi and lo, and the 17 digits are floor(y) or
+# floor(y) + 1.  Where 10^k is not a double a fraction within _TIE of 1/2
+# could round either way; those near-ties, zeros, non-finite values and a
+# outside [1e-280, 1e280], where 10^k or its split would leave the normal
+# double range, go to FLOAT_FORMAT % x.
 # If y sits within the error of 1e16, k may be off by one; both choices
 # give the same digits, as 10y then rounds up to 1e17, a carry into the
 # next decade.
 
-_SPLIT = 134217729.0  # 2^27 + 1: Dekker's splitter for float64
 _TIE = 2.0**-20
 _SETTLED = (1e-280, 1e280)
 _CHUNK = 1 << 15  # floats per pass of the kernel, so its temporaries stay in cache
@@ -76,12 +77,6 @@ def _pow10(k: int) -> tuple[float, float]:
     return hi, (num * q - p * den) / (den * q)
 
 
-def _split(a: np.ndarray):
-    c = _SPLIT * a
-    hi = c - (c - a)
-    return hi, a - hi
-
-
 def _scaled(a: np.ndarray, k: np.ndarray):
     """a * 10^k as hi + lo: hi = fl(a * 10^k's hi half), lo its exact
     two-product error plus a times 10^k's lo half."""
@@ -92,10 +87,7 @@ def _scaled(a: np.ndarray, k: np.ndarray):
     table_hi, table_lo = np.zeros((2, counts.size))
     table_hi[need], table_lo[need] = np.reshape([_pow10(int(x)) for x in need + k0], (-1, 2)).T
     p_hi, p_lo = table_hi[at], table_lo[at]
-    hi = a * p_hi
-    a1, a2 = _split(a)
-    b1, b2 = _split(p_hi)
-    err = ((a1 * b1 - hi) + a1 * b2 + a2 * b1) + a2 * b2
+    hi, err = _two_prod(a, _split(a), p_hi, _split(p_hi))
     return hi, err + a * p_lo
 
 

@@ -13,19 +13,17 @@ truncation error is proven: below 4e-19 on [0, T_CAP].  The tail runs
 elementwise, each node with its own N, over chunks of consecutive runs of
 blocks (below), so a grid's working set stays bounded whatever its size.
 
-One evaluator, :func:`_panel_zeta`, serves every call.  It takes groups
-of panels, each a list of ascending midpoints and the offsets that its
-panels share, and evaluates at the nodes t = mid + off, their float64
-sums.  A spectral Gram grid hands it its full-width K15 panels and, as a
-second group with its own offsets, a clipped last panel;
-:func:`zeta_half_grid` and :func:`zeta_half` are the one-offset case, a
-panel per ordinate with offset 0.  With e = t - (mid + off), exact by
-Fast2Sum and at most ulp(t)/2,
+One evaluator, :func:`_panel_zeta`, serves every call.  It takes the
+ascending midpoints of panels and the offsets that they all share, and
+evaluates at the nodes t = mid + off, their float64 sums.  A spectral
+Gram grid hands it its equal K15 panels; :func:`zeta_half_grid` and
+:func:`zeta_half` pass the one offset 0, a panel per ordinate.  With
+e = t - (mid + off), exact by Fast2Sum and at most ulp(t)/2,
 
     k^-it = k^(-i mid) k^(-i off) (1 - i e ln k) + O((e ln k)^2),
 
 so over a block of midpoints the head sum is one matrix product: the
-table of k^(-i mid) (N x panels) against the group's one table of
+table of k^(-i mid) (N x panels) against the one table of
 k^-1/2 k^(-i off) and, beside it, its ln k multiple (N x offsets each),
 which gives the first-order term.  That term is needed: without it a
 grid at h = 1/2 errs by up to 4.8e-13 on [0, 1000] and 2.4e-11 on
@@ -266,67 +264,61 @@ def _runs(blocks, tops: np.ndarray):
     yield run
 
 
-def _panel_zeta(groups) -> np.ndarray:
-    """zeta(1/2 + i t) at the nodes t = mid + off (float64 sums) of panel
-    groups; see the module docstring.
+def _panel_zeta(mids, offs) -> np.ndarray:
+    """zeta(1/2 + i t) at the nodes t = mid + off (float64 sums) of panels
+    that share their offsets; see the module docstring.
 
-    Each group is ``(mids, offs)``: nonempty ascending midpoints, each at
-    least max |off|, and the offsets its panels share.  The values come back
-    flattened group by group, midpoint-major: the layout of
+    ``mids`` are nonempty ascending midpoints, each at least max |off|.
+    The values come back midpoint-major, in the layout of
     ``(mids[:, None] + offs).ravel()``.
     """
-    groups = [(np.asarray(m, dtype=np.float64), np.asarray(o, dtype=np.float64)) for m, o in groups]
-    n_max = int(max(_terms(m[-1] + o.max()) for m, o in groups))
+    mids, offs = np.asarray(mids, dtype=np.float64), np.asarray(offs, dtype=np.float64)
+    tops = _terms(mids + offs.max())  # N of each panel's top node
+    n_max = int(tops[-1])
     least = _least_factors(n_max)
     pi_k = np.cumsum(least == np.arange(n_max + 1)) - 2  # the number of primes <= k
     log_k = np.log(np.arange(1.0, n_max + 1.0))[:, None]  # ln k in row k - 1
-    out = np.empty(sum(m.size * o.size for m, o in groups), dtype=np.complex128)
-    lo = 0  # the group's first node in out
-    for mids, offs in groups:
-        # the group's share of out, midpoint-major: its head sums until the
-        # tail is added
-        values = out[lo : lo + mids.size * offs.size].reshape(mids.size, offs.size)
-        lo += values.size
-        tops = _terms(mids + offs.max())  # N of each panel's top node
-        o_table = np.exp(-1j * log_k[: tops[-1]] * offs)  # k^(-i off), k = 1..N
-        # k^-1/2 k^(-i off) and its ln k multiple, side by side: one product
-        # gives each block's head sums and their first-order terms.
-        wo = o_table[:-1] / np.sqrt(np.arange(1.0, tops[-1]))[:, None]
-        wo = np.concatenate((wo, wo * log_k[: tops[-1] - 1]), axis=1)
-        chunk = []  # runs awaiting the tail: their panels, N and N^(-i t)
-        for run in _runs(_blocks(mids), tops):
-            cols = slice(run[0].start, run[-1].stop)
-            n_run = int(tops[cols.stop - 1])
-            # the prime phases of the run's blocks at their middle midpoints,
-            # in one reduction, and each midpoint's block
-            middles = mids[[(b.start + b.stop) // 2 for b in run]]
-            reduced = _phase_reducer(middles, int(pi_k[n_run]))
-            owner = np.repeat(np.arange(len(run)), [b.stop - b.start for b in run])
-            table = _powers(mids[cols], middles[owner], reduced[owner].T, least, n_run)
-            m = mids[cols, None]
-            # mid >= |off|, so both differences are exact (Fast2Sum): e is the
-            # node's rounding, node = mid + off + e with |e| <= ulp(node) / 2,
-            # and k^(-i node) = k^(-i mid) k^(-i off) (1 - i e ln k) + O(e^2).
-            e = ((m + offs) - m) - offs
-            n_pow = np.empty(e.shape, dtype=np.complex128)
-            n = np.empty(m.size)
-            for blk in run:
-                top = int(tops[blk][-1])  # every panel of a block sums to its top's N
-                rows = slice(blk.start - cols.start, blk.stop - cols.start)
-                own = table[:, rows]
-                both = own[1:top].T @ wo[: top - 1]
-                values[blk] = both[:, : offs.size] - 1j * e[rows] * both[:, offs.size :]
-                n_pow[rows] = own[top][:, None] * o_table[top - 1]
-                n[rows] = top
-            n_pow *= 1.0 - 1j * e * np.log(n)[:, None]
-            chunk.append((cols, n, n_pow))
-            # the tail holds about four complex arrays over the chunk's nodes
-            if (cols.stop - chunk[0][0].start) * offs.size * 64 >= _TABLE_BYTES:
-                _add_tail(values, mids, offs, chunk)
-                chunk = []
-        if chunk:
+    # midpoint-major: the head sums until the tail is added
+    values = np.empty((mids.size, offs.size), dtype=np.complex128)
+    o_table = np.exp(-1j * log_k * offs)  # k^(-i off), k = 1..N
+    # k^-1/2 k^(-i off) and its ln k multiple, side by side: one product
+    # gives each block's head sums and their first-order terms.
+    wo = o_table[:-1] / np.sqrt(np.arange(1.0, n_max))[:, None]
+    wo = np.concatenate((wo, wo * log_k[:-1]), axis=1)
+    chunk = []  # runs awaiting the tail: their panels, N and N^(-i t)
+    for run in _runs(_blocks(mids), tops):
+        cols = slice(run[0].start, run[-1].stop)
+        n_run = int(tops[cols.stop - 1])
+        # the prime phases of the run's blocks at their middle midpoints,
+        # in one reduction, and each midpoint's block
+        middles = mids[[(b.start + b.stop) // 2 for b in run]]
+        reduced = _phase_reducer(middles, int(pi_k[n_run]))
+        owner = np.repeat(np.arange(len(run)), [b.stop - b.start for b in run])
+        table = _powers(mids[cols], middles[owner], reduced[owner].T, least, n_run)
+        m = mids[cols, None]
+        # mid >= |off|, so both differences are exact (Fast2Sum): e is the
+        # node's rounding, node = mid + off + e with |e| <= ulp(node) / 2,
+        # and k^(-i node) = k^(-i mid) k^(-i off) (1 - i e ln k) + O(e^2).
+        e = ((m + offs) - m) - offs
+        n_pow = np.empty(e.shape, dtype=np.complex128)
+        n = np.empty(m.size)
+        for blk in run:
+            top = int(tops[blk][-1])  # every panel of a block sums to its top's N
+            rows = slice(blk.start - cols.start, blk.stop - cols.start)
+            own = table[:, rows]
+            both = own[1:top].T @ wo[: top - 1]
+            values[blk] = both[:, : offs.size] - 1j * e[rows] * both[:, offs.size :]
+            n_pow[rows] = own[top][:, None] * o_table[top - 1]
+            n[rows] = top
+        n_pow *= 1.0 - 1j * e * np.log(n)[:, None]
+        chunk.append((cols, n, n_pow))
+        # the tail holds about four complex arrays over the chunk's nodes
+        if (cols.stop - chunk[0][0].start) * offs.size * 64 >= _TABLE_BYTES:
             _add_tail(values, mids, offs, chunk)
-    return out
+            chunk = []
+    if chunk:
+        _add_tail(values, mids, offs, chunk)
+    return values.ravel()
 
 
 def _add_tail(values, mids, offs, chunk) -> None:
@@ -351,7 +343,7 @@ def zeta_half(t: float) -> complex:
         raise ZetaRangeError(f"ordinate must be finite, got {t!r}")
     if abs(t) > T_CAP:
         raise ZetaRangeError(f"|t| = {abs(t)!r} exceeds the accuracy-checked cap {T_CAP:g}")
-    val = complex(_panel_zeta([([abs(t)], [0.0])])[0])
+    val = complex(_panel_zeta([abs(t)], [0.0])[0])
     return val if t >= 0 else val.conjugate()
 
 
@@ -380,7 +372,7 @@ def zeta_half_grid(ts: np.ndarray) -> np.ndarray:
     _check_grid_top(float(ts.max()))
     order = np.argsort(ts, kind="stable")
     out = np.empty(ts.size, dtype=np.complex128)
-    out[order] = _panel_zeta([(ts[order], [0.0])])
+    out[order] = _panel_zeta(ts[order], [0.0])
     return out
 
 

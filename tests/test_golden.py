@@ -83,6 +83,13 @@ budget moved.  Against the build's largest Gram budget, 1.0e-10, the
 other files moved by at most: ``g.normalized.*`` 1.1e-15 (1.1e-5);
 ``d.json``, ``d.shells.csv``, ``d.csv`` and ``d.report.json`` 8.9e-16
 (8.9e-6); ``t.json`` 4.4e-16 (4.4e-6) and ``t.csv`` 1.7e-16 (1.7e-6).
+``gram_raw_2_spectral_off_grid`` was added when the spectral grid came
+to lay out n = ceil(t_max / h) equal panels of width t_max / n in place
+of full-width panels and a clipped last one.  It pins the one kind of
+output that changed, a raw spectral build at a height that its panel
+width does not divide: there the accepted width 1 becomes 0.9997, and
+against the clipped layout its Gram entries moved by at most 2.4e-15,
+6.4e-12 of their budgets.  Every earlier case kept its bytes.
 The values depend on float64 arithmetic only (no randomness), so a
 mismatch means a changed number or a changed format, not noise.
 """
@@ -185,6 +192,17 @@ GOLDEN = {
         {
             "g.csv": "eaeb30eec4650f789ab15f3a6fd67551c2e5a7912f77e9954199bf7f47ae510a",
             "g.normalized.csv": "cc3693f5d87d62ddc42edbbad1bbf2698c8b6aa11299bc45963917e8d4d8a909",
+        },
+    ),
+    # the one kind of output that changed when the spectral grid came to lay
+    # out equal panels that end at t_max: 1/2 does not divide 999.7
+    "gram_raw_2_spectral_off_grid": (
+        ["gram", "--jmax", "2", "--kmax", "2", "--kind", "raw", "--method", "spectral",
+         "--tmax-raw", "999.7"],
+        "g.csv",
+        {
+            "g.csv": "20b14c1e5cd930ba3439c3676efe948effcdaa98e679e0bba2b1a5bccc71741d",
+            "g.normalized.csv": "c6c150e669205974f61548fa65f10f6dbdda63262e7be5f761d6bd7240839e7e",
         },
     ),
     "gram_smoothed_2_quad_json": (

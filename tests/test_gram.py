@@ -427,32 +427,56 @@ def test_embedded_g7_nodes_and_exactness():
 
 @pytest.mark.parametrize("t_max,h", [(20.0, 1 / 16), (37.3, 0.25), (1000.0, 0.125)])
 def test_spectral_grid_matches_panel_loop(monkeypatch, t_max, h):
-    """The vectorized grid equals a per-panel loop over K15 panels, bit for
-    bit, and its panel groups lay out the same nodes: the full-width panels,
-    then a clipped last one with its own offsets."""
+    """The vectorized grid equals a per-panel loop over n = ceil(t_max / h)
+    K15 panels of width t_max / n, bit for bit, and hands zeta their
+    midpoints and the one set of offsets they share."""
     seen = []
 
-    def spy(groups):
-        seen.append(groups)
-        return np.zeros(sum(m.size * o.size for m, o in groups), complex)
+    def spy(mids, offs):
+        seen.append((mids, offs))
+        return np.zeros(mids.size * offs.size, complex)
 
     monkeypatch.setattr(bnladder.gram, "_panel_zeta", spy)
     grid = bnladder.gram._spectral_grid(t_max, h)
-    (groups,) = seen
-    assert groups is grid.groups
-    assert [m.size for m, _ in groups] == ([math.floor(t_max / h), 1] if t_max % h else [t_max / h])
-    assert np.array_equal(groups[0][1], 0.5 * h * K15_NODES)
-    assert np.array_equal(np.concatenate([(m[:, None] + o).ravel() for m, o in groups]), grid.nodes)
+    ((mids, offs),) = seen
+    assert mids is grid.mids and offs is grid.offs
     n_panels = int(math.ceil(t_max / h))
-    edges = np.minimum(np.arange(n_panels + 1) * h, t_max)
+    width = t_max / n_panels
+    assert mids.size == n_panels == (150 if t_max == 37.3 else t_max / h)
+    assert mids[-1] + 0.5 * width == t_max  # the last panel ends at t_max
+    assert np.array_equal(offs, 0.5 * width * K15_NODES)
     nodes, w_quad, w_diff = [], [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    for i in range(n_panels):
+        mid, half = (i + 0.5) * width, 0.5 * width
         nodes.append(mid + half * K15_NODES)
         w_quad.append(half * K15_WEIGHTS)
         w_diff.append(half * (K15_WEIGHTS - G7_ON_K15))
     for got, want in zip((grid.nodes, grid.w_quad, grid.w_diff), (nodes, w_quad, w_diff)):
         assert np.array_equal(got, np.concatenate(want))
+
+
+@pytest.mark.parametrize("t_max,h", [(999.7, 1.0), (37.3, 0.25)])
+def test_grid_off_the_panel_width_ends_at_t_max(monkeypatch, t_max, h):
+    """Where h does not divide t_max, the grid still has ceil(t_max / h)
+    panels of one shape, none wider than h, and the last ends at t_max."""
+    with monkeypatch.context() as m:  # the layout alone: skip the grid's own zeta
+        m.setattr(bnladder.gram, "_panel_zeta", lambda mids, offs: np.zeros(mids.size * offs.size))
+        grid = bnladder.gram._spectral_grid(t_max, h)
+    assert grid.mids.size == math.ceil(t_max / h)
+    assert grid.offs.shape == (15,)
+    half = grid.offs[-1] / K15_NODES[-1]
+    edges = np.append(grid.mids - half, grid.mids[-1] + half)
+    assert abs(edges[0]) <= np.spacing(t_max)
+    assert np.all(np.diff(edges) <= h)
+    assert abs(edges[-1] - t_max) <= np.spacing(t_max)
+    if t_max == 999.7:
+        w = IndexWindow(3, 3)
+        direct = build_gram(w, kind="raw", method="direct")
+        spectral = build_gram(
+            w, kind="raw", method="spectral", quad=QuadratureConfig(t_max_raw=t_max)
+        )
+        diff = np.abs(spectral.entries - direct.entries)
+        assert np.all(diff <= spectral.err_estimate + direct.err_estimate)
 
 
 def _rule_ratios(points, grid, taper):
@@ -576,9 +600,9 @@ def test_repeated_spectral_calls_repeat_their_bits(monkeypatch):
     real_zeta, real_grid = bnladder.gram._panel_zeta, bnladder.gram._spectral_grid
     real_first = bnladder.gram._first_width
 
-    def spy_zeta(groups):
-        sizes.append(sum(m.size * o.size for m, o in groups))
-        return real_zeta(groups)
+    def spy_zeta(mids, offs):
+        sizes.append(mids.size * offs.size)
+        return real_zeta(mids, offs)
 
     def spy_grid(t, h):
         tried.append(h)

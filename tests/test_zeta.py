@@ -28,10 +28,12 @@ HIGH_T = (
     (9999.0, complex(1.39985791048172059768481915305, 1.07187619213679093666341596683), 6.0e-15),
 )
 
-# zeta(1/2 + i t) at stored nodes of the K15 grid on [0, 37.3] at panel
-# width 1/4 (``gram._spectral_grid(37.3, 0.25)``): the 15 nodes of full
-# panel 144 and those of the clipped last panel [37.25, 37.3], as (index
-# in ``grid.nodes``, node, value), from mpmath at 40 digits rounded to 30.
+# zeta(1/2 + i t) at stored nodes of K15 grids at panel width 1/4: the 15
+# nodes of panel 144 of ``gram._spectral_grid(37.25, 0.25)``, where 1/4
+# divides the height, and those of the last panel of
+# ``gram._spectral_grid(37.3, 0.25)``, 150 panels of width 37.3 / 150, as
+# (index in ``grid.nodes``, node, value), from mpmath at 40 digits rounded
+# to 30.
 PANEL_NODES = (
     (2160, 36.0010680786099, complex(2.37714919929074455670091177111, -1.18960691833080671393207733537)),
     (2161, 36.006361510957156, complex(2.36725043720977330527237975343, -1.19836185965584762688758526145)),
@@ -48,25 +50,25 @@ PANEL_NODES = (
     (2172, 36.233108052919974, complex(1.89117323821712056294440388886, -1.48876206388209879480044057316)),
     (2173, 36.243638489042844, complex(1.86713836237603093865066596494, -1.49794710114606092772929656415)),
     (2174, 36.2489319213901, complex(1.85501126408555372504386139051, -1.50241246286807555239594695899)),
-    (2235, 37.25021361572198, complex(3.85468704751462899681089112112e-3, -6.63505398290990151852599078815e-1)),
-    (2236, 37.25127230219143, complex(3.21935451253479303306805858875e-3, -6.61405332309000202391005187662e-1)),
-    (2237, 37.25337838941601, complex(1.96720834453243341798442086129e-3, -6.5722550240252509297329177437e-1)),
-    (2238, 37.256461720360015, complex(1.62265992454764470899710642598e-4, -6.5110129000809018528546804615e-1)),
-    (2239, 37.260347819113306, complex(-2.06482296469404755881397864259e-3, -6.43374544791556858709363894093e-1)),
-    (2240, 37.264853871215564, complex(-4.5804322429452037974221363746e-3, -6.34404347451131323582288719257e-1)),
-    (2241, 37.2698053761248, complex(-7.26197004642694853986364859367e-3, -6.24534654508306992930298632689e-1)),
-    (2242, 37.275, complex(-9.98194927593626439260792614687e-3, -6.14166817070381541116804914737e-1)),
-    (2243, 37.2801946238752, complex(-1.26063921463619050837588119661e-2, -6.03785958226999785535004132927e-1)),
-    (2244, 37.28514612878443, complex(-1.50190037129023855272377975054e-2, -5.93879610821024535949982691964e-1)),
-    (2245, 37.28965218088669, complex(-1.71390212661835154915696629464e-2, -5.84855493576045520593217684175e-1)),
-    (2246, 37.29353827963998, complex(-1.89095165594412766247743679852e-2, -5.77066512262362297039026895663e-1)),
-    (2247, 37.29662161058399, complex(-2.02761422554900970370993035598e-2, -5.70882553497443864019146254228e-1)),
-    (2248, 37.298727697808566, complex(-2.11902247408250302974099185848e-2, -5.66656641551799325460960387944e-1)),
-    (2249, 37.299786384278015, complex(-2.16437669670124944993519575597e-2, -5.64531795054215865406417118833e-1)),
+    (2235, 37.05239571552398, complex(0.190154602050444887784270254032, -1.03568932760342078475849612293)),
+    (2236, 37.057660916232045, complex(0.183513974473344715611115982517, -1.02649622257728667366266833116)),
+    (2237, 37.06813519002893, complex(0.170565585571452939130848639981, -1.00806345457811142628617032234)),
+    (2238, 37.08346962259047, complex(0.152243691405853709776005800666, -0.980742069255346110954487581142)),
+    (2239, 37.10279648705685, complex(0.130238809439072055182431051328, -0.945767487899195661184877960191)),
+    (2240, 37.12520658617874, complex(0.106262963580584268635293129173, -0.904510113815099525223394578198)),
+    (2241, 37.149832070594016, complex(0.0818516879661524920871317306662, -0.858377064378523743413263392035)),
+    (2242, 37.175666666666665, complex(0.0584506372349014337501929671045, -0.809174209299051729279992198816)),
+    (2243, 37.20150126273931, complex(0.0373406397776662874950289979744, -0.759247833066050701467323191818)),
+    (2244, 37.22612674715459, complex(0.0193745371421838729796059272495, -0.711079150646339969702217767806)),
+    (2245, 37.24853684627648, complex(0.00486901995813021276782340537001, -0.666830068765334694847278893744)),
+    (2246, 37.26786371074286, complex(-0.00622077385288267177692132384806, -0.628406464702587193398005695566)),
+    (2247, 37.283198143304396, complex(-0.014080220574420141642797305807, -0.597778165737521063654991067577)),
+    (2248, 37.293672417101284, complex(-0.0189696724035422951824625237627, -0.576797556498882564558872630672)),
+    (2249, 37.29893761780935, complex(-0.0212804709865428801737628392604, -0.566235349449925841483292864527)),
 )
 # The evaluator errs by at most 1.6e-15 on these nodes.  Without the
 # first-order term in the node's rounding e it errs by up to 9.0e-15 on
-# panel 144 and 5.6e-15 on the last panel.
+# panel 144 and 7.4e-15 on the last panel.
 PANEL_TOL = 3.0e-15
 
 # What the module docstring promises of Backlund's bound on [0, T_CAP].
@@ -81,33 +83,37 @@ def test_high_ordinates_match_frozen_values():
 
 
 def test_panel_evaluator_matches_frozen_values_at_the_grid_nodes():
-    grid = bnladder.gram._spectral_grid(37.3, 0.25)
-    (mids, offs), (last, last_offs) = grid.groups
-    assert mids.size == 149 and np.array_equal(last, [37.275])
-    assert not np.array_equal(offs, last_offs)  # the clipped panel has its own offsets
-    values = bnladder.zeta._panel_zeta(grid.groups)
-    for i, t, ref in PANEL_NODES:
-        assert grid.nodes[i] == t
-        assert abs(values[i] - ref) <= PANEL_TOL, t
+    # (height, its number of panels, the panel whose nodes are frozen)
+    for t_max, n_panels, panel in ((37.25, 149, 144), (37.3, 150, 149)):
+        grid = bnladder.gram._spectral_grid(t_max, 0.25)
+        assert grid.mids.size == n_panels
+        values = bnladder.zeta._panel_zeta(grid.mids, grid.offs)
+        frozen = [(i, t, ref) for i, t, ref in PANEL_NODES if i // 15 == panel]
+        assert len(frozen) == 15
+        for i, t, ref in frozen:
+            assert grid.nodes[i] == t
+            assert abs(values[i] - ref) <= PANEL_TOL, t
 
 
 # sha256 of the panel evaluator's values on the K15 grids of
 # ``gram._spectral_grid(t_max, 1/2)``, frozen when the evaluator came to
 # write into one output and to run the tail over chunks of whole runs:
-# neither may move a bit.  999.7 ends in a clipped panel, a second group.
+# neither may move a bit.  1/2 does not divide 999.7, so its 2,000 panels
+# are 999.7 / 2000 wide; its hash was frozen when the grid came to lay out
+# equal panels that end at the height.
 PANEL_GRID_SHA256 = {
     1000.0: "e46e97b99780da084cb1a1f1fa8a60a61531ee1907a83c29a6f93911c44e8aaa",
-    999.7: "71eb7ad5e614237c1cc7eff0ddeb441bf714ab932f0f12f22d4d57fa22e2fb71",
+    999.7: "9371029fa89a25e3668e9dc50f87b06c24051326fb176f8dc50f4610383778f5",
     1.0e4: "52fc5ab06b0c34a51af8727546b8e7e019c2e0c881567710d9539afdffb187c6",
 }
 
 
 @pytest.mark.parametrize("t_max", list(PANEL_GRID_SHA256))
 def test_panel_grid_values_keep_their_bits(monkeypatch, t_max):
-    with monkeypatch.context() as m:  # the groups alone: skip the grid's own zeta
-        m.setattr(bnladder.gram, "_panel_zeta", lambda g: np.zeros(sum(a.size * o.size for a, o in g)))
-        groups = bnladder.gram._spectral_grid(t_max, 0.5).groups
-    values = bnladder.zeta._panel_zeta(groups)
+    with monkeypatch.context() as m:  # the panels alone: skip the grid's own zeta
+        m.setattr(bnladder.gram, "_panel_zeta", lambda mids, offs: np.zeros(mids.size * offs.size))
+        grid = bnladder.gram._spectral_grid(t_max, 0.5)
+    values = bnladder.zeta._panel_zeta(grid.mids, grid.offs)
     assert values.size == 15 * math.ceil(t_max / 0.5)
     assert hashlib.sha256(values.tobytes()).hexdigest() == PANEL_GRID_SHA256[t_max]
 
@@ -199,7 +205,7 @@ def test_backlund_bound_below_target_at_every_block_top():
 def test_backlund_bound_below_target_on_the_grid_blocks(monkeypatch):
     # The tail runs over chunks of whole runs of blocks, each node with the
     # N of its block: the chunks cover every node exactly once, in a grid
-    # and in a panel call's two groups (full panels and a clipped last one).
+    # and in panel calls with two panel shapes.
     tail = bnladder.zeta._tail
     calls = []
 
@@ -213,12 +219,13 @@ def test_backlund_bound_below_target_on_the_grid_blocks(monkeypatch):
     zeta_half_grid(ts)
     offs = 0.2 * np.linspace(-1.0, 1.0, 15)
     mids = np.arange(0.5, T_CAP - 40.0, 3.7)
-    groups = [(mids, offs), (np.array([T_CAP - 0.1]), 0.5 * offs)]
-    bnladder.zeta._panel_zeta(groups)
-    nodes = np.concatenate([ts] + [(m[:, None] + o).ravel() for m, o in groups])
+    panels = [(mids, offs), (np.array([T_CAP - 0.1]), 0.5 * offs)]
+    for m, o in panels:
+        bnladder.zeta._panel_zeta(m, o)
+    nodes = np.concatenate([ts] + [(m[:, None] + o).ravel() for m, o in panels])
     covered = np.concatenate([s.imag for s, _ in calls])
     assert np.array_equal(covered, nodes)  # each node once, in order
-    assert len(calls) > 3  # the full panels take more than one chunk
+    assert len(calls) > 3  # the first panels take more than one chunk
     assert max(float(np.max(b)) for _, b in calls) < TRUNCATION_TARGET
 
 
