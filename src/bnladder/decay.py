@@ -260,6 +260,12 @@ class TruncationSuite:
 
 
 def truncation_suite(g: GramMatrix, bs: tuple[int, ...] = (1, 2, 3, 4)) -> TruncationSuite:
+    """One :class:`TruncationReport` per radius B in ``bs``, integers >= 1,
+    in the order given: row tail sums, their maximum and the residual's
+    norm.  That norm comes from eigvalsh, which reads only the lower
+    triangle, so it is ``g``'s only if ``g`` is exactly symmetric, as every
+    build is and every document :func:`.gram.gram_from_json` accepts.  Its
+    last bits depend on the BLAS thread count (README, "Determinism")."""
     bs = tuple(_integer(b, "truncation radius B", minimum=1) for b in bs)
     d = _distance_matrix(g)
     a = np.abs(g.entries)
@@ -275,11 +281,9 @@ def truncation_suite(g: GramMatrix, bs: tuple[int, ...] = (1, 2, 3, 4)) -> Trunc
                 tail_sums=tuple(zip((p.index for p in g.points), tails.tolist())),
             )
         )
-    xs = [math.log1p(r.B) for r in reports if r.schur_bound > 0.0]
-    ys = [math.log(r.schur_bound) for r in reports if r.schur_bound > 0.0]
-    fit = None
-    if len(xs) >= 3 and float(np.ptp(np.array(xs))) > 0.0:
-        fit = _negated_slope(xs, ys)
+    tails = [r for r in reports if r.schur_bound > 0.0]
+    xs, ys = [math.log1p(r.B) for r in tails], [math.log(r.schur_bound) for r in tails]
+    fit = _negated_slope(xs, ys) if len(xs) >= 3 and float(np.ptp(np.array(xs))) > 0.0 else None
     return TruncationSuite(reports=tuple(reports), fit_exponent_tail=fit)
 
 

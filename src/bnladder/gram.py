@@ -18,10 +18,10 @@ and the origin, and :func:`.fractional._assemble` turns it into entries:
   e^{i omega t} factors into one exponential per dj and one per dk, each
   the product of its values at the panel midpoint and at the node's
   offset, and the whole grid is one complex matrix product per slab of
-  panels, each slab within zeta's 512 KiB table budget (see
-  :func:`_moments`).  zeta itself comes from the panel
-  evaluator of :mod:`.zeta`, which shares one table of offsets among the
-  panels in the same way.
+  panels within zeta's 512 KiB table budget.  The panels share their
+  quadrature weights too, so the grid's one array over its nodes is
+  |zeta/s|^2, and each slab forms its own nodes and tapered weights (see
+  :func:`_moments`).  zeta comes from the panel evaluator of :mod:`.zeta`.
 
 The raw spectral integrand decays only like (log t)/t^2, so truncation
 leaves a visible deficit; every spectral entry therefore carries an error
@@ -151,19 +151,17 @@ _MAX_GRID_NODES = 1 << 22
 class _SpectralGrid:
     """Gauss-Kronrod K15 panels on [0, t_max] with the zeta power spectrum.
 
-    The panels are equal: ``mids`` holds their ascending midpoints and
-    ``offs`` the node offsets from the midpoint that they share, and
-    ``nodes`` is ``(mids[:, None] + offs).ravel()``.  ``w_quad`` holds the
-    K15 weights; ``w_diff`` holds K15 minus the embedded G7 weights, so one
-    dot product gives each entry's K15 - G7 difference.  That difference is
-    the error estimate of the cruder G7 rule, so as the quadrature term of a
-    budget it is an estimate, not a bound, and a generous one for the K15
-    value itself.
+    The panels are equal: ``mids`` holds their ascending midpoints, and
+    ``offs``, ``w_quad`` and ``w_diff`` the 15 node offsets, K15 weights
+    and K15 minus embedded G7 weights that every panel shares.  The K15 -
+    G7 difference is the error estimate of the cruder G7 rule, so as the
+    quadrature term of a budget it is an estimate, not a bound, and a
+    generous one for the K15 value itself.  ``power`` is the one array
+    over the nodes, in the order of ``(mids[:, None] + offs).ravel()``.
     """
 
     mids: np.ndarray
     offs: np.ndarray
-    nodes: np.ndarray
     w_quad: np.ndarray
     w_diff: np.ndarray
     power: np.ndarray  # |zeta(s)/s|^2 at the nodes: all an entry needs of zeta
@@ -198,10 +196,9 @@ def _spectral_grid(t_max: float, h: float) -> _SpectralGrid:
     [0, t_max], with zeta evaluated afresh at every node by the panel
     evaluator of :mod:`.zeta`.  Where h divides t_max the width is h
     itself; otherwise it is slightly narrower, and the last panel still
-    ends at t_max.  The grid keeps four arrays over its nodes (the nodes,
-    both weights and the power spectrum); the evaluator adds its one
-    complex output and working space that does not grow with the number
-    of panels (see :mod:`.zeta`)."""
+    ends at t_max.  The grid keeps one array over its nodes, the power
+    spectrum; the evaluator adds its one complex output and working space
+    that does not grow with the number of panels (see :mod:`.zeta`)."""
     n_panels = int(math.ceil(t_max / h))
     if 15 * n_panels > _MAX_GRID_NODES:
         raise ConvergenceError(
@@ -211,19 +208,19 @@ def _spectral_grid(t_max: float, h: float) -> _SpectralGrid:
     width = t_max / n_panels
     mids = (np.arange(n_panels) + 0.5) * width
     offs = 0.5 * width * _K15_NODES
-    nodes = (mids[:, None] + offs).ravel()
-    w_quad = np.tile(0.5 * width * _K15_WEIGHTS, n_panels)
-    w_diff = np.tile(0.5 * width * (_K15_WEIGHTS - _G7_ON_K15), n_panels)
-    power = np.abs(_panel_zeta(mids, offs)) ** 2 / (0.25 + nodes**2)
-    return _SpectralGrid(mids, offs, nodes, w_quad, w_diff, power)
+    power = np.abs(_panel_zeta(mids, offs)) ** 2 / (0.25 + (mids[:, None] + offs).ravel() ** 2)
+    w_quad, w_diff = 0.5 * width * _K15_WEIGHTS, 0.5 * width * (_K15_WEIGHTS - _G7_ON_K15)
+    return _SpectralGrid(mids, offs, w_quad, w_diff, power)
 
 
-def _moments(grid: _SpectralGrid, weights, uj: np.ndarray, uk: np.ndarray) -> np.ndarray:
+def _moments(grid: _SpectralGrid, uj: np.ndarray, uk: np.ndarray, smoothing) -> np.ndarray:
     """C_w(omega) = (1/pi) * sum_nodes w |zeta/s|^2 cos(omega t) at the
-    ladder frequencies omega = dj log 2 + dk log 3, indexed (weight, dj,
-    dk) over every dj in ``uj`` and dk in ``uk``.
+    ladder frequencies omega = dj log 2 + dk log 3, indexed (rule, dj, dk)
+    over the rules (K15, K15 - G7) and every dj in ``uj`` and dk in
+    ``uk``.  The weight w is the rule's, times :func:`_taper` where
+    ``smoothing`` is given: the tapered share of a smoothed build.
 
-    cos(omega t) = Re[e^{i dj log2 t} e^{i dk log3 t}], so a weight's grid
+    cos(omega t) = Re[e^{i dj log2 t} e^{i dk log3 t}], so a rule's grid
     is Re[(A * w |zeta/s|^2) B^T], with A holding e^{i dj log2 t} for each
     dj and B e^{i dk log3 t} for each dk.  Each is the product of its
     value at the panel midpoint and at the node's offset, which all panels
@@ -231,14 +228,16 @@ def _moments(grid: _SpectralGrid, weights, uj: np.ndarray, uk: np.ndarray) -> np
     rounded mid + off, which moves the product's phase by at most
     f ulp(t)/2, as much as rounding f t itself would.  The panels go in
     slabs whose A and B take at most zeta's table budget, _TABLE_BYTES
-    (512 KiB): 84 panels on raw 8x8 and 29 on smoothed 24x24, so beyond
-    its inputs the pass allocates nothing the size of the grid.
+    (512 KiB): 84 panels on raw 8x8 and 29 on smoothed 24x24.  Each slab
+    forms its own nodes, taper and weights (w * taper) * |zeta/s|^2, so
+    beyond its inputs the pass allocates nothing the size of the grid.
     """
-    out = np.zeros((len(weights), uj.size, uk.size))
+    out = np.zeros((2, uj.size, uk.size))
     freqs = (uj * LOG2, uk * LOG3)
     at_offs = [np.exp(1j * np.outer(f, grid.offs))[:, None, :] for f in freqs]
     # a panel's rows of A and B: (|uj| + |uk|) x offsets complex values
     slab = max(1, _TABLE_BYTES // ((uj.size + uk.size) * grid.offs.size * 16))
+    power = grid.power.reshape(grid.mids.size, grid.offs.size)
     for first in range(0, grid.mids.size, slab):
         m = grid.mids[first : first + slab]
         # e^{i f t} = e^{i f mid} e^{i f off}, frequencies by nodes
@@ -246,21 +245,22 @@ def _moments(grid: _SpectralGrid, weights, uj: np.ndarray, uk: np.ndarray) -> np
             (np.exp(1j * np.outer(f, m))[:, :, None] * at_off).reshape(f.size, -1)
             for f, at_off in zip(freqs, at_offs)
         )
-        nodes = slice(first * grid.offs.size, (first + m.size) * grid.offs.size)
-        power = grid.power[nodes]
-        for c, w in enumerate(weights):
-            out[c] += ((a * (w[nodes] * power)) @ b.T).real
+        taper = 1.0 if smoothing is None else _taper(m[:, None] + grid.offs, smoothing)
+        for c, w in enumerate((grid.w_quad, grid.w_diff)):
+            out[c] += ((a * ((w * taper) * power[first : first + slab]).ravel()) @ b.T).real
     return out / math.pi
 
 
-def _pair_matrices(points: tuple[LadderPoint, ...], grid: _SpectralGrid, weights):
-    """(1/pi) * sum_nodes w Re[M_a conj(M_b)] for all pairs, per weight vector.
+def _pair_matrices(points: tuple[LadderPoint, ...], grid: _SpectralGrid, smoothing):
+    """(1/pi) * sum_nodes w Re[M_a conj(M_b)] for all pairs, for the rules
+    K15 and K15 - G7, with w tapered where ``smoothing`` is given (see
+    :func:`_moments`).
 
     With l = log theta, Re[M_a conj(M_b)] / |zeta/s|^2 = theta_a theta_b
     + sqrt(theta_a theta_b) cos(t(l_a - l_b)) - theta_a sqrt(theta_b) cos(t l_b)
-    - theta_b sqrt(theta_a) cos(t l_a), so each weight vector's moments
-    on the (dj, dk) grid (153 cells on 8x8, for 145 distinct frequencies)
-    fill the table of :func:`.fractional._assemble`.
+    - theta_b sqrt(theta_a) cos(t l_a), so each rule's moments on the
+    (dj, dk) grid (153 cells on 8x8, for 145 distinct frequencies) fill
+    the table of :func:`.fractional._assemble`.
     """
     # The origin appended last turns each l_a into the displacement a - 0.
     ij = np.array([tuple(p.index) for p in points] + [(0, 0)], dtype=np.int64)
@@ -276,7 +276,7 @@ def _pair_matrices(points: tuple[LadderPoint, ...], grid: _SpectralGrid, weights
     # sqrt(theta) via exp(log_theta / 2) so deep indices degrade to 0
     # instead of raising; log_theta == 0.0 keeps the theta = 1 row exact.
     sqrt_theta = np.array([math.exp(0.5 * p.log_theta) for p in points])
-    return [_assemble(theta, sqrt_theta, m[row, col]) for m in _moments(grid, weights, uj, uk)]
+    return [_assemble(theta, sqrt_theta, m[row, col]) for m in _moments(grid, uj, uk, smoothing)]
 
 
 def _displacement_span(points) -> float:
@@ -440,8 +440,7 @@ def _spectral(points, smoothing: SmoothingParams | None, quad: QuadratureConfig)
     h = _first_width(_displacement_span(points), t_max, tau)
     while True:
         grid = _spectral_grid(t_max, h)
-        w = 1.0 if smoothing is None else _taper(grid.nodes, smoothing)
-        vals, qdiff = _pair_matrices(points, grid, (grid.w_quad * w, grid.w_diff * w))
+        vals, qdiff = _pair_matrices(points, grid, smoothing)
         # Unnamed, the ratios die here: kept alive through the budget below,
         # they raised the peak RSS of a smoothed 24x24 gram run by 6 MB.
         if np.all(np.abs(qdiff[np.ix_(off, off)]) / amps[off, None] / amps[None, off] <= limit):
@@ -543,8 +542,7 @@ def cross_validate(
     direct = build_gram(window, kind="raw", method="direct", quad=quad)
     spectral = build_gram(window, kind="raw", method="spectral", quad=quad)
     diff = np.abs(direct.entries - spectral.entries)
-    flat = int(np.argmax(diff))
-    i, j = divmod(flat, diff.shape[1])
+    i, j = np.unravel_index(np.argmax(diff), diff.shape)
     pts = direct.points
     return CrossValidationReport(
         window=window,
@@ -585,10 +583,12 @@ def gram_to_json(g: GramMatrix) -> str:
 def gram_from_json(text: str) -> GramMatrix:
     """Rebuild a :class:`GramMatrix` from its JSON serialization.
 
-    Any malformed document (bad JSON, a schema other than
-    ``bnladder.gram/4``, a missing or misspelled field, a ragged or
-    non-numeric array, an invalid kind, method or smoothing) raises
-    :class:`ParameterError`.
+    Any document that no build writes raises :class:`ParameterError`:
+    bad JSON, a schema other than ``bnladder.gram/4``, a missing or
+    misspelled field, an invalid kind, method or smoothing, or an entry
+    array that is ragged, of the wrong size, or not exactly symmetric, or
+    that holds a cell other than a finite JSON number (a string such as
+    "0.25", true, null), or a negative ``err_estimate``.
     """
     try:
         payload = json.loads(text)
@@ -605,15 +605,20 @@ def gram_from_json(text: str) -> GramMatrix:
         if method is None:  # the kind's default, which the document need not have run
             raise ParameterError("Gram serialization names no method")
         _validate_build(payload["kind"], method, smoothing)
-        entries = np.array(payload["entries"], dtype=np.float64)
-        err = np.array(payload["err_estimate"], dtype=np.float64)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        cells = (payload["entries"], payload["err_estimate"])
+        # numpy would read "0.25" and true as numbers; a bool is no real
+        if not {type(x) for rows in cells for row in rows for x in row} <= {int, float}:
+            raise ParameterError("entry arrays must hold JSON numbers only")
+        entries, err = (np.array(c, dtype=np.float64) for c in cells)
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParameterError(f"malformed Gram serialization: {exc!r}") from exc
     n = window.size
     if entries.shape != (n, n) or err.shape != (n, n):
         raise ParameterError("entry arrays do not match the window size")
-    if not (np.all(np.isfinite(entries)) and np.all(np.isfinite(err))):
-        raise ParameterError("entry arrays must be finite")
+    if not (np.all(np.isfinite(entries)) and np.all(np.isfinite(err)) and np.all(err >= 0.0)):
+        raise ParameterError("entry arrays must be finite, err_estimate nonnegative")
+    if not (np.array_equal(entries, entries.T) and np.array_equal(err, err.T)):
+        raise ParameterError("entry arrays must be exactly symmetric")
     return GramMatrix(
         window=window,
         method=method,

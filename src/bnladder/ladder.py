@@ -189,17 +189,8 @@ def check_injectivity(window: IndexWindow) -> InjectivityReport:
     the index pair achieving it.  On a 1 x 1 window the minimum gap is
     log(3/2): the ladder neighbours (1, 0) and (0, 1).
     """
-    pts = window.points()
-    order = sorted(pts, key=lambda p: p.log_theta)
-    best_gap = math.inf
-    best_pair = (order[0].index, order[0].index)
-    for lo, hi in zip(order, order[1:]):
-        gap = hi.log_theta - lo.log_theta
-        if gap < best_gap:
-            best_gap = gap
-            best_pair = (lo.index, hi.index)
-    if len(order) == 1:
-        best_gap = math.inf
-    return InjectivityReport(
-        injective=best_gap > 0.0, min_gap=best_gap, closest=best_pair
-    )
+    order = sorted(window.points(), key=lambda p: p.log_theta)
+    gaps = [(hi.log_theta - lo.log_theta, lo.index, hi.index) for lo, hi in zip(order, order[1:])]
+    # min keeps the first smallest gap; a single point has none
+    gap, a, b = min(gaps, key=lambda g: g[0], default=(math.inf, order[0].index, order[0].index))
+    return InjectivityReport(injective=gap > 0.0, min_gap=gap, closest=(a, b))

@@ -42,8 +42,8 @@ is added over chunks of whole runs, a chunk closing once its nodes reach
 _TABLE_BYTES / 64 (four complex arrays of the tail).  Every step is
 elementwise or per block, so the chunking moves no bit.  With the moment
 slabs of :mod:`.gram` bounded by the same budget, the allocations of the
-raw 8x8 spectral build peak at 3.6 MB at T = 1000 (30,000 nodes) and at
-19.7 MB at T = 10000, the grid's own arrays included (tracemalloc).
+raw 8x8 spectral build peak at 2.8 MB at T = 1000 (30,000 nodes) and at
+12.2 MB at T = 10000, the grid's power spectrum included (tracemalloc).
 
 The roundoff is an estimate.  Float64 gets the phase t ln p wrong by
 ~t ulp(ln p), so a block takes t_a ln p mod 2 pi at its middle midpoint

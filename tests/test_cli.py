@@ -316,6 +316,17 @@ def test_spectrum_rejects_bad_grid(tmp_path, capsys):
         assert os.listdir(tmp_path) == []
 
 
+def test_spectrum_rejects_a_grid_that_rounds_to_repeated_points(tmp_path, capsys):
+    """--tmax one ulp above --tmin passes the ordering check, but the
+    geometric grid collapses; the message names the flags to change."""
+    out = str(tmp_path / "s.csv")
+    args = ["spectrum", "--tmin", "1", "--tmax", "1.0000000000000002", "--points", "5"]
+    assert main([*args, "--out", out]) == 1
+    (err,) = capsys.readouterr().err.splitlines()
+    assert all(flag in err for flag in ("--tmin", "--tmax", "--points")) and "t_grid" not in err
+    assert os.listdir(tmp_path) == []
+
+
 def test_decay_outputs(tmp_path):
     out = str(tmp_path / "d.json")
     args = [

@@ -140,6 +140,14 @@ _DROP = object()
         pytest.param(("entries", 1), [0.0], id="ragged_entries"),
         pytest.param(("entries", 1, 1), "x", id="text_entry"),
         pytest.param(("err_estimate", 2, 0), None, id="null_err_estimate"),
+        # numpy would read each of these as a number; no build writes them
+        pytest.param(("entries", 1, 1), "0.25", id="numeric_text_entry"),
+        pytest.param(("entries", 1, 1), True, id="bool_entry"),
+        pytest.param(("err_estimate", 2, 2), False, id="bool_err_estimate"),
+        pytest.param(("entries", 1, 1), 10**400, id="huge_integer_entry"),
+        pytest.param(("err_estimate", 1, 1), -1e-300, id="negative_err_estimate"),
+        pytest.param(("entries", 1, 2), 0.125, id="asymmetric_entries"),
+        pytest.param(("err_estimate", 2, 1), 0.125, id="asymmetric_err_estimate"),
         pytest.param(("kind",), "weird", id="unknown_kind"),
         pytest.param(("method",), "bogus", id="unknown_method"),
         pytest.param(("method",), None, id="null_method"),
@@ -379,13 +387,15 @@ def test_grid_beyond_zeta_cap_rejected_before_allocation(kind, kwargs):
     assert peak < 1 << 20
 
 
-@pytest.mark.parametrize("t_max,limit_mb", [(1000.0, 6.0), (1.0e4, 32.0)])
+@pytest.mark.parametrize("t_max,limit_mb", [(1000.0, 6.0), (1.0e4, 17.0)])
 def test_raw_spectral_build_working_set(t_max, limit_mb):
     """The moment slabs and zeta's tail chunks are bounded by bytes, so the
     raw 8x8 spectral build (h = 1/2: 30,000 nodes at T = 1000, 300,000 at
-    1e4) allocates little beyond its grid-sized arrays: a tracemalloc peak
-    of 3.6 and 19.7 MB, against 15.3 and 67.1 MB with slabs of 1,024
-    panels and one tail over the whole grid."""
+    1e4) allocates little beyond its one grid-sized array, the power
+    spectrum, and zeta's output: a tracemalloc peak of 2.8 and 12.2 MB,
+    against 3.6 and 19.4 MB when the grid also kept its nodes and
+    per-node weights, and 15.3 and 67.1 MB with slabs of 1,024 panels and
+    one tail over the whole grid."""
     quad = QuadratureConfig(t_max_raw=t_max)
     tracemalloc.start()
     try:
@@ -445,14 +455,19 @@ def test_spectral_grid_matches_panel_loop(monkeypatch, t_max, h):
     assert mids.size == n_panels == (150 if t_max == 37.3 else t_max / h)
     assert mids[-1] + 0.5 * width == t_max  # the last panel ends at t_max
     assert np.array_equal(offs, 0.5 * width * K15_NODES)
-    nodes, w_quad, w_diff = [], [], []
+    nodes = []
     for i in range(n_panels):
         mid, half = (i + 0.5) * width, 0.5 * width
         nodes.append(mid + half * K15_NODES)
-        w_quad.append(half * K15_WEIGHTS)
-        w_diff.append(half * (K15_WEIGHTS - G7_ON_K15))
-    for got, want in zip((grid.nodes, grid.w_quad, grid.w_diff), (nodes, w_quad, w_diff)):
-        assert np.array_equal(got, np.concatenate(want))
+        # every panel has the grid's one rule
+        assert np.array_equal(grid.w_quad, half * K15_WEIGHTS)
+        assert np.array_equal(grid.w_diff, half * (K15_WEIGHTS - G7_ON_K15))
+    assert np.array_equal((grid.mids[:, None] + grid.offs).ravel(), np.concatenate(nodes))
+    # the power spectrum is the one array over the nodes
+    sizes = {f.name: getattr(grid, f.name).size for f in fields(grid)}
+    assert sizes == {
+        "mids": n_panels, "offs": 15, "w_quad": 15, "w_diff": 15, "power": 15 * n_panels
+    }
 
 
 @pytest.mark.parametrize("t_max,h", [(999.7, 1.0), (37.3, 0.25)])
@@ -479,10 +494,9 @@ def test_grid_off_the_panel_width_ends_at_t_max(monkeypatch, t_max, h):
         assert np.all(diff <= spectral.err_estimate + direct.err_estimate)
 
 
-def _rule_ratios(points, grid, taper):
+def _rule_ratios(points, grid, smoothing):
     """|K15 - G7|_ab / (amp_a amp_b) off the theta = 1 row, recomputed."""
-    w = 1.0 if taper is None else taper(grid.nodes)
-    (qdiff,) = bnladder.gram._pair_matrices(points, grid, (grid.w_diff * w,))
+    _, qdiff = bnladder.gram._pair_matrices(points, grid, smoothing)
     amps = np.array([bnladder.gram._amp_bound(p) for p in points])
     off = amps > 0.0
     return np.abs(qdiff[np.ix_(off, off)]) / np.outer(amps[off], amps[off])
@@ -509,11 +523,9 @@ def test_width_rule_halves_until_every_entry_passes(j_max, k_max, t_max, smoothi
     window = IndexWindow(j_max, k_max)
     points = tuple(window.points())
     if smoothing is None:
-        tau, taper = gram._mean_sq_tail(t_max) / math.pi, None
+        tau = gram._mean_sq_tail(t_max) / math.pi
     else:
         tau = gram._GAUSSIAN_TAIL_TOL / 4.0
-        eps, w = smoothing.epsilon, smoothing.W
-        taper = lambda t: 2.0 * eps * np.exp(-((t / w) ** 2)) + np.exp(-2.0 * (t / w) ** 2)  # noqa: E731
     real_first, real_grid = gram._first_width, gram._spectral_grid
     built = []
 
@@ -535,9 +547,9 @@ def test_width_rule_halves_until_every_entry_passes(j_max, k_max, t_max, smoothi
     assert tried[0] == widen * real_first(span, t_grid, tau)
     assert tried == [tried[0] / 2**i for i in range(len(tried))]
     accepted = built[-1][2]
-    assert np.all(_rule_ratios(points, accepted, taper) <= gram._QUAD_SHARE * tau)
+    assert np.all(_rule_ratios(points, accepted, smoothing) <= gram._QUAD_SHARE * tau)
     for _, _, rejected in built[:-1]:
-        assert np.any(_rule_ratios(points, rejected, taper) > gram._QUAD_SHARE * tau)
+        assert np.any(_rule_ratios(points, rejected, smoothing) > gram._QUAD_SHARE * tau)
     if widen == 16 and window.size > 1:
         assert len(tried) > 1
     # the reported budget carries the accepted grid's K15 - G7 difference
@@ -634,6 +646,17 @@ def test_width_search_stops_at_the_node_cap(monkeypatch):
         build_gram(IndexWindow(2, 2), "smoothed", smoothing=SM)
 
 
+def _node_weights(grid, smoothing):
+    """The grid's K15 and K15 - G7 weights at every node, times
+    psi_W^2 - epsilon^2 where ``smoothing`` is given: the per-node
+    formulas, independent of :func:`bnladder.gram._moments`."""
+    taper = 1.0
+    if smoothing is not None:
+        g1 = np.exp(-(((grid.mids[:, None] + grid.offs).ravel() / smoothing.W) ** 2))
+        taper = 2.0 * smoothing.epsilon * g1 + g1 * g1
+    return tuple(np.tile(w, grid.mids.size) * taper for w in (grid.w_quad, grid.w_diff))
+
+
 def _complex_pair_matrices(points, grid, weights):
     """The per-node accumulation the moment route replaced: form
     M_a(1/2+it) = zeta/s * (theta - theta^s) at every node and return
@@ -644,13 +667,14 @@ def _complex_pair_matrices(points, grid, weights):
     theta = np.array([p.theta for p in points])
     sqrt_theta = np.array([math.exp(0.5 * p.log_theta) for p in points])
     log_theta = np.array([p.log_theta for p in points])
+    nodes = (grid.mids[:, None] + grid.offs).ravel()
     rows = kernel[None, :] * (
-        theta[:, None] - sqrt_theta[:, None] * np.exp(1j * np.outer(log_theta, grid.nodes))
+        theta[:, None] - sqrt_theta[:, None] * np.exp(1j * np.outer(log_theta, nodes))
     )
     return [((rows * w) @ rows.conj().T).real / math.pi for w in weights]
 
 
-def _unique_keyed_pair_matrices(points, grid, weights):
+def _unique_keyed_pair_matrices(points, grid, smoothing):
     """:func:`bnladder.gram._pair_matrices` with each displacement turned
     by its sign (that of dj, or of dk where dj = 0) and each axis ranked
     by np.unique."""
@@ -661,7 +685,7 @@ def _unique_keyed_pair_matrices(points, grid, weights):
     uk, col = np.unique(sign * dk, return_inverse=True)
     theta = np.array([p.theta for p in points])
     sqrt_theta = np.array([math.exp(0.5 * p.log_theta) for p in points])
-    moments = bnladder.gram._moments(grid, weights, uj, uk)
+    moments = bnladder.gram._moments(grid, uj, uk, smoothing)
     row, col = row.reshape(dj.shape), col.reshape(dk.shape)
     return [bnladder.gram._assemble(theta, sqrt_theta, m[row, col]) for m in moments]
 
@@ -680,10 +704,10 @@ def _fixed_grid(t_max, h):
 def test_pair_keys_match_unique_keys(window):
     points = tuple(IndexWindow(*window).points())
     grid = _fixed_grid(SHORT_T, 1 / 8)
-    weights = (grid.w_quad, grid.w_diff)
-    got = bnladder.gram._pair_matrices(points, grid, weights)
-    for g, u in zip(got, _unique_keyed_pair_matrices(points, grid, weights)):
-        assert np.array_equal(g, u)
+    for smoothing in (None, SM):
+        got = bnladder.gram._pair_matrices(points, grid, smoothing)
+        for g, u in zip(got, _unique_keyed_pair_matrices(points, grid, smoothing)):
+            assert np.array_equal(g, u)
 
 
 @settings(max_examples=30, deadline=None)
@@ -701,14 +725,12 @@ def test_moments_match_complex_accumulation(idx, eps):
     accumulation, raw (eps None) and with the smoothed build's taper, and
     equal bit for bit those keyed by np.unique."""
     points = tuple(theta_of(ix) for ix in idx)
+    smoothing = None if eps is None else SmoothingParams(W=5.0, epsilon=eps)
     grid = _fixed_grid(SHORT_T, 1 / 8)
-    weights = (grid.w_quad, grid.w_diff)
-    if eps is not None:
-        g1 = np.exp(-((grid.nodes / 5.0) ** 2))
-        weights = tuple(w * (2.0 * eps * g1 + g1 * g1) for w in weights)
-    got = bnladder.gram._pair_matrices(points, grid, weights)
+    weights = _node_weights(grid, smoothing)
+    got = bnladder.gram._pair_matrices(points, grid, smoothing)
     want = _complex_pair_matrices(points, grid, weights)
-    for g, u in zip(got, _unique_keyed_pair_matrices(points, grid, weights)):
+    for g, u in zip(got, _unique_keyed_pair_matrices(points, grid, smoothing)):
         assert np.array_equal(g, u)
     # Both sums round on the scale of the absolute accumulation: (1/pi)
     # sum_nodes |w| r_a r_b with r >= |M|, per entry and per weight vector.
@@ -726,7 +748,6 @@ def test_moments_match_complex_accumulation(idx, eps):
 
     a, b = idx[0], idx[-1]
     quad = QuadratureConfig(t_max_raw=SHORT_T)
-    smoothing = None if eps is None else SmoothingParams(W=5.0, epsilon=eps)
     built = []
     real_grid = bnladder.gram._spectral_grid
 
@@ -738,10 +759,8 @@ def test_moments_match_complex_accumulation(idx, eps):
         value = inner_spectral(a, b, smoothing=smoothing, quad=quad).value
     grid = built[-1]  # the search ends at the grid it accepted
     pair = (theta_of(a), theta_of(b))
-    w = grid.w_quad
-    if smoothing is not None:  # the tapered share; the epsilon^2 share is the raw direct build
-        g1 = np.exp(-((grid.nodes / 5.0) ** 2))
-        w = w * (2.0 * eps * g1 + g1 * g1)
+    # the tapered share; the epsilon^2 share is the raw direct build
+    w, _ = _node_weights(grid, smoothing)
     (full,) = _complex_pair_matrices(pair, grid, (w,))
     want = full[0, 1]
     if eps:  # the closed form, or above its cap the sweep at the coarse cutoff
@@ -755,8 +774,9 @@ def _cosine_moments(grid, weights, dj, dk):
     """The moment route the factorized one replaced: for every frequency
     omega = dj log 2 + dk log 3, (1/pi) * sum_nodes w |zeta/s|^2 cos(omega t)."""
     omega = np.asarray(dj) * math.log(2.0) + np.asarray(dk) * math.log(3.0)
+    nodes = (grid.mids[:, None] + grid.offs).ravel()
     wp = [w * grid.power for w in weights]
-    return np.array([[np.dot(w, np.cos(o * grid.nodes)) for w in wp] for o in omega]) / math.pi
+    return np.array([[np.dot(w, np.cos(o * nodes)) for w in wp] for o in omega]) / math.pi
 
 
 @settings(max_examples=10, deadline=None)
@@ -764,21 +784,22 @@ def _cosine_moments(grid, weights, dj, dk):
     j_max=st.integers(0, 8),
     k_max=st.integers(0, 8),
     seed=st.integers(0, 2**32 - 1),
-    taper=st.sampled_from([None, 2.0, 5.0]),
+    smoothing=st.sampled_from(
+        [None, SmoothingParams(W=2.0, epsilon=0.0), SmoothingParams(W=5.0, epsilon=1e-2)]
+    ),
 )
-@example(j_max=8, k_max=8, seed=0, taper=None)
-def test_factorized_moments_match_cosine_accumulation(j_max, k_max, seed, taper):
+@example(j_max=8, k_max=8, seed=0, smoothing=None)
+def test_factorized_moments_match_cosine_accumulation(j_max, k_max, seed, smoothing):
     """Every cell of a (dj, dk) grid over both signs of each axis, in
     random order, on the raw 8x8 grid (K15 panels of width 1/2 to
     T = 1000): the factorized moments agree with one cosine per node and
     frequency to 1e-14 of the largest moment."""
     grid = _fixed_grid(1000.0, 0.5)
-    w = 1.0 if taper is None else np.exp(-((grid.nodes / taper) ** 2))
-    weights = (grid.w_quad * w, grid.w_diff * w)
+    weights = _node_weights(grid, smoothing)
     rng = np.random.default_rng(seed)
     uj = rng.permutation(np.arange(-j_max, j_max + 1))
     uk = rng.permutation(np.arange(-k_max, k_max + 1))
-    got = bnladder.gram._moments(grid, weights, uj, uk)
+    got = bnladder.gram._moments(grid, uj, uk, smoothing)
     dj, dk = np.meshgrid(uj, uk, indexing="ij")
     want = _cosine_moments(grid, weights, dj.ravel(), dk.ravel()).T.reshape(got.shape)
     assert got.shape == (2, uj.size, uk.size)
@@ -797,8 +818,9 @@ def test_pair_matrices_are_exactly_symmetric(idx):
     idx = idx + [idx[0], (j, (k + 7) % 25)]
     points = tuple(theta_of(ix) for ix in idx)
     grid = _fixed_grid(1000.0, 0.5)
-    for m in bnladder.gram._pair_matrices(points, grid, (grid.w_quad, grid.w_diff)):
-        assert np.array_equal(m, m.T)
+    for smoothing in (None, SM):
+        for m in bnladder.gram._pair_matrices(points, grid, smoothing):
+            assert np.array_equal(m, m.T)
 
 
 @pytest.mark.parametrize("eps", [0.0, 1e-6, 1e-2])

@@ -32,8 +32,8 @@ HIGH_T = (
 # nodes of panel 144 of ``gram._spectral_grid(37.25, 0.25)``, where 1/4
 # divides the height, and those of the last panel of
 # ``gram._spectral_grid(37.3, 0.25)``, 150 panels of width 37.3 / 150, as
-# (index in ``grid.nodes``, node, value), from mpmath at 40 digits rounded
-# to 30.
+# (index in ``(grid.mids[:, None] + grid.offs).ravel()``, node, value),
+# from mpmath at 40 digits rounded to 30.
 PANEL_NODES = (
     (2160, 36.0010680786099, complex(2.37714919929074455670091177111, -1.18960691833080671393207733537)),
     (2161, 36.006361510957156, complex(2.36725043720977330527237975343, -1.19836185965584762688758526145)),
@@ -88,10 +88,11 @@ def test_panel_evaluator_matches_frozen_values_at_the_grid_nodes():
         grid = bnladder.gram._spectral_grid(t_max, 0.25)
         assert grid.mids.size == n_panels
         values = bnladder.zeta._panel_zeta(grid.mids, grid.offs)
+        nodes = (grid.mids[:, None] + grid.offs).ravel()
         frozen = [(i, t, ref) for i, t, ref in PANEL_NODES if i // 15 == panel]
         assert len(frozen) == 15
         for i, t, ref in frozen:
-            assert grid.nodes[i] == t
+            assert nodes[i] == t
             assert abs(values[i] - ref) <= PANEL_TOL, t
 
 
