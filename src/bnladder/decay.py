@@ -80,6 +80,23 @@ def _pair_mask(g: GramMatrix, exclude_zero_row: bool) -> np.ndarray:
     return mask if mask.any() else np.ones_like(mask)
 
 
+def _normalized(g: GramMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """G_ij / sqrt(G_ii G_jj) and its validity mask (both diagonals > 0);
+    invalid entries are 0 and the valid diagonal is exactly 1, not
+    d / sqrt(d * d) roundoff.  Where G_ii G_jj falls below the least
+    normal double (deep windows), the scale is sqrt(G_ii) sqrt(G_jj)
+    instead, which neither underflows nor loses digits."""
+    diag = np.diag(g.entries)
+    pos = diag > 0.0
+    ok = pos[:, None] & pos[None, :]
+    safe = np.where(pos, diag, 1.0)
+    prod, root = np.outer(safe, safe), np.sqrt(safe)
+    scale = np.where(prod >= np.finfo(np.float64).tiny, np.sqrt(prod), np.outer(root, root))
+    vals = np.where(ok, g.entries / scale, 0.0)
+    vals[np.diag_indices_from(vals)] = np.where(pos, 1.0, 0.0)
+    return vals, ok
+
+
 def shell_stats(g: GramMatrix, exclude_zero_row: bool = True) -> list[ShellStats]:
     """Group |entries| of all ordered pairs by ladder distance and
     summarize each shell, in increasing r, one per distance that occurs."""

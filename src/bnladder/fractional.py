@@ -26,14 +26,15 @@ K_ab = sqrt(hk) F(h, k) depends only on a/b, and with 0 the origin N = 1,
     <f_a, f_b> = sqrt(theta_a theta_b) K_ab - theta_b sqrt(theta_a) K_a0
                  - theta_a sqrt(theta_b) K_b0 + theta_a theta_b K_00,
 
-which :func:`_assemble` forms from a table of K; the spectral route of
-:mod:`.gram` fills the same table with cosine moments of |zeta/s|^2.
-That is the one route for unit fractions: exact, with a roundoff
-estimate as its error budget (:func:`_unit_inner_matrix`).  Its cost is
-O(h + k) per reduced pair, except F(1, k), the same-sign pairs of a
-ladder window and every pair with the origin, whose slots reach the
-largest k: for k >= k0 = 64 (``_SERIES_K0``) it is O(1) by the
-Euler-Maclaurin series of :func:`_f_one`,
+which :func:`_unit_gram` forms from a table of K with one slot per
+reduced pair; :mod:`.gram` keys it by ladder displacement, one-to-one
+with the reduced pair, and its spectral route fills the same table with
+cosine moments of |zeta/s|^2.  That is the one route for unit fractions:
+exact, with a roundoff estimate as its error budget.  A slot costs
+O(h + k), except F(1, k), the same-sign pairs of a ladder window and
+every pair with the origin, whose slots reach the largest k: for k >= k0
+= 64 (``_SERIES_K0``) it is O(1) by the Euler-Maclaurin series of
+:func:`_f_one`,
 
     F(1, k) = (log 2pi k - gamma + 1)/(2k) + sum_{j>=1} d_j k^(-2j),
     d_j = sgn(B_2j) (2pi)^(2j) B_2j^2 / (4j (2j)!),   d_1 = pi^2/72,
@@ -54,10 +55,9 @@ sums f (e_0^-s - e_1^-s)/s over them for every theta.  The sweep alone
 lists the jumps (:func:`breakpoints`) and caps the pieces walked.
 
 For theta = 1/N that integral (:func:`pair_inner_matrix`) is the closed
-form's independent test reference and its fallback above the cap 2^30.
-The epsilon^2 share of smoothed Gram matrices is epsilon^2 times the raw
-direct build: the closed form below the cap, that fallback above.  The
-sweep's oracle is the integer lattice: f is (n mod N)/N on [n, n+1).
+form's independent test reference and its fallback above the cap 2^30,
+also in the epsilon^2 share of smoothed Gram matrices.  The sweep's
+oracle is the integer lattice: f is (n mod N)/N on [n, n+1).
 
 Pointwise evaluation divides by x, so for x below roughly 1e-12 the
 floats in theta/x stop resolving the steps; the integrators never
@@ -333,40 +333,18 @@ def _assemble(theta: np.ndarray, sqrt_theta: np.ndarray, table: np.ndarray) -> n
     return (a + d) - (b + b.T)
 
 
-def _unit_inner_matrix(
-    denominators: Sequence[int], quad: QuadratureConfig
-) -> tuple[np.ndarray, np.ndarray]:
-    """All pairwise <f_(1/Na), f_(1/Nb)>: the one exact route for unit fractions.
-
-    Returns ``(gram, err)``.  K = sqrt(hk) F(h, k) is computed once per
-    distinct unordered reduced pair (a/d, b/d), ((2s+1)^2 + 1)/2 on a
-    ladder window of side s, and :func:`_assemble` combines the table.
-    There is no cutoff: ``err`` propagates the budgets of
-    :func:`_vasyunin_f`, roundoff estimates plus the series' proven
-    truncation bound.  Rows with N = 1 are exactly zero.
-
-    Windows with a denominator above ``_CLOSED_FORM_CAP`` fall back to
-    the cutoff pass of :func:`pair_inner_matrix` at ``quad``'s cutoff;
-    ``err`` is then its tail bound.  It is also the epsilon^2 share of
-    smoothed Gram matrices, whose coarser cutoff only that fallback reads.
-    """
-    dens = [_integer(n, "denominator", minimum=1) for n in denominators]
-    if max(dens, default=1) > _CLOSED_FORM_CAP:
-        return pair_inner_matrix(dens, quad.resolved_x_min())
-    a = np.array(dens + [1], dtype=np.int64)  # the origin N = 1 last
-    d = np.gcd.outer(a, a)
-    h, k = a[:, None] // d, a[None, :] // d
-    pairs = np.stack([np.minimum(h, k).ravel(), np.maximum(h, k).ravel()], axis=1)
-    keys, where = np.unique(pairs, axis=0, return_inverse=True)
-    reduced = [_vasyunin_f(int(p), int(q)) for p, q in keys]
-    f_val, f_err = (np.array(col) for col in zip(*reduced))
-    scale = np.sqrt(keys[:, 0] * keys[:, 1].astype(np.float64))  # sqrt(hk)
+def _unit_gram(theta: np.ndarray, h: np.ndarray, k: np.ndarray, where: np.ndarray):
+    """``(gram, err)``: all <f_(1/Na), f_(1/Nb)>, theta = 1/N, from K =
+    sqrt(hk) F(h, k) per slot i, the reduced pair (h[i], k[i]), and the
+    slot ``where[a, b]`` of each pair, the origin N = 1 last.  No cutoff:
+    ``err`` carries :func:`_vasyunin_f`'s budgets.  N = 1 rows are 0."""
+    lo, hi = np.minimum(h, k), np.maximum(h, k)
+    f_val, f_err = np.array([_vasyunin_f(int(p), int(q)) for p, q in zip(lo, hi)]).T
+    scale = np.sqrt(lo * hi.astype(np.float64))  # sqrt(hk)
     k_val = scale * f_val
     # Per assembled term: sqrt(hk) rounds by 2.5u, the theta products by
     # 5u, and _assemble's additions by 2u of the terms' absolute sum.
     k_err = scale * f_err + 10.0 * _U * np.abs(k_val)
-    where = where.reshape(d.shape)
-    theta = 1.0 / np.array(dens, dtype=np.float64)
     sqrt_theta = np.sqrt(theta)
     gram = _assemble(theta, sqrt_theta, k_val[where])
     # Negating sqrt(theta) flips B and B^T: all four budgets add up.
@@ -381,11 +359,11 @@ def pair_inner_matrix(denominators: Sequence[int], x_min: float) -> tuple[np.nda
     Returns ``(gram, tail)`` where ``tail[a, b]`` bounds the mass dropped
     below the cutoff, exactly 0 on the rows with N = 1, where f_1 = 0.  The
     step-function sweep of :func:`_sweep_gram` at theta = 1/N integrates
-    every pair at once.  It is independent of the closed form in
-    :func:`_unit_inner_matrix` and serves two uses: windows above the
-    closed form's denominator cap, raw ones and the epsilon^2 share of
-    smoothed ones (whose coarse cutoff keeps it cheap at any window size),
-    and the reference the closed form is tested against.
+    every pair at once.  It is independent of the closed form of
+    :func:`_unit_gram` and serves two uses: denominators above the closed
+    form's cap, raw ones and the epsilon^2 share of smoothed Gram builds
+    (whose coarse cutoff keeps it cheap at any window size), and the
+    reference the closed form is tested against.
     Its pieces, at most ``_MAX_PIECES``, are the cells of the integer
     lattice, where the profiles equal (u mod N)/N: this function's oracle.
 
@@ -477,8 +455,9 @@ def inner_direct(
     """L2(0, 1] inner product <f_{theta_a}, f_{theta_b}> with its budget.
 
     Unit fractions theta = 1/N go through the closed form of
-    :func:`_unit_inner_matrix`: no cutoff, and ``err_estimate`` is its
-    roundoff estimate (above the denominator cap, the cutoff tail of
+    :func:`_unit_gram` on the slots of 1/Na, 1/Nb and the origin: no
+    cutoff, the bits of a direct Gram build's entry, and ``err_estimate``
+    its roundoff estimate (above the denominator cap, the cutoff tail of
     :func:`pair_inner_matrix`).  Other parameters are integrated piece by
     piece above the cutoff x_min resolved from ``quad``; the value omits
     at most (1+theta_a)(1+theta_b) x_min of tail mass, which is then
@@ -491,10 +470,15 @@ def inner_direct(
         # f_1 is identically zero: {1/x} - {1/x}.
         return InnerProductResult(value=0.0, err_estimate=0.0)
     na, nb = _unit_denominator(theta_a), _unit_denominator(theta_b)
-    if na is not None and nb is not None:
-        gram, err = _unit_inner_matrix([na, nb], quad)
-    else:  # err is the cutoff tail
+    if na is None or nb is None:  # err is the cutoff tail
         gram, err = _sweep_gram((theta_a, theta_b), quad.resolved_x_min(), "sweep")
+    elif max(na, nb) > _CLOSED_FORM_CAP:
+        gram, err = pair_inner_matrix([na, nb], quad.resolved_x_min())
+    else:  # the slots 1/1, a/b reduced, a/1 and b/1; the origin last
+        d = math.gcd(na, nb)
+        h, k = np.array([1, na // d, na, nb]), np.array([1, nb // d, 1, 1])
+        slots = np.array([[0, 1, 2], [1, 0, 3], [2, 3, 0]])
+        gram, err = _unit_gram(1.0 / np.array([na, nb], dtype=np.float64), h, k, slots)
     return InnerProductResult(value=float(gram[0, 1]), err_estimate=float(err[0, 1]))
 
 

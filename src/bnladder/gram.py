@@ -2,7 +2,9 @@
 
 Two independent routes produce the same raw Gram matrix.  Both fill a
 table with one kernel value per distinct displacement between the points
-and the origin, and :func:`.fractional._assemble` turns it into entries:
+and the origin, keyed for both by one integer per pair (see
+:func:`_displacements`), and :func:`.fractional._assemble` turns it into
+entries:
 
 * direct: sqrt(hk) F(h, k) from Vasyunin's closed form (see
   :mod:`.fractional`), exact with a roundoff estimate as its budget; a
@@ -13,7 +15,7 @@ and the origin, and :func:`.fractional._assemble` turns it into entries:
   ``t_max_raw`` and integrated on equal Gauss-Kronrod K15 panels.  The
   integrand is |zeta/s|^2 times cosines of ladder displacements, so the
   table holds cosine moments of |zeta/s|^2 on a (dj, dk) grid (9 x 17 =
-  153 cells on 8x8, covering its 145 distinct frequencies; see
+  153 cells on 8x8, covering its 145 slots; see
   :func:`_pair_matrices`).  Every frequency is dj log 2 + dk log 3, so
   e^{i omega t} factors into one exponential per dj and one per dk, each
   the product of its values at the panel midpoint and at the node's
@@ -65,14 +67,9 @@ from functools import cached_property
 
 import numpy as np
 
+from . import fractional
 from .errors import ConvergenceError, ParameterError
-from .fractional import (
-    DEFAULT_QUAD,
-    InnerProductResult,
-    QuadratureConfig,
-    _assemble,
-    _unit_inner_matrix,
-)
+from .fractional import DEFAULT_QUAD, InnerProductResult, QuadratureConfig, _assemble
 from .io import _ranked, csv_text, json_text
 from .ladder import LOG2, LOG3, IndexWindow, LadderIndex, LadderPoint, theta_of
 from .mellin import SmoothingParams
@@ -251,6 +248,22 @@ def _moments(grid: _SpectralGrid, uj: np.ndarray, uk: np.ndarray, smoothing) -> 
     return out / math.pi
 
 
+def _displacements(points: tuple[LadderPoint, ...]):
+    """``(dj, dk, where)``: slot i of the K table is the displacement
+    (dj[i], dk[i]) between two of the points and the origin, appended last,
+    and ``where[a, b]`` the slot of the pair (a, b).  The one integer key of
+    a pair is |s_a - s_b|, s = j (2K + 1) + k with K the largest k: as |dk|
+    <= K, s_a - s_b has the sign of dj, or of dk where dj = 0, so d and -d
+    share a key, signed with dj > 0, or dj = 0 and dk >= 0, and every table
+    is exactly symmetric.  On a window _ranked ranks it with no sort."""
+    j, k = np.array([tuple(p.index) for p in points] + [(0, 0)], dtype=np.int64).T
+    span = 2 * int(k.max()) + 1
+    s = j * span + k
+    keys, where = _ranked(np.abs(s[:, None] - s[None, :]).ravel())
+    dj = (keys + span // 2) // span
+    return dj, keys - dj * span, where.reshape(s.size, s.size)
+
+
 def _pair_matrices(points: tuple[LadderPoint, ...], grid: _SpectralGrid, smoothing):
     """(1/pi) * sum_nodes w Re[M_a conj(M_b)] for all pairs, for the rules
     K15 and K15 - G7, with w tapered where ``smoothing`` is given (see
@@ -259,24 +272,28 @@ def _pair_matrices(points: tuple[LadderPoint, ...], grid: _SpectralGrid, smoothi
     With l = log theta, Re[M_a conj(M_b)] / |zeta/s|^2 = theta_a theta_b
     + sqrt(theta_a theta_b) cos(t(l_a - l_b)) - theta_a sqrt(theta_b) cos(t l_b)
     - theta_b sqrt(theta_a) cos(t l_a), so each rule's moments on the
-    (dj, dk) grid (153 cells on 8x8, for 145 distinct frequencies) fill
-    the table of :func:`.fractional._assemble`.
-    """
-    # The origin appended last turns each l_a into the displacement a - 0.
-    ij = np.array([tuple(p.index) for p in points] + [(0, 0)], dtype=np.int64)
-    dj, dk = (ij[:, None, c] - ij[None, :, c] for c in (0, 1))
-    # cos is even, so d takes the sign with dj > 0, or dj = 0 and dk >= 0:
-    # d and -d read one cell, so the table is exactly symmetric (a cell and
-    # its mirror, computed apart, can differ in the last bit).  On a window
-    # _ranked ranks each axis with no sort.
-    flip = np.where((dj < 0) | ((dj == 0) & (dk < 0)), -1, 1)
-    uj, row = _ranked(flip * dj)
-    uk, col = _ranked(flip * dk)
+    (dj, dk) grid of the slots of :func:`_displacements` fill the table
+    of :func:`.fractional._assemble`."""
+    dj, dk, where = _displacements(points)
+    (uj, row), (uk, col) = _ranked(dj), _ranked(dk)
     theta = np.array([p.theta for p in points])
     # sqrt(theta) via exp(log_theta / 2) so deep indices degrade to 0
     # instead of raising; log_theta == 0.0 keeps the theta = 1 row exact.
     sqrt_theta = np.array([math.exp(0.5 * p.log_theta) for p in points])
-    return [_assemble(theta, sqrt_theta, m[row, col]) for m in _moments(grid, uj, uk, smoothing)]
+    moments = _moments(grid, uj, uk, smoothing)
+    return [_assemble(theta, sqrt_theta, m[row, col][where]) for m in moments]
+
+
+def _direct(points: tuple[LadderPoint, ...], quad: QuadratureConfig):
+    """``(values, budgets)`` of the raw direct build: the closed form on the
+    slots of :func:`_displacements`, h/k = 2^dj 3^dk reduced, or above its
+    cap the cutoff pass at ``quad``'s cutoff, with its tail bound."""
+    dens = [p.denominator for p in points]
+    if max(dens) > fractional._CLOSED_FORM_CAP:
+        return fractional.pair_inner_matrix(dens, quad.resolved_x_min())
+    dj, dk, where = _displacements(points)
+    h, k = 2**dj * 3 ** np.maximum(dk, 0), 3 ** np.maximum(-dk, 0)
+    return fractional._unit_gram(1.0 / np.array(dens, dtype=np.float64), h, k, where)
 
 
 def _displacement_span(points) -> float:
@@ -313,7 +330,8 @@ def _amp_bound(p: LadderPoint) -> float:
 def _taper(t, smoothing: SmoothingParams):
     """psi_W(t)^2 - epsilon^2 = 2 epsilon g + g^2 with g = exp(-(t/W)^2):
     the weight of the Gaussian-tapered share of a smoothed build."""
-    g = np.exp(-((t / smoothing.W) ** 2))
+    with np.errstate(over="ignore"):  # g = exp(-inf) = 0, the exact limit
+        g = np.exp(-((t / smoothing.W) ** 2))
     return 2.0 * smoothing.epsilon * g + g * g
 
 
@@ -451,10 +469,8 @@ def _spectral(points, smoothing: SmoothingParams | None, quad: QuadratureConfig)
     errs = np.abs(qdiff) + _GAUSSIAN_TAIL_TOL
     eps = smoothing.epsilon
     if eps > 0.0:
-        coarse = replace(quad, x_min=_epsilon_cutoff(eps, quad))
-        base, base_err = _unit_inner_matrix([p.denominator for p in points], coarse)
-        vals = vals + (eps * eps) * base
-        errs = errs + (eps * eps) * base_err
+        base, base_err = _direct(points, replace(quad, x_min=_epsilon_cutoff(eps, quad)))
+        vals, errs = vals + (eps * eps) * base, errs + (eps * eps) * base_err
     # f_1 = 0, so the theta = 1 row is exactly 0 in every share: no budget.
     unit = np.array([p.denominator == 1 for p in points])
     errs[unit, :] = errs[:, unit] = 0.0
@@ -482,10 +498,7 @@ def build_gram(
     quad = quad if quad is not None else DEFAULT_QUAD
     method = _validate_build(kind, method, smoothing)
     points = tuple(window.points())
-    if method == "direct":
-        vals, errs = _unit_inner_matrix([p.denominator for p in points], quad)
-    else:
-        vals, errs = _spectral(points, smoothing, quad)
+    vals, errs = _direct(points, quad) if method == "direct" else _spectral(points, smoothing, quad)
     g = GramMatrix(
         window=window,
         method=method,

@@ -70,7 +70,8 @@ class SmoothingParams:
 def psi(t, smoothing: SmoothingParams):
     """Multiplier psi_W(t) = epsilon + exp(-(t/W)^2), elementwise."""
     tt = np.asarray(t, dtype=np.float64)
-    out = smoothing.epsilon + np.exp(-((tt / smoothing.W) ** 2))
+    with np.errstate(over="ignore"):  # exp(-inf) = 0 where t/W overflows: the exact limit
+        out = smoothing.epsilon + np.exp(-((tt / smoothing.W) ** 2))
     return float(out) if np.isscalar(t) or tt.ndim == 0 else out
 
 

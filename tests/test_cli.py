@@ -3,11 +3,14 @@ import math
 import os
 import re
 import shlex
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 import bnladder.cli
+import bnladder.decay
 from bnladder import GramMatrix, IndexWindow, QuadratureConfig
 from bnladder.cli import build_parser, main
 
@@ -184,7 +187,7 @@ def test_normalized_stays_finite_where_diagonal_products_underflow():
         err_estimate=np.zeros_like(entries),
         quad=QuadratureConfig(),
     )
-    vals, ok = bnladder.cli._normalized(g)
+    vals, ok = bnladder.decay._normalized(g)
     assert np.all(np.isfinite(vals))
     assert not ok[0].any() and not ok[:, 0].any() and ok[1:, 1:].all()
     off = ok & ~np.eye(diag.size, dtype=bool)
@@ -194,6 +197,23 @@ def test_normalized_stays_finite_where_diagonal_products_underflow():
     normal = off & (prod >= np.finfo(np.float64).tiny)
     assert normal.sum() == 6  # (1, 2), (1, 3), (1, 4) and their mirrors
     assert np.array_equal(vals[normal], entries[normal] / np.sqrt(prod[normal]))
+
+
+def test_spectrum_at_a_tiny_width_writes_nothing_to_stderr(tmp_path):
+    """At --W 1e-200, t/W squared overflows in psi: the console script
+    exits 0 with an empty stderr, and the smoothed column is epsilon
+    times |M|, the exact limit of the taper."""
+    out = tmp_path / "s.csv"
+    args = ["spectrum", "--theta", "0.5", "--W", "1e-200", "--eps", "1e-6"]
+    args += ["--tmin", "1", "--tmax", "10", "--points", "5", "--out", str(out)]
+    boot = "import sys; from bnladder.cli import main; sys.exit(main())"
+    src = os.path.dirname(os.path.dirname(bnladder.cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run([sys.executable, "-c", boot, *args], env=env, capture_output=True, text=True)
+    assert (run.returncode, run.stderr) == (0, "")
+    rows = [r.split(",") for r in out.read_text().splitlines()[1:]]
+    assert len(rows) == 5
+    assert all(float(sm) == 1e-6 * float(m) for _, m, sm in rows)
 
 
 def test_gram_json_deterministic(tmp_path):

@@ -34,7 +34,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bnladder import (
@@ -51,9 +51,9 @@ from bnladder.fractional import (
     DEFAULT_QUAD,
     _cot_sum,
     _f_one,
-    _unit_inner_matrix,
     _vasyunin_f,
 )
+from bnladder.ladder import theta_of
 
 _U = 2.0**-53
 
@@ -197,9 +197,7 @@ def test_smoothed_fallback_above_cap_is_the_lattice_build(monkeypatch):
     window = IndexWindow(2, 2)  # largest denominator 36
     dens = [p.denominator for p in window.points()]
     unit = np.array(dens) == 1
-    with monkeypatch.context() as m:  # the Gaussian-tapered share alone
-        m.setattr(gram, "_unit_inner_matrix", lambda d, q: (np.zeros((len(d),) * 2),) * 2)
-        tapered = build_gram(window, kind="smoothed", smoothing=sm, quad=quad)
+    tapered = _tapered_share(window, sm, quad)
 
     def assert_share(g, share, share_err):
         errs = tapered.err_estimate + eps2 * share_err
@@ -212,9 +210,17 @@ def test_smoothed_fallback_above_cap_is_the_lattice_build(monkeypatch):
     assert_share(build_gram(window, kind="smoothed", smoothing=sm, quad=quad), lattice, tail)
 
     monkeypatch.setattr(fractional, "_CLOSED_FORM_CAP", 36)
-    closed, closed_err = _unit_inner_matrix(dens, quad)
+    closed, closed_err = _gcd_keyed_gram(dens)
     assert not np.array_equal(closed, lattice)
     assert_share(build_gram(window, kind="smoothed", smoothing=sm, quad=quad), closed, closed_err)
+
+
+def _tapered_share(window, smoothing, quad=DEFAULT_QUAD):
+    """The smoothed build with a zero epsilon^2 share: its Gaussian-tapered
+    share alone."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(gram, "_direct", lambda points, q: (np.zeros((len(points),) * 2),) * 2)
+        return build_gram(window, kind="smoothed", smoothing=smoothing, quad=quad)
 
 
 def test_smoothed_build_below_cap_ignores_x_min():
@@ -266,10 +272,17 @@ def _vasyunin_assembly(dens):
 _DENOMINATORS = sorted({2**j * 3**k for j in range(7) for k in range(7)} | {5, 7, 97})
 
 
+def _inner_direct_matrix(dens):
+    """(gram, err) of inner_direct over every ordered pair of 1/N."""
+    res = [[inner_direct(1.0 / a, 1.0 / b) for b in dens] for a in dens]
+    gram_ = np.array([[r.value for r in row] for row in res])
+    return gram_, np.array([[r.err_estimate for r in row] for row in res])
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.sampled_from(_DENOMINATORS), min_size=1, max_size=8))
 def test_k_table_assembly_against_vasyunin_oracle(dens):
-    gram, err = _unit_inner_matrix(dens, DEFAULT_QUAD)
+    gram, err = _inner_direct_matrix(dens)
     want, want_err = _vasyunin_assembly(dens)
     assert np.all(np.abs(gram - want) <= err)
     assert np.all(np.abs(gram - want) <= want_err)
@@ -292,3 +305,84 @@ def test_cot_sum_reduces_h_before_int64_products():
     h, k = 3**39, 2**13
     assert _cot_sum(h, k) == _cot_sum(h % k, k)
     assert fractional._CLOSED_FORM_CAP**2 // 2 < 2**63
+
+
+def _gcd_keyed_gram(dens):
+    """(gram, err) of the closed form keyed by gcd-reduced pairs: each
+    distinct unordered (a/d, b/d) of the denominators and the origin is
+    found by np.unique over the pairs, independent of the displacement
+    key of :func:`bnladder.gram._displacements`."""
+    a = np.array(list(dens) + [1], dtype=np.int64)  # the origin N = 1 last
+    d = np.gcd.outer(a, a)
+    h, k = a[:, None] // d, a[None, :] // d
+    pairs = np.stack([np.minimum(h, k).ravel(), np.maximum(h, k).ravel()], axis=1)
+    keys, where = np.unique(pairs, axis=0, return_inverse=True)
+    reduced = [_vasyunin_f(int(p), int(q)) for p, q in keys]
+    f_val, f_err = (np.array(col) for col in zip(*reduced))
+    scale = np.sqrt(keys[:, 0] * keys[:, 1].astype(np.float64))
+    k_val = scale * f_val
+    k_err = scale * f_err + 10.0 * _U * np.abs(k_val)
+    where = where.reshape(d.shape)
+    theta = 1.0 / np.array(dens, dtype=np.float64)
+    sqrt_theta = np.sqrt(theta)
+    gram_ = fractional._assemble(theta, sqrt_theta, k_val[where])
+    err = fractional._assemble(theta, -sqrt_theta, k_err[where])
+    err[theta == 1.0, :] = err[:, theta == 1.0] = 0.0
+    return gram_, err
+
+
+def _assert_same_bits(got, want):
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+
+
+_ORACLE_WINDOWS = [(s, s) for s in range(12)] + [(1, 0), (0, 3), (5, 2), (0, 11), (11, 0)]
+
+
+def _window_id(window):
+    return "x".join(map(str, window))
+
+
+@pytest.mark.parametrize("window", _ORACLE_WINDOWS, ids=_window_id)
+def test_direct_build_matches_gcd_keyed_oracle(window):
+    """Every entry and budget of a raw direct build, up to 11x11, keeps the
+    bits of the gcd-keyed closed form; so does inner_direct on a sample
+    of the window's pairs, the diagonal and the origin's row included."""
+    g = build_gram(IndexWindow(*window), kind="raw", method="direct")
+    dens = [p.denominator for p in g.points]
+    _assert_same_bits((g.entries, g.err_estimate), _gcd_keyed_gram(dens))
+    rng = np.random.default_rng(sum(window))
+    picks = rng.integers(0, g.size, size=(8, 2)).tolist() + [[0, g.size - 1], [g.size - 1] * 2]
+    for i, m in picks:
+        res = inner_direct(1.0 / dens[i], 1.0 / dens[m])
+        assert (res.value, res.err_estimate) == (g.entries[i, m], g.err_estimate[i, m])
+
+
+@pytest.mark.parametrize("window", [(2, 2), (5, 3), (8, 8)], ids=_window_id)
+@pytest.mark.parametrize("eps", [1e-6, 1e-2])
+def test_epsilon_share_matches_gcd_keyed_oracle(window, eps):
+    """The epsilon^2 share of a smoothed build is epsilon^2 times the
+    gcd-keyed closed form, bit for bit, entries and budgets."""
+    sm = SmoothingParams(W=5.0, epsilon=eps)
+    g = build_gram(IndexWindow(*window), kind="smoothed", smoothing=sm)
+    tapered = _tapered_share(IndexWindow(*window), sm)
+    share, share_err = _gcd_keyed_gram([p.denominator for p in g.points])
+    errs = tapered.err_estimate + (eps * eps) * share_err
+    unit = np.array([p.denominator == 1 for p in g.points])
+    errs[unit, :] = errs[:, unit] = 0.0
+    _assert_same_bits((g.entries, g.err_estimate), (tapered.entries + (eps * eps) * share, errs))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)), min_size=1, max_size=8))
+@example([(3, 1), (0, 0), (3, 1), (11, 11), (0, 11)])
+@example([(0, 4), (4, 0), (0, 4), (2, 9)])
+@example([(11, 0), (0, 11)])
+def test_direct_point_tuples_match_gcd_keyed_oracle(idx):
+    """Ladder points in any order, duplicates included: the direct route
+    and inner_direct keep the bits of the gcd-keyed closed form."""
+    points = tuple(theta_of(ix) for ix in idx)
+    dens = [p.denominator for p in points]
+    want = _gcd_keyed_gram(dens)
+    _assert_same_bits(gram._direct(points, DEFAULT_QUAD), want)
+    _assert_same_bits(_inner_direct_matrix(dens), want)

@@ -13,7 +13,14 @@ import subprocess
 import sys
 
 import bnladder
-from bnladder import IndexWindow, QuadratureConfig, SmoothingParams, build_gram, inner_spectral
+from bnladder import (
+    IndexWindow,
+    QuadratureConfig,
+    SmoothingParams,
+    build_gram,
+    inner_direct,
+    inner_spectral,
+)
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "bnladder"
@@ -125,14 +132,18 @@ def _module_containers():
 
 
 def test_spectral_builds_leave_module_state_unchanged():
-    """A spectral build is a pure function of its inputs: no module keeps a
-    grid or any other result between calls.  The heights and widths are
-    ones no other test uses, so a hidden cache would have to grow."""
+    """A build, spectral or direct, is a pure function of its inputs: no
+    module keeps a grid, a displacement key, a closed-form slot or any
+    other result between calls.  The heights, the widths, the direct
+    window and the pair 1/5, 1/7 are ones no other test names, so a hidden
+    cache would have to grow."""
     before = _module_containers()
     assert before
     build_gram(IndexWindow(2, 1), "raw", method="spectral", quad=QuadratureConfig(t_max_raw=23.0))
     build_gram(IndexWindow(1, 2), "smoothed", smoothing=SmoothingParams(W=1.7, epsilon=1e-3))
     inner_spectral((1, 1), (2, 0), quad=QuadratureConfig(t_max_raw=17.0))
+    build_gram(IndexWindow(6, 4), "raw", method="direct")
+    inner_direct(1.0 / 5.0, 1.0 / 7.0)
     assert _module_containers() == before
 
 

@@ -48,7 +48,9 @@ from bnladder import (
 )
 from bnladder import fractional
 from bnladder.errors import BNLadderError
-from bnladder.fractional import _sweep, _unit_denominator, _unit_inner_matrix
+from bnladder.fractional import _sweep, _unit_denominator
+from bnladder.gram import _direct
+from bnladder.ladder import theta_of
 
 EXACT_INNER = {
     (2, 2): 0.17328679513998632,  # = log(2)/4
@@ -325,7 +327,8 @@ def test_lattice_and_sweep_agree():
 
 def test_pair_inner_matrix_consistent_with_scalar():
     dens = [2, 3, 6]
-    closed, err = _unit_inner_matrix(dens, DEFAULT_QUAD)
+    points = tuple(theta_of(ix) for ix in ((1, 0), (0, 1), (1, 1)))  # 2, 3, 6
+    closed, err = _direct(points, DEFAULT_QUAD)
     mat, tail = pair_inner_matrix(dens, DEFAULT_QUAD.resolved_x_min())
     for i, a in enumerate(dens):
         for j, b in enumerate(dens):

@@ -36,7 +36,6 @@ from bnladder import (
     shell_stats,
     theta_of,
 )
-from bnladder.fractional import _unit_inner_matrix
 
 SM = SmoothingParams(W=5.0, epsilon=1e-6)
 SM_NOFLOOR = SmoothingParams(W=5.0, epsilon=0.0)
@@ -765,7 +764,7 @@ def test_moments_match_complex_accumulation(idx, eps):
     want = full[0, 1]
     if eps:  # the closed form, or above its cap the sweep at the coarse cutoff
         coarse = replace(quad, x_min=bnladder.gram._epsilon_cutoff(eps, quad))
-        base, _ = _unit_inner_matrix([p.denominator for p in pair], coarse)
+        base, _ = bnladder.gram._direct(pair, coarse)
         want += eps * eps * base[0, 1]
     assert abs(value - want) <= 1e-14 * np.abs(full).max()
 
@@ -821,6 +820,14 @@ def test_pair_matrices_are_exactly_symmetric(idx):
     for smoothing in (None, SM):
         for m in bnladder.gram._pair_matrices(points, grid, smoothing):
             assert np.array_equal(m, m.T)
+
+
+@pytest.mark.parametrize("W", [1e-160, 5e-324])
+def test_taper_where_t_over_w_overflows(W):
+    """t/W or its square leaves the double range: the taper takes the exact
+    limit g = exp(-inf) = 0 and raises no RuntimeWarning."""
+    taper = bnladder.gram._taper(np.array([0.0, 1.0, 5000.0]), SmoothingParams(W=W, epsilon=1e-3))
+    assert np.array_equal(taper, [2e-3 + 1.0, 0.0, 0.0])
 
 
 @pytest.mark.parametrize("eps", [0.0, 1e-6, 1e-2])

@@ -26,6 +26,17 @@ def test_psi_at_width_without_floor():
     assert psi(np.array([7.0]), sm)[0] == pytest.approx(math.exp(-1.0), rel=1e-15)
 
 
+@pytest.mark.parametrize("W", [1e-160, 5e-324])
+@pytest.mark.parametrize("eps", [0.0, 1e-3])
+def test_psi_where_t_over_w_overflows(W, eps):
+    """t/W or its square leaves the double range: psi takes the exact limit
+    exp(-inf) = 0 and raises no RuntimeWarning (an error under tier-1)."""
+    sm = SmoothingParams(W=W, epsilon=eps)
+    want = [1.0 + eps, eps, eps]
+    assert np.array_equal(psi(np.array([0.0, 1.0, 5000.0]), sm), want)
+    assert [psi(t, sm) for t in (0.0, 1.0, 5000.0)] == want
+
+
 def test_psi_even():
     sm = SmoothingParams(W=5.0, epsilon=0.01)
     assert psi(np.array([-3.0]), sm)[0] == psi(np.array([3.0]), sm)[0]
