@@ -13,8 +13,8 @@ so a failure leaves none of them (and no temp file) behind.  All rows
 are formatted by :mod:`bnladder.io`: floats with ``%.17g``, LF line
 endings, sorted JSON keys; identical flags give byte-identical files.
 
-Exit codes: 0 success, 1 validation error, 2 computation failure,
-3 selfcheck failure.
+Exit codes: 0 success, 1 validation error, 2 computation failure (out
+of memory included), 3 selfcheck failure.
 """
 
 from __future__ import annotations
@@ -416,6 +416,10 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except OSError as exc:
         print(f"bnladder: I/O failure: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # an array the flags ask for that cannot be allocated
+        detail = f" ({exc})" if str(exc) else ""
+        print(f"bnladder: computation failed: out of memory{detail}", file=sys.stderr)
         return 2
 
 

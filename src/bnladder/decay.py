@@ -15,11 +15,12 @@ Schur bound on the spectral norm of what truncation removes), and that
 norm itself, the largest |eigenvalue| of the symmetric residual.
 
 Everything is computed with numpy from one distance matrix per call,
-|j_a - j_b| + |k_a - k_b| broadcast over the window's index arrays.  Row
-tail sums accumulate left to right (a cumulative sum over the masked
-row), shell sums use numpy's reduction over the shell in row-major
-order, so the results are bit-for-bit those of the obvious per-pair
-loops.
+|j_a - j_b| + |k_a - k_b| broadcast over the window's index arrays, with
+one route per statistic: the envelopes are read off the shells, and each
+radius's residual gives its row tail sums (a cumulative sum, so left to
+right) and its norm.  Shell sums use numpy's reduction over the shell in
+row-major order, so the results are bit-for-bit those of the obvious
+per-pair loops.
 
 The row and column belonging to index (0, 0) are all zeros (f_1 == 0),
 which deflates shell means without telling us anything; statistics
@@ -115,11 +116,11 @@ def _shells(a: np.ndarray, d: np.ndarray, mask: np.ndarray) -> list[ShellStats]:
     return out
 
 
-def _envelopes(a: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    env_shell = np.zeros(int(d.max()) + 1)
-    np.maximum.at(env_shell, d.ravel(), a.ravel())
-    env_tail = np.maximum.accumulate(env_shell[::-1])[::-1]
-    return env_shell, env_tail
+def _envelopes(shells: list[ShellStats], diam: int) -> tuple[np.ndarray, np.ndarray]:
+    """Shell and tail sups over r = 0..diam; 0.0 at a distance with no shell."""
+    env_shell = np.zeros(diam + 1)
+    env_shell[[s.r for s in shells]] = [s.max_abs for s in shells]
+    return env_shell, np.maximum.accumulate(env_shell[::-1])[::-1]
 
 
 def fit_exponent(shells: list[ShellStats], fit_range: tuple[int, int]) -> float:
@@ -157,12 +158,6 @@ def _negated_slope(xs: list[float], ys: list[float]) -> float:
     return float(-np.linalg.lstsq(design, np.array(ys), rcond=None)[0][0])
 
 
-def _row_tails(a: np.ndarray, d: np.ndarray, b: int) -> np.ndarray:
-    # A cumulative sum runs left to right, so each row total is the
-    # sequential sum of its masked |entries| (adding +0.0 changes nothing).
-    return np.cumsum(np.where(d >= b, a, 0.0), axis=1)[:, -1]
-
-
 @dataclass(frozen=True)
 class LambdaGapReport:
     """Smallest |lambda|/d over distinct pairs of a window.
@@ -197,8 +192,8 @@ class DecayReport:
 
     ``envelope_shell[n]`` is the largest |entry| at distance exactly n and
     ``envelope_tail[n]`` the largest at distance >= n, which makes it
-    nonincreasing identically.  Both take every pair: the zero row only
-    ever contributes zeros to a sup.
+    nonincreasing identically.  Both are read off the shells' max_abs: the
+    zero row holds only zeros, so they are the sups over every pair.
     """
 
     shells: tuple[ShellStats, ...]
@@ -222,14 +217,11 @@ def decay_report(
     window boundary starts depleting shells; outer shells lose pairs to
     the boundary and bias the slope.
     """
-    if fit_range is None:
-        diam = g.window.j_max + g.window.k_max
-        fit_range = (1, max(1, diam // 2))
-    fit_range = _fit_range(fit_range)
+    diam = g.window.j_max + g.window.k_max
+    fit_range = _fit_range((1, max(1, diam // 2)) if fit_range is None else fit_range)
     d = _distance_matrix(g)
-    a = np.abs(g.entries)
-    shells = _shells(a, d, _pair_mask(g, exclude_zero_row))
-    env_shell, env_tail = _envelopes(a, d)
+    shells = _shells(np.abs(g.entries), d, _pair_mask(g, exclude_zero_row))
+    env_shell, env_tail = _envelopes(shells, diam)
     m_hat = fit_exponent(shells, fit_range)
     return DecayReport(
         shells=tuple(shells),
@@ -279,17 +271,17 @@ class TruncationSuite:
 def truncation_suite(g: GramMatrix, bs: tuple[int, ...] = (1, 2, 3, 4)) -> TruncationSuite:
     """One :class:`TruncationReport` per radius B in ``bs``, integers >= 1,
     in the order given: row tail sums, their maximum and the residual's
-    norm.  That norm comes from eigvalsh, which reads only the lower
-    triangle, so it is ``g``'s only if ``g`` is exactly symmetric, as every
-    build is and every document :func:`.gram.gram_from_json` accepts.  Its
-    last bits depend on the BLAS thread count (README, "Determinism")."""
+    norm, all from its one residual.  The norm comes from eigvalsh, which
+    reads only the lower triangle, so it is ``g``'s only if ``g`` is
+    exactly symmetric, as every build is and every document
+    :func:`.gram.gram_from_json` accepts.  Its last bits depend on the
+    BLAS thread count (README, "Determinism")."""
     bs = tuple(_integer(b, "truncation radius B", minimum=1) for b in bs)
     d = _distance_matrix(g)
-    a = np.abs(g.entries)
     reports = []
     for b in bs:
-        tails = _row_tails(a, d, b)
         resid = np.where(d >= b, g.entries, 0.0)
+        tails = np.cumsum(np.abs(resid), axis=1)[:, -1]  # left to right
         reports.append(
             TruncationReport(
                 B=b,

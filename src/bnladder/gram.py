@@ -3,8 +3,9 @@
 Two independent routes produce the same raw Gram matrix.  Both fill a
 table with one kernel value per distinct displacement between the points
 and the origin, keyed for both by one integer per pair (see
-:func:`_displacements`), and :func:`.fractional._assemble` turns it into
-entries:
+:func:`_displacements`; a build keys its points once, and its route, every
+width it tries and its epsilon^2 share read those slots), and
+:func:`.fractional._assemble` turns it into entries:
 
 * direct: sqrt(hk) F(h, k) from Vasyunin's closed form (see
   :mod:`.fractional`), exact with a roundoff estimate as its budget; a
@@ -35,7 +36,7 @@ what the comparison budget in cross-validation accounts for.
 
 The panel width is sized per build by that same difference: the widest
 width 0.25 * 2^m at or below a first candidate, taken from the highest
-frequency the build integrates and narrowed where the first panel would
+slot frequency of the build and narrowed where the first panel would
 miss the target beside the poles of |zeta/s|^2 at t = +-i/2 (see
 :func:`_first_width`), at which every entry off the theta = 1
 row has |K15 - G7|_ab <= 1e-3 * amp_a * amp_b * tau.  Here tau * amp_a *
@@ -264,7 +265,7 @@ def _displacements(points: tuple[LadderPoint, ...]):
     return dj, keys - dj * span, where.reshape(s.size, s.size)
 
 
-def _pair_matrices(points: tuple[LadderPoint, ...], grid: _SpectralGrid, smoothing):
+def _pair_matrices(points: tuple[LadderPoint, ...], slots, grid: _SpectralGrid, smoothing):
     """(1/pi) * sum_nodes w Re[M_a conj(M_b)] for all pairs, for the rules
     K15 and K15 - G7, with w tapered where ``smoothing`` is given (see
     :func:`_moments`).
@@ -272,9 +273,9 @@ def _pair_matrices(points: tuple[LadderPoint, ...], grid: _SpectralGrid, smoothi
     With l = log theta, Re[M_a conj(M_b)] / |zeta/s|^2 = theta_a theta_b
     + sqrt(theta_a theta_b) cos(t(l_a - l_b)) - theta_a sqrt(theta_b) cos(t l_b)
     - theta_b sqrt(theta_a) cos(t l_a), so each rule's moments on the
-    (dj, dk) grid of the slots of :func:`_displacements` fill the table
-    of :func:`.fractional._assemble`."""
-    dj, dk, where = _displacements(points)
+    (dj, dk) grid of ``slots``, the points' :func:`_displacements`, fill
+    the table of :func:`.fractional._assemble`."""
+    dj, dk, where = slots
     (uj, row), (uk, col) = _ranked(dj), _ranked(dk)
     theta = np.array([p.theta for p in points])
     # sqrt(theta) via exp(log_theta / 2) so deep indices degrade to 0
@@ -284,22 +285,16 @@ def _pair_matrices(points: tuple[LadderPoint, ...], grid: _SpectralGrid, smoothi
     return [_assemble(theta, sqrt_theta, m[row, col][where]) for m in moments]
 
 
-def _direct(points: tuple[LadderPoint, ...], quad: QuadratureConfig):
-    """``(values, budgets)`` of the raw direct build: the closed form on the
-    slots of :func:`_displacements`, h/k = 2^dj 3^dk reduced, or above its
-    cap the cutoff pass at ``quad``'s cutoff, with its tail bound."""
+def _direct(points: tuple[LadderPoint, ...], slots, quad: QuadratureConfig):
+    """``(values, budgets)`` of the raw direct build: the closed form on
+    ``slots`` (:func:`_displacements`), h/k = 2^dj 3^dk reduced, or above
+    its cap the cutoff pass at ``quad``'s cutoff, with its tail bound."""
     dens = [p.denominator for p in points]
     if max(dens) > fractional._CLOSED_FORM_CAP:
         return fractional.pair_inner_matrix(dens, quad.resolved_x_min())
-    dj, dk, where = _displacements(points)
+    dj, dk, where = slots
     h, k = 2**dj * 3 ** np.maximum(dk, 0), 3 ** np.maximum(-dk, 0)
     return fractional._unit_gram(1.0 / np.array(dens, dtype=np.float64), h, k, where)
-
-
-def _displacement_span(points) -> float:
-    """The largest ladder displacement of the points and the origin."""
-    logs = [p.log_theta for p in points] + [0.0]
-    return max(logs) - min(logs)
 
 
 def _mean_sq_tail(t_from: float) -> float:
@@ -427,20 +422,21 @@ def _validate_build(kind: str, method: str | None, smoothing: SmoothingParams | 
     return method
 
 
-def _spectral(points, smoothing: SmoothingParams | None, quad: QuadratureConfig):
+def _spectral(points, slots, smoothing: SmoothingParams | None, quad: QuadratureConfig):
     """``(values, budgets)`` of the spectral share of every pair of points.
 
     Raw (``smoothing`` None) integrates |zeta/s|^2 up to ``t_max_raw``
     with tau = the mean-square tail over pi; smoothed integrates the
     Gaussian-tapered share up to :func:`_gaussian_cutoff` with
     tau = _GAUSSIAN_TAIL_TOL / 4.  A height past the zeta cap raises
-    before any grid.  Starting from :func:`_first_width` at the points'
-    displacement span, the panel width halves until every entry off the
-    theta = 1 row has |K15 - G7|_ab <= _QUAD_SHARE * amp_a * amp_b * tau,
-    with amp the points' :func:`_amp_bound`.  The budget is |K15 - G7|
-    plus amp_a * amp_b * tau raw; smoothed, the flat Gaussian tail plus
-    epsilon^2 times that of the epsilon^2 share, the raw direct build,
-    and 0 on the theta = 1 row.
+    before any grid.  Starting from :func:`_first_width` at the largest
+    |dj log 2 + dk log 3| of ``slots`` (the deepest point's -log theta,
+    bit for bit, as rounding is monotone), the panel width halves until
+    every entry off the theta = 1 row has |K15 - G7|_ab <= _QUAD_SHARE *
+    amp_a * amp_b * tau, with amp the points' :func:`_amp_bound`.  The
+    budget is |K15 - G7| plus amp_a * amp_b * tau raw; smoothed, the flat
+    Gaussian tail plus epsilon^2 times that of the epsilon^2 share, the
+    raw direct build on ``slots``, and 0 on the theta = 1 row.
     """
     amps = np.array([_amp_bound(p) for p in points])
     if smoothing is None:
@@ -455,10 +451,11 @@ def _spectral(points, smoothing: SmoothingParams | None, quad: QuadratureConfig)
         tau = _GAUSSIAN_TAIL_TOL / 4.0
     _check_grid_top(t_max)
     off, limit = amps > 0.0, _QUAD_SHARE * tau
-    h = _first_width(_displacement_span(points), t_max, tau)
+    dj, dk, _ = slots
+    h = _first_width(float(np.abs(dj * LOG2 + dk * LOG3).max()), t_max, tau)
     while True:
         grid = _spectral_grid(t_max, h)
-        vals, qdiff = _pair_matrices(points, grid, smoothing)
+        vals, qdiff = _pair_matrices(points, slots, grid, smoothing)
         # Unnamed, the ratios die here: kept alive through the budget below,
         # they raised the peak RSS of a smoothed 24x24 gram run by 6 MB.
         if np.all(np.abs(qdiff[np.ix_(off, off)]) / amps[off, None] / amps[None, off] <= limit):
@@ -469,7 +466,7 @@ def _spectral(points, smoothing: SmoothingParams | None, quad: QuadratureConfig)
     errs = np.abs(qdiff) + _GAUSSIAN_TAIL_TOL
     eps = smoothing.epsilon
     if eps > 0.0:
-        base, base_err = _direct(points, replace(quad, x_min=_epsilon_cutoff(eps, quad)))
+        base, base_err = _direct(points, slots, replace(quad, x_min=_epsilon_cutoff(eps, quad)))
         vals, errs = vals + (eps * eps) * base, errs + (eps * eps) * base_err
     # f_1 = 0, so the theta = 1 row is exactly 0 in every share: no budget.
     unit = np.array([p.denominator == 1 for p in points])
@@ -498,7 +495,11 @@ def build_gram(
     quad = quad if quad is not None else DEFAULT_QUAD
     method = _validate_build(kind, method, smoothing)
     points = tuple(window.points())
-    vals, errs = _direct(points, quad) if method == "direct" else _spectral(points, smoothing, quad)
+    slots = _displacements(points)
+    if method == "direct":
+        vals, errs = _direct(points, slots, quad)
+    else:
+        vals, errs = _spectral(points, slots, smoothing, quad)
     g = GramMatrix(
         window=window,
         method=method,
@@ -526,7 +527,8 @@ def inner_spectral(
     sees only this pair, so its grid may be coarser than a window's.
     """
     quad = quad if quad is not None else DEFAULT_QUAD
-    vals, errs = _spectral((_as_point(a), _as_point(b)), smoothing, quad)
+    points = (_as_point(a), _as_point(b))
+    vals, errs = _spectral(points, _displacements(points), smoothing, quad)
     return InnerProductResult(value=float(vals[0, 1]), err_estimate=float(errs[0, 1]))
 
 

@@ -347,6 +347,37 @@ def test_spectrum_rejects_a_grid_that_rounds_to_repeated_points(tmp_path, capsys
     assert os.listdir(tmp_path) == []
 
 
+_NO_MEMORY = MemoryError(
+    "Unable to allocate 7.28 TiB for an array with shape (1000000000000,) and data type float64"
+)
+
+
+@pytest.mark.parametrize(
+    "argv,target,exc",
+    [
+        (["spectrum", "--points", "1000000000000"], "geomspace", _NO_MEMORY),
+        (["profile", "--points", "5"], "eval_f", _NO_MEMORY),
+        (["gram", "--jmax", "2", "--kmax", "2"], "build_gram", MemoryError()),
+    ],
+    ids=["spectrum", "profile", "gram"],
+)
+def test_out_of_memory_is_a_computation_failure(tmp_path, capsys, monkeypatch, argv, target, exc):
+    """An allocation that fails exits 2 with one stderr line and writes no
+    file.  The failing call is patched: a real attempt at that size could
+    reach the host's OOM killer."""
+
+    def fail(*args, **kwargs):
+        raise exc
+
+    owner = np if target == "geomspace" else bnladder.cli
+    monkeypatch.setattr(owner, target, fail)
+    assert main([*argv, "--out", str(tmp_path / "out.csv")]) == 2
+    (err,) = capsys.readouterr().err.splitlines()
+    assert err.startswith("bnladder: computation failed: out of memory")
+    assert str(exc) in err
+    assert os.listdir(tmp_path) == []
+
+
 def test_decay_outputs(tmp_path):
     out = str(tmp_path / "d.json")
     args = [

@@ -219,7 +219,7 @@ def _tapered_share(window, smoothing, quad=DEFAULT_QUAD):
     """The smoothed build with a zero epsilon^2 share: its Gaussian-tapered
     share alone."""
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(gram, "_direct", lambda points, q: (np.zeros((len(points),) * 2),) * 2)
+        m.setattr(gram, "_direct", lambda points, slots, q: (np.zeros((len(points),) * 2),) * 2)
         return build_gram(window, kind="smoothed", smoothing=smoothing, quad=quad)
 
 
@@ -384,5 +384,5 @@ def test_direct_point_tuples_match_gcd_keyed_oracle(idx):
     points = tuple(theta_of(ix) for ix in idx)
     dens = [p.denominator for p in points]
     want = _gcd_keyed_gram(dens)
-    _assert_same_bits(gram._direct(points, DEFAULT_QUAD), want)
+    _assert_same_bits(gram._direct(points, gram._displacements(points), DEFAULT_QUAD), want)
     _assert_same_bits(_inner_direct_matrix(dens), want)

@@ -212,8 +212,9 @@ def assert_matches_reference(g, bs):
     # decay_report carries the gap and the envelopes only where the fit succeeds
     d = _distance_matrix(g)
     assert _lambda_gap(g, d) == ref_lambda_gap(g)
-    env_shell, env_tail = _envelopes(np.abs(g.entries), d)
-    assert (env_shell.tolist(), env_tail.tolist()) == ref_envelopes(g)
+    for exclude in (True, False):  # the zero row is all zeros: the sups take every pair
+        env_shell, env_tail = _envelopes(shell_stats(g, exclude), int(d.max()))
+        assert (env_shell.tolist(), env_tail.tolist()) == ref_envelopes(g)
     got = truncation_suite(g, bs)
     want = ref_truncation_suite(g, bs)
     for r, w in zip(got.reports, want.reports):

@@ -49,7 +49,7 @@ from bnladder import (
 from bnladder import fractional
 from bnladder.errors import BNLadderError
 from bnladder.fractional import _sweep, _unit_denominator
-from bnladder.gram import _direct
+from bnladder.gram import _direct, _displacements
 from bnladder.ladder import theta_of
 
 EXACT_INNER = {
@@ -328,7 +328,7 @@ def test_lattice_and_sweep_agree():
 def test_pair_inner_matrix_consistent_with_scalar():
     dens = [2, 3, 6]
     points = tuple(theta_of(ix) for ix in ((1, 0), (0, 1), (1, 1)))  # 2, 3, 6
-    closed, err = _direct(points, DEFAULT_QUAD)
+    closed, err = _direct(points, _displacements(points), DEFAULT_QUAD)
     mat, tail = pair_inner_matrix(dens, DEFAULT_QUAD.resolved_x_min())
     for i, a in enumerate(dens):
         for j, b in enumerate(dens):

@@ -495,7 +495,8 @@ def test_grid_off_the_panel_width_ends_at_t_max(monkeypatch, t_max, h):
 
 def _rule_ratios(points, grid, smoothing):
     """|K15 - G7|_ab / (amp_a amp_b) off the theta = 1 row, recomputed."""
-    _, qdiff = bnladder.gram._pair_matrices(points, grid, smoothing)
+    slots = bnladder.gram._displacements(points)
+    _, qdiff = bnladder.gram._pair_matrices(points, slots, grid, smoothing)
     amps = np.array([bnladder.gram._amp_bound(p) for p in points])
     off = amps > 0.0
     return np.abs(qdiff[np.ix_(off, off)]) / np.outer(amps[off], amps[off])
@@ -540,7 +541,8 @@ def test_width_rule_halves_until_every_entry_passes(j_max, k_max, t_max, smoothi
         else:
             g = build_gram(window, "smoothed", smoothing=smoothing, quad=quad)
     t_grid = t_max if smoothing is None else gram._gaussian_cutoff(smoothing)
-    span = gram._displacement_span(points)
+    logs = [p.log_theta for p in points] + [0.0]
+    span = max(logs) - min(logs)  # the points' displacement span
     tried = [h for _, h, _ in built]
     assert all(t == t_grid for t, _, _ in built)
     assert tried[0] == widen * real_first(span, t_grid, tau)
@@ -553,6 +555,43 @@ def test_width_rule_halves_until_every_entry_passes(j_max, k_max, t_max, smoothi
         assert len(tried) > 1
     # the reported budget carries the accepted grid's K15 - G7 difference
     assert np.all(g.err_estimate >= 0.0)
+
+
+def test_each_build_keys_its_points_once():
+    """build_gram and inner_spectral key their points once: the width's
+    frequency, every tried width and the epsilon^2 share read the same
+    slots.  Raw direct, raw spectral whose first width is widened 4x so
+    that it halves, and smoothed below the closed form's cap with
+    epsilon > 0."""
+    gram = bnladder.gram
+    real_keys, real_first, real_grid = gram._displacements, gram._first_width, gram._spectral_grid
+    keyed, widths = [], []
+
+    def spy_keys(points):
+        keyed.append(points)
+        return real_keys(points)
+
+    def spy_grid(t, h):
+        widths.append(h)
+        return real_grid(t, h)
+
+    quad, sm = QuadratureConfig(t_max_raw=SHORT_T), SmoothingParams(W=5.0, epsilon=1e-2)
+    window = IndexWindow(3, 3)
+    builds = {
+        "raw direct": lambda: build_gram(window, "raw", method="direct"),
+        "raw spectral": lambda: build_gram(window, "raw", method="spectral", quad=quad),
+        "smoothed": lambda: build_gram(window, "smoothed", smoothing=sm),
+        "inner raw": lambda: inner_spectral((1, 1), (3, 2), quad=quad),
+        "inner smoothed": lambda: inner_spectral((1, 1), (3, 2), smoothing=sm),
+    }
+    with mock.patch.object(gram, "_displacements", spy_keys), mock.patch.object(
+        gram, "_first_width", lambda *a: 4 * real_first(*a)
+    ), mock.patch.object(gram, "_spectral_grid", spy_grid):
+        for name, build in builds.items():
+            del keyed[:], widths[:]
+            build()
+            assert len(keyed) == 1, name
+            assert name == "raw direct" or len(widths) > 1, name
 
 
 @pytest.mark.parametrize(
@@ -703,8 +742,9 @@ def _fixed_grid(t_max, h):
 def test_pair_keys_match_unique_keys(window):
     points = tuple(IndexWindow(*window).points())
     grid = _fixed_grid(SHORT_T, 1 / 8)
+    slots = bnladder.gram._displacements(points)
     for smoothing in (None, SM):
-        got = bnladder.gram._pair_matrices(points, grid, smoothing)
+        got = bnladder.gram._pair_matrices(points, slots, grid, smoothing)
         for g, u in zip(got, _unique_keyed_pair_matrices(points, grid, smoothing)):
             assert np.array_equal(g, u)
 
@@ -727,7 +767,8 @@ def test_moments_match_complex_accumulation(idx, eps):
     smoothing = None if eps is None else SmoothingParams(W=5.0, epsilon=eps)
     grid = _fixed_grid(SHORT_T, 1 / 8)
     weights = _node_weights(grid, smoothing)
-    got = bnladder.gram._pair_matrices(points, grid, smoothing)
+    slots = bnladder.gram._displacements(points)
+    got = bnladder.gram._pair_matrices(points, slots, grid, smoothing)
     want = _complex_pair_matrices(points, grid, weights)
     for g, u in zip(got, _unique_keyed_pair_matrices(points, grid, smoothing)):
         assert np.array_equal(g, u)
@@ -764,7 +805,7 @@ def test_moments_match_complex_accumulation(idx, eps):
     want = full[0, 1]
     if eps:  # the closed form, or above its cap the sweep at the coarse cutoff
         coarse = replace(quad, x_min=bnladder.gram._epsilon_cutoff(eps, quad))
-        base, _ = bnladder.gram._direct(pair, coarse)
+        base, _ = bnladder.gram._direct(pair, bnladder.gram._displacements(pair), coarse)
         want += eps * eps * base[0, 1]
     assert abs(value - want) <= 1e-14 * np.abs(full).max()
 
@@ -817,8 +858,9 @@ def test_pair_matrices_are_exactly_symmetric(idx):
     idx = idx + [idx[0], (j, (k + 7) % 25)]
     points = tuple(theta_of(ix) for ix in idx)
     grid = _fixed_grid(1000.0, 0.5)
+    slots = bnladder.gram._displacements(points)
     for smoothing in (None, SM):
-        for m in bnladder.gram._pair_matrices(points, grid, smoothing):
+        for m in bnladder.gram._pair_matrices(points, slots, grid, smoothing):
             assert np.array_equal(m, m.T)
 
 
@@ -839,3 +881,62 @@ def test_smoothed_unit_row_has_zero_budget(eps):
     off = np.ones(g.size, dtype=bool)
     off[zero] = False
     assert np.all(g.err_estimate[np.ix_(off, off)] >= bnladder.gram._GAUSSIAN_TAIL_TOL)
+
+
+K0 = math.log(2.0 * math.pi) - float(np.euler_gamma)  # F(1, 1), the kernel at delta = 0
+
+
+def _assert_within_depth_envelope(g, eps):
+    theta = np.array([p.theta for p in g.points])
+    j, k = (np.array([getattr(p.index, c) for p in g.points]) for c in "jk")
+    d = np.abs(j[:, None] - j) + np.abs(k[:, None] - k)
+    scale = (1.0 + eps) ** 2 * K0
+    size = np.abs(g.entries)
+    depth = np.sqrt(theta * (1.0 + theta))
+    assert np.all(size <= scale * np.outer(depth, depth) + g.err_estimate)
+    off = np.ix_(theta < 1.0, theta < 1.0)
+    assert np.all(size[off] <= 1.5 * scale * 2.0 ** (-d[off] / 2.0) + g.err_estimate[off])
+
+
+@settings(max_examples=25, deadline=None)
+@given(j_max=st.integers(0, 11), k_max=st.integers(0, 11))
+@example(j_max=11, k_max=11)
+def test_raw_entries_within_the_depth_envelope(j_max, k_max):
+    """Every raw entry keeps within the proven depth envelope, up to its
+    budget err_ab (eps = 0):
+
+        |G_ab| <= (1+eps)^2 K0 sqrt(theta_a (1+theta_a) theta_b (1+theta_b)) + err_ab,
+        |G_ab| <= 1.5 (1+eps)^2 K0 2^(-d/2) + err_ab off the zero row,
+
+    with K0 = F(1, 1) = log 2pi - gamma and d the ladder distance.
+
+    Proof.  By the four-term assembly of :func:`.fractional._assemble`,
+    ||f_theta||^2 = theta^2 K0 + theta K0 - 2 theta^(3/2) K_theta1
+    = theta (1+theta) K0 - 2 theta^(3/2) K_theta1 <= theta (1+theta) K0,
+    since K_theta1, the kernel between theta and the origin, integrates a
+    product of fractional parts and is > 0.  A smoothed entry weights the
+    Parseval integrand by psi^2 with 0 < psi <= 1 + eps, so a smoothed
+    diagonal is at most (1+eps)^2 times the raw one, and Cauchy-Schwarz
+    in either inner product gives the first bound.  Off the zero row
+    theta <= 1/2, so theta (1+theta) <= 1.5 theta, and sqrt(theta_a
+    theta_b) = 2^(-(j_a+j_b)/2) 3^(-(k_a+k_b)/2) <= 2^(-d/2), as
+    j_a + j_b >= |j_a - j_b|, k_a + k_b >= |k_a - k_b| and 3 > 2.  So the
+    entries decay exponentially in ladder distance from depth alone."""
+    _assert_within_depth_envelope(build_gram(IndexWindow(j_max, k_max), "raw"), 0.0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    j_max=st.integers(0, 16),
+    k_max=st.integers(0, 16),
+    W=st.floats(0.5, 20.0),
+    eps=st.floats(0.0, 1e-2),
+)
+@example(j_max=16, k_max=16, W=20.0, eps=1e-2)
+@example(j_max=16, k_max=16, W=5.0, eps=1e-6)
+def test_smoothed_entries_within_the_depth_envelope(j_max, k_max, W, eps):
+    """The smoothed form of the depth envelope, (1+eps)^2 times the raw
+    bounds plus the entry's budget; the proof is in
+    :func:`test_raw_entries_within_the_depth_envelope`."""
+    g = build_gram(IndexWindow(j_max, k_max), "smoothed", smoothing=SmoothingParams(W=W, epsilon=eps))
+    _assert_within_depth_envelope(g, eps)
